@@ -34,9 +34,8 @@ PRECISE_LEVELS = (1500, 3000, 6000)
 
 def _airy_kind_for_band(j):
     """Even-parity bands probe zeros of Ai', odd-parity bands zeros of Ai."""
-    if j % 2 == 1:
-        return AiryKind.ZERO_OF_AI_PRIME, (j + 1) // 2, Parity.EVEN
-    return AiryKind.ZERO_OF_AI, j // 2, Parity.ODD
+    parity, _ = Parity.of_band(j)
+    return AiryKind.ZERO_OF_AI_PRIME if parity is Parity.EVEN else AiryKind.ZERO_OF_AI
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,8 @@ def airy_prediction(b, k, j):
         raise ConfigurationError("the wedge regime needs k < 0")
     if b <= 0.0:
         raise ConfigurationError("field strength must be positive")
-    kind, m, _ = _airy_kind_for_band(j)
-    consts = specfun.airy_constants(kind, m)
+    kind = _airy_kind_for_band(j)
+    consts = specfun.airy_constants(kind, Parity.of_band(j)[1])
     sigma2 = (2.0 * b * abs(k)) ** (2.0 / 3.0)
     predicted = k * k - sigma2 * consts.z
     bound = consts.D * b ** (4.0 / 3.0) * (2.0 * abs(k)) ** (-2.0 / 3.0)
@@ -154,15 +153,17 @@ def _neighbor_spacing(pred):
     return min(gaps)
 
 
-def _band_pair(b, k, j, resolution=None):
-    """Solve just the parity class that owns global band j."""
-    _, m, parity = _airy_kind_for_band(j)
-    if resolution is None:
-        resolution = max(fiber.DEFAULT_RESOLUTION,
-                         fiber.minimum_resolution(b, k, requested_levels=m))
-    problem = fiber.build_problem(b, k, parity, requested_levels=m,
-                                  resolution=resolution)
-    return fiber.solve(problem, m, refine=True)[m - 1]
+def _wedge_resolution(b, k, j, resolution=None):
+    """Grid size for band j on the barrier side, unless the caller pins one.
+
+    The wall estimate carries the k^2 offset, so deep wedge solves outgrow
+    the default resolution.
+    """
+    if resolution is not None:
+        return resolution
+    _, m = Parity.of_band(j)
+    return max(fiber.DEFAULT_RESOLUTION,
+               fiber.minimum_resolution(b, k, requested_levels=m))
 
 
 def airy_check(b, k, j, resolution=None):
@@ -179,7 +180,7 @@ def airy_check(b, k, j, resolution=None):
             f"|k|={abs(k):g} is not deep enough in the wedge regime: bound "
             f"{pred.bound:.3g} >= neighbor spacing {spacing:.3g}"
         )
-    pair = _band_pair(b, k, j, resolution)
+    pair = fiber.band(b, k, j, _wedge_resolution(b, k, j, resolution), refine=True)
     measured = abs(pair.omega - pred.predicted)
     return AiryCheck(prediction=pred, omega=pair.omega,
                      measured_error=measured, passed=bool(measured <= pred.bound))
@@ -193,13 +194,8 @@ def airy_residual(b, k, j, resolution=None):
     because the full and wedge operators differ by exactly that multiplier.
     """
     pred = airy_prediction(b, k, j)
-    kind, m, parity = _airy_kind_for_band(j)
-    consts = specfun.airy_constants(kind, m)
-    if resolution is None:
-        resolution = max(fiber.DEFAULT_RESOLUTION,
-                         fiber.minimum_resolution(b, k, requested_levels=m))
-    problem = fiber.build_problem(b, k, parity, requested_levels=m,
-                                  resolution=resolution)
+    problem, m = fiber.band_problem(b, k, j, _wedge_resolution(b, k, j, resolution))
+    consts = specfun.airy_constants(pred.kind, m)
     x = problem.grid.x
     h = problem.grid.h
     sigma = (2.0 * b * abs(k)) ** (1.0 / 3.0)
@@ -249,21 +245,10 @@ def _precise_box(b, k, pair_j):
 def _precise_eigenvalue(b, k, parity, index, L, N, seed):
     """Eigenvalue `index` of the parity sector in extended precision."""
     ld = np.longdouble
-    h = ld(L) / ld(N)
-    inv_h2 = ld(1.0) / (h * h)
-    bt, kt = ld(b), ld(k)
-    if Parity(parity) is Parity.EVEN:
-        x = np.arange(N, dtype=ld) * h
-        d = 2.0 * inv_h2 + (kt - bt * x) ** 2
-        e2 = np.full(N - 1, inv_h2 * inv_h2, dtype=ld)
-        e2[0] = 2.0 * inv_h2 * inv_h2
-    else:
-        x = np.arange(1, N, dtype=ld) * h
-        d = 2.0 * inv_h2 + (kt - bt * x) ** 2
-        e2 = np.full(N - 2, inv_h2 * inv_h2, dtype=ld)
+    d, e = fiber.stencil(b, k, parity, L, N, dtype=ld)
     lo = ld(seed) - ld(1e-6) * max(1.0, abs(seed))
     hi = ld(seed) + ld(1e-6) * max(1.0, abs(seed))
-    return bisect_eigenvalue(d, e2, index, lo, hi)
+    return bisect_eigenvalue(d, e * e, index, lo, hi)
 
 
 def omega_pair_precise(b, k, j, levels=PRECISE_LEVELS):

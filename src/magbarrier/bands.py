@@ -7,7 +7,6 @@ which collapses to one term per parity. They agree to discretization accuracy
 and both match finite differences of the traced band.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -15,8 +14,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import fiber
-from .errors import InvariantViolation, NumericalError
+from .errors import ConfigurationError, InvariantViolation, NumericalError
 from .fiber import DEFAULT_RESOLUTION, Parity
+from .tridiag import richardson2
 
 CROSS_CHECK_RTOL = 1e-5    # fh vs boundary route
 MASS_CROSS_RTOL = 1e-3     # closed form vs finite-difference omega''
@@ -86,7 +86,7 @@ def _sample(pair):
 
 
 def _extrap(functional, coarse, fine):
-    return float((4.0 * functional(fine) - functional(coarse)) / 3.0)
+    return float(richardson2(functional(coarse), functional(fine)))
 
 
 def _sample_refined(coarse, fine, refined):
@@ -114,10 +114,13 @@ def trace(b, k_min, k_max, n_bands=8, base_samples=81, resolution=DEFAULT_RESOLU
 
     The base grid is uniform; each pass bisects the intervals around nodes
     whose curvature estimate exceeds REFINE_FACTOR times the median, which
-    concentrates points near the even-band minima and k = 0.
+    concentrates points near the even-band minima and k = 0. A refine pass
+    reads curvature at interior nodes, so it needs at least three samples.
     """
     if not k_min < k_max:
-        raise InvariantViolation("need k_min < k_max")
+        raise ConfigurationError("need k_min < k_max")
+    if refine_passes > 0 and base_samples < 3:
+        raise ConfigurationError("adaptive refinement needs at least 3 base samples")
     solutions = {}
     grids = {}
 
@@ -167,13 +170,6 @@ def trace(b, k_min, k_max, n_bands=8, base_samples=81, resolution=DEFAULT_RESOLU
     return BandTable(b=b, ks=ks, bands=bands, parities=parities)
 
 
-def _even_band_omega(b, k, j, resolution, refine=True):
-    """omega of global band 2j-1 (even class, local index j) with boundary data."""
-    problem = fiber.build_problem(b, k, Parity.EVEN, requested_levels=j,
-                                  resolution=resolution)
-    return fiber.solve(problem, j, refine=refine)[j - 1]
-
-
 def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
     """Locate the minimum of even band j as the root of omega(k) - k^2.
 
@@ -181,11 +177,15 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
     energy is the square of the root, cross-checked against the direct
     eigenvalue there.
     """
+    if not (b > 0.0 and math.isfinite(b)):
+        raise ConfigurationError(f"field strength must be positive and finite, got {b}")
+    if j < 1:
+        raise ConfigurationError(f"even-band ordinal starts at 1, got {j}")
     limit = (2.0 * (2 * j - 1) - 1.0) * b      # oscillator level the band tends to
     lo, hi = 1e-6 * math.sqrt(b), math.sqrt(limit)
 
     def g(k):
-        return _even_band_omega(b, k, j, resolution).omega - k * k
+        return fiber.band(b, k, 2 * j - 1, resolution, refine=True).omega - k * k
 
     g_lo, g_hi = g(lo), g(hi)
     if not (g_lo > 0.0 > g_hi):
@@ -194,7 +194,7 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
             f"g={g_lo:.3g}, {g_hi:.3g}"
         )
     kappa = brentq(g, lo, hi, xtol=KAPPA_XTOL * math.sqrt(b), rtol=8.0 * np.finfo(float).eps)
-    pair = _even_band_omega(b, kappa, j, resolution)
+    pair = fiber.band(b, kappa, 2 * j - 1, resolution, refine=True)
     energy = kappa * kappa
     if abs(pair.omega - energy) > 1e-8 * max(1.0, abs(energy)):
         raise NumericalError(
@@ -221,8 +221,8 @@ def effective_mass(record, b, resolution=DEFAULT_RESOLUTION):
     """
     closed = (2.0 * record.kappa / b) * record.psi0_at_kappa ** 2
     hk = 1e-2 * math.sqrt(b)
-    w = [_even_band_omega(b, record.kappa + m * hk, record.j, resolution).omega
-         for m in (-2, -1, 0, 1, 2)]
+    w = [fiber.band(b, record.kappa + m * hk, 2 * record.j - 1, resolution,
+                    refine=True).omega for m in (-2, -1, 0, 1, 2)]
     second = (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) / (12.0 * hk * hk)
     fd = 0.5 * second
     if abs(fd - closed) > MASS_CROSS_RTOL * abs(closed):
@@ -274,6 +274,8 @@ def monotonicity_report(table, tol=None):
 
 def table_minimum(table, band=1):
     """(k*, omega*) of one band from the table, parabola-refined at the argmin."""
+    if not 1 <= band <= table.n_bands():
+        raise ConfigurationError(f"band {band} is not among the {table.n_bands()} traced")
     samples = table.bands[band - 1]
     ws = np.array([s.omega for s in samples])
     ks = np.array([s.k for s in samples])
@@ -285,38 +287,3 @@ def table_minimum(table, band=1):
     k_star = -p[1] / (2.0 * p[0])
     w_star = np.polyval(p, k_star)
     return float(k_star + ks[i]), float(w_star)
-
-
-def to_csv(table):
-    """CSV rows (k, j, parity, omega, domega_fh, domega_bd, psi0, dpsi0)."""
-    lines = ["k,j,parity,omega,domega_fh,domega_bd,psi0,dpsi0"]
-    for i, k in enumerate(table.ks):
-        for j_idx, samples in enumerate(table.bands):
-            s = samples[i]
-            lines.append(",".join([
-                f"{k:.12g}", str(j_idx + 1), table.parities[j_idx].value,
-                f"{s.omega:.12g}", f"{s.domega_fh:.12g}", f"{s.domega_bd:.12g}",
-                f"{s.psi0:.12g}", f"{s.dpsi0:.12g}",
-            ]))
-    return "\n".join(lines) + "\n"
-
-
-def to_json(table):
-    """JSON document with full-precision floats."""
-    doc = {
-        "b": table.b,
-        "ks": [float(k) for k in table.ks],
-        "bands": [
-            {
-                "j": j_idx + 1,
-                "parity": table.parities[j_idx].value,
-                "omega": [s.omega for s in samples],
-                "domega_fh": [s.domega_fh for s in samples],
-                "domega_bd": [s.domega_bd for s in samples],
-                "psi0": [s.psi0 for s in samples],
-                "dpsi0": [s.dpsi0 for s in samples],
-            }
-            for j_idx, samples in enumerate(table.bands)
-        ],
-    }
-    return json.dumps(doc, indent=2)

@@ -196,6 +196,10 @@ def effective_config(command, args):
             cfg[name] = _convert(option, file_entries[name])
         else:
             cfg[name] = option.default
+        if option.kind in ("float", "floats") and cfg[name] is not None:
+            values = cfg[name] if option.kind == "floats" else (cfg[name],)
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigurationError(f"{name} must be finite, got {cfg[name]}")
     return cfg
 
 
@@ -344,6 +348,8 @@ def cmd_minima(cfg, jobs=1):
 
 
 def cmd_airy(cfg, jobs=1):
+    if cfg["jmax"] < 1:
+        raise ConfigurationError("jmax must be at least 1")
     columns = ["k", "j", "kind", "predicted", "measured", "measured_error",
                "bound", "pass"]
     rows = []
@@ -431,16 +437,6 @@ def cmd_localize(cfg, jobs=1):
                     all(r[-1] for r in rows))
 
 
-def _loglog_fit(lams, counts):
-    lams = np.asarray(lams, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    mask = counts > 0
-    if mask.sum() < 2:
-        return None, None
-    slope, intercept = np.polyfit(np.log(lams[mask]), np.log(counts[mask]), 1)
-    return float(-slope), float(math.exp(intercept))
-
-
 def cmd_count1d(cfg, jobs=1):
     alpha, ell, m = cfg["alpha"], cfg["ell"], cfg["m"]
     constant = counting.counting_constant_1d(alpha, ell, m)
@@ -463,7 +459,7 @@ def cmd_count1d(cfg, jobs=1):
             break
         counts.append(n)
         rows.append([lam, n, lam ** expected * n])
-    exponent, prefactor = _loglog_fit([r[0] for r in rows], counts)
+    exponent, prefactor = counting.power_law_fit([r[0] for r in rows], counts)
     summary = {"expected_exponent": expected, "closed_form_constant": constant,
                "fitted_exponent": exponent, "fitted_prefactor": prefactor}
     payload = _payload("count1d", cfg, columns, rows, summary,
@@ -476,10 +472,7 @@ def cmd_count2d(cfg, jobs=1):
     b, alpha = cfg["b"], cfg["alpha"]
     V = counting.standard_potential(alpha, amplitude=cfg["amplitude"])
     rec = bands.find_minimum(1, b)
-    ground = fiber.solve(
-        fiber.build_problem(b, rec.kappa, fiber.Parity.EVEN,
-                            requested_levels=1), 1)[0]
-    reduced = counting.reduced_potential(V, ground,
+    reduced = counting.reduced_potential(V, fiber.band(b, rec.kappa, 1),
                                          np.linspace(0.0, 500.0, 4001))
     constant = counting.counting_constant_2d(alpha, reduced.ell, rec.beta)
     expected = 1.0 / alpha - 0.5
@@ -568,11 +561,8 @@ def build_parser():
 
 
 def _exit_for(exc):
-    if isinstance(exc, ConfigurationError):
-        return EXIT_USAGE
-    if isinstance(exc, NumericalError):
-        return EXIT_RESOLUTION
-    return EXIT_NUMERICAL
+    """Exit code of a package error; InvariantViolation is a NumericalError."""
+    return EXIT_USAGE if isinstance(exc, ConfigurationError) else EXIT_RESOLUTION
 
 
 def main(argv=None):

@@ -14,7 +14,7 @@ of being swamped by the O(h^2) shift of the continuum threshold.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -231,6 +231,8 @@ def count_1d(m, Q, lam, half_width=None, h=DEFAULT_H_1D, verify_width=True):
     """
     if not (m > 0.0 and lam > 0.0):
         raise ConfigurationError("need m > 0 and lam > 0")
+    if not h > 0.0:
+        raise ConfigurationError(f"grid step h must be positive, got {h}")
     if half_width is None:
         if not isinstance(Q, ReducedPotential):
             raise ConfigurationError(
@@ -315,6 +317,20 @@ class CountingCurve:
         return "\n".join(lines) + "\n"
 
 
+def power_law_fit(lambdas, counts):
+    """(p, A) of N ~ A lambda^{-p} by log-log least squares on nonzero counts.
+
+    (None, None) when fewer than two counts are nonzero.
+    """
+    lams = np.asarray(lambdas, dtype=float)
+    cnts = np.asarray(counts, dtype=float)
+    mask = cnts > 0
+    if mask.sum() < 2:
+        return None, None
+    slope, intercept = np.polyfit(np.log(lams[mask]), np.log(cnts[mask]), 1)
+    return float(-slope), float(math.exp(intercept))
+
+
 def fit_curve(lambdas, counts):
     """CountingCurve with N ~ A lambda^{-p} fitted in log-log least squares."""
     lams = np.asarray(lambdas, dtype=float)
@@ -326,11 +342,10 @@ def fit_curve(lambdas, counts):
         raise ConfigurationError("lambda ladder must span at least one decade")
     if np.all(cnts[mask] == cnts[mask][0]):
         raise NumericalError("degenerate curve: all counts equal; widen the ladder")
-    slope, intercept = np.polyfit(np.log(lams[mask]), np.log(cnts[mask]), 1)
+    exponent, prefactor = power_law_fit(lams, cnts)
     return CountingCurve(lambdas=tuple(float(v) for v in lambdas),
                          counts=tuple(int(c) for c in counts),
-                         fitted_exponent=float(-slope),
-                         fitted_prefactor=float(math.exp(intercept)))
+                         fitted_exponent=exponent, fitted_prefactor=prefactor)
 
 
 def counting_curve_1d(m, Q, lambdas, h=DEFAULT_H_1D):
@@ -447,6 +462,30 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     return negatives
 
 
+def _grid_2d(b, V, lam, spec, ell_hint=None):
+    """(lx, nx, y_width, ny) of the folded 2D grid for the gap lam.
+
+    lx defaults to the orbit plus envelope room and is snapped to a whole
+    number of x-steps. Unless the spec fixes it, the y half-width covers
+    y_factor times the turning point of the reduced tail ell |y|^{-alpha};
+    without a hint, ell comes from the band-1 state at the frozen minimum
+    estimate kappa_1 ~ 0.768 sqrt(b).
+    """
+    root_b = math.sqrt(b)
+    lx = spec.lx
+    if lx is None:
+        lx = (1.0 + math.sqrt(2.0) + 5.0) / root_b  # orbit + envelope room
+    nx = int(round(lx / spec.hx))
+    y_width = spec.y_width
+    if y_width is None:
+        if ell_hint is None:
+            ground = fiber.band(b, 0.768 * root_b, 1)
+            ell_hint = fiber.expectation(
+                ground, np.asarray(V.v1(ground.grid.x), dtype=float))
+        y_width = spec.y_factor * (ell_hint / lam) ** (1.0 / V.alpha)
+    return nx * spec.hx, nx, y_width, int(math.ceil(2.0 * y_width / spec.hy))
+
+
 def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
     """N(threshold - lam) of the lattice H0 - V by x-parity block inertia.
 
@@ -457,13 +496,8 @@ def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
     """
     if not lam > 0.0:
         raise ConfigurationError("lam must be positive")
-    root_b = math.sqrt(b)
-    hx, hy = spec.hx, spec.hy
-    lx = spec.lx
-    if lx is None:
-        lx = (1.0 + math.sqrt(2.0) + 5.0) / root_b  # orbit + envelope room
-    nx = int(round(lx / hx))
-    lx = nx * hx
+    hy = spec.hy
+    lx, nx, _, ny = _grid_2d(b, V, lam, spec, ell_hint)
     probe = np.linspace(0.0, lx, 7)
     if not np.allclose(V.v1(probe), V.v1(-probe), rtol=1e-12, atol=0.0):
         raise ConfigurationError("the x-parity split needs an even v1")
@@ -473,16 +507,6 @@ def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
         raise ConfigurationError(
             f"lam must sit inside (0, {threshold:g}), the gap below the band"
         )
-    y_width = spec.y_width
-    if y_width is None:
-        if ell_hint is None:
-            ground = fiber.solve(
-                fiber.build_problem(b, 0.768 * root_b, Parity.EVEN,
-                                    requested_levels=1), 1)[0]
-            ell_hint = fiber.expectation(
-                ground, np.asarray(V.v1(ground.grid.x), dtype=float))
-        y_width = spec.y_factor * (ell_hint / lam) ** (1.0 / V.alpha)
-    ny = int(math.ceil(2.0 * y_width / hy))
     ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
     if (2 * nx - 1) * ny > spec.max_unknowns:
         raise NumericalError(
@@ -518,9 +542,7 @@ def count_2d_stability(b, V, lam, spec=Grid2DSpec(), ell_hint=None,
     as grid-limited rather than raising, so callers can report it.
     """
     base = count_2d(b, V, lam, spec=spec, ell_hint=ell_hint)
-    finer = Grid2DSpec(hx=spec.hx / refine, hy=spec.hy / refine, lx=spec.lx,
-                       y_width=spec.y_width, y_factor=spec.y_factor,
-                       max_unknowns=spec.max_unknowns)
+    finer = replace(spec, hx=spec.hx / refine, hy=spec.hy / refine)
     refined = count_2d(b, V, lam, spec=finer, ell_hint=ell_hint)
     return base, refined, abs(refined - base) <= 1
 
@@ -535,24 +557,12 @@ def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, jobs=1):
     assembled in ladder order.
     """
     lambdas = sorted((float(v) for v in lambdas), reverse=True)
-    root_b = math.sqrt(b)
-    lx = spec.lx if spec.lx is not None else (1.0 + math.sqrt(2.0) + 5.0) / root_b
-    nx = int(round(lx / spec.hx))
-    lx = nx * spec.hx
+    lx, nx, y_width, ny = _grid_2d(b, V, lambdas[-1], spec, ell_hint)
     threshold, k_star = discrete_threshold(b, lx, nx, spec.hy)
-    if ell_hint is None:
-        ground = fiber.solve(
-            fiber.build_problem(b, 0.768 * root_b, Parity.EVEN,
-                                requested_levels=1), 1)[0]
-        ell_hint = fiber.expectation(
-            ground, np.asarray(V.v1(ground.grid.x), dtype=float))
-    y_width = spec.y_factor * (ell_hint / lambdas[-1]) ** (1.0 / V.alpha)
-    shared = Grid2DSpec(hx=spec.hx, hy=spec.hy, lx=lx, y_width=y_width,
-                        y_factor=spec.y_factor, max_unknowns=spec.max_unknowns)
+    shared = replace(spec, lx=lx, y_width=y_width)
 
     def one(lam):
-        return count_2d(b, V, lam, spec=shared, ell_hint=ell_hint,
-                        threshold=threshold)
+        return count_2d(b, V, lam, spec=shared, threshold=threshold)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -563,5 +573,5 @@ def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, jobs=1):
     curve = fit_curve(lambdas, counts)
     meta = {"threshold": threshold, "k_star": k_star, "lx": lx,
             "y_width": y_width, "hx": spec.hx, "hy": spec.hy,
-            "unknowns": (2 * nx - 1) * int(math.ceil(2.0 * y_width / spec.hy))}
+            "unknowns": (2 * nx - 1) * ny}
     return curve, meta

@@ -38,6 +38,13 @@ class Parity(enum.Enum):
         """Map a 1-based index within the parity class to the global band index."""
         return 2 * local_j - 1 if self is Parity.EVEN else 2 * local_j
 
+    @classmethod
+    def of_band(cls, j):
+        """(parity, local index) of global band j; inverse of global_index."""
+        if j < 1:
+            raise ConfigurationError(f"band index starts at 1, got {j}")
+        return (cls.EVEN, (j + 1) // 2) if j % 2 == 1 else (cls.ODD, j // 2)
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -253,6 +260,21 @@ def solve(problem, n_levels, refine=False):
     if not refine:
         return _assemble(problem, n_levels, problem.grid.N)
     return solve_two_grids(problem, n_levels)[2]
+
+
+def band_problem(b, k, j, resolution=DEFAULT_RESOLUTION):
+    """(problem, m): the problem of the parity class that owns global band j.
+
+    Band j is level m of that class; the grid is sized for m levels.
+    """
+    parity, m = Parity.of_band(j)
+    return build_problem(b, k, parity, requested_levels=m, resolution=resolution), m
+
+
+def band(b, k, j, resolution=DEFAULT_RESOLUTION, refine=False):
+    """Global band j at (b, k) from a solve of its parity class alone."""
+    problem, m = band_problem(b, k, j, resolution)
+    return solve(problem, m, refine=refine)[m - 1]
 
 
 def boundary_values(psi, h, parity):

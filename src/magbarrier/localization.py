@@ -17,7 +17,6 @@ from scipy.special import erfc
 
 from . import bands, fiber, mourre
 from .errors import ConfigurationError, InvariantViolation
-from .fiber import Parity
 
 ENVELOPE_TOL = 1e-6
 # Relative level under sup|psi| below which eigenvector samples are rounding
@@ -112,6 +111,8 @@ def envelope_check(pair, b, k, tolerance=ENVELOPE_TOL):
 def window_envelope_sweep(report, n_samples=9,
                           resolution=fiber.DEFAULT_RESOLUTION):
     """Envelope checks across every preimage band of a validated window."""
+    if n_samples < 1:
+        raise ConfigurationError("the sweep needs at least one sample per band")
     b = report.window.b
     checks = []
     for j, left, right in report.preimages:
@@ -142,11 +143,7 @@ def wall_tail_mass(pair):
 @lru_cache(maxsize=1024)
 def _solved_level(b, k, j, resolution):
     """One solved global band j at (b, k), cached across states."""
-    parity = Parity.EVEN if j % 2 == 1 else Parity.ODD
-    m = (j + 1) // 2
-    problem = fiber.build_problem(b, k, parity, requested_levels=m,
-                                  resolution=resolution)
-    return fiber.solve(problem, m, refine=False)[m - 1]
+    return fiber.band(b, k, j, resolution)
 
 
 def strip_split(pair, cut):
@@ -260,13 +257,3 @@ def strip_threshold_scan(n=1, epsilon=0.25, bs=DEFAULT_SCAN_FIELDS,
         else:
             break
     return records, b_tilde
-
-
-def profile_csv(pair):
-    """CSV rows (x, |psi|, envelope) of one state's decay profile."""
-    x_n = turning_point(pair.j, pair.k, pair.b, pair.omega)
-    env = envelope_values(pair.b, x_n, pair.grid.x)
-    lines = ["x,abs_psi,envelope"]
-    for x, a, e in zip(pair.grid.x, np.abs(pair.psi), env):
-        lines.append(f"{x:.12g},{a:.12g},{e:.12g}")
-    return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ from scipy.sparse.linalg import eigsh
 from . import bands, fiber
 from .errors import ConfigurationError, InvariantViolation, NumericalError
 from .fiber import Parity
+from .tridiag import richardson2
 
 DELTA0_BISECT_ITERS = 48
 ENDPOINT_BISECTIONS = 3
@@ -242,13 +243,10 @@ class MourreReport:
 
 def _derivative_at(b, k, j, resolution=fiber.DEFAULT_RESOLUTION):
     """Extrapolated band derivative by a fresh solve of band j's parity class."""
-    parity = Parity.EVEN if j % 2 == 1 else Parity.ODD
-    m = (j + 1) // 2
-    problem = fiber.build_problem(b, k, parity, requested_levels=m,
-                                  resolution=resolution)
+    problem, m = fiber.band_problem(b, k, j, resolution)
     coarse, fine, _ = fiber.solve_two_grids(problem, m)
-    return float((4.0 * bands.derivative_fh(fine[m - 1])
-                  - bands.derivative_fh(coarse[m - 1])) / 3.0)
+    return float(richardson2(bands.derivative_fh(coarse[m - 1]),
+                             bands.derivative_fh(fine[m - 1])))
 
 
 def mourre_constant(window, table, delta0=None,

@@ -1,11 +1,9 @@
-"""Special-function kernel: Airy values, zeros and moment integrals,
-oscillator eigenfunctions, and log-Beta.
+"""Special-function kernel: Airy values, zeros and moment integrals.
 
 Point values delegate to scipy.special. What this module pins down is the
 set of conventions everything downstream relies on: Airy zeros are negative
 and strictly decreasing in j, the Ai' zeros belong to even states and the Ai
-zeros to odd ones, half-line moments are taken against Ai(v + z)^2, and
-oscillator eigenfunctions are L2-normalized over the full line.
+zeros to odd ones, and half-line moments are taken against Ai(v + z)^2.
 """
 
 import enum
@@ -19,7 +17,6 @@ from scipy.integrate import quad
 from .errors import ConfigurationError, NumericalError
 
 AIRY_ZERO_MAX_J = 64
-HERMITE_MAX_J = 60
 AIRY_ARG_MIN = -1.0e6
 MOMENT_POWERS = (0, 4)
 MOMENT_REL_TOL = 1.0e-10
@@ -126,34 +123,3 @@ def airy_constants(kind, j):
     c = airy_moment(kind, j, 0)
     m4 = airy_moment(kind, j, 4)
     return AiryConstants(kind=kind, j=j, z=z, c=c, D=math.sqrt(m4 / c))
-
-
-def hermite_eigenfunction(j, b, x, k=0.0):
-    """Oscillator eigenfunction of p^2 + (k - b x)^2 at level j, evaluated at x.
-
-    Centered at k/b, width b^{-1/2}, L2 norm 1 over the line. Uses the
-    normalized three-term recurrence, stable for all admissible j.
-    """
-    if j < 0:
-        raise ConfigurationError("oscillator level must be nonnegative")
-    if j > HERMITE_MAX_J:
-        raise ConfigurationError(f"oscillator level {j} exceeds capability {HERMITE_MAX_J}")
-    if b <= 0.0:
-        raise ConfigurationError("field strength must be positive")
-    t = np.sqrt(b) * (np.asarray(x, dtype=float) - k / b)
-    phi_prev = np.pi ** -0.25 * np.exp(-0.5 * t * t)
-    if j == 0:
-        out = b ** 0.25 * phi_prev
-        return float(out) if np.isscalar(x) else out
-    phi = np.sqrt(2.0) * t * phi_prev
-    for n in range(2, j + 1):
-        phi, phi_prev = t * np.sqrt(2.0 / n) * phi - np.sqrt((n - 1.0) / n) * phi_prev, phi
-    out = b ** 0.25 * phi
-    return float(out) if np.isscalar(x) else out
-
-
-def log_beta(a, b):
-    """ln B(a, b) through log-Gamma; exp of the result is accurate to 1e-12."""
-    if a <= 0.0 or b <= 0.0:
-        raise ConfigurationError("log_beta needs positive arguments")
-    return float(special.gammaln(a) + special.gammaln(b) - special.gammaln(a + b))

@@ -68,6 +68,4 @@ def richardson2(w_h, w_h2):
 
 def richardson3(w_h, w_h2, w_h4):
     """Two-step h^2/h^4 extrapolation over grids {h, h/2, h/4}."""
-    a12 = (4.0 * w_h2 - w_h) / 3.0
-    a23 = (4.0 * w_h4 - w_h2) / 3.0
-    return (16.0 * a23 - a12) / 15.0
+    return (16.0 * richardson2(w_h2, w_h4) - richardson2(w_h, w_h2)) / 15.0

@@ -5,14 +5,13 @@ bisection solver with Richardson extrapolation (three grid levels) and
 bracketed root refinement; they are good to the digit count shown.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from magbarrier import bands, fiber
-from magbarrier.errors import NumericalError
+from magbarrier.errors import ConfigurationError, NumericalError
 from magbarrier.fiber import Parity
 
 KAPPA_1 = 0.768183653380
@@ -230,14 +229,24 @@ def test_bottom_of_spectrum_from_table():
     assert w_star == pytest.approx(ENERGY_1, abs=1e-8)
 
 
-def test_serialization_roundtrip_and_determinism(figure_table):
-    csv_text = bands.to_csv(figure_table)
-    head = csv_text.splitlines()[0]
-    assert head == "k,j,parity,omega,domega_fh,domega_bd,psi0,dpsi0"
-    assert len(csv_text.splitlines()) == 1 + 8 * len(figure_table.ks)
-    doc = json.loads(bands.to_json(figure_table))
-    assert doc["b"] == 1.0
-    assert len(doc["bands"]) == 8
-    assert doc["bands"][0]["omega"][0] == figure_table.bands[0][0].omega
+def test_trace_rerun_is_bitwise_identical(figure_table):
     again = bands.trace(1.0, -4.0, 6.0, n_bands=8, base_samples=81)
-    assert bands.to_csv(again) == csv_text
+    assert np.array_equal(again.ks, figure_table.ks)
+    assert again.bands == figure_table.bands
+    assert again.parities == figure_table.parities
+
+
+def test_trace_refinement_needs_three_base_samples():
+    for samples in (0, 1, 2):
+        with pytest.raises(ConfigurationError):
+            bands.trace(1.0, -1.0, 1.0, n_bands=1, base_samples=samples)
+    table = bands.trace(1.0, -1.0, 1.0, n_bands=1, base_samples=2, refine_passes=0)
+    assert len(table.ks) == 2
+
+
+def test_find_minimum_rejects_bad_field_or_ordinal():
+    for b in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            bands.find_minimum(1, b)
+    with pytest.raises(ConfigurationError):
+        bands.find_minimum(0, 1.0)

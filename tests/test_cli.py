@@ -10,6 +10,7 @@ import math
 import pytest
 
 from magbarrier import cli
+from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 
 KAPPA_1 = 0.768183653380
 E_1 = 0.590106125320
@@ -221,3 +222,43 @@ def test_count2d_resource_cap_exits_three(tmp_path):
 
 def test_bad_jobs_value_is_usage(tmp_path):
     assert run(["count1d", "--jobs", "0"], tmp_path) == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigurationError, 2), (NumericalError, 3), (InvariantViolation, 3)])
+def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, code):
+    def boom(cfg, jobs=1):
+        raise error("planted")
+
+    monkeypatch.setitem(cli.DISPATCH, "count1d", boom)
+    assert run(["count1d"], tmp_path) == code
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: planted"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["minima", "--b", "nan"],
+    ["minima", "--b", "inf"],
+    ["minima", "--b", "-1"],
+    ["count1d", "--h", "0"],
+    ["count1d", "--lambdas", "1e-3,nan"],
+    ["ho", "--j", "0"],
+    ["localize", "--nbands", "1", "--trace-samples", "11"],
+    ["mourre", "--kmin", "5", "--kmax", "-5"],
+])
+def test_bad_input_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["airy", "--jmax", "0"],
+    ["localize", "--samples", "0", "--trace-samples", "41"],
+    ["bands", "--samples", "2"],
+])
+def test_check_with_nothing_to_check_is_refused(tmp_path, argv):
+    # each of these used to exit 0 with "# pass=true" after checking nothing
+    assert run(argv, tmp_path) == 2
+    assert not (tmp_path / f"{argv[0]}.csv").exists()

@@ -118,6 +118,12 @@ def test_oscillatory_tail_is_a_fit_error(ground_b1):
 # closed-form constants
 
 
+def test_counting_constant_1d_beta_known_values():
+    # B(3/2, 1/2) = pi/2, so at alpha = 1 the constant is exactly ell/m
+    for ell, m in ((1.0, 1.0), (4.0, 1.0), (1.0, 2.0), (0.37, 1.9)):
+        assert counting.counting_constant_1d(1.0, ell, m) == pytest.approx(ell / m, rel=1e-13)
+
+
 def test_counting_constant_1d_examples():
     assert counting.counting_constant_1d(1.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
     assert counting.counting_constant_1d(1.0, 4.0, 1.0) == pytest.approx(4.0, rel=1e-12)
@@ -189,6 +195,9 @@ def test_count_1d_free_operator_and_guards():
     negative = lambda y: -np.ones_like(np.asarray(y, dtype=float))
     with pytest.raises(ConfigurationError):
         counting.count_1d(1.0, negative, 0.1, half_width=10.0)
+    for h in (0.0, -0.05):
+        with pytest.raises(ConfigurationError):
+            counting.count_1d(1.0, zero, 0.1, half_width=10.0, h=h)
 
 
 def test_count_1d_narrow_grid_is_a_resolution_error():

@@ -69,6 +69,27 @@ def test_merge_matches_airy_interlacing_at_negative_k():
         assert pair.parity is parity
 
 
+def test_band_matches_merged_levels_on_random_inputs():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        b = float(rng.uniform(0.3, 30.0))
+        k = float(rng.uniform(-3.0, 3.0) * math.sqrt(b))
+        j = int(rng.integers(1, 7))
+        refine = bool(rng.integers(0, 2))
+        pair = fiber.band(b, k, j, refine=refine)
+        merged = fiber.first_levels(b, k, j, refine=refine)[j - 1]
+        assert pair.omega == merged.omega
+        assert (pair.j, pair.parity) == (merged.j, merged.parity)
+
+
+def test_parity_of_band_inverts_global_index():
+    for parity in Parity:
+        for m in range(1, 40):
+            assert Parity.of_band(parity.global_index(m)) == (parity, m)
+    with pytest.raises(ConfigurationError):
+        Parity.of_band(0)
+
+
 def test_merge_single_level_lists():
     even = fiber.solve(fiber.build_problem(1.0, 0.5, Parity.EVEN, 1), 1)
     odd = fiber.solve(fiber.build_problem(1.0, 0.5, Parity.ODD, 1), 1)

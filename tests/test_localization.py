@@ -109,6 +109,8 @@ def test_window_envelope_sweep(window_b1):
     assert all(c.envelope_ok for c in checks)
     assert {c.j for c in checks} == {1, 2}
     assert max(c.max_ratio for c in checks) < 1.0
+    with pytest.raises(ConfigurationError):
+        loc.window_envelope_sweep(report, n_samples=0)
 
 
 def test_envelope_scaling_b4(window_b1):
@@ -205,18 +207,3 @@ def test_threshold_scan_reduced():
     assert b_tilde == 10.0
     with pytest.raises(ConfigurationError):
         loc.strip_threshold_scan(n_states=0)
-
-
-def test_profile_csv():
-    pair = loc._solved_level(1.0, 0.0, 1, 4000)
-    text = loc.profile_csv(pair)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x,abs_psi,envelope"
-    assert len(lines) == 1 + pair.grid.N
-    x, amp, env = (float(v) for v in lines[1].split(","))
-    assert x == 0.0
-    assert amp == pytest.approx(abs(pair.psi[0]), rel=1e-11)
-    x2, amp2, env2 = (float(v) for v in lines[500].split(","))
-    x_n = loc.turning_point(1, 0.0, 1.0, pair.omega)
-    assert env2 == pytest.approx(
-        float(loc.envelope_values(1.0, x_n, np.array([x2]))[0]), rel=1e-11)

@@ -134,51 +134,3 @@ def test_airy_constants_assembles_d_definitionally():
         m0 = specfun.airy_moment(kind, 1, 0)
         assert cst.D == pytest.approx(math.sqrt(m4 / m0), rel=1e-14)
         assert cst.z < 0.0 and cst.c > 0.0 and cst.D > 0.0
-
-
-def test_hermite_peak_and_node():
-    b, k = 2.3, 1.7
-    assert specfun.hermite_eigenfunction(0, b, k / b, k) == pytest.approx((b / math.pi) ** 0.25,
-                                                                          rel=1e-13)
-    assert abs(specfun.hermite_eigenfunction(1, b, k / b, k)) < 1e-14
-
-
-def test_hermite_grid_norm():
-    x = np.arange(-14.0, 14.0, 0.01)
-    psi = specfun.hermite_eigenfunction(3, 1.0, x, 0.0)
-    norm = np.trapezoid(psi * psi, x)
-    assert abs(norm - 1.0) <= 1e-8
-
-
-def test_hermite_orthonormality_low_levels():
-    x = np.arange(-16.0, 16.0, 0.005)
-    states = [specfun.hermite_eigenfunction(j, 1.0, x, 0.0) for j in range(9)]
-    for i in range(9):
-        for j in range(9):
-            got = np.trapezoid(states[i] * states[j], x)
-            assert abs(got - (1.0 if i == j else 0.0)) <= 1e-7
-
-
-def test_hermite_capability_guard():
-    with pytest.raises(ConfigurationError):
-        specfun.hermite_eigenfunction(61, 1.0, 0.0, 0.0)
-    assert np.isfinite(specfun.hermite_eigenfunction(60, 1.0, 1.0, 0.0))
-
-
-def test_log_beta_known_values():
-    assert specfun.log_beta(1.5, 0.5) == pytest.approx(math.log(math.pi / 2.0), rel=1e-13)
-    assert specfun.log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_log_beta_symmetry_random_pairs():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a, b = rng.uniform(0.1, 8.0, size=2)
-        assert abs(specfun.log_beta(a, b) - specfun.log_beta(b, a)) <= 1e-14
-
-
-def test_log_beta_domain_error():
-    with pytest.raises(ConfigurationError):
-        specfun.log_beta(-1.0, 2.0)
-    with pytest.raises(ConfigurationError):
-        specfun.log_beta(1.0, 0.0)

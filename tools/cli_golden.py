@@ -1,0 +1,84 @@
+"""Byte-identity check of every CLI subcommand at pinned small configs.
+
+Usage:
+    PYTHONPATH=src python3 tools/cli_golden.py --write   # record digests
+    PYTHONPATH=src python3 tools/cli_golden.py --check   # compare, exit 1 on drift
+
+Each run calls `magbarrier.cli.main` once per case in a fresh output
+directory and hashes every file it writes (sha256). The digests live in
+`cli_golden.json` next to this script. Output bytes depend on the machine's
+floating-point libraries, so the stored digests are a refactoring guard for
+one machine, not a portable test; record them before a change and check
+them after it. The whole run takes well under a minute on two cores.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "cli_golden.json"
+
+CASES = {
+    "bands": ["bands", "--b", "1", "--kmin", "-2", "--kmax", "2",
+              "--nbands", "3", "--samples", "11"],
+    "bands_k0_json": ["bands", "--b", "1", "--kmin", "0", "--kmax", "0",
+                      "--nbands", "6", "--format", "json"],
+    "minima": ["minima", "--b", "1", "--jmax", "3"],
+    "airy": ["airy", "--b", "1", "--ks=-15,-20", "--jmax", "2"],
+    "ho": ["ho", "--b", "1", "--j", "1", "--kmin", "3", "--kmax", "5",
+           "--samples", "3"],
+    "mourre": ["mourre", "--b", "1", "--n", "1", "--samples", "41"],
+    "budget": ["budget", "--b", "2", "--n", "1", "--samples", "41"],
+    "localize": ["localize", "--b", "1", "--n", "1", "--samples", "3",
+                 "--trace-samples", "41"],
+    "count1d": ["count1d", "--lambdas", "1e-3,3e-4,1e-4"],
+    "count2d": ["count2d", "--b", "1", "--hy", "0.8",
+                "--lambdas", "0.3,0.14,0.066,0.03", "--jobs", "2"],
+}
+
+
+def run_case(cli, argv):
+    """(exit code, {file name: sha256}) of one CLI run in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code = cli.main(argv + ["--outdir", tmp])
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(Path(tmp).iterdir())}
+    return code, digests
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true")
+    mode.add_argument("--check", action="store_true")
+    args = parser.parse_args(argv)
+
+    from magbarrier import cli
+
+    results = {}
+    for name, case in CASES.items():
+        start = time.perf_counter()
+        code, digests = run_case(cli, case)
+        results[name] = {"argv": case, "exit": code, "sha256": digests}
+        print(f"{name}: exit {code} in {time.perf_counter() - start:.1f} s",
+              file=sys.stderr)
+    if args.write:
+        DIGESTS.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {DIGESTS}")
+        return 0
+    stored = json.loads(DIGESTS.read_text())
+    drift = sorted(name for name in set(stored) | set(results)
+                   if stored.get(name) != results.get(name))
+    for name in drift:
+        print(f"DIFF {name}: stored {stored.get(name)} != now {results.get(name)}")
+    print(f"{len(results) - len(drift)}/{len(results)} cases identical")
+    return 1 if drift else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
