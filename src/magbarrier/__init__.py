@@ -22,6 +22,14 @@ retryable on a finer grid), and :class:`InvariantViolation` marks a
 mathematical guarantee failing outright.
 """
 
+import os
+
+# One OpenBLAS thread per process unless the user chose a thread count: the
+# only parallelism is --jobs ladder rungs, and BLAS threads under those
+# workers contend for the same cores. Set before numpy loads OpenBLAS.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from . import (
     asymptotics,
     bands,

@@ -200,6 +200,8 @@ def effective_config(command, args):
             values = cfg[name] if option.kind == "floats" else (cfg[name],)
             if not all(math.isfinite(v) for v in values):
                 raise ConfigurationError(f"{name} must be finite, got {cfg[name]}")
+        if option.kind == "int" and cfg[name] is not None and cfg[name] < 1:
+            raise ConfigurationError(f"{name} must be at least 1, got {cfg[name]}")
     return cfg
 
 
@@ -328,8 +330,6 @@ def cmd_bands(cfg, jobs=1):
 
 
 def cmd_minima(cfg, jobs=1):
-    if cfg["jmax"] < 1:
-        raise ConfigurationError("jmax must be at least 1")
     b = cfg["b"]
     columns = ["j", "kappa", "energy", "beta", "psi0_at_kappa",
                "kappa_max", "energy_lo", "energy_hi", "pass"]
@@ -348,8 +348,6 @@ def cmd_minima(cfg, jobs=1):
 
 
 def cmd_airy(cfg, jobs=1):
-    if cfg["jmax"] < 1:
-        raise ConfigurationError("jmax must be at least 1")
     columns = ["k", "j", "kind", "predicted", "measured", "measured_error",
                "bound", "pass"]
     rows = []

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.optimize import minimize_scalar
 from scipy.special import betaln
 
@@ -205,6 +205,8 @@ def bisection_count(d, e, tau):
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     floor = float(d.min() - 2.0 * np.abs(e).max() - 1.0) if len(e) else float(d.min() - 1.0)
+    if tau <= floor:
+        return 0  # below the Gershgorin floor, which is below every eigenvalue
     w = eigh_tridiagonal(d, e, select="v", select_range=(floor, tau),
                          eigvals_only=True, check_finite=False)
     return int(len(w))
@@ -310,12 +312,6 @@ class CountingCurve:
                 "fitted_exponent": self.fitted_exponent,
                 "fitted_prefactor": self.fitted_prefactor}
 
-    def to_csv(self):
-        lines = ["lambda,count"]
-        for lam, c in zip(self.lambdas, self.counts):
-            lines.append(f"{lam:.12g},{int(c)}")
-        return "\n".join(lines) + "\n"
-
 
 def power_law_fit(lambdas, counts):
     """(p, A) of N ~ A lambda^{-p} by log-log least squares on nonzero counts.
@@ -331,15 +327,20 @@ def power_law_fit(lambdas, counts):
     return float(-slope), float(math.exp(intercept))
 
 
+def _check_ladder(lams):
+    """Refuse a positive ladder too short or too narrow for the fit."""
+    if len(lams) < 4:
+        raise ConfigurationError("need at least 4 lambdas with nonzero counts")
+    if lams.max() / lams.min() < 10.0:
+        raise ConfigurationError("lambda ladder must span at least one decade")
+
+
 def fit_curve(lambdas, counts):
     """CountingCurve with N ~ A lambda^{-p} fitted in log-log least squares."""
     lams = np.asarray(lambdas, dtype=float)
     cnts = np.asarray(counts, dtype=float)
     mask = cnts > 0
-    if mask.sum() < 4:
-        raise ConfigurationError("need at least 4 lambdas with nonzero counts")
-    if lams[mask].max() / lams[mask].min() < 10.0:
-        raise ConfigurationError("lambda ladder must span at least one decade")
+    _check_ladder(lams[mask])
     if np.all(cnts[mask] == cnts[mask][0]):
         raise NumericalError("degenerate curve: all counts equal; widen the ladder")
     exponent, prefactor = power_law_fit(lams, cnts)
@@ -431,6 +432,46 @@ def discrete_threshold(b, lx, nx, hy, k_samples=161):
     return float(vals[i]), float(ks[i])
 
 
+def _ldl_negatives(ldu, ipiv):
+    """Negative eigenvalues of D in a lower zhetrf factorization.
+
+    ipiv marks a 2x2 diagonal block of D by two equal negative entries and a
+    1x1 block by a positive one; a 2x2 block's determinant fixes its signs
+    (Bunch-Kaufman pivoting makes it negative: one eigenvalue of each sign).
+    """
+    d = ldu.diagonal().real
+    pair = ipiv < 0
+    first = np.flatnonzero(pair)[::2]
+    det = d[first] * d[first + 1] - np.abs(ldu[first + 1, first]) ** 2
+    return int((d[~pair] < 0.0).sum()) + int((det < 0.0).sum()) \
+        + 2 * int(((det > 0.0) & (d[first] < 0.0)).sum())
+
+
+def _block_inertia(block):
+    """(negatives, inverse) of a Hermitian block by Bunch-Kaufman LDL^H.
+
+    Sylvester's law gives the inertia of the block as that of D, and zhetri
+    on the same factors gives the inverse. A block is refused as
+    near-singular when its 2-norm condition exceeds 1e12; n kappa_1 bounds
+    it from above, and only a block that bound cannot clear has its
+    eigenvalues computed.
+    """
+    n = len(block)
+    ldu, ipiv, info = lapack.zhetrf(block, lower=1)
+    if info == 0:
+        inverse, info = lapack.zhetri(ldu, ipiv, lower=1)
+    if info != 0:
+        raise NumericalError("singular pivot block in the inertia sweep")
+    inverse = np.tril(inverse) + np.tril(inverse, -1).conj().T
+    norm = np.abs(block).sum(axis=0).max()
+    if not n * norm * np.abs(inverse).sum(axis=0).max() < 1e12:
+        eigs = np.linalg.eigvalsh(block)
+        scale = np.abs(eigs).max()
+        if scale == 0.0 or np.abs(eigs).min() < 1e-12 * scale:
+            raise NumericalError("near-singular pivot block in the inertia sweep")
+    return _ldl_negatives(ldu, ipiv), inverse
+
+
 def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     """Negative-eigenvalue count of one x-parity sector by block LDL.
 
@@ -445,20 +486,15 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     idx = np.arange(n - 1)
     negatives = 0
     prev_inv = None
-    for j, v2j in enumerate(v2_vals):
+    for v2j in v2_vals:
         block = np.zeros((n, n), dtype=complex)
         block[np.arange(n), np.arange(n)] = base - v1_vals * v2j
         block[idx, idx + 1] = e_x
         block[idx + 1, idx] = e_x
         if prev_inv is not None:
             block -= np.conj(beta)[:, None] * prev_inv * beta[None, :]
-        eigs = np.linalg.eigvalsh(block)
-        scale = np.abs(eigs).max()
-        if scale == 0.0 or np.abs(eigs).min() < 1e-12 * scale:
-            raise NumericalError("near-singular pivot block in the inertia sweep")
-        negatives += int((eigs < 0.0).sum())
-        if j != len(v2_vals) - 1:
-            prev_inv = np.linalg.inv(block)
+        count, prev_inv = _block_inertia(block)
+        negatives += count
     return negatives
 
 
@@ -554,9 +590,13 @@ def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, jobs=1):
     the shared grid keeps count monotonicity an exact spectral fact. Counts
     at distinct lambdas are independent; jobs > 1 runs them on a thread pool
     (the factorizations release the interpreter lock), with results always
-    assembled in ladder order.
+    assembled in ladder order. A ladder the fit would refuse is refused
+    before any sweep runs.
     """
     lambdas = sorted((float(v) for v in lambdas), reverse=True)
+    if not all(lam > 0.0 for lam in lambdas):
+        raise ConfigurationError("lam must be positive")
+    _check_ladder(np.asarray(lambdas))
     lx, nx, y_width, ny = _grid_2d(b, V, lambdas[-1], spec, ell_hint)
     threshold, k_star = discrete_threshold(b, lx, nx, spec.hy)
     shared = replace(spec, lx=lx, y_width=y_width)

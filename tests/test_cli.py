@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from magbarrier import cli
+from magbarrier import bands, cli, counting
 from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 
 KAPPA_1 = 0.768183653380
@@ -245,6 +245,11 @@ def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, cod
     ["ho", "--j", "0"],
     ["localize", "--nbands", "1", "--trace-samples", "11"],
     ["mourre", "--kmin", "5", "--kmax", "-5"],
+    ["mourre", "--n", "0"],
+    ["bands", "--nbands", "-1"],
+    ["count2d", "--max-unknowns", "0"],
+    ["count2d", "--lambdas", "0.3,0.1,0.03,0"],
+    ["count2d", "--lambdas=0.3,0.1,0.03,-0.01"],
 ])
 def test_bad_input_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
     assert run(argv, tmp_path) == 2
@@ -262,3 +267,31 @@ def test_check_with_nothing_to_check_is_refused(tmp_path, argv):
     # each of these used to exit 0 with "# pass=true" after checking nothing
     assert run(argv, tmp_path) == 2
     assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+
+def test_short_ladder_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(counting, "_sector_inertia", boom)
+    monkeypatch.setattr(counting, "discrete_threshold", boom)
+    assert run(["count2d", "--lambdas", "0.3,0.1"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: need at least 4 lambdas with nonzero counts"]
+    assert run(["count2d", "--lambdas", "0.3,0.2,0.1,0.05"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: lambda ladder must span at least one decade"]
+
+
+def test_int_options_below_one_are_refused_before_any_solve(tmp_path,
+                                                           monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("bands were traced")
+
+    monkeypatch.setattr(bands, "trace", boom)
+    assert run(["localize", "--samples", "0"], tmp_path) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trace_samples=0\n")
+    assert run(["localize", "--config", str(cfg)], tmp_path) == 2

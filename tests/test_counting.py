@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from magbarrier import bands, counting, fiber
 from magbarrier.counting import Grid2DSpec
@@ -166,6 +168,26 @@ def test_inertia_routes_agree_on_random_tridiagonals():
         assert counting.bisection_count(d, e, tau) == dense
 
 
+@st.composite
+def tridiagonals(draw):
+    n = draw(st.integers(1, 60))
+    d = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    e = draw(st.lists(st.floats(-5.0, 5.0), min_size=n - 1, max_size=n - 1))
+    return np.array(d), np.array(e), draw(st.floats(-20.0, 20.0))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(tridiagonals())
+def test_inertia_equals_bisection_count_property(system):
+    d, e, tau = system
+    eigs = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    # a tie with tau is decided by rounding, differently by the two routes
+    assume(np.abs(eigs - tau).min() > 1e-9 * max(1.0, np.abs(eigs).max()))
+    assert counting.tridiagonal_inertia(d, e, tau) == \
+        counting.bisection_count(d, e, tau)
+
+
 def test_count_1d_trend_anchors():
     Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
     anchors = {3e-3: 17, 1e-3: 31, 3e-4: 57, 1e-4: 99}
@@ -254,7 +276,6 @@ def test_curve_invariants():
                                    fitted_exponent=0.5, fitted_prefactor=1.0)
     record = curve.to_record()
     assert record["counts"] == [1, 3]
-    assert curve.to_csv().splitlines()[0] == "lambda,count"
 
 
 def test_asymptotics_check_one_dimensional_example():
@@ -326,6 +347,141 @@ def test_count_2d_matches_dense_eigensolve():
     dense = int((np.linalg.eigvalsh(H) < threshold - lam).sum())
     assert block == dense
     assert block > 0
+
+
+def _eigvalsh_sweep(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
+    """The block sweep with each Schur block's inertia from its eigenvalues."""
+    n = len(d_x)
+    base = d_x + 2.0 / (hy * hy) - tau
+    beta = -1.0 / (hy * hy) + 1j * b * xs / hy
+    idx = np.arange(n - 1)
+    negatives = 0
+    prev_inv = None
+    for j, v2j in enumerate(v2_vals):
+        block = np.zeros((n, n), dtype=complex)
+        block[np.arange(n), np.arange(n)] = base - v1_vals * v2j
+        block[idx, idx + 1] = e_x
+        block[idx + 1, idx] = e_x
+        if prev_inv is not None:
+            block -= np.conj(beta)[:, None] * prev_inv * beta[None, :]
+        eigs = np.linalg.eigvalsh(block)
+        scale = np.abs(eigs).max()
+        if scale == 0.0 or np.abs(eigs).min() < 1e-12 * scale:
+            raise NumericalError("near-singular pivot block in the inertia sweep")
+        negatives += int((eigs < 0.0).sum())
+        if j != len(v2_vals) - 1:
+            prev_inv = np.linalg.inv(block)
+    return negatives
+
+
+def _sector_eigenvalues(d_x, e_x, xs, b, v1_vals, v2_vals, hy):
+    """Eigenvalues of the assembled block-tridiagonal sector operator."""
+    n, ny = len(d_x), len(v2_vals)
+    beta = -1.0 / (hy * hy) + 1j * b * xs / hy
+    H = np.zeros((n * ny, n * ny), dtype=complex)
+    for j, v2j in enumerate(v2_vals):
+        rows = slice(j * n, (j + 1) * n)
+        H[rows, rows] = np.diag(d_x + 2.0 / (hy * hy) - v1_vals * v2j) \
+            + np.diag(e_x, 1) + np.diag(e_x, -1)
+        if j + 1 < ny:
+            below = slice((j + 1) * n, (j + 2) * n)
+            H[rows, below] = np.diag(beta)
+            H[below, rows] = np.diag(np.conj(beta))
+    return np.linalg.eigvalsh(H)
+
+
+@st.composite
+def sectors(draw):
+    n = draw(st.integers(1, 10))
+    ny = draw(st.integers(1, 8))
+
+    def reals(lo, hi, size):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
+                                      max_size=size)))
+
+    return (reals(-20.0, 20.0, n), reals(-10.0, 10.0, n - 1),
+            np.sort(reals(0.0, 3.0, n)), draw(st.floats(0.1, 4.0)),
+            reals(0.0, 5.0, n), reals(0.0, 2.0, ny),
+            draw(st.floats(0.2, 1.5)), draw(st.floats(-30.0, 60.0)))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(sectors())
+def test_sector_inertia_equals_eigvalsh_sweep_and_dense_count(sector):
+    *system, tau = sector
+    eigs = _sector_eigenvalues(*system)
+    assume(np.abs(eigs - tau).min() > 1e-8 * max(1.0, np.abs(eigs).max()))
+    try:
+        oracle = _eigvalsh_sweep(*system, tau)
+    except NumericalError:
+        assume(False)  # a near-singular Schur block; the guard is tested below
+    assert counting._sector_inertia(*system, tau) == oracle \
+        == int((eigs < tau).sum())
+
+
+def test_near_singular_block_raises_and_count_2d_retries(monkeypatch):
+    b, hx, hy, lx, y_width = 1.0, 0.1, 0.4, 1.8, 6.0
+    V = counting.standard_potential(1.0, amplitude=3.0)
+    nx, ny = 18, 30
+    ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
+    v2 = V.v2(ys)
+    by_parity = {}
+    for parity in (Parity.EVEN, Parity.ODD):
+        d_x, e_x = fiber.stencil(b, 0.0, parity, lx, nx)
+        xs = np.arange(nx, dtype=float) * (lx / nx) if parity is Parity.EVEN \
+            else np.arange(1, nx, dtype=float) * (lx / nx)
+        by_parity[parity] = (d_x, e_x, xs, b, V.v1(xs), v2, hy)
+    d_x, e_x, xs, _, v1, _, _ = by_parity[Parity.EVEN]
+    # tau on the lowest eigenvalue of the first Schur block of the even sector
+    first = np.diag(d_x + 2.0 / hy ** 2 - v1 * v2[0]) + np.diag(e_x, 1) \
+        + np.diag(e_x, -1)
+    tau = float(np.linalg.eigvalsh(first)[0])
+    with pytest.raises(NumericalError, match="singular"):
+        counting._sector_inertia(*by_parity[Parity.EVEN], tau)
+
+    # threshold - lam recovers tau exactly (Sterbenz), so count_2d meets the
+    # singular block on its first attempt and counts on the shifted retry
+    threshold = 1.25 * tau
+    lam = threshold - tau
+    assert threshold - lam == tau
+    taus = []
+    sweep = counting._sector_inertia
+
+    def recorded(*args):
+        taus.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(counting, "_sector_inertia", recorded)
+    spec = Grid2DSpec(hx=hx, hy=hy, lx=lx, y_width=y_width)
+    count = counting.count_2d(b, V, lam, spec=spec, threshold=threshold)
+    assert taus == [tau, tau * (1.0 + 1e-9), tau]
+    eigs = np.concatenate([_sector_eigenvalues(*s) for s in by_parity.values()])
+    assert np.abs(eigs - tau).min() > 1e-6
+    assert count == int((eigs < tau).sum()) > 0
+
+
+def test_ldl_negatives_reads_both_block_sizes():
+    # D = [-1] + [[2, b], [b*, 3]] + [[-2, c], [c*, -3]] + [[1, g], [g*, 1]]:
+    # 1 + 0 + 2 + 1 negatives; entries of L below D must be ignored
+    ldu = np.zeros((7, 7), dtype=complex)
+    ldu[np.arange(7), np.arange(7)] = [-1.0, 2.0, 3.0, -2.0, -3.0, 1.0, 1.0]
+    couplings = {(2, 1): 1.0 + 1.0j, (4, 3): 2.0j, (6, 5): 3.0}
+    D = np.diag(ldu.diagonal())
+    for (i, k), value in couplings.items():
+        ldu[i, k] = D[i, k] = value
+        D[k, i] = np.conj(value)
+    ldu[3, 0], ldu[6, 2] = 5.0, -7.0j
+    ipiv = np.array([1, -3, -3, -5, -5, -7, -7], dtype=np.int32)
+    assert counting._ldl_negatives(ldu, ipiv) == 4
+    assert int((np.linalg.eigvalsh(D) < 0.0).sum()) == 4
+
+
+def test_exactly_singular_block_raises():
+    # a 1x1 block that is exactly zero stops zhetrf with info > 0
+    with pytest.raises(NumericalError, match="singular"):
+        counting._sector_inertia(np.array([1.0]), np.array([]), np.array([0.0]),
+                                 1.0, np.array([0.0]), np.array([1.0]), 1.0, 3.0)
 
 
 def test_count_2d_zero_potential_and_monotone_coupling():
