@@ -468,6 +468,7 @@ def cmd_count1d(cfg, jobs=1):
 
 def cmd_count2d(cfg, jobs=1):
     b, alpha = cfg["b"], cfg["alpha"]
+    counting.checked_ladder(cfg["lambdas"])  # refused before any solve
     V = counting.standard_potential(alpha, amplitude=cfg["amplitude"])
     rec = bands.find_minimum(1, b)
     reduced = counting.reduced_potential(V, fiber.band(b, rec.kappa, 1),

@@ -14,6 +14,7 @@ of being swamped by the O(h^2) shift of the continuum threshold.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +33,7 @@ TURNING_FACTOR = 3.0
 MAX_UNKNOWNS_2D = 10_000_000
 SINGULAR_RETRIES = 3
 FIT_SPREAD_TOL = 0.05
+INERTIA_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +184,29 @@ def tridiagonal_inertia(d, e, tau):
 
     Exact in the Sturm sense: each pivot sign is computed from the shifted
     recurrence, a zero pivot counting as negative (the LAPACK convention).
+    Each pivot is (d[i] - tau) - e[i-1]^2 / pivot in native floats; the
+    shifted diagonal and the squares are formed as vectors, which round
+    exactly as the scalar operations do, INERTIA_CHUNK rows at a time so a
+    long line grid adds little memory, and read through memoryviews, which
+    hand out one native float at a time.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     if len(e) != len(d) - 1:
         raise ConfigurationError("need len(e) == len(d) - 1")
     count = 0
-    pivot = d[0] - tau
-    if pivot <= 0.0:
-        count += 1
-    for i in range(1, len(d)):
-        if pivot == 0.0:
-            pivot = -1e-300
-        pivot = (d[i] - tau) - e[i - 1] * e[i - 1] / pivot
-        if pivot <= 0.0:
-            count += 1
-    return count
+    pivot = float(d[0] - tau)  # an np.float64 pivot would run the loop slowly
+    for start in range(1, len(d), INERTIA_CHUNK):
+        stop = start + INERTIA_CHUNK
+        ec = e[start - 1:stop - 1]
+        for shifted, e2 in zip(memoryview(d[start:stop] - tau),
+                               memoryview(ec * ec)):
+            if pivot <= 0.0:
+                count += 1
+                if pivot == 0.0:
+                    pivot = -1e-300
+            pivot = shifted - e2 / pivot
+    return count + 1 if pivot <= 0.0 else count
 
 
 def bisection_count(d, e, tau):
@@ -243,12 +252,14 @@ def count_1d(m, Q, lam, half_width=None, h=DEFAULT_H_1D, verify_width=True):
         half_width = TURNING_FACTOR * (Q.ell / lam) ** (1.0 / Q.alpha)
 
     def count_at(width):
-        ys = _line_grid(width, h)
-        q = _q_values(Q, ys)
+        # each grid-long array is dropped once used, so at most three of
+        # them are alive at a time and only d and e live through the sweep
+        q = _q_values(Q, _line_grid(width, h))
         if (q < 0.0).any():
             raise ConfigurationError("Q must be nonnegative")
         d = 2.0 * m * m / (h * h) - q
-        e = np.full(len(ys) - 1, -m * m / (h * h))
+        del q
+        e = np.full(len(d) - 1, -m * m / (h * h))
         return tridiagonal_inertia(d, e, -lam)
 
     n = count_at(half_width)
@@ -335,6 +346,19 @@ def _check_ladder(lams):
         raise ConfigurationError("lambda ladder must span at least one decade")
 
 
+def checked_ladder(lambdas):
+    """The ladder in decreasing order, refused unless positive and fit-worthy.
+
+    A 2D ladder is checked before anything is solved for it, so a ladder the
+    fit would refuse costs no sweep.
+    """
+    lambdas = sorted((float(v) for v in lambdas), reverse=True)
+    if not all(lam > 0.0 for lam in lambdas):
+        raise ConfigurationError("lam must be positive")
+    _check_ladder(np.asarray(lambdas))
+    return lambdas
+
+
 def fit_curve(lambdas, counts):
     """CountingCurve with N ~ A lambda^{-p} fitted in log-log least squares."""
     lams = np.asarray(lambdas, dtype=float)
@@ -347,25 +371,6 @@ def fit_curve(lambdas, counts):
     return CountingCurve(lambdas=tuple(float(v) for v in lambdas),
                          counts=tuple(int(c) for c in counts),
                          fitted_exponent=exponent, fitted_prefactor=prefactor)
-
-
-def counting_curve_1d(m, Q, lambdas, h=DEFAULT_H_1D):
-    """1D counts for a decreasing ladder, all on the widest grid.
-
-    One grid (sized for the smallest lambda) serves every rung, so the
-    monotonicity of the counts is the exact spectral statement rather than a
-    statement about varying grids.
-    """
-    lambdas = sorted((float(v) for v in lambdas), reverse=True)
-    if not isinstance(Q, ReducedPotential):
-        raise ConfigurationError("the curve builder needs a ReducedPotential")
-    width = TURNING_FACTOR * (Q.ell / lambdas[-1]) ** (1.0 / Q.alpha)
-    ys = _line_grid(width, h)
-    q = Q.evaluate(ys)
-    d = 2.0 * m * m / (h * h) - q
-    e = np.full(len(ys) - 1, -m * m / (h * h))
-    counts = [tridiagonal_inertia(d, e, -lam) for lam in lambdas]
-    return fit_curve(lambdas, counts)
 
 
 def asymptotics_check(curve, alpha, constant):
@@ -528,7 +533,9 @@ def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
     The x-line folds into even (Neumann) and odd (Dirichlet) half-line
     sectors sharing the fiber module's stencils, which requires v1 even; the
     y-extent covers y_factor times the classical turning point of the
-    reduced tail ell |y|^{-alpha}.
+    reduced tail ell |y|^{-alpha}. A sector that meets a near-singular Schur
+    block is recounted at tau (1 + 1e-9 attempt), and a RuntimeWarning names
+    the sector and the shifted threshold.
     """
     if not lam > 0.0:
         raise ConfigurationError("lam must be positive")
@@ -559,13 +566,19 @@ def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
             else np.arange(1, nx, dtype=float) * (lx / nx)
         v1_vals = np.asarray(V.v1(xs), dtype=float)
         for attempt in range(SINGULAR_RETRIES):
+            shifted = tau * (1.0 + attempt * 1e-9)
             try:
                 total += _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals,
-                                         hy, tau * (1.0 + attempt * 1e-9))
+                                         hy, shifted)
                 break
             except NumericalError:
                 if attempt == SINGULAR_RETRIES - 1:
                     raise
+        if attempt:
+            warnings.warn(
+                f"{parity.value} sector counted at tau*(1 + {attempt}e-9) = "
+                f"{shifted!r} instead of tau = {tau!r}: near-singular Schur "
+                f"block", RuntimeWarning, stacklevel=2)
     return total
 
 
@@ -593,10 +606,7 @@ def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, jobs=1):
     assembled in ladder order. A ladder the fit would refuse is refused
     before any sweep runs.
     """
-    lambdas = sorted((float(v) for v in lambdas), reverse=True)
-    if not all(lam > 0.0 for lam in lambdas):
-        raise ConfigurationError("lam must be positive")
-    _check_ladder(np.asarray(lambdas))
+    lambdas = checked_ladder(lambdas)
     lx, nx, y_width, ny = _grid_2d(b, V, lambdas[-1], spec, ell_hint)
     threshold, k_star = discrete_threshold(b, lx, nx, spec.hy)
     shared = replace(spec, lx=lx, y_width=y_width)

@@ -26,16 +26,27 @@ def sturm_count(d, e2, sigma, piv):
     d: diagonal, e2: squared off-diagonal, as indexable sequences of a common
     scalar type (float, np.longdouble). The LDL^T pivot recurrence counts
     negative pivots; pivots smaller than piv in magnitude are clamped.
+
+    Every pivot is (d[i] - sigma) - e2[i-1] / q, the operation order that
+    keeps the count monotone in sigma; the shifted diagonal is formed once as
+    a vector, which rounds each entry exactly as the scalar difference does.
+    A pivot of at least piv, the common case, costs one comparison; below
+    it, the sign both counts the pivot and picks its clamp.
     """
-    q = d[0] - sigma
-    count = 1 if q < 0 else 0
-    for i in range(1, len(d)):
-        if abs(q) < piv:
-            q = -piv if q < 0 else piv
-        q = (d[i] - sigma) - e2[i - 1] / q
-        if q < 0:
-            count += 1
-    return count
+    ds = np.asarray(d) - sigma
+    neg_piv = -piv
+    q = ds[0]
+    count = 0
+    for dsi, e2i in zip(ds[1:], e2):
+        if q < piv:
+            if q < 0:
+                count += 1
+                if q > neg_piv:
+                    q = neg_piv
+            else:
+                q = piv
+        q = dsi - e2i / q
+    return count + 1 if q < 0 else count
 
 
 def bisect_eigenvalue(d, e2, index, lo, hi, max_iter=240):

@@ -271,10 +271,12 @@ def test_check_with_nothing_to_check_is_refused(tmp_path, argv):
 
 def test_short_ladder_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
-        raise AssertionError("a sweep ran")
+        raise AssertionError("a solve ran")
 
+    # the ladder is refused before the band minimum is even located
     monkeypatch.setattr(counting, "_sector_inertia", boom)
     monkeypatch.setattr(counting, "discrete_threshold", boom)
+    monkeypatch.setattr(bands, "find_minimum", boom)
     assert run(["count2d", "--lambdas", "0.3,0.1"], tmp_path) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [
@@ -283,6 +285,7 @@ def test_short_ladder_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err.splitlines() == [
         "error: lambda ladder must span at least one decade"]
+    assert not (tmp_path / "count2d.csv").exists()
 
 
 def test_int_options_below_one_are_refused_before_any_solve(tmp_path,

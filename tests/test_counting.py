@@ -168,6 +168,71 @@ def test_inertia_routes_agree_on_random_tridiagonals():
         assert counting.bisection_count(d, e, tau) == dense
 
 
+def _reference_inertia(d, e, tau):
+    """The indexed scalar loop tridiagonal_inertia replaced (the oracle)."""
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    count = 0
+    pivot = d[0] - tau
+    if pivot <= 0.0:
+        count += 1
+    for i in range(1, len(d)):
+        if pivot == 0.0:
+            pivot = -1e-300
+        pivot = (d[i] - tau) - e[i - 1] * e[i - 1] / pivot
+        if pivot <= 0.0:
+            count += 1
+    return count
+
+
+def _as_kind(kind, *arrays):
+    if kind == "list":
+        return [np.asarray(a, dtype=float).tolist() for a in arrays]
+    return [np.asarray(a, dtype=kind) for a in arrays]
+
+
+@st.composite
+def integer_tridiagonals(draw):
+    """Integer-valued (d, e, tau) as float64, long double or list inputs.
+
+    Mostly-zero couplings make exact zero pivots, and so the clamp, common.
+    """
+    n = draw(st.integers(1, 40))
+    d = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    e = draw(st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 2]), min_size=n - 1,
+                      max_size=n - 1))
+    kind = draw(st.sampled_from(["float64", "longdouble", "list"]))
+    return (*_as_kind(kind, d, e), float(draw(st.integers(-4, 4))))
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(integer_tridiagonals())
+def test_inertia_equals_reference_loop_on_zero_pivots(system):
+    assert counting.tridiagonal_inertia(*system) == _reference_inertia(*system)
+
+
+@seed(20261018)
+@settings(max_examples=24, deadline=None, database=None)
+@given(st.sampled_from([1, 2, counting.INERTIA_CHUNK, counting.INERTIA_CHUNK + 1,
+                        2 * counting.INERTIA_CHUNK + 1]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from(["float64", "longdouble", "list"]))
+def test_inertia_equals_reference_loop_across_chunk_edges(n, rng_seed,
+                                                          integer, kind):
+    rng = np.random.default_rng(rng_seed)
+    if integer:
+        d = rng.integers(-3, 4, size=n)
+        e = rng.choice([-2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0], size=n - 1)
+        tau = float(rng.integers(-4, 5))
+    else:
+        d = rng.normal(size=n) * 3.0
+        e = rng.normal(size=n - 1)
+        tau = float(rng.normal())
+    d, e = _as_kind(kind, d, e)
+    assert counting.tridiagonal_inertia(d, e, tau) == _reference_inertia(d, e, tau)
+
+
 @st.composite
 def tridiagonals(draw):
     n = draw(st.integers(1, 60))
@@ -232,7 +297,14 @@ def test_count_1d_reduced_potential_path(reduced_b1):
     m = math.sqrt(BETA_1)
     n = counting.count_1d(m, reduced_b1, 1e-3)
     assert n == 25
-    curve = counting.counting_curve_1d(m, reduced_b1, [3e-3, 1e-3, 3e-4, 1e-4])
+    # every rung on the grid sized for the smallest lambda, so the counts'
+    # monotonicity is a spectral fact rather than one about varying grids
+    lams = [3e-3, 1e-3, 3e-4, 1e-4]
+    width = counting.TURNING_FACTOR * (reduced_b1.ell / lams[-1]) \
+        ** (1.0 / reduced_b1.alpha)
+    curve = counting.fit_curve(lams, [
+        counting.count_1d(m, reduced_b1, lam, half_width=width,
+                          verify_width=False) for lam in lams])
     assert curve.counts == (14, 25, 46, 80)
     assert curve.fitted_exponent == pytest.approx(0.5, abs=0.05)
 
@@ -454,8 +526,12 @@ def test_near_singular_block_raises_and_count_2d_retries(monkeypatch):
 
     monkeypatch.setattr(counting, "_sector_inertia", recorded)
     spec = Grid2DSpec(hx=hx, hy=hy, lx=lx, y_width=y_width)
-    count = counting.count_2d(b, V, lam, spec=spec, threshold=threshold)
+    with pytest.warns(RuntimeWarning) as shifted:
+        count = counting.count_2d(b, V, lam, spec=spec, threshold=threshold)
     assert taus == [tau, tau * (1.0 + 1e-9), tau]
+    assert [str(w.message) for w in shifted] == [
+        f"even sector counted at tau*(1 + 1e-9) = {tau * (1.0 + 1e-9)!r} "
+        f"instead of tau = {tau!r}: near-singular Schur block"]
     eigs = np.concatenate([_sector_eigenvalues(*s) for s in by_parity.values()])
     assert np.abs(eigs - tau).min() > 1e-6
     assert count == int((eigs < tau).sum()) > 0

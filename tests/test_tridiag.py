@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from magbarrier import tridiag
+from magbarrier import asymptotics, fiber, tridiag
 from magbarrier.errors import NumericalError
+from magbarrier.fiber import Parity
 
 
 def dirichlet_chain(n):
@@ -17,6 +20,19 @@ def dirichlet_chain(n):
     e = np.full(n - 1, -1.0 / h ** 2)
     exact = 2.0 * (1.0 - np.cos(np.arange(1, n + 1) * math.pi / (n + 1))) / h ** 2
     return d, e, exact
+
+
+def _reference_sturm_count(d, e2, sigma, piv):
+    """The indexed scalar loop sturm_count replaced; the bit-identity oracle."""
+    q = d[0] - sigma
+    count = 1 if q < 0 else 0
+    for i in range(1, len(d)):
+        if abs(q) < piv:
+            q = -piv if q < 0 else piv
+        q = (d[i] - sigma) - e2[i - 1] / q
+        if q < 0:
+            count += 1
+    return count
 
 
 def test_sturm_count_matches_exact_spectrum():
@@ -70,6 +86,57 @@ def test_counts_agree_with_lapack_inertia():
     piv = tridiag.pivmin(d.tolist(), e2)
     for sigma in np.linspace(w[0] - 1.0, w[-1] + 1.0, 17):
         assert tridiag.sturm_count(d.tolist(), e2, float(sigma), piv) == int(np.sum(w < sigma))
+
+
+@st.composite
+def sturm_problems(draw):
+    """(d, e2, sigma, piv) as float64 arrays, long doubles or lists.
+
+    Integer-valued entries make exact zero pivots common, so both clamps
+    and both signs of a clamped pivot are reached; piv is the library's
+    floor or a coarse one that clamps ordinary pivots too.
+    """
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        d = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        e2 = [v * v for v in draw(st.lists(st.integers(-2, 2), min_size=n - 1,
+                                           max_size=n - 1))]
+        sigma = float(draw(st.integers(-4, 4)))
+    else:
+        d = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+        e2 = draw(st.lists(st.floats(0.0, 25.0), min_size=n - 1, max_size=n - 1))
+        sigma = draw(st.floats(-20.0, 20.0))
+    kind = draw(st.sampled_from(["float64", "longdouble", "list"]))
+    if kind == "list":
+        d, e2 = [float(v) for v in d], [float(v) for v in e2]
+    else:
+        typ = np.dtype(kind).type
+        d, e2, sigma = np.array(d, dtype=typ), np.array(e2, dtype=typ), typ(sigma)
+    piv = draw(st.sampled_from([None, 0.5, 2.0]))
+    return d, e2, sigma, tridiag.pivmin(d, e2) if piv is None else piv
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(sturm_problems())
+def test_sturm_count_equals_reference_loop_property(problem):
+    assert tridiag.sturm_count(*problem) == _reference_sturm_count(*problem)
+
+
+@pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+@pytest.mark.parametrize("b, k, j", [(1.0, 3.0, 1), (2.0, 5.5, 2)])
+def test_longdouble_bisection_bit_equal_to_reference_driven(monkeypatch, parity,
+                                                            b, k, j):
+    # the open-side oscillator solve, at a grid small enough for the oracle
+    L, N = asymptotics._precise_box(b, k, j), 400
+    d, e = fiber.stencil(b, k, parity, L, N)
+    guess = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
+                             eigvals_only=True)[0]
+    got = asymptotics._precise_eigenvalue(b, k, parity, j - 1, L, N, guess)
+    monkeypatch.setattr(tridiag, "sturm_count", _reference_sturm_count)
+    want = asymptotics._precise_eigenvalue(b, k, parity, j - 1, L, N, guess)
+    assert type(got) is np.longdouble and type(want) is np.longdouble
+    assert got == want
 
 
 def test_richardson_kills_leading_orders():
