@@ -25,8 +25,9 @@ mathematical guarantee failing outright.
 import os
 
 # One OpenBLAS thread per process unless the user chose a thread count: the
-# only parallelism is --jobs ladder rungs, and BLAS threads under those
-# workers contend for the same cores. Set before numpy loads OpenBLAS.
+# parallelism is --jobs (count2d rung threads; forked k-sweep workers for
+# bands, mourre, budget and localize), and BLAS threads under those workers
+# contend for the same cores. Set before numpy loads OpenBLAS.
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

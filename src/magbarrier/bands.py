@@ -7,8 +7,12 @@ which collapses to one term per parity. They agree to discretization accuracy
 and both match finite differences of the traced band.
 """
 
+import contextlib
+import functools
 import math
+import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -108,66 +112,98 @@ def _curvatures(ks, ws):
     return np.abs(out)
 
 
+class _Row(NamedTuple):
+    """The traced bands at one k: one BandSample and one Parity per band."""
+
+    samples: list
+    parities: list
+
+
+def _trace_row(b, k, n_bands, resolution, refine):
+    """The _Row of the n_bands lowest bands at one k.
+
+    Only the samples leave; the eigenvectors behind them are dropped here,
+    so a traced grid costs a few floats per point, not a vector per band.
+    """
+    if refine:
+        coarse, fine, refined = fiber.first_levels_two_grids(
+            b, k, n_bands, resolution=resolution)
+        samples = [_sample_refined(c, f, r) for c, f, r in zip(coarse, fine, refined)]
+    else:
+        refined = fiber.first_levels(b, k, n_bands, resolution=resolution, refine=False)
+        samples = [_sample(pair) for pair in refined]
+    return _Row(samples, [pair.parity for pair in refined])
+
+
+@contextlib.contextmanager
+def _k_map(jobs):
+    """A map over k-points: in order, serially or on forked worker processes.
+
+    At most `jobs` workers, and no more than the CPUs this process may use.
+    The pool is left (and its workers reaped) when the block exits, on an
+    error too; a worker's exception re-raises as itself in the caller.
+    """
+    import multiprocessing     # here, so commands that never trace do not load it
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    workers = min(jobs, cpus)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        yield map
+        return
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        yield pool.imap
+
+
 def trace(b, k_min, k_max, n_bands=8, base_samples=81, resolution=DEFAULT_RESOLUTION,
-          refine=True, refine_passes=2):
+          refine=True, refine_passes=2, jobs=1):
     """Sample the lowest n_bands band functions on an adaptive k-grid.
 
     The base grid is uniform; each pass bisects the intervals around nodes
     whose curvature estimate exceeds REFINE_FACTOR times the median, which
     concentrates points near the even-band minima and k = 0. A refine pass
     reads curvature at interior nodes, so it needs at least three samples.
+    jobs > 1 solves the k-points on up to that many forked worker processes;
+    the table is the same, bit for bit, at every jobs.
     """
     if not k_min < k_max:
         raise ConfigurationError("need k_min < k_max")
     if refine_passes > 0 and base_samples < 3:
         raise ConfigurationError("adaptive refinement needs at least 3 base samples")
-    solutions = {}
-    grids = {}
+    row_at = functools.partial(_trace_row, b, n_bands=n_bands, resolution=resolution,
+                               refine=refine)
+    rows = {}
+    with _k_map(jobs) as k_map:
 
-    def solve_at(k):
-        if k not in solutions:
-            if refine:
-                coarse, fine, refined = fiber.first_levels_two_grids(
-                    b, float(k), n_bands, resolution=resolution)
-                solutions[k] = refined
-                grids[k] = (coarse, fine)
-            else:
-                solutions[k] = fiber.first_levels(b, float(k), n_bands,
-                                                  resolution=resolution, refine=False)
-        return solutions[k]
+        def solve(ks):
+            ks = [k for k in dict.fromkeys(ks) if k not in rows]
+            rows.update(zip(ks, k_map(row_at, ks)))
 
-    for k in np.linspace(k_min, k_max, base_samples):
-        solve_at(float(k))
-    for _ in range(refine_passes):
-        ks = sorted(solutions)
-        flagged = set()
-        all_curv = []
-        per_band = []
-        for j in range(n_bands):
-            ws = [solutions[k][j].omega for k in ks]
-            curv = _curvatures(ks, ws)
-            per_band.append(curv)
-            all_curv.extend(curv[1:-1])
-        cut = REFINE_FACTOR * float(np.median(all_curv))
-        for curv in per_band:
-            for i in np.nonzero(curv > cut)[0]:
-                flagged.add(i)
-        new_ks = set()
-        for i in flagged:
-            if i > 0:
-                new_ks.add(0.5 * (ks[i - 1] + ks[i]))
-            if i < len(ks) - 1:
-                new_ks.add(0.5 * (ks[i] + ks[i + 1]))
-        for k in sorted(new_ks - set(ks)):
-            solve_at(k)
-    ks = np.array(sorted(solutions))
-    if refine:
-        bands = [[_sample_refined(grids[k][0][j], grids[k][1][j], solutions[k][j])
-                  for k in ks] for j in range(n_bands)]
-    else:
-        bands = [[_sample(solutions[k][j]) for k in ks] for j in range(n_bands)]
-    parities = [solutions[ks[0]][j].parity for j in range(n_bands)]
-    return BandTable(b=b, ks=ks, bands=bands, parities=parities)
+        solve(float(k) for k in np.linspace(k_min, k_max, base_samples))
+        for _ in range(refine_passes):
+            ks = sorted(rows)
+            flagged = set()
+            all_curv = []
+            per_band = []
+            for j in range(n_bands):
+                ws = [rows[k].samples[j].omega for k in ks]
+                curv = _curvatures(ks, ws)
+                per_band.append(curv)
+                all_curv.extend(curv[1:-1])
+            cut = REFINE_FACTOR * float(np.median(all_curv))
+            for curv in per_band:
+                for i in np.nonzero(curv > cut)[0]:
+                    flagged.add(i)
+            new_ks = set()
+            for i in flagged:
+                if i > 0:
+                    new_ks.add(0.5 * (ks[i - 1] + ks[i]))
+                if i < len(ks) - 1:
+                    new_ks.add(0.5 * (ks[i] + ks[i + 1]))
+            solve(sorted(new_ks - set(ks)))
+    ks = np.array(sorted(rows))
+    bands = [[rows[k].samples[j] for k in ks] for j in range(n_bands)]
+    return BandTable(b=b, ks=ks, bands=bands, parities=rows[ks[0]].parities)
 
 
 def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):

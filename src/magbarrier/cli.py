@@ -310,7 +310,7 @@ def cmd_bands(cfg, jobs=1):
                         {"k": cfg["kmin"], "n_levels": len(rows)}, True)
     table = bands.trace(cfg["b"], cfg["kmin"], cfg["kmax"],
                         n_bands=cfg["nbands"], base_samples=cfg["samples"],
-                        refine=cfg["refine"])
+                        refine=cfg["refine"], jobs=jobs)
     mono = bands.monotonicity_report(table)
     columns = ["k", "j", "parity", "omega", "domega_fh", "domega_bd",
                "psi0", "dpsi0", "k_squared"]
@@ -374,14 +374,14 @@ def cmd_ho(cfg, jobs=1):
     return _payload("ho", cfg, columns, rows, summary, fit.passed)
 
 
-def _window_report(cfg, trace_samples):
+def _window_report(cfg, trace_samples, jobs):
     b, n = cfg["b"], cfg["n"]
     root_b = math.sqrt(b)
     kmin = cfg["kmin"] if cfg["kmin"] is not None else -4.0 * root_b
     kmax = cfg["kmax"] if cfg["kmax"] is not None else 6.0 * root_b
     nbands = cfg["nbands"] if cfg["nbands"] is not None else max(2 * n + 1, 5)
     table = bands.trace(b, kmin, kmax, n_bands=nbands,
-                        base_samples=trace_samples, refine=True)
+                        base_samples=trace_samples, refine=True, jobs=jobs)
     spec = str(cfg["E"]).strip()
     if spec == "mid":
         level = (2 * n - 1) * b
@@ -397,7 +397,7 @@ def _window_report(cfg, trace_samples):
 
 
 def cmd_mourre(cfg, jobs=1):
-    _, report = _window_report(cfg, cfg["samples"])
+    _, report = _window_report(cfg, cfg["samples"], jobs)
     rec = report.to_record()
     columns = ["band", "k_left", "k_right", "c_band"]
     rows = [[pre[0], pre[1], pre[2], c]
@@ -409,7 +409,7 @@ def cmd_mourre(cfg, jobs=1):
 
 
 def cmd_budget(cfg, jobs=1):
-    _, report = _window_report(cfg, cfg["samples"])
+    _, report = _window_report(cfg, cfg["samples"], jobs)
     budget = mourre.perturbation_budget(cfg["n"], cfg["E"], cfg["b"], report)
     rec = budget.to_record()
     columns = ["a_star", "q_star", "F"]
@@ -420,7 +420,7 @@ def cmd_budget(cfg, jobs=1):
 
 
 def cmd_localize(cfg, jobs=1):
-    _, report = _window_report(cfg, cfg["trace_samples"])
+    _, report = _window_report(cfg, cfg["trace_samples"], jobs)
     checks = localization.window_envelope_sweep(report,
                                                 n_samples=cfg["samples"])
     columns = ["j", "k", "x_n", "max_ratio", "tolerance", "pass"]
@@ -555,7 +555,9 @@ def build_parser():
         sub.add_argument("--outdir", default=".", help="output directory")
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--jobs", type=int, default=1,
-                         help="worker threads for independent ladder rungs")
+                         help="workers: count2d threads for the ladder rungs; "
+                         "bands, mourre, budget and localize processes for "
+                         "the k-sweep (output never depends on it)")
     return parser
 
 

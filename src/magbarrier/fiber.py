@@ -175,17 +175,13 @@ def stencil(b, k, parity, L, N, dtype=np.float64):
 def _fix_sign(psi):
     """Make the first extremum from the origin positive, in place."""
     a = np.abs(psi)
-    top = a.max()
-    idx = None
-    if a[0] >= a[1] and a[0] > 0.05 * top:
+    floor = 0.05 * a.max()
+    if a[0] >= a[1] and a[0] > floor:
         idx = 0
     else:
-        for i in range(1, len(a) - 1):
-            if a[i] >= a[i - 1] and a[i] >= a[i + 1] and a[i] > 0.05 * top:
-                idx = i
-                break
-    if idx is None:
-        idx = int(np.argmax(a))
+        mid = a[1:-1]
+        hits = np.flatnonzero((mid >= a[:-2]) & (mid >= a[2:]) & (mid > floor))
+        idx = int(hits[0]) + 1 if hits.size else int(np.argmax(a))
     if psi[idx] < 0.0:
         psi *= -1.0
     return psi

@@ -5,7 +5,9 @@ bisection solver with Richardson extrapolation (three grid levels) and
 bracketed root refinement; they are good to the digit count shown.
 """
 
+import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -229,11 +231,40 @@ def test_bottom_of_spectrum_from_table():
     assert w_star == pytest.approx(ENERGY_1, abs=1e-8)
 
 
+def _table_bits(table):
+    """Every number of a BandTable as bytes, plus its parities."""
+    samples = [[dataclasses.astuple(s) for s in band] for band in table.bands]
+    return table.ks.tobytes(), np.array(samples).tobytes(), table.parities
+
+
 def test_trace_rerun_is_bitwise_identical(figure_table):
-    again = bands.trace(1.0, -4.0, 6.0, n_bands=8, base_samples=81)
-    assert np.array_equal(again.ks, figure_table.ks)
-    assert again.bands == figure_table.bands
-    assert again.parities == figure_table.parities
+    # the rerun solves its k-points on two forked workers
+    again = bands.trace(1.0, -4.0, 6.0, n_bands=8, base_samples=81, jobs=2)
+    assert again.n_bands() == 8 and len(again.ks) >= 81
+    assert _table_bits(again) == _table_bits(figure_table)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_trace_on_workers_equals_serial_bitwise(monkeypatch, refine):
+    # a low curvature cut makes both refine passes add k-points
+    monkeypatch.setattr(bands, "REFINE_FACTOR", 1.0)
+    args = (1.0, -2.0, 3.0)
+    kwargs = dict(n_bands=3, base_samples=11, refine=refine)
+    serial = bands.trace(*args, **kwargs)
+    assert len(serial.ks) > 11
+    assert _table_bits(bands.trace(*args, jobs=2, **kwargs)) == _table_bits(serial)
+    assert multiprocessing.active_children() == []
+
+
+def test_trace_worker_error_surfaces_unchanged():
+    args = (1.0, -4.0, 6.0)
+    kwargs = dict(n_bands=8, base_samples=81, resolution=1000)
+    with pytest.raises(ConfigurationError, match="impossible margin") as serial:
+        bands.trace(*args, **kwargs)
+    with pytest.raises(ConfigurationError) as parallel:
+        bands.trace(*args, jobs=2, **kwargs)
+    assert str(parallel.value) == str(serial.value)
+    assert multiprocessing.active_children() == []
 
 
 def test_trace_refinement_needs_three_base_samples():

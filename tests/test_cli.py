@@ -6,6 +6,7 @@ the exit code and the rendered CSV/JSON document.
 
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -256,6 +257,16 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
+
+
+def test_worker_error_is_a_usage_error_without_traceback(tmp_path, capfd):
+    # k = -200 is past the default grid; the k-sweep runs on two workers
+    assert run(["bands", "--b", "1", "--kmin", "-200", "--kmax", "0",
+                "--jobs", "2"], tmp_path) == 2
+    lines = capfd.readouterr().err.splitlines()   # no traceback, no other line
+    assert len(lines) == 1 and lines[0].startswith("error: impossible margin")
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "bands.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,10 @@ directory and hashes every file it writes (sha256). The digests live in
 `cli_golden.json` next to this script. Output bytes depend on the machine's
 floating-point libraries, so the stored digests are a refactoring guard for
 one machine, not a portable test; record them before a change and check
-them after it. The whole run takes well under a minute on two cores.
+them after it. The `_jobs2` twins run the traced commands at `--jobs 2`;
+their digests were recorded where `--jobs` was ignored, so they show that
+the output does not depend on `--jobs`. The whole run takes about a minute
+on two cores.
 """
 
 import argparse
@@ -40,6 +43,9 @@ CASES = {
     "count2d": ["count2d", "--b", "1", "--hy", "0.8",
                 "--lambdas", "0.3,0.14,0.066,0.03", "--jobs", "2"],
 }
+# --jobs 2 twins of the traced commands: their bytes must not depend on --jobs
+CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
+              for name in ("bands", "mourre", "localize")})
 
 
 def run_case(cli, argv):
