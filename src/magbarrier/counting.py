@@ -16,6 +16,7 @@ of being swamped by the O(h^2) shift of the continuum threshold.
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
@@ -452,55 +453,109 @@ def _ldl_negatives(ldu, ipiv):
         + 2 * int(((det > 0.0) & (d[first] < 0.0)).sum())
 
 
+@lru_cache(maxsize=8)
+def _strict_upper(n):
+    """Read-only mask of the strict upper triangle, in Fortran order."""
+    mask = np.tril(np.ones((n, n), dtype=bool), -1).T
+    mask.flags.writeable = False
+    return mask
+
+
 def _block_inertia(block):
     """(negatives, inverse) of a Hermitian block by Bunch-Kaufman LDL^H.
 
     Sylvester's law gives the inertia of the block as that of D, and zhetri
-    on the same factors gives the inverse. A block is refused as
+    on the same factors gives the inverse, whose strict upper triangle is
+    then mirrored from the lower one in place. A block is refused as
     near-singular when its 2-norm condition exceeds 1e12; n kappa_1 bounds
     it from above, and only a block that bound cannot clear has its
-    eigenvalues computed.
+    eigenvalues computed. The inverse comes back in Fortran order; its
+    transpose is the same matrix of moduli in C order, so both 1-norms are
+    the column sums of a C-ordered array, summed row by row.
     """
     n = len(block)
     ldu, ipiv, info = lapack.zhetrf(block, lower=1)
     if info == 0:
-        inverse, info = lapack.zhetri(ldu, ipiv, lower=1)
+        negatives = _ldl_negatives(ldu, ipiv)
+        inverse, info = lapack.zhetri(ldu, ipiv, lower=1, overwrite_a=1)
     if info != 0:
         raise NumericalError("singular pivot block in the inertia sweep")
-    inverse = np.tril(inverse) + np.tril(inverse, -1).conj().T
+    # adding zero turns -0.0 into +0.0 where tril(X) + conj(tril(X, -1))^T
+    # did, so the mirrored inverse is that sum bit for bit
+    upper = inverse.T.conj()
+    upper += 0.0
+    np.copyto(inverse, upper, where=_strict_upper(n))
+    inverse.real += 0.0
     norm = np.abs(block).sum(axis=0).max()
-    if not n * norm * np.abs(inverse).sum(axis=0).max() < 1e12:
+    if not n * norm * np.abs(inverse.T).sum(axis=0).max() < 1e12:
         eigs = np.linalg.eigvalsh(block)
         scale = np.abs(eigs).max()
         if scale == 0.0 or np.abs(eigs).min() < 1e-12 * scale:
             raise NumericalError("near-singular pivot block in the inertia sweep")
-    return _ldl_negatives(ldu, ipiv), inverse
+    return negatives, inverse
 
 
 def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     """Negative-eigenvalue count of one x-parity sector by block LDL.
 
-    The sector operator is block tridiagonal over y-slices with constant
-    diagonal coupling beta = -1/hy^2 + i b x / hy, so each Schur complement
-    is the previous one inverted and scaled on both sides; the inertia is
-    the sum of the block inertias.
+    The sector operator T is block tridiagonal over y-slices: real blocks
+    A_j on the diagonal and the constant coupling diag(beta) above it,
+    diag(conj beta) below, with beta = -1/hy^2 + i b x / hy. Eliminating
+    top-down gives the Schur complements S_j = A_j - C_j with
+    C_j = diag(conj beta) S_{j-1}^{-1} diag(beta), and the inertia of T is
+    the sum of theirs.
+
+    When v2 is a palindrome (an even v2 on the symmetric y-grid, probed
+    exactly), so is A_j, and reversing the slices maps T to conj(T): the
+    bottom-up complement at slice ny-1-j is conj(S_j), with the inertia of
+    S_j. Half the sweep then counts both halves, and the two eliminations
+    meet in one join block: A_m - C_m - conj(C_m) at the middle slice of an
+    odd ny = 2m+1, conj(S_{m-1}) - C_m at slice m of an even ny = 2m. With
+    every S_j regular, det T factors through the join block, so a tau on an
+    eigenvalue of T makes it singular and the guard refuses it as the full
+    sweep would.
     """
-    n = len(d_x)
-    base = d_x + 2.0 / (hy * hy) - tau
+    n, ny = len(d_x), len(v2_vals)
+    diagonal = d_x + 2.0 / (hy * hy) - tau
     beta = -1.0 / (hy * hy) + 1j * b * xs / hy
-    idx = np.arange(n - 1)
+    conj_beta = np.conj(beta)
+    template = np.zeros((n, n), dtype=complex)
+    template.reshape(-1)[1::n + 1] = e_x
+    template.reshape(-1)[n::n + 1] = e_x
+
+    def diagonal_block(j):
+        block = template.copy()
+        block.reshape(-1)[::n + 1] = diagonal - v1_vals * v2_vals[j]
+        return block
+
+    def coupled(inverse):
+        # diag(conj beta) S^{-1} diag(beta), formed in the inverse's storage
+        np.multiply(conj_beta[:, None], inverse, out=inverse)
+        return np.multiply(inverse, beta[None, :], out=inverse)
+
+    mirror = ny > 1 and np.array_equal(v2_vals, v2_vals[::-1])
+    # slices below `twins` count twice, for themselves and their mirror image;
+    # slice m-1 of an even ny is mirrored by slice m, which the join counts
+    steps, twins = (ny // 2, (ny - 1) // 2) if mirror else (ny, 0)
     negatives = 0
-    prev_inv = None
-    for v2j in v2_vals:
-        block = np.zeros((n, n), dtype=complex)
-        block[np.arange(n), np.arange(n)] = base - v1_vals * v2j
-        block[idx, idx + 1] = e_x
-        block[idx + 1, idx] = e_x
-        if prev_inv is not None:
-            block -= np.conj(beta)[:, None] * prev_inv * beta[None, :]
-        count, prev_inv = _block_inertia(block)
-        negatives += count
-    return negatives
+    block = coupling = None
+    for j in range(steps):
+        block = diagonal_block(j)
+        if coupling is not None:
+            block -= coupling
+        count, inverse = _block_inertia(block)
+        negatives += 2 * count if j < twins else count
+        coupling = coupled(inverse)
+    if not mirror:
+        return negatives
+    if ny % 2:
+        join = diagonal_block(steps)
+        join -= coupling
+        join -= np.conj(coupling)
+    else:
+        join = np.conj(block)
+        join -= coupling
+    return negatives + _block_inertia(join)[0]
 
 
 def _grid_2d(b, V, lam, spec, ell_hint=None):
@@ -527,15 +582,11 @@ def _grid_2d(b, V, lam, spec, ell_hint=None):
     return nx * spec.hx, nx, y_width, int(math.ceil(2.0 * y_width / spec.hy))
 
 
-def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
-    """N(threshold - lam) of the lattice H0 - V by x-parity block inertia.
+def _sectors_2d(b, V, lam, spec, ell_hint, threshold):
+    """(tau, [(parity, system)]) of count_2d's two x-parity sectors at lam.
 
-    The x-line folds into even (Neumann) and odd (Dirichlet) half-line
-    sectors sharing the fiber module's stencils, which requires v1 even; the
-    y-extent covers y_factor times the classical turning point of the
-    reduced tail ell |y|^{-alpha}. A sector that meets a near-singular Schur
-    block is recounted at tau (1 + 1e-9 attempt), and a RuntimeWarning names
-    the sector and the shifted threshold.
+    Runs every guard of count_2d first; each system is the argument tuple of
+    _sector_inertia before tau.
     """
     if not lam > 0.0:
         raise ConfigurationError("lam must be positive")
@@ -558,28 +609,46 @@ def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
         )
     V.validate_condition(np.linspace(0.0, lx, 33), np.linspace(ys[0], ys[-1], 65))
     v2_vals = np.asarray(V.v2(ys), dtype=float)
-    tau = threshold - lam
-    total = 0
+    sectors = []
     for parity in (Parity.EVEN, Parity.ODD):
         d_x, e_x = fiber.stencil(b, 0.0, parity, lx, nx)
         xs = np.arange(nx, dtype=float) * (lx / nx) if parity is Parity.EVEN \
             else np.arange(1, nx, dtype=float) * (lx / nx)
         v1_vals = np.asarray(V.v1(xs), dtype=float)
-        for attempt in range(SINGULAR_RETRIES):
-            shifted = tau * (1.0 + attempt * 1e-9)
-            try:
-                total += _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals,
-                                         hy, shifted)
-                break
-            except NumericalError:
-                if attempt == SINGULAR_RETRIES - 1:
-                    raise
-        if attempt:
-            warnings.warn(
-                f"{parity.value} sector counted at tau*(1 + {attempt}e-9) = "
-                f"{shifted!r} instead of tau = {tau!r}: near-singular Schur "
-                f"block", RuntimeWarning, stacklevel=2)
-    return total
+        sectors.append((parity, (d_x, e_x, xs, b, v1_vals, v2_vals, hy)))
+    return threshold - lam, sectors
+
+
+def _count_sector(parity, system, tau):
+    """Negatives of one sector below tau, with count_2d's singular retries."""
+    for attempt in range(SINGULAR_RETRIES):
+        shifted = tau * (1.0 + attempt * 1e-9)
+        try:
+            count = _sector_inertia(*system, shifted)
+            break
+        except NumericalError:
+            if attempt == SINGULAR_RETRIES - 1:
+                raise
+    if attempt:
+        warnings.warn(
+            f"{parity.value} sector counted at tau*(1 + {attempt}e-9) = "
+            f"{shifted!r} instead of tau = {tau!r}: near-singular Schur "
+            f"block", RuntimeWarning, stacklevel=2)
+    return count
+
+
+def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
+    """N(threshold - lam) of the lattice H0 - V by x-parity block inertia.
+
+    The x-line folds into even (Neumann) and odd (Dirichlet) half-line
+    sectors sharing the fiber module's stencils, which requires v1 even; the
+    y-extent covers y_factor times the classical turning point of the
+    reduced tail ell |y|^{-alpha}. A sector that meets a near-singular Schur
+    block is recounted at tau (1 + 1e-9 attempt), and a RuntimeWarning names
+    the sector and the shifted threshold.
+    """
+    tau, sectors = _sectors_2d(b, V, lam, spec, ell_hint, threshold)
+    return sum(_count_sector(parity, system, tau) for parity, system in sectors)
 
 
 def count_2d_stability(b, V, lam, spec=Grid2DSpec(), ell_hint=None,
@@ -600,26 +669,27 @@ def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, jobs=1):
     """2D counts over a ladder on one shared grid, plus the fitted curve.
 
     Returns (curve, meta) where meta records the shared threshold and grid;
-    the shared grid keeps count monotonicity an exact spectral fact. Counts
-    at distinct lambdas are independent; jobs > 1 runs them on a thread pool
-    (the factorizations release the interpreter lock), with results always
-    assembled in ladder order. A ladder the fit would refuse is refused
-    before any sweep runs.
+    the shared grid keeps count monotonicity an exact spectral fact. Every
+    (rung, parity) sector is independent; jobs > 1 runs them on a thread
+    pool (the factorizations release the interpreter lock), with each rung's
+    count always assembled in ladder order. A ladder the fit would refuse,
+    or a rung count_2d would refuse, is refused before any sweep runs.
     """
     lambdas = checked_ladder(lambdas)
     lx, nx, y_width, ny = _grid_2d(b, V, lambdas[-1], spec, ell_hint)
     threshold, k_star = discrete_threshold(b, lx, nx, spec.hy)
     shared = replace(spec, lx=lx, y_width=y_width)
-
-    def one(lam):
-        return count_2d(b, V, lam, spec=shared, threshold=threshold)
-
+    units = []
+    for lam in lambdas:
+        tau, sectors = _sectors_2d(b, V, lam, shared, None, threshold)
+        units += [(parity, system, tau) for parity, system in sectors]
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(one, lambdas))
+            sector_counts = list(pool.map(_count_sector, *zip(*units)))
     else:
-        counts = [one(lam) for lam in lambdas]
+        sector_counts = [_count_sector(*unit) for unit in units]
+    counts = [sum(sector_counts[2 * i:2 * i + 2]) for i in range(len(lambdas))]
     curve = fit_curve(lambdas, counts)
     meta = {"threshold": threshold, "k_star": k_star, "lx": lx,
             "y_width": y_width, "hx": spec.hx, "hy": spec.hy,

@@ -1,11 +1,14 @@
 """Eigenvalue counting: reduced potential, 1D/2D inertia counts, asymptotics."""
 
 import math
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from magbarrier import bands, counting, fiber
 from magbarrier.counting import Grid2DSpec
@@ -330,6 +333,18 @@ def test_birman_schwinger_integer_equality():
         assert counting.birman_schwinger_count(m, q, lam, h) == direct
 
 
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.floats(1e-3, 0.5), st.floats(1e-3, 0.5), st.floats(0.5, 2.0))
+def test_count_1d_monotone_in_lambda_at_fixed_width(lam_a, lam_b, m):
+    # one grid for both gaps, so a deeper threshold can only count more
+    Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
+    lo, hi = sorted((lam_a, lam_b))
+    n_lo, n_hi = (counting.count_1d(m, Q, lam, half_width=200.0, h=0.1,
+                                    verify_width=False) for lam in (lo, hi))
+    assert n_lo >= n_hi
+
+
 # ---------------------------------------------------------------------------
 # curves and the fit
 
@@ -463,9 +478,9 @@ def _sector_eigenvalues(d_x, e_x, xs, b, v1_vals, v2_vals, hy):
 
 
 @st.composite
-def sectors(draw):
+def sectors(draw, ny=st.integers(1, 8)):
     n = draw(st.integers(1, 10))
-    ny = draw(st.integers(1, 8))
+    ny = draw(ny)
 
     def reals(lo, hi, size):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
@@ -490,6 +505,117 @@ def test_sector_inertia_equals_eigvalsh_sweep_and_dense_count(sector):
         assume(False)  # a near-singular Schur block; the guard is tested below
     assert counting._sector_inertia(*system, tau) == oracle \
         == int((eigs < tau).sum())
+
+
+def _mirrored(sector):
+    """The sector with v2 made a palindrome from its first half."""
+    *system, tau = sector
+    v2 = system[5]
+    ny = len(v2)
+    system[5] = np.concatenate([v2[:(ny + 1) // 2], v2[:ny // 2][::-1]])
+    return system, tau
+
+
+@pytest.mark.parametrize("ny", range(1, 13))
+@seed(20261018)
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_mirror_sweep_equals_eigvalsh_sweep_and_dense_count(ny, data):
+    system, tau = _mirrored(data.draw(sectors(ny=st.just(ny))))
+    assert np.array_equal(system[5], system[5][::-1])
+    eigs = _sector_eigenvalues(*system)
+    assume(np.abs(eigs - tau).min() > 1e-8 * max(1.0, np.abs(eigs).max()))
+    try:
+        oracle = _eigvalsh_sweep(*system, tau)
+    except NumericalError:
+        assume(False)  # a near-singular Schur block; the guard is tested below
+    with mock.patch.object(counting, "_block_inertia",
+                           wraps=counting._block_inertia) as blocks:
+        count = counting._sector_inertia(*system, tau)
+    # half the slices plus the join block; one block has no half to skip
+    assert blocks.call_count == (ny // 2 + 1 if ny > 1 else 1)
+    assert count == oracle == int((eigs < tau).sum())
+
+
+def test_palindrome_off_by_one_ulp_takes_the_full_sweep():
+    b, hy, ny = 1.0, 0.4, 9
+    d_x, e_x = fiber.stencil(b, 0.0, Parity.EVEN, 1.8, 18)
+    xs = np.arange(18, dtype=float) * 0.1
+    V = counting.standard_potential(1.0, amplitude=3.0)
+    v2 = V.v2((np.arange(ny) - 0.5 * (ny - 1)) * hy)
+    skewed = v2.copy()
+    skewed[-1] = np.nextafter(skewed[-1], 1.0)
+    tau = 0.5
+    for values, blocks_run in ((v2, ny // 2 + 1), (skewed, ny)):
+        system = (d_x, e_x, xs, b, V.v1(xs), values, hy)
+        with mock.patch.object(counting, "_block_inertia",
+                               wraps=counting._block_inertia) as blocks:
+            count = counting._sector_inertia(*system, tau)
+        assert blocks.call_count == blocks_run
+        assert count == _eigvalsh_sweep(*system, tau) \
+            == int((_sector_eigenvalues(*system) < tau).sum())
+
+
+def test_mirrored_inverse_is_the_triangle_sum_bit_for_bit():
+    # the inverse zhetri leaves in the lower triangle, made Hermitian the
+    # way the sweep did before it mirrored in place; a real block makes
+    # exact zeros of both signs in the imaginary parts
+    rng = np.random.default_rng(20261018)
+    for n, real in ((1, False), (7, True), (40, False), (40, True)):
+        a = rng.normal(size=(n, n)) + (0.0 if real else 1j) * rng.normal(size=(n, n))
+        block = np.asarray(a + a.conj().T, dtype=complex)
+        ldu, ipiv, _ = lapack.zhetrf(block, lower=1)
+        raw, _ = lapack.zhetri(ldu, ipiv, lower=1)
+        expected = np.tril(raw) + np.tril(raw, -1).conj().T
+        negatives, inverse = counting._block_inertia(block)
+        assert np.array_equal(np.ascontiguousarray(inverse).view(np.uint64),
+                              expected.view(np.uint64))
+        assert negatives == int((np.linalg.eigvalsh(block) < 0.0).sum())
+
+
+@pytest.mark.parametrize("y_width", [6.0, 5.7])
+def test_tau_on_a_sector_eigenvalue_is_refused_by_the_join_block(monkeypatch,
+                                                                 y_width):
+    b, hx, hy, lx, nx = 1.0, 0.1, 0.4, 1.8, 18
+    V = counting.standard_potential(1.0, amplitude=3.0)
+    ny = math.ceil(2.0 * y_width / hy)
+    ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
+    by_parity = {}
+    for parity in (Parity.EVEN, Parity.ODD):
+        d_x, e_x = fiber.stencil(b, 0.0, parity, lx, nx)
+        xs = np.arange(nx, dtype=float) * (lx / nx) if parity is Parity.EVEN \
+            else np.arange(1, nx, dtype=float) * (lx / nx)
+        by_parity[parity] = (d_x, e_x, xs, b, V.v1(xs), V.v2(ys), hy)
+    even = _sector_eigenvalues(*by_parity[Parity.EVEN])
+    odd = _sector_eigenvalues(*by_parity[Parity.ODD])
+    tau = float(even[1])
+    assert tau > 0.0 and np.abs(odd - tau).min() > 1e-6
+    with mock.patch.object(counting, "_block_inertia",
+                           wraps=counting._block_inertia) as blocks:
+        with pytest.raises(NumericalError, match="singular"):
+            counting._sector_inertia(*by_parity[Parity.EVEN], tau)
+    assert blocks.call_count == ny // 2 + 1  # every half-sweep block passed
+
+    threshold = 1.25 * tau
+    lam = threshold - tau
+    assert threshold - lam == tau
+    taus = []
+    sweep = counting._sector_inertia
+
+    def recorded(*args):
+        taus.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(counting, "_sector_inertia", recorded)
+    spec = Grid2DSpec(hx=hx, hy=hy, lx=lx, y_width=y_width)
+    shifted = tau * (1.0 + 1e-9)
+    with pytest.warns(RuntimeWarning) as warned:
+        count = counting.count_2d(b, V, lam, spec=spec, threshold=threshold)
+    assert taus == [tau, shifted, tau]
+    assert [str(w.message) for w in warned] == [
+        f"even sector counted at tau*(1 + 1e-9) = {shifted!r} "
+        f"instead of tau = {tau!r}: near-singular Schur block"]
+    assert count == int((even < shifted).sum()) + int((odd < tau).sum())
 
 
 def test_near_singular_block_raises_and_count_2d_retries(monkeypatch):
@@ -616,3 +742,61 @@ def test_counting_curve_2d_small_ladder():
     assert meta["threshold"] == pytest.approx(E_1, abs=0.05)
     assert meta["unknowns"] <= Grid2DSpec().max_unknowns
     assert curve.fitted_exponent == pytest.approx(0.5, abs=0.25)
+
+
+@lru_cache(maxsize=None)
+def _small_threshold():
+    """The lattice threshold of the small 2D grid: b = 1, lx = 1.8, hy = 0.4."""
+    return counting.discrete_threshold(1.0, 1.8, 18, 0.4)[0]
+
+
+@pytest.mark.parametrize("y_width", [6.0, 5.7])  # ny = 30 and 29
+@seed(20261018)
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(1.0, 8.0))
+def test_count_2d_monotone_in_lambda_on_one_grid(y_width, u, v, amplitude):
+    threshold = _small_threshold()
+    V = counting.standard_potential(1.0, amplitude=amplitude)
+    spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=y_width)
+    lo, hi = sorted((u, v))
+    n_lo, n_hi = (counting.count_2d(1.0, V, f * threshold, spec=spec,
+                                    threshold=threshold) for f in (lo, hi))
+    assert n_lo >= n_hi
+
+
+@pytest.mark.parametrize("y_width", [6.0, 5.7])  # ny = 30 and 29
+def test_counting_curve_2d_pool_matches_serial_and_count_2d(monkeypatch,
+                                                            y_width):
+    V = counting.standard_potential(1.0, amplitude=3.0)
+    spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=y_width)
+    lams = [0.5, 0.2, 0.1, 0.04]
+    serial, meta = counting.counting_curve_2d(1.0, V, lams, spec=spec)
+    pooled, _ = counting.counting_curve_2d(1.0, V, lams, spec=spec, jobs=2)
+    per_rung = tuple(counting.count_2d(1.0, V, lam, spec=spec,
+                                       threshold=meta["threshold"])
+                     for lam in lams)
+    assert meta["unknowns"] == 35 * math.ceil(2.0 * y_width / 0.4)
+    assert pooled.counts == serial.counts == per_rung
+    assert len(set(per_rung)) > 1
+
+    # the odd sector of the third rung meets a singular block once: the
+    # pool retries it and warns as count_2d does
+    tau = meta["threshold"] - lams[2]
+    shifted = tau * (1.0 + 1e-9)
+    sweep = counting._sector_inertia
+    refused = []
+
+    def flaky(*args):
+        if args[-1] == tau and len(args[0]) == 17 and not refused:
+            refused.append(tau)
+            raise NumericalError("near-singular pivot block in the inertia sweep")
+        return sweep(*args)
+
+    monkeypatch.setattr(counting, "_sector_inertia", flaky)
+    with pytest.warns(RuntimeWarning) as warned:
+        retried, _ = counting.counting_curve_2d(1.0, V, lams, spec=spec, jobs=2)
+    assert refused == [tau]
+    assert [str(w.message) for w in warned] == [
+        f"odd sector counted at tau*(1 + 1e-9) = {shifted!r} "
+        f"instead of tau = {tau!r}: near-singular Schur block"]
+    assert retried.counts == serial.counts

@@ -42,7 +42,11 @@ CASES = {
     "count1d": ["count1d", "--lambdas", "1e-3,3e-4,1e-4"],
     "count2d": ["count2d", "--b", "1", "--hy", "0.8",
                 "--lambdas", "0.3,0.14,0.066,0.03", "--jobs", "2"],
+    # ny = 158 here against 155 above: both y-grid parities of the 2D sweep
+    "count2d_even_ny": ["count2d", "--b", "1", "--hy", "0.8",
+                        "--lambdas", "0.3,0.14,0.066,0.0295", "--jobs", "2"],
 }
+CASES["count2d_stability"] = CASES["count2d"] + ["--check-stability"]
 # --jobs 2 twins of the traced commands: their bytes must not depend on --jobs
 CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
               for name in ("bands", "mourre", "localize")})
