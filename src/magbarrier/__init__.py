@@ -13,7 +13,7 @@ reduction:
 - ``mourre``       spectral windows, commutator constants, edge currents
 - ``localization`` envelope and strip-mass bounds near the edge
 - ``counting``     eigenvalue counts under negative perturbations
-- ``specfun``      Airy values, zeros, and moments backing the above
+- ``specfun``      Airy zeros and moments backing the above
 - ``tridiag``      Sturm counts and bisection for tridiagonal matrices
 
 Errors are typed: :class:`ConfigurationError` marks bad caller input,

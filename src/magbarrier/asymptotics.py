@@ -22,12 +22,8 @@ from .fiber import Parity
 from .specfun import AiryKind
 from .tridiag import bisect_eigenvalue, richardson3
 
-RESIDUAL_SLACK = 1e-7        # quadrature slack on residual == bound
-NORM_TOL = 1e-6              # grid norm of the model state
-IDENTITY_TOL = 1e-8          # operator-difference identity
 SPLITTING_FLOOR_FACTOR = 1e-13   # times b: below this a splitting is noise
 RATE_SLACK = 0.05            # on the -1/4 upper-bound slope
-R2_MIN = 0.99
 AGMON_BUDGET = 22.0          # weight in the wall placement for precise solves
 PRECISE_LEVELS = (1500, 3000, 6000)
 
@@ -69,24 +65,6 @@ class AiryCheck:
         return {"b": p.b, "k": p.k, "j": p.j, "kind": p.kind.value,
                 "predicted": p.predicted, "measured": self.omega,
                 "measured_error": self.measured_error, "bound": p.bound,
-                "pass": self.passed}
-
-
-@dataclass(frozen=True)
-class HOCheck:
-    """Signed gaps of one even/odd pair to its Landau level."""
-
-    j: int
-    k: float
-    b: float
-    level: float
-    gap_plus: float      # level - omega_plus, positive in theory
-    gap_minus: float     # omega_minus - level, positive in theory
-    passed: bool
-
-    def to_record(self):
-        return {"b": self.b, "k": self.k, "j": self.j, "level": self.level,
-                "gap_plus": self.gap_plus, "gap_minus": self.gap_minus,
                 "pass": self.passed}
 
 
@@ -153,20 +131,18 @@ def _neighbor_spacing(pred):
     return min(gaps)
 
 
-def _wedge_resolution(b, k, j, resolution=None):
-    """Grid size for band j on the barrier side, unless the caller pins one.
+def _wedge_resolution(b, k, j):
+    """Grid size for band j on the barrier side.
 
     The wall estimate carries the k^2 offset, so deep wedge solves outgrow
     the default resolution.
     """
-    if resolution is not None:
-        return resolution
     _, m = Parity.of_band(j)
     return max(fiber.DEFAULT_RESOLUTION,
                fiber.minimum_resolution(b, k, requested_levels=m))
 
 
-def airy_check(b, k, j, resolution=None):
+def airy_check(b, k, j):
     """Measure |omega_j(k) - prediction| against the wedge-model bound.
 
     Requires the bound to be smaller than the spacing to the neighboring
@@ -180,52 +156,10 @@ def airy_check(b, k, j, resolution=None):
             f"|k|={abs(k):g} is not deep enough in the wedge regime: bound "
             f"{pred.bound:.3g} >= neighbor spacing {spacing:.3g}"
         )
-    pair = fiber.band(b, k, j, _wedge_resolution(b, k, j, resolution), refine=True)
+    pair = fiber.band(b, k, j, _wedge_resolution(b, k, j), refine=True)
     measured = abs(pair.omega - pred.predicted)
     return AiryCheck(prediction=pred, omega=pair.omega,
                      measured_error=measured, passed=bool(measured <= pred.bound))
-
-
-def airy_residual(b, k, j, resolution=None):
-    """|| (h(k) - prediction) Psi || for the normalized wedge-model state.
-
-    The kinetic term is applied analytically through the Airy equation, so
-    the residual carries no stencil error; it must equal ||b^2 x^2 Psi||
-    because the full and wedge operators differ by exactly that multiplier.
-    """
-    pred = airy_prediction(b, k, j)
-    problem, m = fiber.band_problem(b, k, j, _wedge_resolution(b, k, j, resolution))
-    consts = specfun.airy_constants(pred.kind, m)
-    x = problem.grid.x
-    h = problem.grid.h
-    sigma = (2.0 * b * abs(k)) ** (1.0 / 3.0)
-    norm_c = math.sqrt(sigma / (2.0 * consts.c))
-    t = sigma * x + consts.z
-    ai = np.array([specfun.airy_ai(ti) for ti in t])
-    psi = norm_c * ai
-
-    def half_line_norm(values):
-        w = values * values
-        return math.sqrt(2.0 * h * (0.5 * w[0] + w[1:].sum()))
-
-    norm = half_line_norm(psi)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise NumericalError(
-            f"wedge-model state norm {norm} off unity beyond {NORM_TOL:g}"
-        )
-    v = (k - b * x) ** 2
-    residual_samples = -norm_c * sigma * sigma * t * ai + (v - pred.predicted) * psi
-    residual = half_line_norm(residual_samples)
-    direct = half_line_norm(b * b * x * x * psi)
-    if abs(residual - direct) > IDENTITY_TOL * max(1.0, direct):
-        raise NumericalError(
-            f"operator-difference identity broken: {residual} vs {direct}"
-        )
-    if not residual <= pred.bound * (1.0 + RESIDUAL_SLACK):
-        raise NumericalError(
-            f"residual {residual} exceeds bound {pred.bound}"
-        )
-    return residual
 
 
 def _precise_box(b, k, pair_j):
@@ -251,7 +185,7 @@ def _precise_eigenvalue(b, k, parity, index, L, N, seed):
     return bisect_eigenvalue(d, e * e, index, lo, hi)
 
 
-def omega_pair_precise(b, k, j, levels=PRECISE_LEVELS):
+def omega_pair_precise(b, k, j):
     """(omega_plus, omega_minus) of pair j in extended precision.
 
     Solves both parity sectors on an Agmon-sized box at three grid steps and
@@ -262,7 +196,7 @@ def omega_pair_precise(b, k, j, levels=PRECISE_LEVELS):
     out = []
     for parity in (Parity.EVEN, Parity.ODD):
         values = []
-        for N in levels:
+        for N in PRECISE_LEVELS:
             d, e = fiber.stencil(b, k, parity, L, N)
             seed = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
                                     check_finite=False, eigvals_only=True)[0]
@@ -279,29 +213,6 @@ def _kappa(j, b):
     if key not in _KAPPA_CACHE:
         _KAPPA_CACHE[key] = bands.find_minimum(j, b).kappa
     return _KAPPA_CACHE[key]
-
-
-def ho_check(b, k, j, kappa=None):
-    """Signed gaps of pair j to its Landau level at one k >= kappa_j.
-
-    gap_plus = level - omega_plus and gap_minus = omega_minus - level; both
-    are positive in exact arithmetic and `passed` reports whether the signs
-    came out right. Past a few magnetic lengths the true gaps undercut even
-    the extended-precision floor, where the signs are no longer meaningful;
-    the magnitudes still are.
-    """
-    kappa = _kappa(j, b) if kappa is None else kappa
-    if k < kappa:
-        raise ConfigurationError(
-            f"open-side check needs k >= kappa_{j} = {kappa:.6g}, got {k:g}"
-        )
-    level = (2.0 * j - 1.0) * b
-    omega_plus, omega_minus = omega_pair_precise(b, k, j)
-    gap_plus = level - omega_plus
-    gap_minus = omega_minus - level
-    return HOCheck(j=j, k=float(k), b=float(b), level=level,
-                   gap_plus=gap_plus, gap_minus=gap_minus,
-                   passed=bool(gap_plus > 0.0 and gap_minus > 0.0))
 
 
 def splitting_fit(b, j, k_samples, kappa=None):

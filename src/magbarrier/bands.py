@@ -1,5 +1,5 @@
 """Band functions omega_j(k): tracing over a k-grid, derivatives by
-independent routes, even-band minima, and effective masses.
+independent routes, and even-band minima with their effective masses.
 
 Derivative routes: the quadrature route integrates 2(k - b|x|) psi^2 over the
 line; the boundary route evaluates (-2/b) [(omega - k^2) psi(0)^2 + psi'(0)^2],
@@ -22,8 +22,6 @@ from .errors import ConfigurationError, InvariantViolation, NumericalError
 from .fiber import DEFAULT_RESOLUTION, Parity
 from .tridiag import richardson2
 
-CROSS_CHECK_RTOL = 1e-5    # fh vs boundary route
-MASS_CROSS_RTOL = 1e-3     # closed form vs finite-difference omega''
 KAPPA_XTOL = 1e-10
 REFINE_FACTOR = 10.0       # curvature threshold over median for k-grid splits
 
@@ -68,17 +66,14 @@ class MinimumRecord:
             raise InvariantViolation(f"effective mass must be positive, got {self.beta}")
 
 
-def derivative_fh(pair, b=None, k=None):
+def derivative_fh(pair):
     """Quadrature route: integral of 2(k - b|x|) psi^2 over the line."""
-    b = pair.b if b is None else b
-    k = pair.k if k is None else k
-    return float(fiber.expectation(pair, 2.0 * (k - b * pair.grid.x)))
+    return float(fiber.expectation(pair, 2.0 * (pair.k - pair.b * pair.grid.x)))
 
 
-def derivative_boundary(pair, b=None, k=None):
+def derivative_boundary(pair):
     """Boundary route; one term per parity by construction."""
-    b = pair.b if b is None else b
-    k = pair.k if k is None else k
+    b, k = pair.b, pair.k
     return float((-2.0 / b) * ((pair.omega - k * k) * pair.psi0 ** 2 + pair.dpsi0 ** 2))
 
 
@@ -249,25 +244,6 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
                          psi0_at_kappa=pair.psi0)
 
 
-def effective_mass(record, b, resolution=DEFAULT_RESOLUTION):
-    """beta_j by the closed form and by finite differences; both must agree.
-
-    Closed form: (2 kappa_j / b) psi(0, kappa_j)^2. The check differentiates
-    the band twice with a five-point stencil at scale-aware step.
-    """
-    closed = (2.0 * record.kappa / b) * record.psi0_at_kappa ** 2
-    hk = 1e-2 * math.sqrt(b)
-    w = [fiber.band(b, record.kappa + m * hk, 2 * record.j - 1, resolution,
-                    refine=True).omega for m in (-2, -1, 0, 1, 2)]
-    second = (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) / (12.0 * hk * hk)
-    fd = 0.5 * second
-    if abs(fd - closed) > MASS_CROSS_RTOL * abs(closed):
-        raise NumericalError(f"effective mass disagreement: closed {closed} vs FD {fd}")
-    if closed <= 0.0:
-        raise InvariantViolation(f"effective mass must be positive, got {closed}")
-    return closed
-
-
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Violations of the decreasing/one-flip band shape, if any."""
@@ -277,16 +253,15 @@ class MonotonicityReport:
     flip_ks: dict          # even band global index -> k where the sign flips
 
 
-def monotonicity_report(table, tol=None):
+def monotonicity_report(table):
     """Check odd bands strictly decreasing, even bands single-sign-flip.
 
-    Monotonicity is read at tolerance `tol` (default 1e-8 * b): past the
-    minima the true slopes decay like exp(-k^2 / 4b) and soon drop below any
-    floating-point resolution, so a zero tolerance would report solver noise
-    as band shape. Violations are (band index, k) pairs.
+    Monotonicity is read at tolerance 1e-8 * b: past the minima the true
+    slopes decay like exp(-k^2 / 4b) and soon drop below any floating-point
+    resolution, so a zero tolerance would report solver noise as band shape.
+    Violations are (band index, k) pairs.
     """
-    if tol is None:
-        tol = 1e-8 * table.b
+    tol = 1e-8 * table.b
     violations = []
     flip_ks = {}
     checked = 0

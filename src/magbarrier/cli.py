@@ -450,7 +450,7 @@ def cmd_count1d(cfg, jobs=1):
         try:
             n = counting.count_1d(m, q_model, lam,
                                   half_width=counting.TURNING_FACTOR
-                                  * (ell / lam) ** (1.0 / alpha),
+                                  * counting.tail_turning_point(ell, lam, alpha),
                                   h=cfg["h"], verify_width=cfg["verify"])
         except (ConfigurationError, NumericalError, InvariantViolation) as err:
             failed, exc = f"{type(err).__name__}: {err}", err
@@ -502,10 +502,12 @@ def cmd_count2d(cfg, jobs=1):
         shared = Grid2DSpec(hx=cfg["hx"], hy=cfg["hy"], lx=meta["lx"],
                             y_width=meta["y_width"],
                             max_unknowns=cfg["max_unknowns"])
-        base, refined, stable = counting.count_2d_stability(
-            b, V, max(cfg["lambdas"]), spec=shared, ell_hint=reduced.ell)
-        summary.update(stability_base=base, stability_refined=refined,
-                       stable=stable)
+        # the curve's first rung is the largest lambda on this very grid
+        refined, stable = counting.count_2d_stability(
+            b, V, curve.lambdas[0], curve.counts[0], spec=shared,
+            ell_hint=reduced.ell)
+        summary.update(stability_base=curve.counts[0],
+                       stability_refined=refined, stable=stable)
         passed = stable
     return _payload("count2d", cfg, columns, rows, summary, passed)
 

@@ -32,6 +32,11 @@ DEFAULT_HX_2D = 0.05
 DEFAULT_HY_2D = 0.4
 TURNING_FACTOR = 3.0
 MAX_UNKNOWNS_2D = 10_000_000
+# rows of one 1D line grid: over 10x the 1.8 M of the default count1d
+# ladder's widened grid
+MAX_ROWS_1D = 20_000_000
+THRESHOLD_K_SAMPLES = 161
+STABILITY_REFINE = 1.25
 SINGULAR_RETRIES = 3
 FIT_SPREAD_TOL = 0.05
 INERTIA_CHUNK = 1 << 15
@@ -125,12 +130,12 @@ class ReducedPotential:
         return np.where(y <= self.ys[-1], inside, tail)
 
 
-def reduced_potential(V, ground, y_grid, fit_tol=FIT_SPREAD_TOL):
+def reduced_potential(V, ground, y_grid):
     """ReducedPotential of V against a solved transverse ground state.
 
     The fit takes the largest sampled |y| decade; a spread of |y|^alpha Q
-    beyond fit_tol there means the tail has not settled (or oscillates) and
-    is reported as a fit error with the measured spread.
+    beyond FIT_SPREAD_TOL there means the tail has not settled (or
+    oscillates) and is reported as a fit error with the measured spread.
     """
     if ground.j != 1:
         raise ConfigurationError("the reduction needs the first band's state")
@@ -146,7 +151,7 @@ def reduced_potential(V, ground, y_grid, fit_tol=FIT_SPREAD_TOL):
     if ell <= 0.0:
         raise NumericalError("tail coefficient came out nonpositive")
     spread = float((scaled.max() - scaled.min()) / ell)
-    if spread > fit_tol:
+    if spread > FIT_SPREAD_TOL:
         raise NumericalError(
             f"tail fit has not settled: relative spread {spread:.3g} over the "
             f"last decade (residuals {scaled.min():.6g}..{scaled.max():.6g})"
@@ -166,7 +171,26 @@ def counting_constant_1d(alpha, ell, m):
     if not (ell > 0.0 and m > 0.0):
         raise ConfigurationError("ell and m must be positive")
     log_b = betaln(1.5, 1.0 / alpha - 0.5)
-    return (2.0 / (math.pi * alpha * m)) * ell ** (1.0 / alpha) * math.exp(log_b)
+    try:
+        scale = ell ** (1.0 / alpha)
+    except OverflowError:
+        scale = math.inf
+    constant = (2.0 / (math.pi * alpha * m)) * scale * math.exp(log_b)
+    if not math.isfinite(constant):
+        raise NumericalError(
+            f"counting constant overflows at ell={ell:g}, alpha={alpha:g}, m={m:g}")
+    return constant
+
+
+def tail_turning_point(ell, lam, alpha):
+    """(ell / lam)^{1/alpha}, where the tail ell |y|^{-alpha} falls to lam.
+
+    inf when the power leaves the float range; the grid budgets refuse it.
+    """
+    try:
+        return (ell / lam) ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
 
 
 def counting_constant_2d(alpha, L, beta1):
@@ -239,7 +263,8 @@ def count_1d(m, Q, lam, half_width=None, h=DEFAULT_H_1D, verify_width=True):
 
     The grid spans 3x the classical turning point (ell/lam)^{1/alpha} each
     side, so every bound state is enclosed with margin; verify_width recounts
-    on a widened grid and raises when the count is still moving.
+    on a widened grid and raises when the count is still moving. A grid of
+    more than MAX_ROWS_1D rows is refused before any of it is allocated.
     """
     if not (m > 0.0 and lam > 0.0):
         raise ConfigurationError("need m > 0 and lam > 0")
@@ -250,7 +275,13 @@ def count_1d(m, Q, lam, half_width=None, h=DEFAULT_H_1D, verify_width=True):
             raise ConfigurationError(
                 "half_width is required when Q is a bare callable"
             )
-        half_width = TURNING_FACTOR * (Q.ell / lam) ** (1.0 / Q.alpha)
+        half_width = TURNING_FACTOR * tail_turning_point(Q.ell, lam, Q.alpha)
+    widest = 1.5 * half_width if verify_width else half_width
+    rows = 2.0 * widest / h
+    if not rows <= MAX_ROWS_1D:
+        raise NumericalError(
+            f"line grid of {rows:.3g} rows at half-width {widest:g} exceeds "
+            f"the budget of {MAX_ROWS_1D} rows; raise lam")
 
     def count_at(width):
         # each grid-long array is dropped once used, so at most three of
@@ -269,31 +300,6 @@ def count_1d(m, Q, lam, half_width=None, h=DEFAULT_H_1D, verify_width=True):
             f"count at half-width {half_width:g} is not grid-converged; widen"
         )
     return n
-
-
-def birman_schwinger_count(m, q_values, lam, h):
-    """Eigenvalues > 1 of Q^{1/2} (-m^2 d^2/dy^2 + lam)^{-1} Q^{1/2}.
-
-    Dense on the given grid; by the Birman-Schwinger principle this equals
-    the count of eigenvalues of -m^2 d^2/dy^2 - Q below -lam as an exact
-    integer on the same grid.
-    """
-    q = np.asarray(q_values, dtype=float)
-    if (q < 0.0).any():
-        raise ConfigurationError("Q must be nonnegative")
-    if not lam > 0.0:
-        raise ConfigurationError("lam must be positive")
-    n = len(q)
-    t = np.zeros((n, n))
-    idx = np.arange(n)
-    t[idx, idx] = 2.0 * m * m / (h * h) + lam
-    t[idx[:-1], idx[:-1] + 1] = -m * m / (h * h)
-    t[idx[:-1] + 1, idx[:-1]] = -m * m / (h * h)
-    root = np.sqrt(q)
-    kernel = root[:, None] * np.linalg.solve(t, np.diag(root))
-    kernel = 0.5 * (kernel + kernel.T)
-    eigs = np.linalg.eigvalsh(kernel)
-    return int((eigs > 1.0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +414,7 @@ class Grid2DSpec:
             raise ConfigurationError("grid steps must be positive")
 
 
-def discrete_threshold(b, lx, nx, hy, k_samples=161):
+def discrete_threshold(b, lx, nx, hy):
     """(threshold, k_star): the lattice operator's own band-1 minimum.
 
     Scans the even-sector fiber at the lattice momentum s(k) = sin(k hy)/hy
@@ -426,7 +432,7 @@ def discrete_threshold(b, lx, nx, hy, k_samples=161):
                              eigvals_only=True, check_finite=False)
         return float(w[0]) + (mu - s * s)
 
-    ks = np.linspace(0.0, math.pi / hy, k_samples)
+    ks = np.linspace(0.0, math.pi / hy, THRESHOLD_K_SAMPLES)
     vals = np.array([value(k) for k in ks])
     i = int(np.argmin(vals))
     if i == 0 or i == len(ks) - 1:
@@ -565,21 +571,34 @@ def _grid_2d(b, V, lam, spec, ell_hint=None):
     number of x-steps. Unless the spec fixes it, the y half-width covers
     y_factor times the turning point of the reduced tail ell |y|^{-alpha};
     without a hint, ell comes from the band-1 state at the frozen minimum
-    estimate kappa_1 ~ 0.768 sqrt(b).
+    estimate kappa_1 ~ 0.768 sqrt(b). A grid that cannot be represented, or
+    that exceeds spec.max_unknowns, is refused here, before any grid array
+    exists.
     """
     root_b = math.sqrt(b)
     lx = spec.lx
     if lx is None:
         lx = (1.0 + math.sqrt(2.0) + 5.0) / root_b  # orbit + envelope room
-    nx = int(round(lx / spec.hx))
+    x_cells = lx / spec.hx
     y_width = spec.y_width
     if y_width is None:
         if ell_hint is None:
             ground = fiber.band(b, 0.768 * root_b, 1)
             ell_hint = fiber.expectation(
                 ground, np.asarray(V.v1(ground.grid.x), dtype=float))
-        y_width = spec.y_factor * (ell_hint / lam) ** (1.0 / V.alpha)
-    return nx * spec.hx, nx, y_width, int(math.ceil(2.0 * y_width / spec.hy))
+        y_width = spec.y_factor * tail_turning_point(ell_hint, lam, V.alpha)
+    y_cells = 2.0 * y_width / spec.hy
+    if not (math.isfinite(x_cells) and math.isfinite(y_cells)):
+        raise NumericalError(
+            f"grid of {x_cells:g} x {y_cells:g} steps cannot be represented; "
+            "raise lam or coarsen")
+    nx, ny = int(round(x_cells)), int(math.ceil(y_cells))
+    if (2 * nx - 1) * ny > spec.max_unknowns:
+        raise NumericalError(
+            f"grid {2 * nx - 1} x {ny} exceeds the budget of "
+            f"{spec.max_unknowns} unknowns; raise lam or coarsen"
+        )
+    return nx * spec.hx, nx, y_width, ny
 
 
 def _sectors_2d(b, V, lam, spec, ell_hint, threshold):
@@ -602,11 +621,6 @@ def _sectors_2d(b, V, lam, spec, ell_hint, threshold):
             f"lam must sit inside (0, {threshold:g}), the gap below the band"
         )
     ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
-    if (2 * nx - 1) * ny > spec.max_unknowns:
-        raise NumericalError(
-            f"grid {2 * nx - 1} x {ny} exceeds the budget of "
-            f"{spec.max_unknowns} unknowns; raise lam or coarsen"
-        )
     V.validate_condition(np.linspace(0.0, lx, 33), np.linspace(ys[0], ys[-1], 65))
     v2_vals = np.asarray(V.v2(ys), dtype=float)
     sectors = []
@@ -651,18 +665,18 @@ def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
     return sum(_count_sector(parity, system, tau) for parity, system in sectors)
 
 
-def count_2d_stability(b, V, lam, spec=Grid2DSpec(), ell_hint=None,
-                       refine=1.25):
-    """(count, refined_count, stable): the count and its refinement probe.
+def count_2d_stability(b, V, lam, base, spec=Grid2DSpec(), ell_hint=None):
+    """(refined_count, stable): the refinement probe of a count already made.
 
-    Recounts on a grid with both steps divided by `refine` (each grid using
-    its own discrete threshold); a drift beyond one count flags the result
-    as grid-limited rather than raising, so callers can report it.
+    base is count_2d's count at lam on spec's grid. The probe recounts on a
+    grid with both steps divided by STABILITY_REFINE (with its own discrete
+    threshold); a drift beyond one count flags the result as grid-limited
+    rather than raising, so callers can report it.
     """
-    base = count_2d(b, V, lam, spec=spec, ell_hint=ell_hint)
-    finer = replace(spec, hx=spec.hx / refine, hy=spec.hy / refine)
+    finer = replace(spec, hx=spec.hx / STABILITY_REFINE,
+                    hy=spec.hy / STABILITY_REFINE)
     refined = count_2d(b, V, lam, spec=finer, ell_hint=ell_hint)
-    return base, refined, abs(refined - base) <= 1
+    return refined, abs(refined - base) <= 1
 
 
 def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, jobs=1):

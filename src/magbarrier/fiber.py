@@ -24,7 +24,7 @@ from .tridiag import richardson2
 
 DEFAULT_RESOLUTION = 4000
 MIN_RESOLUTION = 64
-DEFAULT_MARGIN = 4.0
+MARGIN = 4.0
 # points per local wavelength at the wall; h * sqrt(V(L)) above this is
 # an impossible-margin configuration
 MAX_WALL_PHASE = 0.5
@@ -102,9 +102,8 @@ def _top_estimate_scaled(q, n_levels):
     return est
 
 
-def minimum_resolution(b, k, requested_levels=4, margin=DEFAULT_MARGIN,
-                       headroom=0.9, step=500):
-    """Smallest grid size (rounded up to `step`) meeting the wall-phase cap.
+def minimum_resolution(b, k, requested_levels=4):
+    """Smallest grid size, a multiple of 500, within 0.9 of the wall-phase cap.
 
     Deep barrier-side solves outgrow the default resolution because the wall
     estimate carries the k^2 offset; callers that sweep k use this to size
@@ -114,17 +113,16 @@ def minimum_resolution(b, k, requested_levels=4, margin=DEFAULT_MARGIN,
         raise ConfigurationError("field strength must be positive")
     q = k / math.sqrt(b)
     est = _top_estimate_scaled(q, requested_levels)
-    scaled_L = q + math.sqrt(margin * est)
-    need = scaled_L * math.sqrt(margin * est) / (headroom * MAX_WALL_PHASE)
-    return max(MIN_RESOLUTION, step * math.ceil(need / step))
+    scaled_L = q + math.sqrt(MARGIN * est)
+    need = scaled_L * math.sqrt(MARGIN * est) / (0.9 * MAX_WALL_PHASE)
+    return max(MIN_RESOLUTION, 500 * math.ceil(need / 500))
 
 
-def build_problem(b, k, parity, requested_levels=4, resolution=DEFAULT_RESOLUTION,
-                  margin=DEFAULT_MARGIN):
+def build_problem(b, k, parity, requested_levels=4, resolution=DEFAULT_RESOLUTION):
     """Size the truncated grid for (b, k, parity) and the requested level count.
 
     The wall lands where the effective potential exceeds an overestimate of
-    the top requested eigenvalue by `margin`; truncation error there is
+    the top requested eigenvalue by MARGIN; truncation error there is
     exponentially small against every tolerance used downstream.
     """
     if b <= 0.0:
@@ -135,8 +133,8 @@ def build_problem(b, k, parity, requested_levels=4, resolution=DEFAULT_RESOLUTIO
     root_b = math.sqrt(b)
     q = k / root_b
     est = _top_estimate_scaled(q, requested_levels)
-    scaled_L = q + math.sqrt(margin * est)
-    wall_phase = (scaled_L / resolution) * math.sqrt(margin * est)
+    scaled_L = q + math.sqrt(MARGIN * est)
+    wall_phase = (scaled_L / resolution) * math.sqrt(MARGIN * est)
     if wall_phase > MAX_WALL_PHASE:
         raise ConfigurationError(
             f"impossible margin: requested level {requested_levels} needs "
@@ -285,12 +283,6 @@ def boundary_values(psi, h, parity):
     return 0.0, float(dpsi0)
 
 
-def boundary_data(pair, grid=None):
-    """Boundary data of a solved pair, recomputed from its stored vector."""
-    grid = pair.grid if grid is None else grid
-    return boundary_values(pair.psi, grid.h, pair.parity)
-
-
 def expectation(pair, f_values):
     """Full-line integral of f(|x|) |psi|^2 from half-line samples.
 
@@ -302,32 +294,7 @@ def expectation(pair, f_values):
     return 2.0 * pair.grid.h * (0.5 * w[0] + w[1:].sum())
 
 
-def inner_product(pair_a, pair_b):
-    """Full-line L2 inner product of two states on the same grid."""
-    w = pair_a.psi * pair_b.psi
-    return 2.0 * pair_a.grid.h * (0.5 * w[0] + w[1:].sum())
-
-
-def residual_norm(pair):
-    """|| (h(k) - omega) psi ||_L2 with a fourth-order stencil.
-
-    The eigenvector itself is second-order accurate, so this norm decays like
-    h^2 under refinement; the order is what the consistency tests measure.
-    Measured over interior nodes only: the effective potential has a corner
-    at the origin (psi''' jumps there for k != 0), so a stencil across x = 0
-    would read the corner, and the two nodes before the wall have no centered
-    stencil; the state is exponentially dead at the wall anyway.
-    """
-    psi, h = pair.psi, pair.grid.h
-    n = len(psi)
-    d2 = (-psi[0:n - 4] + 16.0 * psi[1:n - 3] - 30.0 * psi[2:n - 2]
-          + 16.0 * psi[3:n - 1] - psi[4:n]) / (12.0 * h * h)
-    v = (pair.k - pair.b * pair.grid.x[2:n - 2]) ** 2
-    res = -d2 + (v - pair.omega) * psi[2:n - 2]
-    return math.sqrt(2.0 * h * (res ** 2).sum())
-
-
-def merge_parities(even, odd, tol=None):
+def merge_parities(even, odd):
     """Interleave solved parity classes into globally indexed bands.
 
     Even-below-odd pairwise order and the global interleaving are exact
@@ -338,12 +305,10 @@ def merge_parities(even, odd, tol=None):
     emitted in the exact order.
     """
     pairs = list(even) + list(odd)
-    if tol is None:
-        if pairs:
-            h_min = min(p.grid.h for p in pairs)
-            tol = 64.0 * np.finfo(float).eps * 2.0 / (h_min * h_min)
-        else:
-            tol = 0.0
+    tol = 0.0
+    if pairs:
+        h_min = min(p.grid.h for p in pairs)
+        tol = 64.0 * np.finfo(float).eps * 2.0 / (h_min * h_min)
     for j in range(min(len(even), len(odd))):
         if not even[j].omega < odd[j].omega + tol:
             raise InvariantViolation(

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
-from . import bands, fiber, mourre
+from . import fiber, mourre
 from .errors import ConfigurationError, InvariantViolation
 
 ENVELOPE_TOL = 1e-6
@@ -24,7 +23,6 @@ ENVELOPE_TOL = 1e-6
 # only meaningful above it.
 PSI_NOISE_FLOOR = 1e-12
 NORM_TOL = 1e-9
-DEFAULT_SCAN_FIELDS = (10.0, 30.0, 100.0, 300.0)
 
 
 def turning_point(j, k, b, omega):
@@ -73,19 +71,19 @@ class LocalizationCheck:
                 "tolerance": self.tolerance}
 
 
-def ratio_profile(pair, x_n=None, floor=PSI_NOISE_FLOOR):
+def ratio_profile(pair, x_n=None):
     """(xs, |psi|/envelope) at the grid nodes past the envelope onset.
 
-    Nodes where |psi| has fallen under floor * sup|psi| are excluded: the
-    eigensolver resolves the tail over about twelve decades, below which the
-    samples are rounding noise and the ratio against a doubly-exponentially
-    small envelope would be meaningless.
+    Nodes where |psi| has fallen under PSI_NOISE_FLOOR * sup|psi| are
+    excluded: the eigensolver resolves the tail over about twelve decades,
+    below which the samples are rounding noise and the ratio against a
+    doubly-exponentially small envelope would be meaningless.
     """
     if x_n is None:
         x_n = turning_point(pair.j, pair.k, pair.b, pair.omega)
     xs = pair.grid.x
     amp = np.abs(pair.psi)
-    sel = (xs >= x_n) & (amp >= floor * amp.max())
+    sel = (xs >= x_n) & (amp >= PSI_NOISE_FLOOR * amp.max())
     if not sel.any():
         raise ConfigurationError(
             "no resolved samples beyond the envelope onset; wall too close"
@@ -93,7 +91,7 @@ def ratio_profile(pair, x_n=None, floor=PSI_NOISE_FLOOR):
     return xs[sel], amp[sel] / envelope_values(pair.b, x_n, xs[sel])
 
 
-def envelope_check(pair, b, k, tolerance=ENVELOPE_TOL):
+def envelope_check(pair, b, k):
     """LocalizationCheck of one solved eigenstate against its envelope."""
     if pair.b != b or pair.k != k:
         raise ConfigurationError("pair was solved at different (b, k)")
@@ -104,12 +102,11 @@ def envelope_check(pair, b, k, tolerance=ENVELOPE_TOL):
     _, ratios = ratio_profile(pair, x_n=x_n)
     max_ratio = float(ratios.max())
     return LocalizationCheck(j=pair.j, k=k, b=b, x_n=x_n,
-                             envelope_ok=max_ratio <= 1.0 + tolerance,
-                             max_ratio=max_ratio, tolerance=tolerance)
+                             envelope_ok=max_ratio <= 1.0 + ENVELOPE_TOL,
+                             max_ratio=max_ratio)
 
 
-def window_envelope_sweep(report, n_samples=9,
-                          resolution=fiber.DEFAULT_RESOLUTION):
+def window_envelope_sweep(report, n_samples=9):
     """Envelope checks across every preimage band of a validated window."""
     if n_samples < 1:
         raise ConfigurationError("the sweep needs at least one sample per band")
@@ -117,23 +114,9 @@ def window_envelope_sweep(report, n_samples=9,
     checks = []
     for j, left, right in report.preimages:
         for k in np.linspace(left, right, n_samples):
-            pair = _solved_level(b, float(k), j, resolution)
+            pair = _solved_level(b, float(k), j, fiber.DEFAULT_RESOLUTION)
             checks.append(envelope_check(pair, b, float(k)))
     return checks
-
-
-def wall_tail_mass(pair):
-    """Envelope mass beyond the truncation wall; certifies the Dirichlet cut.
-
-    The true eigenstate carries at most sqrt(2) erfc(sqrt(b) (L - x_n)) of
-    its norm outside |x| >= L, so a small value here validates replacing the
-    line by the truncated grid.
-    """
-    x_n = turning_point(pair.j, pair.k, pair.b, pair.omega)
-    gap = pair.grid.L - x_n
-    if gap <= 0.0:
-        return 2.0
-    return math.sqrt(2.0) * float(erfc(math.sqrt(pair.b) * gap))
 
 
 # ---------------------------------------------------------------------------
@@ -216,44 +199,3 @@ def normalized_random_state(report, rng, n_points=33):
         for c in state.components
     )
     return mourre.FiberState(components=comps, report=report)
-
-
-def strip_threshold_scan(n=1, epsilon=0.25, bs=DEFAULT_SCAN_FIELDS,
-                         n_states=8, seed=20260817, n_bands=None,
-                         resolution=fiber.DEFAULT_RESOLUTION):
-    """Scan field strengths for the onset of the strip-mass guarantee.
-
-    The guarantee holds above some unspecified field threshold; this scan
-    reports, per field value, the worst strip mass over random window states
-    against the bound, and the smallest scanned field from which every
-    stronger one passes.
-    """
-    if n_states < 1:
-        raise ConfigurationError("the scan needs at least one state per field")
-    if n_bands is None:
-        n_bands = 2 * n + 1
-    records = []
-    rng = np.random.default_rng(seed)
-    for b in bs:
-        root_b = math.sqrt(b)
-        table = bands.trace(b, -4.0 * root_b, 6.0 * root_b, n_bands=n_bands,
-                            base_samples=81, resolution=resolution)
-        _, hi = bands.table_minimum(table, 2 * n + 1)
-        e_mid = 0.5 * ((2.0 * n - 1.0) * b + hi)
-        report = mourre.window_report(n, e_mid, b, table, resolution=resolution)
-        worst = math.inf
-        bound = None
-        for _ in range(n_states):
-            state = normalized_random_state(report, rng)
-            inside, bound, _ = strip_mass(state, table, epsilon, b,
-                                          resolution=resolution)
-            worst = min(worst, inside)
-        records.append({"b": b, "epsilon": epsilon, "worst_inside": worst,
-                        "bound": bound, "pass": worst >= bound})
-    b_tilde = None
-    for rec in reversed(records):
-        if rec["pass"]:
-            b_tilde = rec["b"]
-        else:
-            break
-    return records, b_tilde

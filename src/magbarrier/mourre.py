@@ -59,42 +59,16 @@ class EnergyWindow:
         return (self.E - half, self.E + half)
 
 
-def landau_window(n, b, records):
-    """The open window (Landau level n, next even-band minimum).
-
-    records: MinimumRecord objects (any iterable or {j: record} mapping)
-    containing even-band ordinal n+1 solved at this b.
-    """
-    if n < 1:
-        raise ConfigurationError("window index n must be at least 1")
-    if hasattr(records, "values"):
-        records = list(records.values())
-    rec = next((r for r in records if r.j == n + 1), None)
-    if rec is None:
-        raise ConfigurationError(f"need the minimum record for even band {n + 1}")
-    lo = (2.0 * n - 1.0) * b
-    hi = rec.energy
-    if not lo < hi:
-        raise InvariantViolation(
-            f"empty window at n={n}: level {lo} not below minimum {hi}"
-        )
-    return lo, hi
-
-
-def distance_cap(n, E, b, window_hi, rule="max"):
+def distance_cap(n, E, b, window_hi):
     """Search cap d_n(E) for delta0, in scaled units.
 
-    The source text names a "distance" but displays the max of the two gaps;
-    both readings are available and the accepted delta0 never relies on the
+    The source text names a "distance" but displays the max of the two gaps,
+    which is the reading taken here; the accepted delta0 never relies on the
     cap — the window conditions are verified directly.
     """
     lo_gap = E / b - (2.0 * n - 1.0)
     hi_gap = window_hi / b - E / b
-    if rule == "max":
-        return max(lo_gap, hi_gap)
-    if rule == "min":
-        return min(lo_gap, hi_gap)
-    raise ConfigurationError(f"unknown distance rule {rule!r}")
+    return max(lo_gap, hi_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +137,7 @@ def _preimage(table, j, lo_e, hi_e):
     return (_invert_decreasing(ks, ws, hi_e), _invert_decreasing(ks, ws, lo_e))
 
 
-def find_delta0(n, E, b, table, distance_rule="max", iters=DELTA0_BISECT_ITERS):
+def find_delta0(n, E, b, table):
     """Largest half-width delta0 whose doubled window passes both checks.
 
     The doubled window [E - delta0 b, E + delta0 b] must miss every band
@@ -181,7 +155,7 @@ def find_delta0(n, E, b, table, distance_rule="max", iters=DELTA0_BISECT_ITERS):
         raise ConfigurationError(
             f"E={E:g} is not strictly inside the window ({lo:g}, {hi:g})"
         )
-    cap = distance_cap(n, E, b, hi, rule=distance_rule)
+    cap = distance_cap(n, E, b, hi)
 
     def feasible(delta0):
         lo_e, hi_e = E - delta0 * b, E + delta0 * b
@@ -211,7 +185,7 @@ def find_delta0(n, E, b, table, distance_rule="max", iters=DELTA0_BISECT_ITERS):
         )
     if feasible(hi_cand):
         return hi_cand
-    for _ in range(iters):
+    for _ in range(DELTA0_BISECT_ITERS):
         mid = 0.5 * (lo_cand + hi_cand)
         if feasible(mid):
             lo_cand = mid
@@ -241,16 +215,15 @@ class MourreReport:
                 "c_per_band": list(self.c_per_band), "c_n": self.c_n}
 
 
-def _derivative_at(b, k, j, resolution=fiber.DEFAULT_RESOLUTION):
+def _derivative_at(b, k, j):
     """Extrapolated band derivative by a fresh solve of band j's parity class."""
-    problem, m = fiber.band_problem(b, k, j, resolution)
+    problem, m = fiber.band_problem(b, k, j)
     coarse, fine, _ = fiber.solve_two_grids(problem, m)
     return float(richardson2(bands.derivative_fh(coarse[m - 1]),
                              bands.derivative_fh(fine[m - 1])))
 
 
-def mourre_constant(window, table, delta0=None,
-                    resolution=fiber.DEFAULT_RESOLUTION):
+def mourre_constant(window, table, delta0=None):
     """MourreReport with c_{n,j} = inf over the preimage of -omega_j'/sqrt(b).
 
     The preimages and constants are those of the window itself, so the
@@ -281,7 +254,7 @@ def mourre_constant(window, table, delta0=None,
             point = end
             for _ in range(ENDPOINT_BISECTIONS):
                 candidates.append((float(point),
-                                   -_derivative_at(b, float(point), j, resolution)))
+                                   -_derivative_at(b, float(point), j)))
                 point = 0.5 * (point + float(nearest))
         worst_k, worst = min(candidates, key=lambda c: c[1])
         if not worst > 0.0:
@@ -297,8 +270,7 @@ def mourre_constant(window, table, delta0=None,
                         c_per_band=tuple(c_per_band), c_n=min(c_per_band))
 
 
-def window_report(n, E, b, table, distance_rule="max",
-                  resolution=fiber.DEFAULT_RESOLUTION):
+def window_report(n, E, b, table):
     """The standard pipeline: delta0 search, then the report of Delta_E(delta0).
 
     delta0 is the largest half-width whose doubled window passes the
@@ -308,9 +280,9 @@ def window_report(n, E, b, table, distance_rule="max",
     preimage at the maximal delta0 reaches the exponentially flat band
     tail, where no positive velocity is certifiable in double precision.)
     """
-    delta0 = find_delta0(n, E, b, table, distance_rule=distance_rule)
+    delta0 = find_delta0(n, E, b, table)
     window = EnergyWindow(n=n, E=E, delta=delta0, b=b)
-    return mourre_constant(window, table, delta0=delta0, resolution=resolution)
+    return mourre_constant(window, table, delta0=delta0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Special-function kernel: Airy values, zeros and moment integrals.
+"""Special-function kernel: Airy zeros and moment integrals.
 
-Point values delegate to scipy.special. What this module pins down is the
+Airy values come from scipy.special. What this module pins down is the
 set of conventions everything downstream relies on: Airy zeros are negative
 and strictly decreasing in j, the Ai' zeros belong to even states and the Ai
 zeros to odd ones, and half-line moments are taken against Ai(v + z)^2.
@@ -10,14 +10,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, NumericalError
 
 AIRY_ZERO_MAX_J = 64
-AIRY_ARG_MIN = -1.0e6
 MOMENT_POWERS = (0, 4)
 MOMENT_REL_TOL = 1.0e-10
 
@@ -27,29 +25,6 @@ class AiryKind(enum.Enum):
 
     ZERO_OF_AI = "ai"          # Dirichlet at 0: odd states
     ZERO_OF_AI_PRIME = "aip"   # Neumann at 0: even states
-
-
-def _check_airy_arg(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError("airy argument must be finite")
-    if np.any(arr < AIRY_ARG_MIN):
-        raise ConfigurationError(f"airy argument below {AIRY_ARG_MIN:g} is out of domain")
-    return arr
-
-
-def airy_ai(x):
-    """Ai(x), elementwise; scalar in gives scalar out."""
-    arr = _check_airy_arg(x)
-    val = special.airy(arr)[0]
-    return float(val) if np.isscalar(x) else val
-
-
-def airy_ai_prime(x):
-    """Ai'(x), elementwise; scalar in gives scalar out."""
-    arr = _check_airy_arg(x)
-    val = special.airy(arr)[1]
-    return float(val) if np.isscalar(x) else val
 
 
 _ZERO_CACHE = {}

@@ -1,6 +1,7 @@
 """Asymptotic-regime checks: wedge (Airy) side and oscillator side.
 
-Oracles: Airy moments recomputed by composite Simpson on dense grids;
+Oracles: Airy moments recomputed by composite Simpson on dense grids; the
+wedge-model residual applied analytically through the Airy equation;
 oscillator-side splittings cross-checked against the standard double-precision
 solver where it can still resolve them, and against anchors frozen from the
 extended-precision path (regression guards; the k=5 value is ~1.6e-10, far
@@ -14,7 +15,7 @@ import pytest
 from scipy import special
 
 from magbarrier import asymptotics as asym
-from magbarrier import bands, fiber
+from magbarrier import fiber, specfun
 from magbarrier.errors import ConfigurationError, NumericalError
 from magbarrier.fiber import Parity
 from magbarrier.specfun import AiryKind
@@ -39,6 +40,49 @@ def simpson_moment(kind, m, power):
     f = v ** power * special.airy(v + z)[0] ** 2
     h = v[1] - v[0]
     return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum())
+
+
+def wedge_residual(b, k, j):
+    """|| (h(k) - prediction) Psi || for the normalized wedge-model state.
+
+    The kinetic term is applied analytically through the Airy equation, so
+    the residual carries no stencil error; it must equal ||b^2 x^2 Psi||
+    because the full and wedge operators differ by exactly that multiplier.
+    """
+    pred = asym.airy_prediction(b, k, j)
+    problem, m = fiber.band_problem(b, k, j, asym._wedge_resolution(b, k, j))
+    consts = specfun.airy_constants(pred.kind, m)
+    x, h = problem.grid.x, problem.grid.h
+    sigma = (2.0 * b * abs(k)) ** (1.0 / 3.0)
+    norm_c = math.sqrt(sigma / (2.0 * consts.c))
+    t = sigma * x + consts.z
+    ai = special.airy(t)[0]
+    psi = norm_c * ai
+
+    def half_line_norm(values):
+        w = values * values
+        return math.sqrt(2.0 * h * (0.5 * w[0] + w[1:].sum()))
+
+    assert abs(half_line_norm(psi) - 1.0) <= 1e-6
+    v = (k - b * x) ** 2
+    residual = half_line_norm(-norm_c * sigma * sigma * t * ai
+                              + (v - pred.predicted) * psi)
+    direct = half_line_norm(b * b * x * x * psi)
+    assert abs(residual - direct) <= 1e-8 * max(1.0, direct)
+    assert residual <= pred.bound * (1.0 + 1e-7)
+    return residual
+
+
+def pair_gaps(b, k, j):
+    """(level - omega_plus, omega_minus - level) of pair j at its Landau level.
+
+    Both are positive in exact arithmetic; past a few magnetic lengths the
+    true gaps undercut even the extended-precision floor, where the signs
+    are no longer meaningful but the magnitudes still are.
+    """
+    omega_plus, omega_minus = asym.omega_pair_precise(b, k, j)
+    level = (2.0 * j - 1.0) * b
+    return level - omega_plus, omega_minus - level
 
 
 def test_airy_prediction_zero_selection_and_formula():
@@ -103,44 +147,33 @@ def test_airy_check_refuses_shallow_k():
 
 def test_airy_residual_saturates_bound():
     for j in (1, 2):
-        r = asym.airy_residual(1.0, -15.0, j)
+        r = wedge_residual(1.0, -15.0, j)
         p = asym.airy_prediction(1.0, -15.0, j)
         assert abs(r / p.bound - 1.0) <= 1e-6
-    r = asym.airy_residual(1.0, -15.0, 1)
-    assert r > 0.0
+        assert r > 0.0
 
 
 def test_ho_check_signs_correct_at_k4():
-    c = asym.ho_check(1.0, 4.0, 1, kappa=KAPPA_1)
-    assert c.passed
-    assert c.gap_plus > 0.0 and c.gap_minus > 0.0
-    assert c.level == 1.0
-    assert c.to_record()["pass"] is True
+    gap_plus, gap_minus = pair_gaps(1.0, 4.0, 1)
+    assert gap_plus > 0.0 and gap_minus > 0.0
 
 
 def test_ho_check_second_pair():
-    c = asym.ho_check(1.0, 4.0, 2, kappa=1.623225000514)
-    assert c.passed
-    assert c.level == 3.0
-    assert 0.0 < c.gap_plus < 1e-4 and 0.0 < c.gap_minus < 1e-4
+    gap_plus, gap_minus = pair_gaps(1.0, 4.0, 2)
+    assert 0.0 < gap_plus < 1e-4 and 0.0 < gap_minus < 1e-4
 
 
 def test_ho_check_deep_regime_gaps_below_1e10():
-    c = asym.ho_check(1.0, 8.0, 1, kappa=KAPPA_1)
-    assert abs(c.gap_plus) < 1e-10
-    assert abs(c.gap_minus) < 1e-10
+    gap_plus, gap_minus = pair_gaps(1.0, 8.0, 1)
+    assert abs(gap_plus) < 1e-10
+    assert abs(gap_minus) < 1e-10
 
 
 def test_ho_check_monotone_approach():
-    c5 = asym.ho_check(1.0, 5.0, 1, kappa=KAPPA_1)
-    c6 = asym.ho_check(1.0, 6.0, 1, kappa=KAPPA_1)
-    assert c5.gap_plus > c6.gap_plus
-    assert c5.gap_minus > c6.gap_minus
-
-
-def test_ho_check_precondition():
-    with pytest.raises(ConfigurationError):
-        asym.ho_check(1.0, 0.5, 1, kappa=KAPPA_1)
+    plus5, minus5 = pair_gaps(1.0, 5.0, 1)
+    plus6, minus6 = pair_gaps(1.0, 6.0, 1)
+    assert plus5 > plus6
+    assert minus5 > minus6
 
 
 def test_precise_path_agrees_with_standard_solver():
@@ -208,6 +241,7 @@ def test_splitting_fit_preconditions():
 
 def test_kappa_cache_used_when_not_supplied():
     # exercises the find_minimum route once; cached for any later call
-    c = asym.ho_check(1.0, 4.0, 1)
-    assert c.passed
+    fit = asym.splitting_fit(1.0, 1, [3.0, 3.5, 4.0])
+    assert fit.passed
+    assert (1, 1.0) in asym._KAPPA_CACHE
     assert abs(asym._kappa(1, 1.0) - KAPPA_1) <= 1e-6

@@ -192,15 +192,17 @@ def test_find_minimum_higher_bands_in_windows():
 
 
 def test_effective_mass_routes_agree():
+    # the closed form against the frozen reference; c04 in test_acceptance
+    # checks it against finite differences of the band
     rec = bands.find_minimum(1, 1.0)
-    beta = bands.effective_mass(rec, 1.0)
-    assert beta == pytest.approx(BETA_1, abs=1e-4)
-    assert beta == pytest.approx(rec.beta, rel=1e-6)
+    assert rec.beta == pytest.approx(BETA_1, abs=1e-4)
+    assert rec.beta == pytest.approx(
+        (2.0 * rec.kappa) * rec.psi0_at_kappa ** 2, rel=1e-6)
 
 
 def test_effective_mass_is_b_independent():
-    beta1 = bands.effective_mass(bands.find_minimum(1, 1.0), 1.0)
-    beta4 = bands.effective_mass(bands.find_minimum(1, 4.0), 4.0)
+    beta1 = bands.find_minimum(1, 1.0).beta
+    beta4 = bands.find_minimum(1, 4.0).beta
     assert beta4 == pytest.approx(beta1, rel=1e-4)
 
 

@@ -221,6 +221,33 @@ def test_count2d_resource_cap_exits_three(tmp_path):
     assert failed is not None and not passed and rows == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["count2d", "--alpha", "0.2", "--hy", "0.8"],
+    ["count2d", "--alpha", "0.001"],
+    ["count1d", "--alpha", "0.1"],
+    ["count1d", "--alpha", "0.001"],
+])
+def test_grid_past_its_budget_exits_three_before_allocating(tmp_path, monkeypatch,
+                                                            capsys, argv):
+    def boom(*args, **kwargs):
+        raise AssertionError("a grid array was allocated")
+
+    monkeypatch.setattr(counting, "_line_grid", boom)
+    monkeypatch.setattr(counting, "discrete_threshold", boom)
+    assert run(argv, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
+    _, _, rows, _, failed, passed = read_csv(tmp_path / f"{argv[0]}.csv")
+    assert failed.startswith("NumericalError") and not passed and rows == []
+
+
+def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
+    assert run(["count1d", "--alpha", "0.001", "--ell", "3"], tmp_path) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: counting constant overflows at ell=3, alpha=0.001, m=1"]
+    assert not (tmp_path / "count1d.csv").exists()
+
+
 def test_bad_jobs_value_is_usage(tmp_path):
     assert run(["count1d", "--jobs", "0"], tmp_path) == 2
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
+from oracles import birman_schwinger_count
 from scipy.linalg import lapack
 
 from magbarrier import bands, counting, fiber
@@ -296,6 +297,35 @@ def test_count_1d_narrow_grid_is_a_resolution_error():
         counting.count_1d(1.0, Q, 1e-3, half_width=30.0)
 
 
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a grid array was allocated")
+
+
+def test_count_1d_refuses_an_oversized_grid_before_allocating(monkeypatch):
+    monkeypatch.setattr(counting, "_line_grid", _no_grid)
+    Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
+    # the base grid fits the budget and only its 1.5x verify grid does not
+    width = counting.MAX_ROWS_1D * counting.DEFAULT_H_1D / 2.4
+    with pytest.raises(NumericalError, match="budget"):
+        counting.count_1d(1.0, Q, 1e-3, half_width=width)
+    with pytest.raises(AssertionError, match="allocated"):
+        counting.count_1d(1.0, Q, 1e-3, half_width=width, verify_width=False)
+    # turning points of 1e30 and past the float range
+    for alpha in (0.1, 0.001):
+        reduced = counting.ReducedPotential(alpha=alpha, ys=np.zeros(1),
+                                            values=np.zeros(1), ell=1.0,
+                                            fit_spread=0.0)
+        with pytest.raises(NumericalError, match="budget"):
+            counting.count_1d(1.0, reduced, 1e-3)
+
+
+def test_turning_point_and_constant_past_the_float_range():
+    assert counting.tail_turning_point(4.0, 1.0, 0.5) == 16.0
+    assert counting.tail_turning_point(1.0, 1e-3, 0.001) == math.inf
+    with pytest.raises(NumericalError, match="overflows"):
+        counting.counting_constant_1d(0.001, 3.0, 1.0)
+
+
 def test_count_1d_reduced_potential_path(reduced_b1):
     m = math.sqrt(BETA_1)
     n = counting.count_1d(m, reduced_b1, 1e-3)
@@ -330,7 +360,7 @@ def test_birman_schwinger_integer_equality():
         e = np.full(n - 1, -m * m / (h * h))
         direct = counting.tridiagonal_inertia(d, e, -lam)
         assert counting.bisection_count(d, e, -lam) == direct
-        assert counting.birman_schwinger_count(m, q, lam, h) == direct
+        assert birman_schwinger_count(m, q, lam, h) == direct
 
 
 @seed(20261018)
@@ -727,10 +757,27 @@ def test_count_2d_guards():
         Grid2DSpec(hx=-0.1)
 
 
+def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(counting, "discrete_threshold", _no_grid)
+    monkeypatch.setattr(counting, "_sector_inertia", _no_grid)
+    spec = Grid2DSpec(hy=0.8)
+    # a y half-width of ~1e10, then one past the float range
+    for alpha, match in ((0.2, "budget"), (0.001, "cannot be represented")):
+        V = counting.standard_potential(alpha)
+        with pytest.raises(NumericalError, match=match):
+            counting.count_2d(1.0, V, 6e-3, spec=spec, ell_hint=0.6)
+        with pytest.raises(NumericalError, match=match):
+            counting.counting_curve_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3],
+                                       spec=spec, ell_hint=0.6)
+
+
 def test_count_2d_refinement_stability():
     V = counting.standard_potential(1.0)
-    base, refined, stable = counting.count_2d_stability(1.0, V, 3e-2 * E_1)
+    base = counting.count_2d(1.0, V, 3e-2 * E_1)
+    refined, stable = counting.count_2d_stability(1.0, V, 3e-2 * E_1, base)
     assert (base, refined, stable) == (5, 5, True)
+    # a base off by more than one count is reported, not raised
+    assert counting.count_2d_stability(1.0, V, 3e-2 * E_1, 7) == (5, False)
 
 
 def test_counting_curve_2d_small_ladder():

@@ -122,18 +122,6 @@ def test_envelope_scaling_b4(window_b1):
     assert c4.x_n == pytest.approx(c1.x_n / 2.0, rel=1e-9)
 
 
-def test_wall_tail_mass(window_b1):
-    _, report = window_b1
-    for j, left, right in report.preimages:
-        for k in np.linspace(left, right, 5):
-            pair = loc._solved_level(1.0, float(k), j, 4000)
-            assert loc.wall_tail_mass(pair) < 1e-12
-    # a wall inside the onset region gives the vacuous bound
-    pair = loc._solved_level(1.0, 0.0, 1, 4000)
-    shrunk = replace(pair, grid=replace(pair.grid, L=0.5))
-    assert loc.wall_tail_mass(shrunk) == 2.0
-
-
 def test_strip_split_oscillator_oracles():
     # k = 0: the even ground state gives inside = erf(sqrt(b) c), the odd
     # one erf(y) - 2 y e^{-y^2}/sqrt(pi) with y = sqrt(b) c
@@ -195,15 +183,3 @@ def test_strip_mass_guards(window_b1, window_b100):
     for eps in (0.0, 0.5, -0.1):
         with pytest.raises(ConfigurationError):
             loc.strip_mass(good, table1, eps, 1.0)
-
-
-def test_threshold_scan_reduced():
-    records, b_tilde = loc.strip_threshold_scan(n=1, bs=(10.0, 100.0),
-                                                n_states=3, seed=11)
-    assert [r["b"] for r in records] == [10.0, 100.0]
-    assert all(r["pass"] for r in records)
-    assert records[1]["worst_inside"] > records[0]["worst_inside"]
-    assert records[0]["bound"] < records[1]["bound"]
-    assert b_tilde == 10.0
-    with pytest.raises(ConfigurationError):
-        loc.strip_threshold_scan(n_states=0)

@@ -17,7 +17,6 @@ C1_N1 = 0.79456173
 D0_N2 = 0.7234910956
 C2_N2 = 0.92409972
 LEVEL2_MIN = 2.634859402292   # second even-band minimum (precise solver)
-LEVEL3_MIN = 4.644812754275   # third even-band minimum
 
 
 @pytest.fixture(scope="module")
@@ -51,45 +50,14 @@ def report_n2(table_b1):
     return mourre.window_report(2, e2, 1.0, table_b1)
 
 
-def test_landau_window_values_and_scaling():
-    rec2 = bands.find_minimum(2, 1.0)
-    rec3 = bands.find_minimum(3, 1.0)
-    lo1, hi1 = mourre.landau_window(1, 1.0, [rec2, rec3])
-    assert lo1 == 1.0
-    assert 1.0 < hi1 < 3.0
-    assert abs(hi1 - LEVEL2_MIN) < 1e-6
-    lo2, hi2 = mourre.landau_window(2, 1.0, {2: rec2, 3: rec3})
-    assert lo2 == 3.0
-    assert 3.0 < hi2 < 5.0
-    assert abs(hi2 - LEVEL3_MIN) < 1e-6
-    rec2_b4 = bands.find_minimum(2, 4.0)
-    lo4, hi4 = mourre.landau_window(1, 4.0, [rec2_b4])
-    assert lo4 == 4.0
-    assert abs(hi4 - 4.0 * hi1) < 1e-6 * hi4
-
-
-def test_landau_window_errors():
-    rec2 = bands.find_minimum(2, 1.0)
-    with pytest.raises(ConfigurationError):
-        mourre.landau_window(2, 1.0, [rec2])   # needs band 3 record
-    with pytest.raises(ConfigurationError):
-        mourre.landau_window(0, 1.0, [rec2])
-    fake = bands.MinimumRecord(j=2, kappa=1.6, energy=0.8, beta=0.88,
-                               psi0_at_kappa=0.62)
-    with pytest.raises(InvariantViolation):
-        mourre.landau_window(1, 1.0, [fake])   # level 1 above claimed minimum
-
-
 def test_distance_cap_readings():
     hi = LEVEL2_MIN
+    # the cap is the larger of the two gaps, from either side
     assert mourre.distance_cap(1, 1.2, 1.0, hi) == pytest.approx(hi - 1.2, abs=1e-12)
-    assert mourre.distance_cap(1, 1.2, 1.0, hi, rule="min") == pytest.approx(0.2, abs=1e-12)
-    # at the exact midpoint both readings agree
+    assert mourre.distance_cap(1, 2.5, 1.0, hi) == pytest.approx(1.5, abs=1e-12)
+    # at the exact midpoint both gaps agree
     mid = 0.5 * (1.0 + hi)
-    assert mourre.distance_cap(1, mid, 1.0, hi) == pytest.approx(
-        mourre.distance_cap(1, mid, 1.0, hi, rule="min"), abs=1e-12)
-    with pytest.raises(ConfigurationError):
-        mourre.distance_cap(1, 1.2, 1.0, hi, rule="median")
+    assert mourre.distance_cap(1, mid, 1.0, hi) == pytest.approx(mid - 1.0, abs=1e-12)
 
 
 def test_find_delta0_mid_window(table_b1, e_mid):
@@ -116,9 +84,6 @@ def test_find_delta0_shrinks_near_endpoints(table_b1, e_mid):
     assert d_low < d_mid and d_high < d_mid
     assert d_low == pytest.approx(0.3, abs=2e-2)       # lower-edge bound E - e_1
     assert d_high <= hi - 2.5                          # upper-edge bound
-    # the min reading caps at the true distance; results agree here
-    d_low_min = mourre.find_delta0(1, 1.3, 1.0, table_b1, distance_rule="min")
-    assert abs(d_low - d_low_min) < 1e-6
 
 
 def test_find_delta0_errors(table_b1):

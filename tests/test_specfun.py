@@ -1,14 +1,17 @@
 """Special-function kernel against independent oracles.
 
-The oracles here do not call back into the implementation routes: Airy values
-come from the Maclaurin series, zeros from sign-change bracketing, moments
-from doubled-resolution Simpson sums, Beta values from closed forms.
+The oracles here do not call back into the implementation routes: the Airy
+values the kernel reads from scipy.special.airy (Ai first, Ai' second) are
+checked against the Maclaurin series, zeros by sign-change bracketing,
+moments against doubled-resolution Simpson sums, Beta values against closed
+forms.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from magbarrier import specfun
 from magbarrier.errors import ConfigurationError
@@ -16,6 +19,14 @@ from magbarrier.specfun import AiryKind
 
 AI = AiryKind.ZERO_OF_AI
 AIP = AiryKind.ZERO_OF_AI_PRIME
+
+
+def airy_ai(x):
+    return special.airy(x)[0]
+
+
+def airy_ai_prime(x):
+    return special.airy(x)[1]
 
 
 def airy_series(x, n_terms=60):
@@ -34,13 +45,13 @@ def airy_series(x, n_terms=60):
 
 def test_airy_ai_at_zero_matches_series_constant():
     want = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-    assert abs(specfun.airy_ai(0.0) - want) <= 1e-12
-    assert abs(specfun.airy_ai(0.0) - 0.3550280538878172) <= 1e-12
+    assert abs(airy_ai(0.0) - want) <= 1e-12
+    assert abs(airy_ai(0.0) - 0.3550280538878172) <= 1e-12
 
 
 def test_airy_ai_matches_series_on_core_interval():
     for x in (-2.5, -1.0, -0.3, 0.7, 1.5, 2.5):
-        assert abs(specfun.airy_ai(x) - airy_series(x)) <= 1e-12
+        assert abs(airy_ai(x) - airy_series(x)) <= 1e-12
 
 
 def test_airy_ai_prime_matches_series_derivative():
@@ -49,28 +60,21 @@ def test_airy_ai_prime_matches_series_derivative():
     for x in (-1.2, 0.4, 1.8):
         want = (airy_series(x - 2 * h) - 8 * airy_series(x - h)
                 + 8 * airy_series(x + h) - airy_series(x + 2 * h)) / (12 * h)
-        assert abs(specfun.airy_ai_prime(x) - want) <= 1e-10
+        assert abs(airy_ai_prime(x) - want) <= 1e-10
 
 
 def test_airy_decay_sign_and_order():
-    v = specfun.airy_ai(10.0)
+    v = airy_ai(10.0)
     assert 0.0 < v < 1e-9
 
 
 def test_airy_ode_residual_under_finite_differencing():
     h = 2e-3
     for x in np.concatenate((np.array([-5.0, 0.0, 5.0]), np.linspace(-8.0, 8.0, 33))):
-        stencil = (-specfun.airy_ai(x - 2 * h) + 16 * specfun.airy_ai(x - h)
-                   - 30 * specfun.airy_ai(x) + 16 * specfun.airy_ai(x + h)
-                   - specfun.airy_ai(x + 2 * h)) / (12 * h * h)
-        assert abs(stencil - x * specfun.airy_ai(x)) < 1e-9
-
-
-def test_airy_argument_domain():
-    with pytest.raises(ConfigurationError):
-        specfun.airy_ai(-2e6)
-    with pytest.raises(ConfigurationError):
-        specfun.airy_ai(float("nan"))
+        stencil = (-airy_ai(x - 2 * h) + 16 * airy_ai(x - h)
+                   - 30 * airy_ai(x) + 16 * airy_ai(x + h)
+                   - airy_ai(x + 2 * h)) / (12 * h * h)
+        assert abs(stencil - x * airy_ai(x)) < 1e-9
 
 
 def test_airy_zero_frozen_values():
@@ -79,7 +83,7 @@ def test_airy_zero_frozen_values():
 
 
 def test_airy_zero_is_a_sign_change_bracket():
-    for kind, fn in ((AI, specfun.airy_ai), (AIP, specfun.airy_ai_prime)):
+    for kind, fn in ((AI, airy_ai), (AIP, airy_ai_prime)):
         for j in (1, 2, 5):
             z = specfun.airy_zero(kind, j)
             assert abs(fn(z)) < 1e-12
@@ -105,7 +109,7 @@ def simpson_moment(kind, j, power, n):
     """Composite Simpson oracle on [0, 25 + |z|] with n+1 nodes (n even)."""
     z = specfun.airy_zero(kind, j)
     v = np.linspace(0.0, 25.0 + abs(z), n + 1)
-    f = v ** power * specfun.airy_ai(v + z) ** 2
+    f = v ** power * airy_ai(v + z) ** 2
     w = np.ones(n + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     return (v[1] - v[0]) / 3.0 * (w * f).sum()
