@@ -60,13 +60,6 @@ class AiryCheck:
     measured_error: float
     passed: bool
 
-    def to_record(self):
-        p = self.prediction
-        return {"b": p.b, "k": p.k, "j": p.j, "kind": p.kind.value,
-                "predicted": p.predicted, "measured": self.omega,
-                "measured_error": self.measured_error, "bound": p.bound,
-                "pass": self.passed}
-
 
 @dataclass(frozen=True)
 class SplitSample:
@@ -91,22 +84,13 @@ class SplittingFit:
     samples: tuple          # every SplitSample, retained or not
     retained: tuple         # the SplitSamples above the floor
 
-    def retained_window(self):
-        return (self.retained[0].k, self.retained[-1].k)
-
-    def to_record(self):
-        return {"b": self.b, "j": self.j, "rate": self.rate, "r2": self.r2,
-                "pass": self.passed, "floor": self.floor,
-                "k_retained": list(self.retained_window()),
-                "n_retained": len(self.retained),
-                "splittings": [[s.k, s.splitting] for s in self.samples]}
-
 
 def airy_prediction(b, k, j):
     """Wedge-model prediction k^2 - (2b|k|)^{2/3} z and its error bound.
 
     The bound is D * b^{4/3} (2|k|)^{-2/3} with D^2 the fourth moment of the
     squared Airy eigenfunction over its normalization — independent of (k,b).
+    A b whose b^{4/3} leaves the float range has no bound to test against.
     """
     if not k < 0.0:
         raise ConfigurationError("the wedge regime needs k < 0")
@@ -116,7 +100,10 @@ def airy_prediction(b, k, j):
     consts = specfun.airy_constants(kind, Parity.of_band(j)[1])
     sigma2 = (2.0 * b * abs(k)) ** (2.0 / 3.0)
     predicted = k * k - sigma2 * consts.z
-    bound = consts.D * b ** (4.0 / 3.0) * (2.0 * abs(k)) ** (-2.0 / 3.0)
+    try:
+        bound = consts.D * b ** (4.0 / 3.0) * (2.0 * abs(k)) ** (-2.0 / 3.0)
+    except OverflowError:
+        raise NumericalError(f"airy error bound overflows at b={b:g}") from None
     return AiryPrediction(j=j, k=float(k), b=float(b), kind=kind, z=consts.z,
                           predicted=predicted, bound=bound)
 

@@ -46,6 +46,16 @@ class Option:
     help: str
 
 
+# the spectral window of mourre, budget and localize
+_WINDOW = {
+    "b": Option("float", 1.0, "field strength"),
+    "n": Option("int", 1, "spectral window ordinal"),
+    "E": Option("str", "mid", "window energy, or 'mid'"),
+    "kmin": Option("float", None, "trace left end (default -4 sqrt(b))"),
+    "kmax": Option("float", None, "trace right end (default 6 sqrt(b))"),
+    "nbands": Option("int", None, "bands traced (default max(2n+1, 5))"),
+}
+
 COMMANDS = {
     "bands": {
         "b": Option("float", 1.0, "field strength"),
@@ -72,30 +82,15 @@ COMMANDS = {
         "samples": Option("int", 7, "k-samples across the window"),
     },
     "mourre": {
-        "b": Option("float", 1.0, "field strength"),
-        "n": Option("int", 1, "spectral window ordinal"),
-        "E": Option("str", "mid", "window energy, or 'mid'"),
-        "kmin": Option("float", None, "trace left end (default -4 sqrt(b))"),
-        "kmax": Option("float", None, "trace right end (default 6 sqrt(b))"),
-        "nbands": Option("int", None, "bands traced (default max(2n+1, 5))"),
+        **_WINDOW,
         "samples": Option("int", 81, "base k-samples for the trace"),
     },
     "budget": {
-        "b": Option("float", 1.0, "field strength"),
-        "n": Option("int", 1, "spectral window ordinal"),
-        "E": Option("str", "mid", "window energy, or 'mid'"),
-        "kmin": Option("float", None, "trace left end (default -4 sqrt(b))"),
-        "kmax": Option("float", None, "trace right end (default 6 sqrt(b))"),
-        "nbands": Option("int", None, "bands traced (default max(2n+1, 5))"),
+        **_WINDOW,
         "samples": Option("int", 81, "base k-samples for the trace"),
     },
     "localize": {
-        "b": Option("float", 1.0, "field strength"),
-        "n": Option("int", 1, "spectral window ordinal"),
-        "E": Option("str", "mid", "window energy, or 'mid'"),
-        "kmin": Option("float", None, "trace left end (default -4 sqrt(b))"),
-        "kmax": Option("float", None, "trace right end (default 6 sqrt(b))"),
-        "nbands": Option("int", None, "bands traced (default max(2n+1, 5))"),
+        **_WINDOW,
         "samples": Option("int", 9, "envelope samples per band"),
         "trace_samples": Option("int", 81, "base k-samples for the trace"),
     },
@@ -354,10 +349,10 @@ def cmd_airy(cfg, jobs=1):
     for k in cfg["ks"]:
         for j in range(1, cfg["jmax"] + 1):
             check = asymptotics.airy_check(cfg["b"], k, j)
-            rec = check.to_record()
-            rows.append([rec["k"], rec["j"], rec["kind"], rec["predicted"],
-                         rec["measured"], rec["measured_error"], rec["bound"],
-                         rec["pass"]])
+            pred = check.prediction
+            rows.append([pred.k, pred.j, pred.kind.value, pred.predicted,
+                         check.omega, check.measured_error, pred.bound,
+                         check.passed])
     passed = all(row[-1] for row in rows)
     return _payload("airy", cfg, columns, rows, {"n_checks": len(rows)}, passed)
 
@@ -398,25 +393,23 @@ def _window_report(cfg, trace_samples, jobs):
 
 def cmd_mourre(cfg, jobs=1):
     _, report = _window_report(cfg, cfg["samples"], jobs)
-    rec = report.to_record()
     columns = ["band", "k_left", "k_right", "c_band"]
-    rows = [[pre[0], pre[1], pre[2], c]
-            for pre, c in zip(rec["preimages"], rec["c_per_band"])]
-    summary = {"delta0": rec["delta0"], "delta": rec["delta"],
-               "c_n": rec["c_n"], "window_E": rec["E"]}
-    passed = rec["delta0"] > 0.0 and rec["c_n"] > 0.0
+    rows = [[j, left, right, c]
+            for (j, left, right), c in zip(report.preimages, report.c_per_band)]
+    summary = {"delta0": report.delta0, "delta": report.window.delta,
+               "c_n": report.c_n, "window_E": report.window.E}
+    passed = report.delta0 > 0.0 and report.c_n > 0.0
     return _payload("mourre", cfg, columns, rows, summary, passed)
 
 
 def cmd_budget(cfg, jobs=1):
     _, report = _window_report(cfg, cfg["samples"], jobs)
-    budget = mourre.perturbation_budget(cfg["n"], cfg["E"], cfg["b"], report)
-    rec = budget.to_record()
+    budget = mourre.perturbation_budget(cfg["n"], cfg["E"], report)
     columns = ["a_star", "q_star", "F"]
-    rows = [[rec["a_star"], rec["q_star"], rec["F"]]]
-    summary = {"delta0": rec["delta0"], "c_n": rec["c_n"],
-               "delta": rec["delta"]}
-    return _payload("budget", cfg, columns, rows, summary, rec["F"] < 0.5)
+    rows = [[budget.a_star, budget.q_star, budget.F_value]]
+    summary = {"delta0": budget.delta0, "c_n": budget.c_n,
+               "delta": budget.delta}
+    return _payload("budget", cfg, columns, rows, summary, budget.F_value < 0.5)
 
 
 def cmd_localize(cfg, jobs=1):
@@ -424,11 +417,8 @@ def cmd_localize(cfg, jobs=1):
     checks = localization.window_envelope_sweep(report,
                                                 n_samples=cfg["samples"])
     columns = ["j", "k", "x_n", "max_ratio", "tolerance", "pass"]
-    rows = []
-    for check in checks:
-        rec = check.to_record()
-        rows.append([rec["j"], rec["k"], rec["x_n"], rec["max_ratio"],
-                     rec["tolerance"], rec["envelope_ok"]])
+    rows = [[check.j, check.k, check.x_n, check.max_ratio,
+             localization.ENVELOPE_TOL, check.envelope_ok] for check in checks]
     summary = {"n_checks": len(rows),
                "worst_ratio": max((r[3] for r in rows), default=0.0)}
     return _payload("localize", cfg, columns, rows, summary,

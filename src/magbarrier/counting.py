@@ -66,9 +66,6 @@ class DecayPotential:
         if not self.C > 0.0:
             raise ConfigurationError("decay constant C must be positive")
 
-    def value(self, x, y):
-        return self.v1(x) * self.v2(y)
-
     def validate_condition(self, xs, ys):
         """Check the decay bound and nonnegativity on sample points."""
         xs = np.asarray(xs, dtype=float)
@@ -114,7 +111,6 @@ class ReducedPotential:
     ys: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     ell: float
-    fit_spread: float
 
     def __post_init__(self):
         if (self.values < 0.0).any():
@@ -156,8 +152,7 @@ def reduced_potential(V, ground, y_grid):
             f"tail fit has not settled: relative spread {spread:.3g} over the "
             f"last decade (residuals {scaled.min():.6g}..{scaled.max():.6g})"
         )
-    return ReducedPotential(alpha=V.alpha, ys=ys, values=values, ell=ell,
-                            fit_spread=spread)
+    return ReducedPotential(alpha=V.alpha, ys=ys, values=values, ell=ell)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +319,6 @@ class CountingCurve:
         if (np.diff(np.asarray(self.counts)) < 0).any():
             raise InvariantViolation("counts must not decrease as lambda does")
 
-    def to_record(self):
-        return {"lambdas": list(self.lambdas),
-                "counts": [int(c) for c in self.counts],
-                "fitted_exponent": self.fitted_exponent,
-                "fitted_prefactor": self.fitted_prefactor}
-
 
 def power_law_fit(lambdas, counts):
     """(p, A) of N ~ A lambda^{-p} by log-log least squares on nonzero counts.
@@ -406,7 +395,6 @@ class Grid2DSpec:
     hy: float = DEFAULT_HY_2D
     lx: float = None
     y_width: float = None
-    y_factor: float = TURNING_FACTOR
     max_unknowns: int = MAX_UNKNOWNS_2D
 
     def __post_init__(self):
@@ -569,11 +557,11 @@ def _grid_2d(b, V, lam, spec, ell_hint=None):
 
     lx defaults to the orbit plus envelope room and is snapped to a whole
     number of x-steps. Unless the spec fixes it, the y half-width covers
-    y_factor times the turning point of the reduced tail ell |y|^{-alpha};
-    without a hint, ell comes from the band-1 state at the frozen minimum
-    estimate kappa_1 ~ 0.768 sqrt(b). A grid that cannot be represented, or
-    that exceeds spec.max_unknowns, is refused here, before any grid array
-    exists.
+    TURNING_FACTOR times the turning point of the reduced tail
+    ell |y|^{-alpha}; without a hint, ell comes from the band-1 state at the
+    frozen minimum estimate kappa_1 ~ 0.768 sqrt(b). A grid that cannot be
+    represented, that has fewer than two x-steps, or that exceeds
+    spec.max_unknowns, is refused here, before any grid array exists.
     """
     root_b = math.sqrt(b)
     lx = spec.lx
@@ -586,13 +574,17 @@ def _grid_2d(b, V, lam, spec, ell_hint=None):
             ground = fiber.band(b, 0.768 * root_b, 1)
             ell_hint = fiber.expectation(
                 ground, np.asarray(V.v1(ground.grid.x), dtype=float))
-        y_width = spec.y_factor * tail_turning_point(ell_hint, lam, V.alpha)
+        y_width = TURNING_FACTOR * tail_turning_point(ell_hint, lam, V.alpha)
     y_cells = 2.0 * y_width / spec.hy
     if not (math.isfinite(x_cells) and math.isfinite(y_cells)):
         raise NumericalError(
             f"grid of {x_cells:g} x {y_cells:g} steps cannot be represented; "
             "raise lam or coarsen")
     nx, ny = int(round(x_cells)), int(math.ceil(y_cells))
+    if nx < 2:
+        raise ConfigurationError(
+            f"hx={spec.hx:g} leaves {nx} x-step(s) on the half-width "
+            f"{lx:g}; the fiber stencil needs at least 2")
     if (2 * nx - 1) * ny > spec.max_unknowns:
         raise NumericalError(
             f"grid {2 * nx - 1} x {ny} exceeds the budget of "
@@ -656,7 +648,7 @@ def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
 
     The x-line folds into even (Neumann) and odd (Dirichlet) half-line
     sectors sharing the fiber module's stencils, which requires v1 even; the
-    y-extent covers y_factor times the classical turning point of the
+    y-extent covers TURNING_FACTOR times the classical turning point of the
     reduced tail ell |y|^{-alpha}. A sector that meets a near-singular Schur
     block is recounted at tau (1 + 1e-9 attempt), and a RuntimeWarning names
     the sector and the shifted threshold.

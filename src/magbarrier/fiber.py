@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigurationError, InvariantViolation
+from .errors import ConfigurationError, InvariantViolation, NumericalError
 from .tridiag import richardson2
 
 DEFAULT_RESOLUTION = 4000
@@ -73,10 +73,6 @@ class FiberProblem:
     parity: Parity
     grid: Grid
     requested_levels: int
-
-    def potential(self, x=None):
-        x = self.grid.x if x is None else x
-        return (self.k - self.b * x) ** 2
 
 
 @dataclass(frozen=True)
@@ -187,8 +183,14 @@ def _fix_sign(psi):
 
 def _solve_on_resolution(problem, n_levels, N):
     d, e = stencil(problem.b, problem.k, problem.parity, problem.grid.L, N)
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1),
-                            check_finite=False)
+    try:
+        w, v = eigh_tridiagonal(d, e, select="i",
+                                select_range=(0, n_levels - 1),
+                                check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"fiber eigensolve failed at b={problem.b:g}, k={problem.k:g}: "
+            f"{exc}") from None
     if not np.all(np.diff(w) > 0.0):
         raise InvariantViolation(
             f"eigenvalues not strictly increasing at k={problem.k}, parity={problem.parity.value}"

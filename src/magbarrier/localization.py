@@ -25,19 +25,18 @@ PSI_NOISE_FLOOR = 1e-12
 NORM_TOL = 1e-9
 
 
-def turning_point(j, k, b, omega):
+def turning_point(k, b, omega):
     """Envelope onset x_n = (max(k, 0) + sqrt(omega)) / b.
 
     Smallest point with (b|x| - k)^2 - omega >= b^2 (|x| - x_n)^2 for all
     |x| >= x_n when the orbit center k/b sits on the barrier side; for
-    k < 0 the center is clipped to the barrier. The band index j is carried
-    for reporting; the bound depends on the band only through omega.
+    k < 0 the center is clipped to the barrier. The bound depends on the
+    band only through omega.
     """
     if b <= 0.0:
         raise ConfigurationError("field strength must be positive")
     if omega < 0.0:
         raise ConfigurationError("band energy must be nonnegative")
-    del j
     return (max(k, 0.0) + math.sqrt(omega)) / b
 
 
@@ -57,18 +56,12 @@ class LocalizationCheck:
     x_n: float
     envelope_ok: bool
     max_ratio: float
-    tolerance: float = ENVELOPE_TOL
 
     def __post_init__(self):
-        if self.envelope_ok != (self.max_ratio <= 1.0 + self.tolerance):
+        if self.envelope_ok != (self.max_ratio <= 1.0 + ENVELOPE_TOL):
             raise InvariantViolation(
                 "envelope_ok must mirror max_ratio against the tolerance"
             )
-
-    def to_record(self):
-        return {"j": self.j, "k": self.k, "b": self.b, "x_n": self.x_n,
-                "envelope_ok": self.envelope_ok, "max_ratio": self.max_ratio,
-                "tolerance": self.tolerance}
 
 
 def ratio_profile(pair, x_n=None):
@@ -80,7 +73,7 @@ def ratio_profile(pair, x_n=None):
     doubly-exponentially small envelope would be meaningless.
     """
     if x_n is None:
-        x_n = turning_point(pair.j, pair.k, pair.b, pair.omega)
+        x_n = turning_point(pair.k, pair.b, pair.omega)
     xs = pair.grid.x
     amp = np.abs(pair.psi)
     sel = (xs >= x_n) & (amp >= PSI_NOISE_FLOOR * amp.max())
@@ -98,7 +91,7 @@ def envelope_check(pair, b, k):
     total = fiber.expectation(pair, np.ones_like(pair.grid.x))
     if abs(total - 1.0) > NORM_TOL:
         raise ConfigurationError(f"pair is not normalized: ||psi||^2 = {total!r}")
-    x_n = turning_point(pair.j, k, b, pair.omega)
+    x_n = turning_point(k, b, pair.omega)
     _, ratios = ratio_profile(pair, x_n=x_n)
     max_ratio = float(ratios.max())
     return LocalizationCheck(j=pair.j, k=k, b=b, x_n=x_n,

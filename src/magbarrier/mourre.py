@@ -208,12 +208,6 @@ class MourreReport:
     c_per_band: tuple         # scaled constants c_{n,j}
     c_n: float
 
-    def to_record(self):
-        return {"n": self.window.n, "E": self.window.E, "b": self.window.b,
-                "delta": self.window.delta, "delta0": self.delta0,
-                "preimages": [list(p) for p in self.preimages],
-                "c_per_band": list(self.c_per_band), "c_n": self.c_n}
-
 
 def _derivative_at(b, k, j):
     """Extrapolated band derivative by a fresh solve of band j's parity class."""
@@ -301,9 +295,6 @@ class BandComponent:
     ks: np.ndarray = field(repr=False)
     amp2: np.ndarray = field(repr=False)
     phase: np.ndarray = field(repr=False)
-
-    def beta(self):
-        return np.sqrt(self.amp2) * np.exp(1j * self.phase)
 
 
 @dataclass(frozen=True)
@@ -430,13 +421,8 @@ class PerturbationBudget:
         if not self.F_value < 0.5:
             raise InvariantViolation("budget point does not satisfy F < 1/2")
 
-    def to_record(self):
-        return {"n": self.n, "E": self.E, "delta": self.delta,
-                "a_star": self.a_star, "q_star": self.q_star,
-                "F": self.F_value, "delta0": self.delta0, "c_n": self.c_n}
 
-
-def perturbation_budget(n, E, b, report):
+def perturbation_budget(n, E, report):
     """Maximize a_star * q_star with F < 1/2 somewhere below delta0.
 
     Logarithmic scan in a, logarithmic bisection in q, with F minimized over
@@ -504,13 +490,8 @@ class EdgeCurrent2D:
     passed: bool
     artifact_count: int = 0
 
-    def to_record(self):
-        return {"energies": list(self.energies), "currents": list(self.currents),
-                "bound": self.bound, "slack": self.slack, "pass": self.passed,
-                "artifacts_rejected": self.artifact_count}
 
-
-def _grid_2d(report, nx, ny, lx, ly):
+def _grid_2d(report, lx, ly):
     window, b = report.window, report.window.b
     if lx is None:
         k_max = max(abs(k) for _, l, r in report.preimages for k in (l, r))
@@ -538,7 +519,7 @@ def edge_current_2d(b, a, q, window, report, nx=127, ny=128,
         )
     if nx % 2 == 0:
         raise ConfigurationError("nx must be odd so a node sits on the barrier")
-    lx, ly = _grid_2d(report, nx, ny, lx, ly)
+    lx, ly = _grid_2d(report, lx, ly)
     hx = 2.0 * lx / (nx + 1)
     hy = ly / ny
     xs = -lx + hx * np.arange(1, nx + 1)

@@ -178,9 +178,9 @@ def test_c05_airy_regime():
     errors = {}
     for k in (-15.0, -20.0, -40.0):
         for j in range(1, 5):
-            rec = asymptotics.airy_check(1.0, k, j).to_record()
-            assert rec["pass"], f"Airy bound fails at k={k}, j={j}"
-            errors[(k, j)] = rec["measured_error"]
+            check = asymptotics.airy_check(1.0, k, j)
+            assert check.passed, f"Airy bound fails at k={k}, j={j}"
+            errors[(k, j)] = check.measured_error
     target = 2.0 ** (2.0 / 3.0)
     worst = 0.0
     for j in range(1, 5):
@@ -253,7 +253,7 @@ def test_c10_perturbation_budgets(window_11, window_21, window_14):
     for tag, (_, report) in (("n1b1", window_11), ("n2b1", window_21),
                              ("n1b4", window_14)):
         bud = mourre.perturbation_budget(report.window.n, report.window.E,
-                                         report.window.b, report)
+                                         report)
         assert bud.a_star > 0.0 and bud.q_star > 0.0
         assert bud.F_value < 0.5
         budgets[tag] = bud

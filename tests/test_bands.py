@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from magbarrier import bands, fiber
-from magbarrier.errors import ConfigurationError, NumericalError
+from magbarrier.errors import ConfigurationError
 from magbarrier.fiber import Parity
 
 KAPPA_1 = 0.768183653380

@@ -5,7 +5,6 @@ the exit code and the rendered CSV/JSON document.
 """
 
 import json
-import math
 import multiprocessing
 
 import pytest
@@ -248,6 +247,23 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     assert not (tmp_path / "count1d.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bands", "--b", "1e150", "--kmin", "0", "--kmax", "0"],
+    ["bands", "--b", "1e150", "--kmin=-1", "--kmax", "1", "--samples", "3",
+     "--jobs", "2"],
+    ["minima", "--b", "1e300"],
+    ["ho", "--b", "1e300"],
+    ["airy", "--b", "1e300", "--ks=-15", "--jmax", "1"],
+])
+def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
+                                                                   capfd, argv):
+    # LAPACK's tridiagonal solver stops converging, or b^(4/3) overflows
+    assert run(argv, tmp_path) == 3
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert multiprocessing.active_children() == []
+
+
 def test_bad_jobs_value_is_usage(tmp_path):
     assert run(["count1d", "--jobs", "0"], tmp_path) == 2
 
@@ -278,6 +294,9 @@ def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, cod
     ["count2d", "--max-unknowns", "0"],
     ["count2d", "--lambdas", "0.3,0.1,0.03,0"],
     ["count2d", "--lambdas=0.3,0.1,0.03,-0.01"],
+    # one x-step on the half-width at b = 1; the fiber stencil needs two
+    ["count2d", "--hx", "5"],
+    ["count2d", "--hx", "10"],
 ])
 def test_bad_input_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
     assert run(argv, tmp_path) == 2

@@ -209,7 +209,7 @@ def test_band_bounds_against_oscillator_levels():
 def test_build_problem_margin_and_scaling():
     p = fiber.build_problem(1.0, 0.0, Parity.EVEN, requested_levels=3)
     omega3 = fiber.solve(p, 3, refine=True)[-1].omega
-    assert p.potential(np.array([p.grid.L]))[0] >= 4.0 * omega3
+    assert (p.k - p.b * p.grid.L) ** 2 >= 4.0 * omega3
     p10 = fiber.build_problem(1.0, 10.0, Parity.EVEN, requested_levels=3)
     assert p10.grid.L > 10.0  # both wells enclosed
     p100 = fiber.build_problem(100.0, 0.0, Parity.EVEN, requested_levels=3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from magbarrier import bands, fiber, localization as loc, mourre
+from magbarrier import bands, localization as loc, mourre
 from magbarrier.errors import ConfigurationError, InvariantViolation
 
 KAPPA_1 = 0.768183653380
@@ -31,22 +31,22 @@ def window_b100():
 
 
 def test_turning_point_values():
-    assert loc.turning_point(1, 0.0, 1.0, 1.0) == 1.0
+    assert loc.turning_point(0.0, 1.0, 1.0) == 1.0
     # at an even-band minimum the energy is the square of the location,
     # so the onset sits at twice the minimum
-    assert loc.turning_point(1, KAPPA_1, 1.0, LEVEL_1) == pytest.approx(
+    assert loc.turning_point(KAPPA_1, 1.0, LEVEL_1) == pytest.approx(
         2.0 * KAPPA_1, rel=1e-9)
     # a barrier-side k clips the orbit center to the barrier
-    assert loc.turning_point(1, -2.0, 1.0, 1.0) == 1.0
+    assert loc.turning_point(-2.0, 1.0, 1.0) == 1.0
     # scaling: x_n at (k sqrt(b), b omega) is the b=1 value over sqrt(b)
     for b in (4.0, 25.0):
-        got = loc.turning_point(2, 0.7 * math.sqrt(b), b, b * 2.3)
-        assert got == pytest.approx(loc.turning_point(2, 0.7, 1.0, 2.3)
+        got = loc.turning_point(0.7 * math.sqrt(b), b, b * 2.3)
+        assert got == pytest.approx(loc.turning_point(0.7, 1.0, 2.3)
                                     / math.sqrt(b), rel=1e-14)
     with pytest.raises(ConfigurationError):
-        loc.turning_point(1, 0.0, 0.0, 1.0)
+        loc.turning_point(0.0, 0.0, 1.0)
     with pytest.raises(ConfigurationError):
-        loc.turning_point(1, 0.0, 1.0, -0.5)
+        loc.turning_point(0.0, 1.0, -0.5)
 
 
 def test_envelope_values_shape():
@@ -76,8 +76,7 @@ def test_envelope_check_pure_oscillator():
     # prefactor bound at the onset point itself
     psi_on = abs(float(np.interp(check.x_n, pair.grid.x, pair.psi)))
     assert psi_on <= (2.0 / math.pi) ** 0.25
-    record = check.to_record()
-    assert record["envelope_ok"] and record["max_ratio"] == check.max_ratio
+    assert check.j == 1 and check.k == 0.0 and check.b == 1.0
 
 
 def test_ratio_profile_monotone_decay():

@@ -1,12 +1,21 @@
-"""Every module-level definition of the package is reached from the CLI.
+"""Every definition, class member and parameter of the package is used.
 
 The paper's results reach users through the subcommands, so a definition no
 subcommand reaches is either a test oracle (and lives under tests/) or dead.
 The walk is pure AST: starting from `cli.main`, a definition reaches every
 name its source refers to, read through the imports of its module, so
 `fiber.band`, a bare `band` imported from `.fiber`, and a same-module helper
-all count. Class bodies count whole, so methods, dataclass defaults and
-base classes are reached with their class.
+all count.
+
+A reached class brings its decorators, base classes, field defaults and
+dunder methods (so its `__post_init__` is reached code). Its other methods
+are reached once reached code calls an attribute of their name, and only
+then does a method body count as reached code; a dataclass field is reached
+once reached code reads an attribute of its name. Matching is by name, so a
+collision can hide a dead member but never flags a live one.
+
+Apart from the walk, every parameter of every package function must be read
+in its body, except the uniform `jobs` of the `cmd_*` handlers.
 """
 
 import ast
@@ -39,6 +48,12 @@ ALLOWED = {
     ("localization", "normalized_random_state"),
     # perfbench/tests/test_layers.py traces it as a counting layer function
     ("counting", "bisection_count"),
+}
+
+# Members of reached classes kept although no reached code reads them.
+ALLOWED_MEMBERS = {
+    # test_bands.py checks where each even band has its unique minimum
+    ("bands", "MonotonicityReport", "flip_ks"),
 }
 
 
@@ -96,18 +111,126 @@ def _references(module, node, package):
             yield modules[sub.value.id], sub.attr
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _is_dataclass(cls):
+    """Whether the class is decorated `@dataclass` or `@dataclass(...)`."""
+    return any(getattr(getattr(deco, "func", deco), "id", None) == "dataclass"
+               for deco in cls.decorator_list)
+
+
+def _methods(cls):
+    """{name: node} of the class's own methods other than dunders."""
+    return {node.name: node for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name)}
+
+
+def _fields(cls):
+    """Names of a dataclass's fields; none for any other class."""
+    if not _is_dataclass(cls):
+        return []
+    return [node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def _code(node):
+    """The parts of a definition that count as reached code with it: all of
+    a function or assignment, and a class without its non-dunder methods."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    methods = _methods(node).values()
+    return [*node.decorator_list, *node.bases, *node.keywords,
+            *(sub for sub in node.body if sub not in methods)]
+
+
+def _classes(seen, package):
+    """(module, name) of the reached classes."""
+    return [key for key in seen if len(key) == 2
+            and isinstance(package[key[0]][0][key[1]], ast.ClassDef)]
+
+
+def _walk(package):
+    """(reached keys, attribute names that reached code reads).
+
+    A key is (module, name) for a module-level definition and
+    (module, class, method) for a method. Once the definitions run out, the
+    methods of reached classes whose names reached code calls join the walk.
+    """
+    seen, called, read = set(), set(), set()
+    todo = [("cli", "main")]
+    while todo:
+        key = todo.pop()
+        node = package.get(key[0], ({},))[0].get(key[1])
+        if len(key) == 3 and node is not None:
+            node = _methods(node).get(key[2])
+        if key not in seen and node is not None:
+            seen.add(key)
+            for part in _code(node):
+                todo.extend(_references(key[0], part, package))
+                for sub in ast.walk(part):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                        read.add(sub.attr)
+                    if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                        called.add(sub.func.attr)
+        if not todo:
+            todo = [(module, name, method) for module, name in _classes(seen, package)
+                    for method in _methods(package[module][0][name])
+                    if method in called and (module, name, method) not in seen]
+    return seen, read
+
+
 def unreached():
     """Sorted (module, name) of the definitions `cli.main` does not reach."""
     package = _package()
-    seen, todo = set(), [("cli", "main")]
-    while todo:
-        key = todo.pop()
-        if key in seen or key[0] not in package or key[1] not in package[key[0]][0]:
-            continue
-        seen.add(key)
-        todo.extend(_references(key[0], package[key[0]][0][key[1]], package))
+    seen = _walk(package)[0]
     every = {(module, name) for module, entry in package.items() for name in entry[0]}
     return sorted(every - seen)
+
+
+def unreached_members():
+    """Sorted (module, class, member) of the methods no reached code calls
+    and the dataclass fields no reached code reads, over reached classes."""
+    package = _package()
+    seen, read = _walk(package)
+    stray = set()
+    for module, name in _classes(seen, package):
+        cls = package[module][0][name]
+        stray.update((module, name, method) for method in _methods(cls)
+                     if (module, name, method) not in seen)
+        stray.update((module, name, field) for field in _fields(cls)
+                     if field not in read)
+    return sorted(stray)
+
+
+def _functions(node, prefix):
+    """(qualified name, node) of every function under `node`, nested ones too."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.FunctionDef):
+            yield f"{prefix}{sub.name}", sub
+            yield from _functions(sub, f"{prefix}{sub.name}.")
+        elif isinstance(sub, ast.ClassDef):
+            yield from _functions(sub, f"{prefix}{sub.name}.")
+        else:
+            yield from _functions(sub, prefix)
+
+
+def unused_parameters():
+    """Sorted 'module.function(parameter)' of parameters their body never reads."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, func in _functions(tree, f"{path.stem}."):
+            args = func.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg, args.kwarg)
+                      if a is not None]
+            loaded = {sub.id for stmt in func.body for sub in ast.walk(stmt)
+                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            out += [f"{name}({param})" for param in params if param not in loaded
+                    and not (name.startswith("cli.cmd_") and param == "jobs")]
+    return sorted(out)
 
 
 def test_every_definition_is_reached_from_the_cli_or_allowed():
@@ -119,3 +242,19 @@ def test_every_definition_is_reached_from_the_cli_or_allowed():
 def test_allowlist_names_only_unreached_definitions():
     stale = sorted(f"{module}.{name}" for module, name in ALLOWED - set(unreached()))
     assert stale == [], f"allowlisted but reached or gone: {', '.join(stale)}"
+
+
+def test_every_member_of_a_reached_class_is_reached_or_allowed():
+    stray = [".".join(key) for key in unreached_members()
+             if key not in ALLOWED_MEMBERS]
+    assert stray == [], f"read or called by no subcommand: {', '.join(stray)}"
+
+
+def test_member_allowlist_names_only_unreached_members():
+    stale = sorted(".".join(key) for key in ALLOWED_MEMBERS - set(unreached_members()))
+    assert stale == [], f"allowlisted but reached or gone: {', '.join(stale)}"
+
+
+def test_every_parameter_is_read_in_its_body():
+    unused = unused_parameters()
+    assert unused == [], f"parameters never read: {', '.join(unused)}"
