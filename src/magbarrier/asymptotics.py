@@ -42,7 +42,6 @@ class AiryPrediction:
     k: float
     b: float
     kind: AiryKind
-    z: float
     predicted: float
     bound: float
 
@@ -75,8 +74,6 @@ class SplitSample:
 class SplittingFit:
     """Log-linear decay fit of the parity splitting against k^2/b."""
 
-    j: int
-    b: float
     rate: float
     r2: float
     passed: bool
@@ -104,7 +101,7 @@ def airy_prediction(b, k, j):
         bound = consts.D * b ** (4.0 / 3.0) * (2.0 * abs(k)) ** (-2.0 / 3.0)
     except OverflowError:
         raise NumericalError(f"airy error bound overflows at b={b:g}") from None
-    return AiryPrediction(j=j, k=float(k), b=float(b), kind=kind, z=consts.z,
+    return AiryPrediction(j=j, k=float(k), b=float(b), kind=kind,
                           predicted=predicted, bound=bound)
 
 
@@ -185,8 +182,13 @@ def omega_pair_precise(b, k, j):
         values = []
         for N in PRECISE_LEVELS:
             d, e = fiber.stencil(b, k, parity, L, N)
-            seed = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
-                                    check_finite=False, eigvals_only=True)[0]
+            try:
+                seed = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
+                                        check_finite=False, eigvals_only=True)[0]
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"precise seed eigensolve failed at b={b:g}, k={k:g}: "
+                    f"{exc}") from None
             values.append(_precise_eigenvalue(b, k, parity, j - 1, L, N, seed))
         out.append(float(richardson3(*values)))
     return out[0], out[1]
@@ -244,6 +246,5 @@ def splitting_fit(b, j, k_samples, kappa=None):
     r2 = 1.0 - ss_res / ss_tot
     nonneg = all(s.splitting >= 0.0 for s in retained)
     passed = bool(slope <= -0.25 + RATE_SLACK and nonneg)
-    return SplittingFit(j=j, b=float(b), rate=float(slope), r2=r2,
-                        passed=passed, floor=floor, samples=tuple(samples),
-                        retained=tuple(retained))
+    return SplittingFit(rate=float(slope), r2=r2, passed=passed, floor=floor,
+                        samples=tuple(samples), retained=tuple(retained))

@@ -27,28 +27,23 @@ REFINE_FACTOR = 10.0       # curvature threshold over median for k-grid splits
 
 
 @dataclass(frozen=True)
-class BandSample:
-    """One band evaluated at one k."""
-
-    k: float
-    omega: float
-    domega_fh: float
-    domega_bd: float
-    psi0: float
-    dpsi0: float
-
-
-@dataclass(frozen=True)
 class BandTable:
-    """Sampled band functions over a common k-grid."""
+    """Sampled band functions over a common k-grid.
+
+    Each column is one (n_bands, len(ks)) array whose row j - 1 is band j.
+    """
 
     b: float
     ks: np.ndarray = field(repr=False)
-    bands: list = field(repr=False)      # per band: list of BandSample
+    omega: np.ndarray = field(repr=False)
+    domega_fh: np.ndarray = field(repr=False)
+    domega_bd: np.ndarray = field(repr=False)
+    psi0: np.ndarray = field(repr=False)
+    dpsi0: np.ndarray = field(repr=False)
     parities: list = None                # per band: Parity
 
     def n_bands(self):
-        return len(self.bands)
+        return len(self.omega)
 
 
 @dataclass(frozen=True)
@@ -77,57 +72,48 @@ def derivative_boundary(pair):
     return float((-2.0 / b) * ((pair.omega - k * k) * pair.psi0 ** 2 + pair.dpsi0 ** 2))
 
 
-def _sample(pair):
-    return BandSample(k=pair.k, omega=pair.omega,
-                      domega_fh=derivative_fh(pair),
-                      domega_bd=derivative_boundary(pair),
-                      psi0=pair.psi0, dpsi0=pair.dpsi0)
-
-
-def _extrap(functional, coarse, fine):
-    return float(richardson2(functional(coarse), functional(fine)))
-
-
-def _sample_refined(coarse, fine, refined):
-    """Sample with every column extrapolated in h^2, not just the energy."""
-    return BandSample(k=refined.k, omega=refined.omega,
-                      domega_fh=_extrap(derivative_fh, coarse, fine),
-                      domega_bd=_extrap(derivative_boundary, coarse, fine),
-                      psi0=_extrap(lambda p: p.psi0, coarse, fine),
-                      dpsi0=_extrap(lambda p: p.dpsi0, coarse, fine))
+def _columns(pair):
+    """One table row: (omega, domega_fh, domega_bd, psi0, dpsi0) of a pair."""
+    return (pair.omega, derivative_fh(pair), derivative_boundary(pair),
+            pair.psi0, pair.dpsi0)
 
 
 def _curvatures(ks, ws):
-    """Second divided differences, usable on a nonuniform grid."""
-    out = np.zeros(len(ks))
-    for i in range(1, len(ks) - 1):
-        s1 = (ws[i] - ws[i - 1]) / (ks[i] - ks[i - 1])
-        s2 = (ws[i + 1] - ws[i]) / (ks[i + 1] - ks[i])
-        out[i] = 2.0 * (s2 - s1) / (ks[i + 1] - ks[i - 1])
+    """|Second divided differences| along the last axis, on a nonuniform grid.
+
+    Both end nodes read 0.
+    """
+    ks = np.asarray(ks)
+    slopes = np.diff(ws) / np.diff(ks)
+    out = np.zeros(np.shape(ws))
+    out[..., 1:-1] = 2.0 * np.diff(slopes) / (ks[2:] - ks[:-2])
     return np.abs(out)
 
 
 class _Row(NamedTuple):
-    """The traced bands at one k: one BandSample and one Parity per band."""
+    """The traced bands at one k: one _columns row and one Parity per band."""
 
-    samples: list
+    columns: list
     parities: list
 
 
 def _trace_row(b, k, n_bands, resolution, refine):
     """The _Row of the n_bands lowest bands at one k.
 
-    Only the samples leave; the eigenvectors behind them are dropped here,
-    so a traced grid costs a few floats per point, not a vector per band.
+    Only the column values leave; the eigenvectors behind them are dropped
+    here, so a traced grid costs a few floats per point, not a vector per
+    band. A refined row extrapolates every column in h^2, not just the energy.
     """
     if refine:
-        coarse, fine, refined = fiber.first_levels_two_grids(
-            b, k, n_bands, resolution=resolution)
-        samples = [_sample_refined(c, f, r) for c, f, r in zip(coarse, fine, refined)]
+        coarse, fine = fiber.first_levels_two_grids(b, k, n_bands,
+                                                    resolution=resolution)
+        columns = [[float(richardson2(c, f))
+                    for c, f in zip(_columns(c_pair), _columns(f_pair))]
+                   for c_pair, f_pair in zip(coarse, fine)]
     else:
-        refined = fiber.first_levels(b, k, n_bands, resolution=resolution, refine=False)
-        samples = [_sample(pair) for pair in refined]
-    return _Row(samples, [pair.parity for pair in refined])
+        fine = fiber.first_levels(b, k, n_bands, resolution=resolution, refine=False)
+        columns = [_columns(pair) for pair in fine]
+    return _Row(columns, [pair.parity for pair in fine])
 
 
 @contextlib.contextmanager
@@ -174,31 +160,25 @@ def trace(b, k_min, k_max, n_bands=8, base_samples=81, resolution=DEFAULT_RESOLU
             ks = [k for k in dict.fromkeys(ks) if k not in rows]
             rows.update(zip(ks, k_map(row_at, ks)))
 
+        def stacked():
+            """The sorted k-grid and its (5, n_bands, len(ks)) column stack."""
+            ks = sorted(rows)
+            return ks, np.array([rows[k].columns for k in ks]).T
+
         solve(float(k) for k in np.linspace(k_min, k_max, base_samples))
         for _ in range(refine_passes):
-            ks = sorted(rows)
-            flagged = set()
-            all_curv = []
-            per_band = []
-            for j in range(n_bands):
-                ws = [rows[k].samples[j].omega for k in ks]
-                curv = _curvatures(ks, ws)
-                per_band.append(curv)
-                all_curv.extend(curv[1:-1])
-            cut = REFINE_FACTOR * float(np.median(all_curv))
-            for curv in per_band:
-                for i in np.nonzero(curv > cut)[0]:
-                    flagged.add(i)
+            ks, columns = stacked()
+            curv = _curvatures(ks, columns[0])
+            cut = REFINE_FACTOR * float(np.median(curv[:, 1:-1]))
             new_ks = set()
-            for i in flagged:
+            for i in np.nonzero((curv > cut).any(axis=0))[0]:
                 if i > 0:
                     new_ks.add(0.5 * (ks[i - 1] + ks[i]))
                 if i < len(ks) - 1:
                     new_ks.add(0.5 * (ks[i] + ks[i + 1]))
             solve(sorted(new_ks - set(ks)))
-    ks = np.array(sorted(rows))
-    bands = [[rows[k].samples[j] for k in ks] for j in range(n_bands)]
-    return BandTable(b=b, ks=ks, bands=bands, parities=rows[ks[0]].parities)
+    ks, columns = stacked()
+    return BandTable(b, np.array(ks), *columns, parities=rows[ks[0]].parities)
 
 
 def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
@@ -265,21 +245,22 @@ def monotonicity_report(table):
     violations = []
     flip_ks = {}
     checked = 0
-    for j_idx, samples in enumerate(table.bands):
+    ks = table.ks
+    for j_idx, ws in enumerate(table.omega):
         parity = table.parities[j_idx]
-        diffs = np.diff([s.omega for s in samples])
+        diffs = np.diff(ws)
         checked += len(diffs)
         if parity is Parity.ODD:
             for i in np.nonzero(diffs > tol)[0]:
-                violations.append((j_idx + 1, samples[i + 1].k))
+                violations.append((j_idx + 1, ks[i + 1]))
         else:
             pos = np.nonzero(diffs > tol)[0]
             flip = pos[0] if len(pos) else len(diffs)
             if flip < len(diffs):
-                flip_ks[j_idx + 1] = 0.5 * (samples[flip].k + samples[flip + 1].k)
+                flip_ks[j_idx + 1] = 0.5 * (ks[flip] + ks[flip + 1])
             for i in range(flip, len(diffs)):
                 if diffs[i] < -tol:
-                    violations.append((j_idx + 1, samples[i + 1].k))
+                    violations.append((j_idx + 1, ks[i + 1]))
     return MonotonicityReport(violations=violations, checked=checked, flip_ks=flip_ks)
 
 
@@ -287,9 +268,7 @@ def table_minimum(table, band=1):
     """(k*, omega*) of one band from the table, parabola-refined at the argmin."""
     if not 1 <= band <= table.n_bands():
         raise ConfigurationError(f"band {band} is not among the {table.n_bands()} traced")
-    samples = table.bands[band - 1]
-    ws = np.array([s.omega for s in samples])
-    ks = np.array([s.k for s in samples])
+    ks, ws = table.ks, table.omega[band - 1]
     i = int(np.argmin(ws))
     if i == 0 or i == len(ws) - 1:
         return float(ks[i]), float(ws[i])

@@ -283,10 +283,10 @@ def _payload(command, cfg, columns, rows, summary, passed, failed=None):
 def _plot_blocks(table):
     lines = ["# band functions: k omega, blank line between blocks",
              f"# b={table.b:.{CSV_DIGITS}g}"]
-    for j_idx, samples in enumerate(table.bands):
+    for j_idx, ws in enumerate(table.omega):
         lines.append(f"# band {j_idx + 1} ({table.parities[j_idx].value})")
-        for s in samples:
-            lines.append(f"{s.k:.{CSV_DIGITS}g} {s.omega:.{CSV_DIGITS}g}")
+        for k, w in zip(table.ks, ws):
+            lines.append(f"{k:.{CSV_DIGITS}g} {w:.{CSV_DIGITS}g}")
         lines.append("")
     lines.append("# reference parabola E = k^2")
     for k in table.ks:
@@ -311,11 +311,11 @@ def cmd_bands(cfg, jobs=1):
                "psi0", "dpsi0", "k_squared"]
     rows = []
     for i, k in enumerate(table.ks):
-        for j_idx, samples in enumerate(table.bands):
-            s = samples[i]
-            rows.append([float(k), j_idx + 1, table.parities[j_idx].value,
-                         s.omega, s.domega_fh, s.domega_bd, s.psi0, s.dpsi0,
-                         float(k) ** 2])
+        for j_idx, parity in enumerate(table.parities):
+            rows.append([float(k), j_idx + 1, parity.value,
+                         table.omega[j_idx, i], table.domega_fh[j_idx, i],
+                         table.domega_bd[j_idx, i], table.psi0[j_idx, i],
+                         table.dpsi0[j_idx, i], float(k) ** 2])
     summary = {"monotonicity_checked": mono.checked,
                "monotonicity_violations": len(mono.violations)}
     payload = _payload("bands", cfg, columns, rows, summary,
@@ -360,9 +360,8 @@ def cmd_airy(cfg, jobs=1):
 def cmd_ho(cfg, jobs=1):
     ks = np.linspace(cfg["kmin"], cfg["kmax"], cfg["samples"])
     fit = asymptotics.splitting_fit(cfg["b"], cfg["j"], ks)
-    retained = set(id(s) for s in fit.retained)
     columns = ["k", "gap_plus", "gap_minus", "splitting", "retained"]
-    rows = [[s.k, s.gap_plus, s.gap_minus, s.splitting, id(s) in retained]
+    rows = [[s.k, s.gap_plus, s.gap_minus, s.splitting, s.splitting > fit.floor]
             for s in fit.samples]
     summary = {"rate": fit.rate, "r2": fit.r2, "floor": fit.floor,
                "n_retained": len(fit.retained)}
@@ -371,6 +370,8 @@ def cmd_ho(cfg, jobs=1):
 
 def _window_report(cfg, trace_samples, jobs):
     b, n = cfg["b"], cfg["n"]
+    if not b > 0.0:
+        raise ConfigurationError(f"field strength must be positive, got {b}")
     root_b = math.sqrt(b)
     kmin = cfg["kmin"] if cfg["kmin"] is not None else -4.0 * root_b
     kmax = cfg["kmax"] if cfg["kmax"] is not None else 6.0 * root_b
@@ -388,11 +389,11 @@ def _window_report(cfg, trace_samples, jobs):
         except ValueError:
             raise ConfigurationError(f"E must be a number or 'mid', got {spec!r}")
     cfg.update(kmin=kmin, kmax=kmax, nbands=nbands, E=energy, E_spec=spec)
-    return table, mourre.window_report(n, energy, b, table)
+    return mourre.window_report(n, energy, b, table)
 
 
 def cmd_mourre(cfg, jobs=1):
-    _, report = _window_report(cfg, cfg["samples"], jobs)
+    report = _window_report(cfg, cfg["samples"], jobs)
     columns = ["band", "k_left", "k_right", "c_band"]
     rows = [[j, left, right, c]
             for (j, left, right), c in zip(report.preimages, report.c_per_band)]
@@ -403,8 +404,8 @@ def cmd_mourre(cfg, jobs=1):
 
 
 def cmd_budget(cfg, jobs=1):
-    _, report = _window_report(cfg, cfg["samples"], jobs)
-    budget = mourre.perturbation_budget(cfg["n"], cfg["E"], report)
+    report = _window_report(cfg, cfg["samples"], jobs)
+    budget = mourre.perturbation_budget(report)
     columns = ["a_star", "q_star", "F"]
     rows = [[budget.a_star, budget.q_star, budget.F_value]]
     summary = {"delta0": budget.delta0, "c_n": budget.c_n,
@@ -413,7 +414,7 @@ def cmd_budget(cfg, jobs=1):
 
 
 def cmd_localize(cfg, jobs=1):
-    _, report = _window_report(cfg, cfg["trace_samples"], jobs)
+    report = _window_report(cfg, cfg["trace_samples"], jobs)
     checks = localization.window_envelope_sweep(report,
                                                 n_samples=cfg["samples"])
     columns = ["j", "k", "x_n", "max_ratio", "tolerance", "pass"]

@@ -88,6 +88,8 @@ def standard_potential(alpha, amplitude=1.0):
     """
     if amplitude <= 0.0:
         raise ConfigurationError("amplitude must be positive")
+    if not 0.0 < alpha < 2.0:
+        raise ConfigurationError("decay exponent alpha must lie in (0, 2)")
 
     def v1(x):
         return amplitude * (1.0 + np.abs(x)) ** -alpha
@@ -182,6 +184,8 @@ def tail_turning_point(ell, lam, alpha):
 
     inf when the power leaves the float range; the grid budgets refuse it.
     """
+    if not lam > 0.0:
+        raise ConfigurationError(f"gap lambda must be positive, got {lam}")
     try:
         return (ell / lam) ** (1.0 / alpha)
     except OverflowError:

@@ -348,21 +348,20 @@ def first_levels(b, k, n_bands, resolution=DEFAULT_RESOLUTION, refine=False):
 
 
 def first_levels_two_grids(b, k, n_bands, resolution=DEFAULT_RESOLUTION):
-    """first_levels on both grids: (coarse, fine, refined) merged lists.
+    """first_levels on both grids: the (coarse, fine) merged lists.
 
-    The three lists are merged by the same deterministic interleave, so the
-    m-th entries of each describe the same band and functionals of the pair
-    can be extrapolated entrywise.
+    Both lists are merged by the same deterministic interleave, so the m-th
+    entries of each describe the same band and functionals of the pair can
+    be extrapolated entrywise.
     """
     n_even = (n_bands + 1) // 2
     n_odd = n_bands // 2
     even_problem = build_problem(b, k, Parity.EVEN, requested_levels=n_even,
                                  resolution=resolution)
-    even_three = solve_two_grids(even_problem, n_even)
+    even = solve_two_grids(even_problem, n_even)[:2]
     if n_odd == 0:
-        return tuple(lst[:n_bands] for lst in even_three)
+        return tuple(lst[:n_bands] for lst in even)
     odd_problem = build_problem(b, k, Parity.ODD, requested_levels=n_odd,
                                 resolution=resolution)
-    odd_three = solve_two_grids(odd_problem, n_odd)
-    return tuple(merge_parities(e, o)[:n_bands]
-                 for e, o in zip(even_three, odd_three))
+    odd = solve_two_grids(odd_problem, n_odd)[:2]
+    return tuple(merge_parities(e, o)[:n_bands] for e, o in zip(even, odd))

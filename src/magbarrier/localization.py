@@ -52,7 +52,6 @@ class LocalizationCheck:
 
     j: int
     k: float
-    b: float
     x_n: float
     envelope_ok: bool
     max_ratio: float
@@ -94,7 +93,7 @@ def envelope_check(pair, b, k):
     x_n = turning_point(k, b, pair.omega)
     _, ratios = ratio_profile(pair, x_n=x_n)
     max_ratio = float(ratios.max())
-    return LocalizationCheck(j=pair.j, k=k, b=b, x_n=x_n,
+    return LocalizationCheck(j=pair.j, k=k, x_n=x_n,
                              envelope_ok=max_ratio <= 1.0 + ENVELOPE_TOL,
                              max_ratio=max_ratio)
 

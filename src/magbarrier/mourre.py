@@ -75,14 +75,6 @@ def distance_cap(n, E, b, window_hi):
 # band branches and preimages, from a traced table
 
 
-def _band_arrays(table, j):
-    samples = table.bands[j - 1]
-    ks = np.array([s.k for s in samples])
-    ws = np.array([s.omega for s in samples])
-    dws = np.array([s.domega_fh for s in samples])
-    return ks, ws, dws
-
-
 def _decreasing_branch(table, j):
     """The strictly decreasing branch of global band j, as sampled arrays.
 
@@ -92,7 +84,7 @@ def _decreasing_branch(table, j):
     a monotone inverse, so targets below the truncated range are treated as
     outside the invertible domain.
     """
-    ks, ws, dws = _band_arrays(table, j)
+    ks, ws, dws = table.ks, table.omega[j - 1], table.domega_fh[j - 1]
     if table.parities[j - 1] is Parity.EVEN:
         cut = int(np.argmin(ws)) + 1
         ks, ws, dws = ks[:cut], ws[:cut], dws[:cut]
@@ -156,15 +148,14 @@ def find_delta0(n, E, b, table):
             f"E={E:g} is not strictly inside the window ({lo:g}, {hi:g})"
         )
     cap = distance_cap(n, E, b, hi)
+    higher_floor = table.omega[2 * n:].min()   # lowest sample past band 2n
 
     def feasible(delta0):
         lo_e, hi_e = E - delta0 * b, E + delta0 * b
         if not (lo_e > lo and hi_e < hi):
             return False
-        for j in range(2 * n + 1, table.n_bands() + 1):
-            _, ws, _ = _band_arrays(table, j)
-            if ws.min() <= hi_e:
-                return False
+        if higher_floor <= hi_e:
+            return False
         intervals = []
         for j in range(1, 2 * n + 1):
             try:
@@ -330,13 +321,6 @@ def random_state(report, rng, n_points=33):
     return FiberState(components=tuple(comps), report=report)
 
 
-def _interp_band(table, j, ks, column):
-    samples = table.bands[j - 1]
-    xs = np.array([s.k for s in samples])
-    ys = np.array([getattr(s, column) for s in samples])
-    return np.interp(ks, xs, ys)
-
-
 def edge_current_fiber(state, table):
     """J_y in the band representation: sum_j int |beta_j|^2 (-omega_j') dk.
 
@@ -355,7 +339,7 @@ def edge_current_fiber(state, table):
             raise ConfigurationError(
                 f"state support leaks outside the preimage of band {comp.j}"
             )
-        velocity = -_interp_band(table, comp.j, comp.ks, "domega_fh")
+        velocity = -np.interp(comp.ks, table.ks, table.domega_fh[comp.j - 1])
         total += float(np.trapezoid(comp.amp2 * velocity, comp.ks))
     floor = 0.5 * report.c_n * math.sqrt(b) * state.norm2()
     if total < floor:
@@ -369,7 +353,7 @@ def evolve_free(state, t, table):
     """Free evolution in the band representation: a pure phase rotation."""
     comps = []
     for comp in state.components:
-        omega = _interp_band(table, comp.j, comp.ks, "omega")
+        omega = np.interp(comp.ks, table.ks, table.omega[comp.j - 1])
         comps.append(BandComponent(j=comp.j, ks=comp.ks, amp2=comp.amp2,
                                    phase=comp.phase - omega * t))
     return FiberState(components=tuple(comps), report=state.report)
@@ -406,8 +390,6 @@ def F_nE(delta, a_frak, q_frak, n, delta0, c_n):
 class PerturbationBudget:
     """Largest tested perturbation scales keeping the commutator bound."""
 
-    n: int
-    E: float
     delta: float          # the delta in (0, delta0) realizing the budget
     a_star: float
     q_star: float
@@ -422,7 +404,7 @@ class PerturbationBudget:
             raise InvariantViolation("budget point does not satisfy F < 1/2")
 
 
-def perturbation_budget(n, E, report):
+def perturbation_budget(report):
     """Maximize a_star * q_star with F < 1/2 somewhere below delta0.
 
     Logarithmic scan in a, logarithmic bisection in q, with F minimized over
@@ -430,7 +412,7 @@ def perturbation_budget(n, E, report):
     the feasible region is downward closed and the scan is exhaustive at
     grid resolution. All quantities are scaled, hence b-independent.
     """
-    delta0, c_n = report.delta0, report.c_n
+    n, delta0, c_n = report.window.n, report.delta0, report.c_n
     deltas = np.geomspace(delta0 * 1e-6, delta0 * (1.0 - 1e-9), BUDGET_DELTA_GRID)
 
     def best_delta(a_frak, q_frak):
@@ -463,9 +445,8 @@ def perturbation_budget(n, E, report):
             best = (float(a_frak), float(lo))
     a_star, q_star = best
     delta_star, f_val = best_delta(a_star, q_star)
-    return PerturbationBudget(n=n, E=E, delta=delta_star, a_star=a_star,
-                              q_star=q_star, F_value=f_val, delta0=delta0,
-                              c_n=c_n)
+    return PerturbationBudget(delta=delta_star, a_star=a_star, q_star=q_star,
+                              F_value=f_val, delta0=delta0, c_n=c_n)
 
 
 # ---------------------------------------------------------------------------

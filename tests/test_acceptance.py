@@ -252,8 +252,7 @@ def test_c10_perturbation_budgets(window_11, window_21, window_14):
     budgets = {}
     for tag, (_, report) in (("n1b1", window_11), ("n2b1", window_21),
                              ("n1b4", window_14)):
-        bud = mourre.perturbation_budget(report.window.n, report.window.E,
-                                         report)
+        bud = mourre.perturbation_budget(report)
         assert bud.a_star > 0.0 and bud.q_star > 0.0
         assert bud.F_value < 0.5
         budgets[tag] = bud

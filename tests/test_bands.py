@@ -37,12 +37,12 @@ def test_trace_shape_matches_dispersion_picture(figure_table):
     # parity gaps die like exp(-k^2/b), far below eigensolver roundoff
     floor = 1e-9
     for i in range(len(t.ks)):
-        ws = [t.bands[j][i].omega for j in range(8)]
+        ws = [t.omega[j, i] for j in range(8)]
         assert all(ws[a] < ws[a + 1] + floor for a in range(7))
     # all bands decreasing over the barrier side
     left = t.ks < -0.5
     for j in range(8):
-        ws = np.array([s.omega for s in t.bands[j]])
+        ws = t.omega[j]
         assert np.all(np.diff(ws[left]) < 0.0)
     # even bands turn upward after their minima, odd bands do not
     report = bands.monotonicity_report(t)
@@ -59,7 +59,7 @@ def test_trace_argmin_plateau_is_narrow(figure_table):
     for j, parity in enumerate(figure_table.parities):
         if parity is not Parity.EVEN:
             continue
-        ws = np.array([s.omega for s in figure_table.bands[j]])
+        ws = figure_table.omega[j]
         ties = np.nonzero(ws <= ws.min())[0]
         assert len(ties) <= 2
         assert np.all(np.diff(ties) == 1)
@@ -68,13 +68,12 @@ def test_trace_argmin_plateau_is_narrow(figure_table):
 def test_trace_odd_derivative_column_strictly_negative(figure_table):
     for j, parity in enumerate(figure_table.parities):
         if parity is Parity.ODD:
-            assert all(s.domega_bd < 0.0 for s in figure_table.bands[j])
+            assert all(d < 0.0 for d in figure_table.domega_bd[j])
 
 
 def test_trace_derivative_cross_check_on_table(figure_table):
-    for band in figure_table.bands:
-        for s in band:
-            assert abs(s.domega_fh - s.domega_bd) <= 1e-5 * max(1.0, abs(s.domega_fh))
+    for fh, bd in zip(figure_table.domega_fh.flat, figure_table.domega_bd.flat):
+        assert abs(fh - bd) <= 1e-5 * max(1.0, abs(fh))
 
 
 def test_trace_derivatives_match_finite_differences(figure_table):
@@ -89,11 +88,10 @@ def test_trace_derivatives_match_finite_differences(figure_table):
     checked = 0
     for j in range(4):
         for i in uniform[::3]:
-            ws = [t.bands[j][i + m].omega for m in (-2, -1, 0, 1, 2)]
+            ws = [t.omega[j, i + m] for m in (-2, -1, 0, 1, 2)]
             fd = (ws[0] - 8.0 * ws[1] + 8.0 * ws[3] - ws[4]) / (12.0 * dk)
-            s = t.bands[j][i]
-            assert abs(s.domega_fh - fd) <= 5e-3 * max(1.0, abs(fd))
-            assert abs(s.domega_bd - fd) <= 5e-3 * max(1.0, abs(fd))
+            assert abs(t.domega_fh[j, i] - fd) <= 5e-3 * max(1.0, abs(fd))
+            assert abs(t.domega_bd[j, i] - fd) <= 5e-3 * max(1.0, abs(fd))
             checked += 1
     assert checked > 20
     # At a converged stencil step the routes match finite differences to 1e-4,
@@ -103,18 +101,17 @@ def test_trace_derivatives_match_finite_differences(figure_table):
         t2 = bands.trace(1.0, k0 - 2 * dk, k0 + 2 * dk, n_bands=4,
                          base_samples=5, refine=True, refine_passes=0)
         for j in range(4):
-            ws = [s.omega for s in t2.bands[j]]
+            ws = t2.omega[j]
             fd = (ws[0] - 8.0 * ws[1] + 8.0 * ws[3] - ws[4]) / (12.0 * dk)
-            s = t2.bands[j][2]
-            assert abs(s.domega_fh - fd) <= 1e-4 * max(1.0, abs(fd))
-            assert abs(s.domega_bd - fd) <= 1e-4 * max(1.0, abs(fd))
+            assert abs(t2.domega_fh[j, 2] - fd) <= 1e-4 * max(1.0, abs(fd))
+            assert abs(t2.domega_bd[j, 2] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
 def test_trace_single_point_consistent_with_fiber():
     t = bands.trace(1.0, -5e-4, 5e-4, n_bands=6, base_samples=3, refine=True)
     mid = np.argmin(np.abs(t.ks))
     for j, want in enumerate((1.0, 3.0, 5.0, 7.0, 9.0, 11.0)):
-        assert t.bands[j][mid].omega == pytest.approx(want, abs=1e-6)
+        assert t.omega[j, mid] == pytest.approx(want, abs=1e-6)
 
 
 def test_derivative_routes_on_random_states():
@@ -214,14 +211,10 @@ def test_effective_mass_positive_first_four():
 
 def test_monotonicity_detector_catches_corruption(figure_table):
     t = figure_table
-    broken = [list(band) for band in t.bands]
+    broken = t.omega.copy()
     # bump an odd band where it is flat, so the bump is the only rise
-    idx = len(t.ks) - 2
-    s = broken[1][idx]
-    broken[1][idx] = bands.BandSample(k=s.k, omega=s.omega + 1e-3,
-                                      domega_fh=s.domega_fh, domega_bd=s.domega_bd,
-                                      psi0=s.psi0, dpsi0=s.dpsi0)
-    corrupted = bands.BandTable(b=t.b, ks=t.ks, bands=broken, parities=t.parities)
+    broken[1, len(t.ks) - 2] += 1e-3
+    corrupted = dataclasses.replace(t, omega=broken)
     report = bands.monotonicity_report(corrupted)
     assert any(j == 2 for j, _ in report.violations)
 
@@ -235,8 +228,9 @@ def test_bottom_of_spectrum_from_table():
 
 def _table_bits(table):
     """Every number of a BandTable as bytes, plus its parities."""
-    samples = [[dataclasses.astuple(s) for s in band] for band in table.bands]
-    return table.ks.tobytes(), np.array(samples).tobytes(), table.parities
+    columns = (table.omega, table.domega_fh, table.domega_bd, table.psi0,
+               table.dpsi0)
+    return table.ks.tobytes(), np.array(columns).tobytes(), table.parities
 
 
 def test_trace_rerun_is_bitwise_identical(figure_table):

@@ -254,6 +254,9 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     ["minima", "--b", "1e300"],
     ["ho", "--b", "1e300"],
     ["airy", "--b", "1e300", "--ks=-15", "--jmax", "1"],
+    # the float64 seed of the precise pair solve stops converging
+    ["ho", "--kmin", "1e300"],
+    ["ho", "--kmax", "1e300"],
 ])
 def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
                                                                    capfd, argv):
@@ -297,6 +300,11 @@ def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, cod
     # one x-step on the half-width at b = 1; the fiber stencil needs two
     ["count2d", "--hx", "5"],
     ["count2d", "--hx", "10"],
+    ["mourre", "--b=-1"],
+    ["budget", "--b=-1"],
+    ["localize", "--b=-1"],
+    ["count1d", "--lambdas", "0"],
+    ["count2d", "--alpha", "1e300"],
 ])
 def test_bad_input_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
     assert run(argv, tmp_path) == 2

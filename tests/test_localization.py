@@ -76,7 +76,7 @@ def test_envelope_check_pure_oscillator():
     # prefactor bound at the onset point itself
     psi_on = abs(float(np.interp(check.x_n, pair.grid.x, pair.psi)))
     assert psi_on <= (2.0 / math.pi) ** 0.25
-    assert check.j == 1 and check.k == 0.0 and check.b == 1.0
+    assert check.j == 1 and check.k == 0.0
 
 
 def test_ratio_profile_monotone_decay():
@@ -97,8 +97,8 @@ def test_envelope_check_guards():
     with pytest.raises(ConfigurationError):
         loc.envelope_check(replace(pair, psi=2.0 * pair.psi), 1.0, 0.5)
     with pytest.raises(InvariantViolation):
-        loc.LocalizationCheck(j=1, k=0.0, b=1.0, x_n=1.0,
-                              envelope_ok=True, max_ratio=2.0)
+        loc.LocalizationCheck(j=1, k=0.0, x_n=1.0, envelope_ok=True,
+                              max_ratio=2.0)
 
 
 def test_window_envelope_sweep(window_b1):

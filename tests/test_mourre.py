@@ -69,8 +69,7 @@ def test_find_delta0_mid_window(table_b1, e_mid):
     assert 1.0 < e_mid - d0 and e_mid + d0 < hi
     # emptiness for the bands past 2n, checked at sample level
     for j in (3, 4, 5):
-        ws = np.array([s.omega for s in table_b1.bands[j - 1]])
-        assert ws.min() > e_mid + d0
+        assert table_b1.omega[j - 1].min() > e_mid + d0
     # slightly larger delta0 would push the doubled window past the top
     assert e_mid + 1.02 * d0 > hi
 
@@ -193,7 +192,7 @@ def test_F_nE_formula():
 
 
 def test_perturbation_budget(report_b1, e_mid):
-    bud = mourre.perturbation_budget(1, e_mid, report_b1)
+    bud = mourre.perturbation_budget(report_b1)
     assert bud.a_star > 0.0 and bud.q_star > 0.0
     assert bud.F_value < 0.5
     # recomputed F at the recorded point stays under 1/2
@@ -209,27 +208,27 @@ def test_perturbation_budget(report_b1, e_mid):
 
 
 def test_budget_b_invariance_and_n2(report_b1, report_n2, table_b4, e_mid):
-    bud1 = mourre.perturbation_budget(1, e_mid, report_b1)
+    bud1 = mourre.perturbation_budget(report_b1)
     rep4 = mourre.window_report(1, 4.0 * e_mid, 4.0, table_b4)
-    bud4 = mourre.perturbation_budget(1, 4.0 * e_mid, rep4)
+    bud4 = mourre.perturbation_budget(rep4)
     assert abs(bud1.a_star - bud4.a_star) <= 1e-3 * bud1.a_star
     assert abs(bud1.q_star - bud4.q_star) <= 1e-3 * bud1.q_star
-    bud2 = mourre.perturbation_budget(2, report_n2.window.E, report_n2)
+    bud2 = mourre.perturbation_budget(report_n2)
     assert bud2.a_star > 0.0 and bud2.q_star > 0.0 and bud2.F_value < 0.5
 
 
 def test_budget_shrinks_with_delta0(report_b1, table_b1, e_mid):
-    bud_mid = mourre.perturbation_budget(1, e_mid, report_b1)
+    bud_mid = mourre.perturbation_budget(report_b1)
     rep_edge = mourre.window_report(1, 2.55, 1.0, table_b1)
     assert rep_edge.delta0 < 0.2 * report_b1.delta0
-    bud_edge = mourre.perturbation_budget(1, 2.55, rep_edge)
+    bud_edge = mourre.perturbation_budget(rep_edge)
     assert bud_edge.a_star * bud_edge.q_star < bud_mid.a_star * bud_mid.q_star
     # a degenerate constant empties the feasible grid region
     broken = mourre.MourreReport(window=report_b1.window, delta0=report_b1.delta0,
                                  preimages=report_b1.preimages,
                                  c_per_band=(1e-7,), c_n=1e-7)
     with pytest.raises(InvariantViolation):
-        mourre.perturbation_budget(1, e_mid, broken)
+        mourre.perturbation_budget(broken)
 
 
 def test_edge_current_gaussian_oracle(report_b1, table_b1):
@@ -242,9 +241,7 @@ def test_edge_current_gaussian_oracle(report_b1, table_b1):
         components=(mourre.component_from_beta(j_band, ks, beta),),
         report=report_b1)
     j_val = mourre.edge_current_fiber(state, table_b1)
-    samples = table_b1.bands[j_band - 1]
-    tab_k = np.array([s.k for s in samples])
-    tab_d = np.array([s.domega_fh for s in samples])
+    tab_k, tab_d = table_b1.ks, table_b1.domega_fh[j_band - 1]
 
     def integrand(k):
         amp2 = math.exp(-((k - center) / spread) ** 2)
@@ -270,7 +267,7 @@ def test_edge_current_200_random_states(report_b1, report_n2, table_b1):
 def test_edge_current_concentration(report_b1, table_b1):
     j_band, left, right = report_b1.preimages[0]
     dense = np.linspace(left, right, 4001)
-    vel = -mourre._interp_band(table_b1, j_band, dense, "domega_fh")
+    vel = -np.interp(dense, table_b1.ks, table_b1.domega_fh[j_band - 1])
     k_star, v_max = dense[int(np.argmax(vel))], float(vel.max())
     ratios = []
     for spread in (0.3, 0.1, 0.03):
@@ -334,12 +331,12 @@ def test_edge_current_2d_free_matches_fiber(report_b1, table_b1):
         mu = 2.0 * (1.0 - math.cos(k * hy)) / hy ** 2
         for j_band, left, right in report_b1.preimages:
             if left - 0.2 <= kappa <= right + 0.2:
-                omega = float(mourre._interp_band(
-                    table_b1, j_band, np.array([kappa]), "omega")[0])
+                omega = float(np.interp(kappa, table_b1.ks,
+                                        table_b1.omega[j_band - 1]))
                 energy = omega + (mu - kappa * kappa)
                 if lo_e <= energy <= hi_e:
-                    vel = -float(mourre._interp_band(
-                        table_b1, j_band, np.array([kappa]), "domega_fh")[0])
+                    vel = -float(np.interp(kappa, table_b1.ks,
+                                           table_b1.domega_fh[j_band - 1]))
                     predictions.append((energy, vel / 2.0))
     assert predictions
     for energy, current in zip(res.energies, res.currents):
@@ -349,7 +346,7 @@ def test_edge_current_2d_free_matches_fiber(report_b1, table_b1):
 
 
 def test_edge_current_2d_perturbed_and_guards(report_b1, e_mid):
-    bud = mourre.perturbation_budget(1, e_mid, report_b1)
+    bud = mourre.perturbation_budget(report_b1)
     _, ly = mourre._grid_2d(report_b1, None, None)
     amp = 0.5 * bud.q_star  # b = 1, inside the budget
 

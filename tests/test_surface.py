@@ -33,7 +33,6 @@ ALLOWED = {
     ("mourre", "random_state"),
     ("mourre", "edge_current_fiber"),
     ("mourre", "evolve_free"),
-    ("mourre", "_interp_band"),
     # test_mourre.py: the Gaussian-oracle and linearity edge-current tests
     ("mourre", "component_from_beta"),
     # test_acceptance.py::test_c09_edge_currents (the 2D cross-check)

@@ -47,6 +47,9 @@ CASES = {
                         "--lambdas", "0.3,0.14,0.066,0.0295", "--jobs", "2"],
 }
 CASES["count2d_stability"] = CASES["count2d"] + ["--check-stability"]
+# the unrefined row sampler and the JSON table over a k-range
+CASES["bands_norefine"] = CASES["bands"] + ["--no-refine"]
+CASES["bands_json"] = CASES["bands"] + ["--format", "json"]
 # --jobs 2 twins of the traced commands: their bytes must not depend on --jobs
 CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
               for name in ("bands", "mourre", "localize")})
