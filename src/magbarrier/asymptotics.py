@@ -174,9 +174,16 @@ def omega_pair_precise(b, k, j):
 
     Solves both parity sectors on an Agmon-sized box at three grid steps and
     extrapolates twice, so gap structure is resolved down to the extended
-    floating-point floor rather than double roundoff.
+    floating-point floor rather than double roundoff. A k whose square, or
+    whose box's squared coarsest step, leaves the float range is refused
+    before any stencil is formed.
     """
     L = _precise_box(b, k, j)
+    h = L / PRECISE_LEVELS[0]
+    if not (math.isfinite(k * k) and math.isfinite(h * h)):
+        raise NumericalError(
+            f"k={k:g} leaves the float range of the precise solve at b={b:g}; "
+            "use smaller k")
     out = []
     for parity in (Parity.EVEN, Parity.ODD):
         values = []

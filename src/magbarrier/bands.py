@@ -97,7 +97,7 @@ class _Row(NamedTuple):
     parities: list
 
 
-def _trace_row(b, k, n_bands, resolution, refine):
+def _trace_row(b, k, n_bands, refine):
     """The _Row of the n_bands lowest bands at one k.
 
     Only the column values leave; the eigenvectors behind them are dropped
@@ -105,13 +105,12 @@ def _trace_row(b, k, n_bands, resolution, refine):
     band. A refined row extrapolates every column in h^2, not just the energy.
     """
     if refine:
-        coarse, fine = fiber.first_levels_two_grids(b, k, n_bands,
-                                                    resolution=resolution)
+        coarse, fine = fiber.first_levels_two_grids(b, k, n_bands)
         columns = [[float(richardson2(c, f))
                     for c, f in zip(_columns(c_pair), _columns(f_pair))]
                    for c_pair, f_pair in zip(coarse, fine)]
     else:
-        fine = fiber.first_levels(b, k, n_bands, resolution=resolution, refine=False)
+        fine = fiber.first_levels(b, k, n_bands, refine=False)
         columns = [_columns(pair) for pair in fine]
     return _Row(columns, [pair.parity for pair in fine])
 
@@ -136,8 +135,8 @@ def _k_map(jobs):
         yield pool.imap
 
 
-def trace(b, k_min, k_max, n_bands=8, base_samples=81, resolution=DEFAULT_RESOLUTION,
-          refine=True, refine_passes=2, jobs=1):
+def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True,
+          refine_passes=2, jobs=1):
     """Sample the lowest n_bands band functions on an adaptive k-grid.
 
     The base grid is uniform; each pass bisects the intervals around nodes
@@ -151,8 +150,7 @@ def trace(b, k_min, k_max, n_bands=8, base_samples=81, resolution=DEFAULT_RESOLU
         raise ConfigurationError("need k_min < k_max")
     if refine_passes > 0 and base_samples < 3:
         raise ConfigurationError("adaptive refinement needs at least 3 base samples")
-    row_at = functools.partial(_trace_row, b, n_bands=n_bands, resolution=resolution,
-                               refine=refine)
+    row_at = functools.partial(_trace_row, b, n_bands=n_bands, refine=refine)
     rows = {}
     with _k_map(jobs) as k_map:
 
@@ -274,6 +272,6 @@ def table_minimum(table, band=1):
         return float(ks[i]), float(ws[i])
     # parabola through the three samples around the discrete argmin
     p = np.polyfit(ks[i - 1:i + 2] - ks[i], ws[i - 1:i + 2], 2)
-    k_star = -p[1] / (2.0 * p[0])
-    w_star = np.polyval(p, k_star)
-    return float(k_star + ks[i]), float(w_star)
+    offset = -p[1] / (2.0 * p[0])   # of the vertex from ks[i]
+    w_star = np.polyval(p, offset)
+    return float(offset + ks[i]), float(w_star)

@@ -33,6 +33,7 @@ EXIT_RESOLUTION = 3
 
 JSON_DIGITS = 17
 CSV_DIGITS = 12
+STABILITY_REFINE = 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def _plot_blocks(table):
     return "\n".join(lines) + "\n"
 
 
-def cmd_bands(cfg, jobs=1):
+def cmd_bands(cfg, jobs):
     if cfg["kmin"] > cfg["kmax"]:
         raise ConfigurationError("kmin must not exceed kmax")
     if cfg["kmin"] == cfg["kmax"]:
@@ -324,7 +325,7 @@ def cmd_bands(cfg, jobs=1):
     return payload
 
 
-def cmd_minima(cfg, jobs=1):
+def cmd_minima(cfg, jobs):
     b = cfg["b"]
     columns = ["j", "kappa", "energy", "beta", "psi0_at_kappa",
                "kappa_max", "energy_lo", "energy_hi", "pass"]
@@ -342,7 +343,7 @@ def cmd_minima(cfg, jobs=1):
                     {"n_minima": len(rows)}, passed)
 
 
-def cmd_airy(cfg, jobs=1):
+def cmd_airy(cfg, jobs):
     columns = ["k", "j", "kind", "predicted", "measured", "measured_error",
                "bound", "pass"]
     rows = []
@@ -357,7 +358,7 @@ def cmd_airy(cfg, jobs=1):
     return _payload("airy", cfg, columns, rows, {"n_checks": len(rows)}, passed)
 
 
-def cmd_ho(cfg, jobs=1):
+def cmd_ho(cfg, jobs):
     ks = np.linspace(cfg["kmin"], cfg["kmax"], cfg["samples"])
     fit = asymptotics.splitting_fit(cfg["b"], cfg["j"], ks)
     columns = ["k", "gap_plus", "gap_minus", "splitting", "retained"]
@@ -392,18 +393,18 @@ def _window_report(cfg, trace_samples, jobs):
     return mourre.window_report(n, energy, b, table)
 
 
-def cmd_mourre(cfg, jobs=1):
+def cmd_mourre(cfg, jobs):
     report = _window_report(cfg, cfg["samples"], jobs)
     columns = ["band", "k_left", "k_right", "c_band"]
     rows = [[j, left, right, c]
             for (j, left, right), c in zip(report.preimages, report.c_per_band)]
-    summary = {"delta0": report.delta0, "delta": report.window.delta,
+    summary = {"delta0": report.window.delta, "delta": report.window.delta,
                "c_n": report.c_n, "window_E": report.window.E}
-    passed = report.delta0 > 0.0 and report.c_n > 0.0
+    passed = report.window.delta > 0.0 and report.c_n > 0.0
     return _payload("mourre", cfg, columns, rows, summary, passed)
 
 
-def cmd_budget(cfg, jobs=1):
+def cmd_budget(cfg, jobs):
     report = _window_report(cfg, cfg["samples"], jobs)
     budget = mourre.perturbation_budget(report)
     columns = ["a_star", "q_star", "F"]
@@ -413,7 +414,7 @@ def cmd_budget(cfg, jobs=1):
     return _payload("budget", cfg, columns, rows, summary, budget.F_value < 0.5)
 
 
-def cmd_localize(cfg, jobs=1):
+def cmd_localize(cfg, jobs):
     report = _window_report(cfg, cfg["trace_samples"], jobs)
     checks = localization.window_envelope_sweep(report,
                                                 n_samples=cfg["samples"])
@@ -426,7 +427,7 @@ def cmd_localize(cfg, jobs=1):
                     all(r[-1] for r in rows))
 
 
-def cmd_count1d(cfg, jobs=1):
+def cmd_count1d(cfg, jobs):
     alpha, ell, m = cfg["alpha"], cfg["ell"], cfg["m"]
     constant = counting.counting_constant_1d(alpha, ell, m)
     expected = 1.0 / alpha - 0.5
@@ -457,7 +458,7 @@ def cmd_count1d(cfg, jobs=1):
     return payload
 
 
-def cmd_count2d(cfg, jobs=1):
+def cmd_count2d(cfg, jobs):
     b, alpha = cfg["b"], cfg["alpha"]
     counting.checked_ladder(cfg["lambdas"])  # refused before any solve
     V = counting.standard_potential(alpha, amplitude=cfg["amplitude"])
@@ -490,13 +491,16 @@ def cmd_count2d(cfg, jobs=1):
                    threshold=meta["threshold"], unknowns=meta["unknowns"])
     passed = True
     if cfg["check_stability"]:
-        shared = Grid2DSpec(hx=cfg["hx"], hy=cfg["hy"], lx=meta["lx"],
-                            y_width=meta["y_width"],
-                            max_unknowns=cfg["max_unknowns"])
-        # the curve's first rung is the largest lambda on this very grid
-        refined, stable = counting.count_2d_stability(
-            b, V, curve.lambdas[0], curve.counts[0], spec=shared,
-            ell_hint=reduced.ell)
+        # the curve's first rung, its largest lambda, recounted on the same
+        # box with both steps refined and its own discrete threshold; a drift
+        # beyond one count flags the result as grid-limited
+        finer = Grid2DSpec(hx=cfg["hx"] / STABILITY_REFINE,
+                           hy=cfg["hy"] / STABILITY_REFINE, lx=meta["lx"],
+                           y_width=meta["y_width"],
+                           max_unknowns=cfg["max_unknowns"])
+        (refined,), _ = counting.count_2d(b, V, curve.lambdas[:1], spec=finer,
+                                          jobs=jobs)
+        stable = abs(refined - curve.counts[0]) <= 1
         summary.update(stability_base=curve.counts[0],
                        stability_refined=refined, stable=stable)
         passed = stable

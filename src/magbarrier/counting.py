@@ -15,7 +15,8 @@ of being swamped by the O(h^2) shift of the continuum threshold.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +37,6 @@ MAX_UNKNOWNS_2D = 10_000_000
 # ladder's widened grid
 MAX_ROWS_1D = 20_000_000
 THRESHOLD_K_SAMPLES = 161
-STABILITY_REFINE = 1.25
 SINGULAR_RETRIES = 3
 FIT_SPREAD_TOL = 0.05
 INERTIA_CHUNK = 1 << 15
@@ -407,7 +407,7 @@ class Grid2DSpec:
 
 
 def discrete_threshold(b, lx, nx, hy):
-    """(threshold, k_star): the lattice operator's own band-1 minimum.
+    """The lattice operator's own band-1 minimum.
 
     Scans the even-sector fiber at the lattice momentum s(k) = sin(k hy)/hy
     with the dispersion correction mu(k) - s(k)^2, then polishes the scan
@@ -428,12 +428,10 @@ def discrete_threshold(b, lx, nx, hy):
     vals = np.array([value(k) for k in ks])
     i = int(np.argmin(vals))
     if i == 0 or i == len(ks) - 1:
-        return float(vals[i]), float(ks[i])
+        return float(vals[i])
     res = minimize_scalar(value, bounds=(ks[i - 1], ks[i + 1]),
                           method="bounded", options={"xatol": 1e-9})
-    if res.fun <= vals[i]:
-        return float(res.fun), float(res.x)
-    return float(vals[i]), float(ks[i])
+    return float(min(vals[i], res.fun))
 
 
 def _ldl_negatives(ldu, ipiv):
@@ -597,38 +595,6 @@ def _grid_2d(b, V, lam, spec, ell_hint=None):
     return nx * spec.hx, nx, y_width, ny
 
 
-def _sectors_2d(b, V, lam, spec, ell_hint, threshold):
-    """(tau, [(parity, system)]) of count_2d's two x-parity sectors at lam.
-
-    Runs every guard of count_2d first; each system is the argument tuple of
-    _sector_inertia before tau.
-    """
-    if not lam > 0.0:
-        raise ConfigurationError("lam must be positive")
-    hy = spec.hy
-    lx, nx, _, ny = _grid_2d(b, V, lam, spec, ell_hint)
-    probe = np.linspace(0.0, lx, 7)
-    if not np.allclose(V.v1(probe), V.v1(-probe), rtol=1e-12, atol=0.0):
-        raise ConfigurationError("the x-parity split needs an even v1")
-    if threshold is None:
-        threshold, _ = discrete_threshold(b, lx, nx, hy)
-    if not lam < threshold:
-        raise ConfigurationError(
-            f"lam must sit inside (0, {threshold:g}), the gap below the band"
-        )
-    ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
-    V.validate_condition(np.linspace(0.0, lx, 33), np.linspace(ys[0], ys[-1], 65))
-    v2_vals = np.asarray(V.v2(ys), dtype=float)
-    sectors = []
-    for parity in (Parity.EVEN, Parity.ODD):
-        d_x, e_x = fiber.stencil(b, 0.0, parity, lx, nx)
-        xs = np.arange(nx, dtype=float) * (lx / nx) if parity is Parity.EVEN \
-            else np.arange(1, nx, dtype=float) * (lx / nx)
-        v1_vals = np.asarray(V.v1(xs), dtype=float)
-        sectors.append((parity, (d_x, e_x, xs, b, v1_vals, v2_vals, hy)))
-    return threshold - lam, sectors
-
-
 def _count_sector(parity, system, tau):
     """Negatives of one sector below tau, with count_2d's singular retries."""
     for attempt in range(SINGULAR_RETRIES):
@@ -647,61 +613,64 @@ def _count_sector(parity, system, tau):
     return count
 
 
-def count_2d(b, V, lam, spec=Grid2DSpec(), ell_hint=None, threshold=None):
-    """N(threshold - lam) of the lattice H0 - V by x-parity block inertia.
+def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, threshold=None,
+             jobs=1):
+    """(counts, meta): N(threshold - lam) of the lattice H0 - V at each lam.
 
-    The x-line folds into even (Neumann) and odd (Dirichlet) half-line
-    sectors sharing the fiber module's stencils, which requires v1 even; the
-    y-extent covers TURNING_FACTOR times the classical turning point of the
-    reduced tail ell |y|^{-alpha}. A sector that meets a near-singular Schur
-    block is recounted at tau (1 + 1e-9 attempt), and a RuntimeWarning names
-    the sector and the shifted threshold.
+    Every lam is counted on one grid, sized for the smallest, against one
+    discrete threshold, so count monotonicity in lam is an exact spectral
+    fact; one count is a one-rung ladder. The x-line folds into even
+    (Neumann) and odd (Dirichlet) half-line sectors sharing the fiber
+    module's stencils, which requires v1 even; the y-extent covers
+    TURNING_FACTOR times the classical turning point of the reduced tail
+    ell |y|^{-alpha}. Every guard runs before any sweep. Each (lam, parity)
+    sector is independent and runs on a pool of `jobs` threads (the
+    factorizations release the interpreter lock); counts come back in the
+    order of lambdas. A sector that meets a near-singular Schur block is
+    recounted at tau (1 + 1e-9 attempt), and a RuntimeWarning names the
+    sector and the shifted threshold. meta records the threshold and grid.
     """
-    tau, sectors = _sectors_2d(b, V, lam, spec, ell_hint, threshold)
-    return sum(_count_sector(parity, system, tau) for parity, system in sectors)
-
-
-def count_2d_stability(b, V, lam, base, spec=Grid2DSpec(), ell_hint=None):
-    """(refined_count, stable): the refinement probe of a count already made.
-
-    base is count_2d's count at lam on spec's grid. The probe recounts on a
-    grid with both steps divided by STABILITY_REFINE (with its own discrete
-    threshold); a drift beyond one count flags the result as grid-limited
-    rather than raising, so callers can report it.
-    """
-    finer = replace(spec, hx=spec.hx / STABILITY_REFINE,
-                    hy=spec.hy / STABILITY_REFINE)
-    refined = count_2d(b, V, lam, spec=finer, ell_hint=ell_hint)
-    return refined, abs(refined - base) <= 1
+    if not all(lam > 0.0 for lam in lambdas):
+        raise ConfigurationError("lam must be positive")
+    hy = spec.hy
+    lx, nx, y_width, ny = _grid_2d(b, V, min(lambdas), spec, ell_hint)
+    probe = np.linspace(0.0, lx, 7)
+    if not np.allclose(V.v1(probe), V.v1(-probe), rtol=1e-12, atol=0.0):
+        raise ConfigurationError("the x-parity split needs an even v1")
+    if threshold is None:
+        threshold = discrete_threshold(b, lx, nx, hy)
+    if not max(lambdas) < threshold:
+        raise ConfigurationError(
+            f"lam must sit inside (0, {threshold:g}), the gap below the band"
+        )
+    ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
+    V.validate_condition(np.linspace(0.0, lx, 33), np.linspace(ys[0], ys[-1], 65))
+    v2_vals = np.asarray(V.v2(ys), dtype=float)
+    sectors = []
+    for parity in (Parity.EVEN, Parity.ODD):
+        d_x, e_x = fiber.stencil(b, 0.0, parity, lx, nx)
+        xs = np.arange(nx, dtype=float) * (lx / nx) if parity is Parity.EVEN \
+            else np.arange(1, nx, dtype=float) * (lx / nx)
+        v1_vals = np.asarray(V.v1(xs), dtype=float)
+        sectors.append((parity, (d_x, e_x, xs, b, v1_vals, v2_vals, hy)))
+    units = [(parity, system, threshold - lam)
+             for lam in lambdas for parity, system in sectors]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        sector_counts = list(pool.map(_count_sector, *zip(*units)))
+    counts = [sector_counts[i] + sector_counts[i + 1]
+              for i in range(0, len(units), 2)]
+    meta = {"threshold": threshold, "lx": lx, "y_width": y_width,
+            "hx": spec.hx, "unknowns": (2 * nx - 1) * ny}
+    return counts, meta
 
 
 def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, jobs=1):
     """2D counts over a ladder on one shared grid, plus the fitted curve.
 
-    Returns (curve, meta) where meta records the shared threshold and grid;
-    the shared grid keeps count monotonicity an exact spectral fact. Every
-    (rung, parity) sector is independent; jobs > 1 runs them on a thread
-    pool (the factorizations release the interpreter lock), with each rung's
-    count always assembled in ladder order. A ladder the fit would refuse,
-    or a rung count_2d would refuse, is refused before any sweep runs.
+    Returns (curve, meta), meta as count_2d's. A ladder the fit would refuse
+    is refused before any sweep runs.
     """
     lambdas = checked_ladder(lambdas)
-    lx, nx, y_width, ny = _grid_2d(b, V, lambdas[-1], spec, ell_hint)
-    threshold, k_star = discrete_threshold(b, lx, nx, spec.hy)
-    shared = replace(spec, lx=lx, y_width=y_width)
-    units = []
-    for lam in lambdas:
-        tau, sectors = _sectors_2d(b, V, lam, shared, None, threshold)
-        units += [(parity, system, tau) for parity, system in sectors]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            sector_counts = list(pool.map(_count_sector, *zip(*units)))
-    else:
-        sector_counts = [_count_sector(*unit) for unit in units]
-    counts = [sum(sector_counts[2 * i:2 * i + 2]) for i in range(len(lambdas))]
-    curve = fit_curve(lambdas, counts)
-    meta = {"threshold": threshold, "k_star": k_star, "lx": lx,
-            "y_width": y_width, "hx": spec.hx, "hy": spec.hy,
-            "unknowns": (2 * nx - 1) * ny}
-    return curve, meta
+    counts, meta = count_2d(b, V, lambdas, spec=spec, ell_hint=ell_hint,
+                            jobs=jobs)
+    return fit_curve(lambdas, counts), meta

@@ -233,18 +233,15 @@ def _assemble(problem, n_levels, N):
 
 
 def solve_two_grids(problem, n_levels):
-    """Pure solves at steps h and h/2 plus the h^2-extrapolated pair list.
+    """(coarse, fine): pure solves at steps h and h/2.
 
-    Returns (coarse, fine, refined). The refined pairs carry the fine-grid
-    vectors with extrapolated energies. Functionals of the eigenpair (band
-    derivatives, boundary data) extrapolate the same way when evaluated on
-    the two pure lists, which removes their own h^2 terms.
+    Functionals of the eigenpair (energies, band derivatives, boundary data)
+    extrapolate in h^2 when evaluated on the two lists, which removes their
+    own h^2 terms.
     """
     coarse = _assemble(problem, n_levels, problem.grid.N)
     fine = _assemble(problem, n_levels, 2 * problem.grid.N)
-    refined = [replace(f, omega=float(richardson2(c.omega, f.omega)))
-               for c, f in zip(coarse, fine)]
-    return coarse, fine, refined
+    return coarse, fine
 
 
 def solve(problem, n_levels, refine=False):
@@ -255,7 +252,9 @@ def solve(problem, n_levels, refine=False):
     """
     if not refine:
         return _assemble(problem, n_levels, problem.grid.N)
-    return solve_two_grids(problem, n_levels)[2]
+    coarse, fine = solve_two_grids(problem, n_levels)
+    return [replace(f, omega=float(richardson2(c.omega, f.omega)))
+            for c, f in zip(coarse, fine)]
 
 
 def band_problem(b, k, j, resolution=DEFAULT_RESOLUTION):
@@ -332,22 +331,20 @@ def merge_parities(even, odd):
     return merged
 
 
-def first_levels(b, k, n_bands, resolution=DEFAULT_RESOLUTION, refine=False):
+def first_levels(b, k, n_bands, refine=False):
     """The n_bands lowest global bands at one k, both parities merged."""
     n_even = (n_bands + 1) // 2
     n_odd = n_bands // 2
-    even_problem = build_problem(b, k, Parity.EVEN, requested_levels=n_even,
-                                 resolution=resolution)
+    even_problem = build_problem(b, k, Parity.EVEN, requested_levels=n_even)
     even = solve(even_problem, n_even, refine=refine)
     if n_odd == 0:
         return even[:n_bands]
-    odd_problem = build_problem(b, k, Parity.ODD, requested_levels=n_odd,
-                                resolution=resolution)
+    odd_problem = build_problem(b, k, Parity.ODD, requested_levels=n_odd)
     odd = solve(odd_problem, n_odd, refine=refine)
     return merge_parities(even, odd)[:n_bands]
 
 
-def first_levels_two_grids(b, k, n_bands, resolution=DEFAULT_RESOLUTION):
+def first_levels_two_grids(b, k, n_bands):
     """first_levels on both grids: the (coarse, fine) merged lists.
 
     Both lists are merged by the same deterministic interleave, so the m-th
@@ -356,12 +353,10 @@ def first_levels_two_grids(b, k, n_bands, resolution=DEFAULT_RESOLUTION):
     """
     n_even = (n_bands + 1) // 2
     n_odd = n_bands // 2
-    even_problem = build_problem(b, k, Parity.EVEN, requested_levels=n_even,
-                                 resolution=resolution)
-    even = solve_two_grids(even_problem, n_even)[:2]
+    even_problem = build_problem(b, k, Parity.EVEN, requested_levels=n_even)
+    even = solve_two_grids(even_problem, n_even)
     if n_odd == 0:
         return tuple(lst[:n_bands] for lst in even)
-    odd_problem = build_problem(b, k, Parity.ODD, requested_levels=n_odd,
-                                resolution=resolution)
-    odd = solve_two_grids(odd_problem, n_odd)[:2]
+    odd_problem = build_problem(b, k, Parity.ODD, requested_levels=n_odd)
+    odd = solve_two_grids(odd_problem, n_odd)
     return tuple(merge_parities(e, o)[:n_bands] for e, o in zip(even, odd))

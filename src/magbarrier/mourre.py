@@ -194,7 +194,6 @@ class MourreReport:
     """Window geometry plus the positive-commutator constants."""
 
     window: EnergyWindow
-    delta0: float
     preimages: tuple          # per band j=1..2n: (j, k_left, k_right)
     c_per_band: tuple         # scaled constants c_{n,j}
     c_n: float
@@ -203,12 +202,12 @@ class MourreReport:
 def _derivative_at(b, k, j):
     """Extrapolated band derivative by a fresh solve of band j's parity class."""
     problem, m = fiber.band_problem(b, k, j)
-    coarse, fine, _ = fiber.solve_two_grids(problem, m)
+    coarse, fine = fiber.solve_two_grids(problem, m)
     return float(richardson2(bands.derivative_fh(coarse[m - 1]),
                              bands.derivative_fh(fine[m - 1])))
 
 
-def mourre_constant(window, table, delta0=None):
+def mourre_constant(window, table):
     """MourreReport with c_{n,j} = inf over the preimage of -omega_j'/sqrt(b).
 
     The preimages and constants are those of the window itself, so the
@@ -219,8 +218,6 @@ def mourre_constant(window, table, delta0=None):
     nearest interior sample.
     """
     n, E, b = window.n, window.E, window.b
-    if delta0 is None:
-        delta0 = window.delta
     lo_e, hi_e = window.interval()
     root_b = math.sqrt(b)
     preimages = []
@@ -251,7 +248,7 @@ def mourre_constant(window, table, delta0=None):
     for (j1, _, r1), (j2, l2, _) in zip(preimages, preimages[1:]):
         if not r1 < l2:
             raise InvariantViolation(f"preimages of bands {j1} and {j2} overlap")
-    return MourreReport(window=window, delta0=delta0, preimages=tuple(preimages),
+    return MourreReport(window=window, preimages=tuple(preimages),
                         c_per_band=tuple(c_per_band), c_n=min(c_per_band))
 
 
@@ -267,7 +264,7 @@ def window_report(n, E, b, table):
     """
     delta0 = find_delta0(n, E, b, table)
     window = EnergyWindow(n=n, E=E, delta=delta0, b=b)
-    return mourre_constant(window, table, delta0=delta0)
+    return mourre_constant(window, table)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +409,7 @@ def perturbation_budget(report):
     the feasible region is downward closed and the scan is exhaustive at
     grid resolution. All quantities are scaled, hence b-independent.
     """
-    n, delta0, c_n = report.window.n, report.delta0, report.c_n
+    n, delta0, c_n = report.window.n, report.window.delta, report.c_n
     deltas = np.geomspace(delta0 * 1e-6, delta0 * (1.0 - 1e-9), BUDGET_DELTA_GRID)
 
     def best_delta(a_frak, q_frak):

@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import NumericalError
 
+# halvings allowed per bisection; the loop stops sooner, at the dtype's
+# resolution, for any bracket the callers form
+MAX_BISECTIONS = 240
+
 
 def pivmin(d, e2):
     """Smallest admissible pivot magnitude for the Sturm recurrence on (d, e2)."""
@@ -49,7 +53,7 @@ def sturm_count(d, e2, sigma, piv):
     return count + 1 if q < 0 else count
 
 
-def bisect_eigenvalue(d, e2, index, lo, hi, max_iter=240):
+def bisect_eigenvalue(d, e2, index, lo, hi):
     """Eigenvalue number `index` (ascending, 0-based) of T by Sturm bisection.
 
     Runs in the dtype of lo/hi and stops when the midpoint is no longer
@@ -61,7 +65,7 @@ def bisect_eigenvalue(d, e2, index, lo, hi, max_iter=240):
     if sturm_count(d, e2, hi, piv) < index + 1:
         raise NumericalError(f"bisection bracket: eigenvalue {index} not below hi={hi}")
     half = type(lo)(0.5)
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         mid = half * (lo + hi)
         if mid == lo or mid == hi:
             break

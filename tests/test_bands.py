@@ -253,8 +253,8 @@ def test_trace_on_workers_equals_serial_bitwise(monkeypatch, refine):
 
 
 def test_trace_worker_error_surfaces_unchanged():
-    args = (1.0, -4.0, 6.0)
-    kwargs = dict(n_bands=8, base_samples=81, resolution=1000)
+    args = (1.0, -200.0, 0.0)
+    kwargs = dict(n_bands=8, base_samples=81)
     with pytest.raises(ConfigurationError, match="impossible margin") as serial:
         bands.trace(*args, **kwargs)
     with pytest.raises(ConfigurationError) as parallel:

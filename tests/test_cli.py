@@ -220,6 +220,31 @@ def test_count2d_resource_cap_exits_three(tmp_path):
     assert failed is not None and not passed and rows == []
 
 
+def test_count2d_stability_flags_a_drift_beyond_one(tmp_path, monkeypatch):
+    argv = ["count2d", "--hy", "0.8", "--lambdas", "0.3,0.14,0.066,0.03",
+            "--check-stability"]
+    assert run(argv, tmp_path) == 0
+    _, _, _, summary, _, passed = read_csv(tmp_path / "count2d.csv")
+    assert passed and summary["stable"] == "true"
+    base = int(summary["stability_base"])
+    assert int(summary["stability_refined"]) == base
+
+    count_2d = counting.count_2d
+
+    def drifted(b, V, lambdas, spec, **kwargs):
+        counts, meta = count_2d(b, V, lambdas, spec=spec, **kwargs)
+        if spec.hy < 0.8:   # the refined recount
+            counts = [n + 2 for n in counts]
+        return counts, meta
+
+    monkeypatch.setattr(counting, "count_2d", drifted)
+    assert run(argv, tmp_path) == 1
+    _, _, rows, summary, failed, passed = read_csv(tmp_path / "count2d.csv")
+    assert summary["stable"] == "false" and not passed and failed is None
+    assert int(summary["stability_refined"]) == base + 2
+    assert int(rows[0][1]) == base
+
+
 @pytest.mark.parametrize("argv", [
     ["count2d", "--alpha", "0.2", "--hy", "0.8"],
     ["count2d", "--alpha", "0.001"],
@@ -254,10 +279,12 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     ["minima", "--b", "1e300"],
     ["ho", "--b", "1e300"],
     ["airy", "--b", "1e300", "--ks=-15", "--jmax", "1"],
-    # the float64 seed of the precise pair solve stops converging
+    # k past the float range of the precise pair solve
     ["ho", "--kmin", "1e300"],
     ["ho", "--kmax", "1e300"],
+    ["ho", "--kmin", "1e200", "--kmax", "1e201"],
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
                                                                    capfd, argv):
     # LAPACK's tridiagonal solver stops converging, or b^(4/3) overflows

@@ -431,15 +431,21 @@ def test_asymptotics_check_degenerate_and_guards():
 # 2D counts
 
 
+def _count(b, V, lam, **kw):
+    """count_2d of the one-rung ladder [lam]."""
+    (count,), _ = counting.count_2d(b, V, [lam], **kw)
+    return count
+
+
 def test_count_2d_matches_dense_eigensolve():
     b, hx, hy = 1.0, 0.1, 0.4
     nx, ny = 18, 30
     lx, y_width = nx * hx, 0.5 * ny * hy
     V = counting.standard_potential(1.0, amplitude=3.0)
-    threshold, _ = counting.discrete_threshold(b, lx, nx, hy)
+    threshold = counting.discrete_threshold(b, lx, nx, hy)
     lam = 0.15
     spec = Grid2DSpec(hx=hx, hy=hy, lx=lx, y_width=y_width)
-    block = counting.count_2d(b, V, lam, spec=spec, threshold=threshold)
+    block = _count(b, V, lam, spec=spec, threshold=threshold)
 
     xs = np.arange(-(nx - 1), nx) * hx
     ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
@@ -637,7 +643,7 @@ def test_tau_on_a_sector_eigenvalue_is_refused_by_the_join_block(monkeypatch,
     spec = Grid2DSpec(hx=hx, hy=hy, lx=lx, y_width=y_width)
     shifted = tau * (1.0 + 1e-9)
     with pytest.warns(RuntimeWarning) as warned:
-        count = counting.count_2d(b, V, lam, spec=spec, threshold=threshold)
+        count = _count(b, V, lam, spec=spec, threshold=threshold)
     assert taus == [tau, shifted, tau]
     assert [str(w.message) for w in warned] == [
         f"even sector counted at tau*(1 + 1e-9) = {shifted!r} "
@@ -680,7 +686,7 @@ def test_near_singular_block_raises_and_count_2d_retries(monkeypatch):
     monkeypatch.setattr(counting, "_sector_inertia", recorded)
     spec = Grid2DSpec(hx=hx, hy=hy, lx=lx, y_width=y_width)
     with pytest.warns(RuntimeWarning) as shifted:
-        count = counting.count_2d(b, V, lam, spec=spec, threshold=threshold)
+        count = _count(b, V, lam, spec=spec, threshold=threshold)
     assert taus == [tau, tau * (1.0 + 1e-9), tau]
     assert [str(w.message) for w in shifted] == [
         f"even sector counted at tau*(1 + 1e-9) = {tau * (1.0 + 1e-9)!r} "
@@ -719,15 +725,14 @@ def test_count_2d_zero_potential_and_monotone_coupling():
         v1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         v2=lambda y: np.ones_like(np.asarray(y, dtype=float)))
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=20.0)
-    threshold, _ = counting.discrete_threshold(1.0, 2.4, 24, 0.4)
+    threshold = counting.discrete_threshold(1.0, 2.4, 24, 0.4)
     for lam in (0.05, 0.2, 0.45):
-        assert counting.count_2d(1.0, zero, lam, spec=spec,
-                                 threshold=threshold) == 0
-    single = counting.count_2d(
+        assert _count(1.0, zero, lam, spec=spec, threshold=threshold) == 0
+    single = _count(
         1.0, counting.standard_potential(1.0, amplitude=3.0), 0.15,
         spec=Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0),
         threshold=threshold)
-    doubled = counting.count_2d(
+    doubled = _count(
         1.0, counting.standard_potential(1.0, amplitude=6.0), 0.15,
         spec=Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0),
         threshold=threshold)
@@ -738,18 +743,18 @@ def test_count_2d_guards():
     V = counting.standard_potential(1.0)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0)
     with pytest.raises(ConfigurationError):
-        counting.count_2d(1.0, V, 0.0, spec=spec)
+        _count(1.0, V, 0.0, spec=spec)
     with pytest.raises(ConfigurationError):
-        counting.count_2d(1.0, V, 0.7, spec=spec)  # above the band floor
+        _count(1.0, V, 0.7, spec=spec)  # above the band floor
     lopsided = counting.DecayPotential(
         alpha=1.0, C=2.0,
         v1=lambda x: (1.0 + np.abs(np.asarray(x, dtype=float) - 0.3)) ** -1.0,
         v2=lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5)
     with pytest.raises(ConfigurationError, match="even"):
-        counting.count_2d(1.0, lopsided, 0.15, spec=spec)
+        _count(1.0, lopsided, 0.15, spec=spec)
     tiny = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0, max_unknowns=100)
     with pytest.raises(NumericalError, match="budget"):
-        counting.count_2d(1.0, V, 0.15, spec=tiny)
+        _count(1.0, V, 0.15, spec=tiny)
     with pytest.raises(ConfigurationError):
         Grid2DSpec(hx=-0.1)
 
@@ -762,7 +767,7 @@ def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch):
     for alpha, match in ((0.2, "budget"), (0.001, "cannot be represented")):
         V = counting.standard_potential(alpha)
         with pytest.raises(NumericalError, match=match):
-            counting.count_2d(1.0, V, 6e-3, spec=spec, ell_hint=0.6)
+            _count(1.0, V, 6e-3, spec=spec, ell_hint=0.6)
         with pytest.raises(NumericalError, match=match):
             counting.counting_curve_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3],
                                        spec=spec, ell_hint=0.6)
@@ -770,11 +775,10 @@ def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch):
 
 def test_count_2d_refinement_stability():
     V = counting.standard_potential(1.0)
-    base = counting.count_2d(1.0, V, 3e-2 * E_1)
-    refined, stable = counting.count_2d_stability(1.0, V, 3e-2 * E_1, base)
-    assert (base, refined, stable) == (5, 5, True)
-    # a base off by more than one count is reported, not raised
-    assert counting.count_2d_stability(1.0, V, 3e-2 * E_1, 7) == (5, False)
+    base = _count(1.0, V, 3e-2 * E_1)
+    finer = Grid2DSpec(hx=counting.DEFAULT_HX_2D / 1.25,
+                       hy=counting.DEFAULT_HY_2D / 1.25)
+    assert (base, _count(1.0, V, 3e-2 * E_1, spec=finer)) == (5, 5)
 
 
 def test_counting_curve_2d_small_ladder():
@@ -791,7 +795,7 @@ def test_counting_curve_2d_small_ladder():
 @lru_cache(maxsize=None)
 def _small_threshold():
     """The lattice threshold of the small 2D grid: b = 1, lx = 1.8, hy = 0.4."""
-    return counting.discrete_threshold(1.0, 1.8, 18, 0.4)[0]
+    return counting.discrete_threshold(1.0, 1.8, 18, 0.4)
 
 
 @pytest.mark.parametrize("y_width", [6.0, 5.7])  # ny = 30 and 29
@@ -803,8 +807,8 @@ def test_count_2d_monotone_in_lambda_on_one_grid(y_width, u, v, amplitude):
     V = counting.standard_potential(1.0, amplitude=amplitude)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=y_width)
     lo, hi = sorted((u, v))
-    n_lo, n_hi = (counting.count_2d(1.0, V, f * threshold, spec=spec,
-                                    threshold=threshold) for f in (lo, hi))
+    n_lo, n_hi = (_count(1.0, V, f * threshold, spec=spec,
+                         threshold=threshold) for f in (lo, hi))
     assert n_lo >= n_hi
 
 
@@ -816,11 +820,14 @@ def test_counting_curve_2d_pool_matches_serial_and_count_2d(monkeypatch,
     lams = [0.5, 0.2, 0.1, 0.04]
     serial, meta = counting.counting_curve_2d(1.0, V, lams, spec=spec)
     pooled, _ = counting.counting_curve_2d(1.0, V, lams, spec=spec, jobs=2)
-    per_rung = tuple(counting.count_2d(1.0, V, lam, spec=spec,
-                                       threshold=meta["threshold"])
+    per_rung = tuple(_count(1.0, V, lam, spec=spec,
+                            threshold=meta["threshold"])
                      for lam in lams)
     assert meta["unknowns"] == 35 * math.ceil(2.0 * y_width / 0.4)
     assert pooled.counts == serial.counts == per_rung
+    # counts come back in the order of the lambdas given
+    assert counting.count_2d(1.0, V, lams[::-1], spec=spec)[0] \
+        == list(serial.counts[::-1])
     assert len(set(per_rung)) > 1
 
     # the odd sector of the third rung meets a singular block once: the

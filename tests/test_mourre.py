@@ -105,11 +105,10 @@ def test_find_delta0_b_invariance(table_b1, table_b4, e_mid):
 
 def test_report_invariants(report_b1, e_mid):
     rep = report_b1
-    assert rep.delta0 == pytest.approx(D0_N1, abs=1e-6)
+    assert rep.window.delta == pytest.approx(D0_N1, abs=1e-6)
     assert rep.window.n == 1 and rep.window.b == 1.0
-    assert rep.window.delta == rep.delta0
     lo_e, hi_e = rep.window.interval()
-    assert lo_e == pytest.approx(e_mid - rep.delta0 / 2.0, abs=1e-12)
+    assert lo_e == pytest.approx(e_mid - rep.window.delta / 2.0, abs=1e-12)
     assert len(rep.preimages) == 2
     (j1, l1, r1), (j2, l2, r2) = rep.preimages
     assert (j1, j2) == (1, 2)
@@ -121,7 +120,7 @@ def test_report_invariants(report_b1, e_mid):
 
 def test_report_n2(report_n2):
     rep = report_n2
-    assert rep.delta0 == pytest.approx(D0_N2, abs=1e-4)
+    assert rep.window.delta == pytest.approx(D0_N2, abs=1e-4)
     assert abs(rep.c_n - C2_N2) < 2e-3
     assert len(rep.preimages) == 4
     ends = [p for tup in rep.preimages for p in (tup[1], tup[2])]
@@ -145,10 +144,11 @@ def test_c_n_b_invariance(table_b1, table_b4, table_b25, e_mid):
 
 def test_mourre_constant_custom_window(table_b1, e_mid, report_b1):
     # a narrower window has a no-smaller constant (infimum over a subset)
-    narrow = mourre.EnergyWindow(n=1, E=e_mid, delta=0.5 * report_b1.delta0, b=1.0)
+    narrow = mourre.EnergyWindow(n=1, E=e_mid,
+                                 delta=0.5 * report_b1.window.delta, b=1.0)
     rep = mourre.mourre_constant(narrow, table_b1)
     assert rep.c_n >= report_b1.c_n - 1e-9
-    assert rep.delta0 == narrow.delta
+    assert rep.window == narrow
 
 
 def test_f_n_formula():
@@ -197,13 +197,13 @@ def test_perturbation_budget(report_b1, e_mid):
     assert bud.F_value < 0.5
     # recomputed F at the recorded point stays under 1/2
     assert mourre.F_nE(bud.delta, bud.a_star, bud.q_star, 1,
-                       report_b1.delta0, report_b1.c_n) < 0.5
+                       report_b1.window.delta, report_b1.c_n) < 0.5
     # the q bound is tight: 5% more q is infeasible for every delta on the grid
-    deltas = np.geomspace(report_b1.delta0 * 1e-6,
-                          report_b1.delta0 * (1.0 - 1e-9),
+    deltas = np.geomspace(report_b1.window.delta * 1e-6,
+                          report_b1.window.delta * (1.0 - 1e-9),
                           mourre.BUDGET_DELTA_GRID)
     worst = min(mourre.F_nE(d, bud.a_star, 1.05 * bud.q_star, 1,
-                            report_b1.delta0, report_b1.c_n) for d in deltas)
+                            report_b1.window.delta, report_b1.c_n) for d in deltas)
     assert worst >= 0.5
 
 
@@ -220,11 +220,11 @@ def test_budget_b_invariance_and_n2(report_b1, report_n2, table_b4, e_mid):
 def test_budget_shrinks_with_delta0(report_b1, table_b1, e_mid):
     bud_mid = mourre.perturbation_budget(report_b1)
     rep_edge = mourre.window_report(1, 2.55, 1.0, table_b1)
-    assert rep_edge.delta0 < 0.2 * report_b1.delta0
+    assert rep_edge.window.delta < 0.2 * report_b1.window.delta
     bud_edge = mourre.perturbation_budget(rep_edge)
     assert bud_edge.a_star * bud_edge.q_star < bud_mid.a_star * bud_mid.q_star
     # a degenerate constant empties the feasible grid region
-    broken = mourre.MourreReport(window=report_b1.window, delta0=report_b1.delta0,
+    broken = mourre.MourreReport(window=report_b1.window,
                                  preimages=report_b1.preimages,
                                  c_per_band=(1e-7,), c_n=1e-7)
     with pytest.raises(InvariantViolation):

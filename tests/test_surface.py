@@ -15,7 +15,10 @@ once reached code reads an attribute of its name. Matching is by name, so a
 collision can hide a dead member but never flags a live one.
 
 Apart from the walk, every parameter of every package function must be read
-in its body, except the uniform `jobs` of the `cmd_*` handlers.
+in its body, except the uniform `jobs` of the `cmd_*` handlers. And a
+defaulted parameter of a reached function must be set, by keyword or by
+position, at some call site in reached code: a default no caller overrides
+is a constant, not a knob.
 """
 
 import ast
@@ -53,6 +56,25 @@ ALLOWED = {
 ALLOWED_MEMBERS = {
     # test_bands.py checks where each even band has its unique minimum
     ("bands", "MonotonicityReport", "flip_ks"),
+}
+
+
+# Defaulted parameters that only tests set, each with the tests that set it.
+TEST_HOOKS = {
+    # test_counting.py::test_tau_on_a_sector_eigenvalue_is_refused_by_the_join_block
+    # and test_near_singular_block_raises_and_count_2d_retries put tau on an
+    # eigenvalue through the threshold
+    ("counting", "count_2d", "threshold"),
+    # test_bands.py::test_trace_refinement_needs_three_base_samples and the
+    # finite-difference check of test_trace_derivatives_match_finite_differences
+    ("bands", "trace", "refine_passes"),
+    # test_bands.py::test_find_minimum_higher_bands_in_windows and
+    # test_effective_mass_positive_first_four, on finer grids
+    ("bands", "find_minimum", "resolution"),
+    # test_asymptotics.py's splitting_fit tests, at a frozen kappa
+    ("asymptotics", "splitting_fit", "kappa"),
+    # every test_cli.py case and tools/cli_golden.py pass their argv
+    ("cli", "main", "argv"),
 }
 
 
@@ -96,18 +118,24 @@ def _package():
     return out
 
 
+def _resolve(module, node, package):
+    """(module, name) of the package definition a name or `module.name`
+    node denotes, else None."""
+    defs, modules, names = package[module]
+    if isinstance(node, ast.Name):
+        return (module, node.id) if node.id in defs else names.get(node.id)
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules):
+        return modules[node.value.id], node.attr
+    return None
+
+
 def _references(module, node, package):
     """(module, name) of every package definition that `node` refers to."""
-    defs, modules, names = package[module]
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            if sub.id in defs:
-                yield module, sub.id
-            elif sub.id in names:
-                yield names[sub.id]
-        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-              and sub.value.id in modules):
-            yield modules[sub.value.id], sub.attr
+        key = _resolve(module, sub, package)
+        if key is not None:
+            yield key
 
 
 def _is_dunder(name):
@@ -232,6 +260,52 @@ def unused_parameters():
     return sorted(out)
 
 
+def _defaulted(func):
+    """(positional parameter names, names of the defaulted parameters)."""
+    args = func.args
+    positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+    tail = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    return positional, tail + [a.arg for a, default in zip(args.kwonlyargs,
+                                                            args.kw_defaults)
+                               if default is not None]
+
+
+def unturned_knobs():
+    """Sorted (module, function, parameter) of the defaulted parameters of
+    reached module-level functions that no call in reached code sets."""
+    package = _package()
+    seen = _walk(package)[0]
+    set_by_calls = {}
+    for key in seen:
+        node = package[key[0]][0][key[1]]
+        if len(key) == 3:
+            node = _methods(node)[key[2]]
+        for part in _code(node):
+            for call in (sub for sub in ast.walk(part) if isinstance(sub, ast.Call)):
+                callee = _resolve(key[0], call.func, package)
+                if callee is None:
+                    continue
+                splat = any(isinstance(a, ast.Starred) for a in call.args) \
+                    or any(kw.arg is None for kw in call.keywords)
+                set_by_calls.setdefault(callee, []).append(
+                    (None if splat else len(call.args),
+                     {kw.arg for kw in call.keywords}))
+    knobs = []
+    for module, name in (key for key in seen if len(key) == 2):
+        node = package[module][0][name]
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        positional, defaulted = _defaulted(node)
+        calls = set_by_calls.get((module, name), [])
+        for param in defaulted:
+            index = positional.index(param) if param in positional else None
+            if not any(n is None or param in keywords
+                       or (index is not None and index < n)
+                       for n, keywords in calls):
+                knobs.append((module, name, param))
+    return sorted(knobs)
+
+
 def test_every_definition_is_reached_from_the_cli_or_allowed():
     stray = [f"{module}.{name}" for module, name in unreached()
              if (module, name) not in ALLOWED]
@@ -257,3 +331,13 @@ def test_member_allowlist_names_only_unreached_members():
 def test_every_parameter_is_read_in_its_body():
     unused = unused_parameters()
     assert unused == [], f"parameters never read: {', '.join(unused)}"
+
+
+def test_every_default_is_overridden_by_a_reached_call_or_a_test_hook():
+    knobs = [".".join(key) for key in unturned_knobs() if key not in TEST_HOOKS]
+    assert knobs == [], f"defaults no reached call sets: {', '.join(knobs)}"
+
+
+def test_test_hooks_name_only_unturned_knobs():
+    stale = sorted(".".join(key) for key in TEST_HOOKS - set(unturned_knobs()))
+    assert stale == [], f"listed as test hooks but set or gone: {', '.join(stale)}"

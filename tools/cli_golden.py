@@ -47,6 +47,11 @@ CASES = {
                         "--lambdas", "0.3,0.14,0.066,0.0295", "--jobs", "2"],
 }
 CASES["count2d_stability"] = CASES["count2d"] + ["--check-stability"]
+# the stability recount on one thread, and a ladder whose top rung sits above
+# the band floor: exit 2 with a FAILED row
+CASES["count2d_stability_jobs1"] = CASES["count2d_stability"] + ["--jobs", "1"]
+CASES["count2d_above_band"] = ["count2d", "--b", "1", "--hy", "0.8",
+                               "--lambdas", "0.9,0.3,0.1,0.05"]
 # the unrefined row sampler and the JSON table over a k-range
 CASES["bands_norefine"] = CASES["bands"] + ["--no-refine"]
 CASES["bands_json"] = CASES["bands"] + ["--format", "json"]
