@@ -10,6 +10,7 @@ an Agmon-sized box, extended-precision Sturm bisection, and two-step
 Richardson extrapolation.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,36 +170,53 @@ def _precise_eigenvalue(b, k, parity, index, L, N, seed):
     return bisect_eigenvalue(d, e * e, index, lo, hi)
 
 
-def omega_pair_precise(b, k, j):
-    """(omega_plus, omega_minus) of pair j in extended precision.
+def _precise_level(b, j, unit):
+    """Extended-precision omega of pair j in one (k, parity, N) unit.
+
+    A float64 eigensolve seeds the bracket of the long-double bisection.
+    """
+    k, parity, N = unit
+    L = _precise_box(b, k, j)
+    d, e = fiber.stencil(b, k, parity, L, N)
+    try:
+        seed = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
+                                check_finite=False, eigvals_only=True)[0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"precise seed eigensolve failed at b={b:g}, k={k:g}: "
+            f"{exc}") from None
+    return _precise_eigenvalue(b, k, parity, j - 1, L, N, seed)
+
+
+def omega_pair_precise(b, j, ks, jobs):
+    """[(omega_plus, omega_minus)] of pair j at each k of ks, in extended
+    precision.
 
     Solves both parity sectors on an Agmon-sized box at three grid steps and
     extrapolates twice, so gap structure is resolved down to the extended
     floating-point floor rather than double roundoff. A k whose square, or
     whose box's squared coarsest step, leaves the float range is refused
-    before any stencil is formed.
+    before any stencil is formed. The (k, parity, N) solves are independent:
+    jobs > 1 runs them on up to that many forked worker processes, largest
+    grids first so that no worker finishes on a long solve alone, and the
+    pairs are the same, bit for bit, at every jobs.
     """
-    L = _precise_box(b, k, j)
-    h = L / PRECISE_LEVELS[0]
-    if not (math.isfinite(k * k) and math.isfinite(h * h)):
-        raise NumericalError(
-            f"k={k:g} leaves the float range of the precise solve at b={b:g}; "
-            "use smaller k")
-    out = []
-    for parity in (Parity.EVEN, Parity.ODD):
-        values = []
-        for N in PRECISE_LEVELS:
-            d, e = fiber.stencil(b, k, parity, L, N)
-            try:
-                seed = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
-                                        check_finite=False, eigvals_only=True)[0]
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"precise seed eigensolve failed at b={b:g}, k={k:g}: "
-                    f"{exc}") from None
-            values.append(_precise_eigenvalue(b, k, parity, j - 1, L, N, seed))
-        out.append(float(richardson3(*values)))
-    return out[0], out[1]
+    for k in ks:
+        h = _precise_box(b, k, j) / PRECISE_LEVELS[0]
+        if not (math.isfinite(k * k) and math.isfinite(h * h)):
+            raise NumericalError(
+                f"k={k:g} leaves the float range of the precise solve at "
+                f"b={b:g}; use smaller k")
+    parities = (Parity.EVEN, Parity.ODD)
+    units = sorted(dict.fromkeys((k, parity, N) for k in ks for parity in parities
+                                 for N in PRECISE_LEVELS),
+                   key=lambda unit: -unit[2])
+    with bands._k_map(jobs) as k_map:
+        levels = dict(zip(units, k_map(functools.partial(_precise_level, b, j),
+                                       units)))
+    return [tuple(float(richardson3(*(levels[k, parity, N] for N in PRECISE_LEVELS)))
+                  for parity in parities)
+            for k in ks]
 
 
 _KAPPA_CACHE = {}
@@ -211,7 +229,7 @@ def _kappa(j, b):
     return _KAPPA_CACHE[key]
 
 
-def splitting_fit(b, j, k_samples, kappa=None):
+def splitting_fit(b, j, k_samples, kappa=None, jobs=1):
     """Least-squares decay rate of the parity splitting against k^2/b.
 
     Only the upper-bound consistency is asserted: the fitted slope must not
@@ -219,25 +237,26 @@ def splitting_fit(b, j, k_samples, kappa=None):
     the actual splitting falls faster and no lower bound is claimed).
     Samples whose splitting sits below the floating floor carry no sign or
     magnitude information and are excluded, with the retained window kept
-    in the result.
+    in the result. A line through fewer than 3 distinct k checks nothing
+    and is refused before any solve. jobs > 1 runs the precise solves of
+    every sample on one pool of forked workers.
     """
+    ks = sorted(float(k) for k in k_samples)
+    if len(set(ks)) < 3:
+        raise ConfigurationError("need at least 3 distinct k for a decay fit")
     kappa = _kappa(j, b) if kappa is None else kappa
-    ks = [float(k) for k in k_samples]
-    if len(ks) < 3:
-        raise ConfigurationError("need at least 3 samples for a decay fit")
     entry = kappa + math.sqrt(b)
     if min(ks) < entry:
         raise ConfigurationError(
             f"samples must start past kappa_{j} + b^(1/2) = {entry:.6g}"
         )
     floor = SPLITTING_FLOOR_FACTOR * b
-    samples = []
-    for k in sorted(ks):
-        omega_plus, omega_minus = omega_pair_precise(b, k, j)
-        level = (2.0 * j - 1.0) * b
-        samples.append(SplitSample(k=k, gap_plus=level - omega_plus,
-                                   gap_minus=omega_minus - level,
-                                   splitting=omega_minus - omega_plus))
+    level = (2.0 * j - 1.0) * b
+    samples = [SplitSample(k=k, gap_plus=level - omega_plus,
+                           gap_minus=omega_minus - level,
+                           splitting=omega_minus - omega_plus)
+               for k, (omega_plus, omega_minus)
+               in zip(ks, omega_pair_precise(b, j, ks, jobs))]
     retained = [s for s in samples if s.splitting > floor]
     if len(retained) < 3:
         raise NumericalError(

@@ -117,7 +117,8 @@ def _trace_row(b, k, n_bands, refine):
 
 @contextlib.contextmanager
 def _k_map(jobs):
-    """A map over k-points: in order, serially or on forked worker processes.
+    """A map over independent solves (k-points, or the precise units of
+    asymptotics): in order, serially or on forked worker processes.
 
     At most `jobs` workers, and no more than the CPUs this process may use.
     The pool is left (and its workers reaped) when the block exits, on an

@@ -360,7 +360,7 @@ def cmd_airy(cfg, jobs):
 
 def cmd_ho(cfg, jobs):
     ks = np.linspace(cfg["kmin"], cfg["kmax"], cfg["samples"])
-    fit = asymptotics.splitting_fit(cfg["b"], cfg["j"], ks)
+    fit = asymptotics.splitting_fit(cfg["b"], cfg["j"], ks, jobs=jobs)
     columns = ["k", "gap_plus", "gap_minus", "splitting", "retained"]
     rows = [[s.k, s.gap_plus, s.gap_minus, s.splitting, s.splitting > fit.floor]
             for s in fit.samples]
@@ -554,7 +554,8 @@ def build_parser():
         sub.add_argument("--jobs", type=int, default=1,
                          help="workers: count2d threads for the ladder rungs; "
                          "bands, mourre, budget and localize processes for "
-                         "the k-sweep (output never depends on it)")
+                         "the k-sweep; ho processes for the precise pair "
+                         "solves (output never depends on it)")
     return parser
 
 

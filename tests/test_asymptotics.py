@@ -9,6 +9,7 @@ below double-solver discretization error, so only the dedicated path sees it).
 """
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def pair_gaps(b, k, j):
     true gaps undercut even the extended-precision floor, where the signs
     are no longer meaningful but the magnitudes still are.
     """
-    omega_plus, omega_minus = asym.omega_pair_precise(b, k, j)
+    [(omega_plus, omega_minus)] = asym.omega_pair_precise(b, j, [k], jobs=1)
     level = (2.0 * j - 1.0) * b
     return level - omega_plus, omega_minus - level
 
@@ -177,7 +178,7 @@ def test_ho_check_monotone_approach():
 
 def test_precise_path_agrees_with_standard_solver():
     # at k=3 the double-precision solver still resolves the pair cleanly
-    omega_plus, omega_minus = asym.omega_pair_precise(1.0, 3.0, 1)
+    [(omega_plus, omega_minus)] = asym.omega_pair_precise(1.0, 1, [3.0], jobs=1)
     pairs = fiber.first_levels(1.0, 3.0, 2, refine=True)
     assert abs(pairs[0].omega - omega_plus) <= 1e-8
     assert abs(pairs[1].omega - omega_minus) <= 1e-8
@@ -229,11 +230,54 @@ def test_splitting_fit_below_floor_raises_range_error():
         asym.splitting_fit(1.0, 1, [7.0, 7.5, 8.0], kappa=KAPPA_1)
 
 
-def test_splitting_fit_preconditions():
+def test_splitting_fit_preconditions(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    # every refusal comes before the band minimum is located or any pair is
+    # solved; seven copies of one k would fit a line through one point
+    monkeypatch.setattr(asym, "_kappa", boom)
+    monkeypatch.setattr(asym, "_precise_level", boom)
     with pytest.raises(ConfigurationError):
         asym.splitting_fit(1.0, 1, [1.0, 1.2, 1.4], kappa=KAPPA_1)
-    with pytest.raises(ConfigurationError):
-        asym.splitting_fit(1.0, 1, [3.0, 3.5], kappa=KAPPA_1)
+    for ks in ([3.0, 3.5], [3.0] * 7, [3.0, 3.5, 3.0, 3.5]):
+        with pytest.raises(ConfigurationError, match="3 distinct k"):
+            asym.splitting_fit(1.0, 1, ks)
+
+
+def _bits(fit):
+    """Every float of a fit as its hex string, so equal means equal bits."""
+    fields = [value for s in fit.samples
+              for value in (s.k, s.gap_plus, s.gap_minus, s.splitting)]
+    return [float(value).hex() for value in (*fields, fit.rate, fit.r2)]
+
+
+def test_splitting_fit_on_workers_is_bit_identical_to_serial():
+    ks = [3.0, 3.5, 4.0]
+    serial = asym.splitting_fit(1.0, 1, ks, kappa=KAPPA_1, jobs=1)
+    parallel = asym.splitting_fit(1.0, 1, ks, kappa=KAPPA_1, jobs=2)
+    assert _bits(parallel) == _bits(serial)
+    assert parallel.passed == serial.passed
+    assert multiprocessing.active_children() == []
+
+
+def test_precise_worker_error_surfaces_unchanged(monkeypatch):
+    real = asym._precise_eigenvalue
+
+    def planted(b, k, parity, index, L, N, seed):
+        if parity is Parity.ODD and N == asym.PRECISE_LEVELS[1]:
+            raise NumericalError(f"planted at k={k:g}")
+        return real(b, k, parity, index, L, N, seed)
+
+    # set before the pool forks, so the workers inherit it
+    monkeypatch.setattr(asym, "_precise_eigenvalue", planted)
+    messages = []
+    for jobs in (1, 2):
+        with pytest.raises(NumericalError) as info:
+            asym.splitting_fit(1.0, 1, [3.0, 3.5, 4.0], kappa=KAPPA_1, jobs=jobs)
+        messages.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert messages == ["planted at k=3"] * 2
 
 
 def test_kappa_cache_used_when_not_supplied():

@@ -317,6 +317,8 @@ def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, cod
     ["count1d", "--h", "0"],
     ["count1d", "--lambdas", "1e-3,nan"],
     ["ho", "--j", "0"],
+    # seven copies of one k: a decay fit through a single point
+    ["ho", "--kmin", "3", "--kmax", "3"],
     ["localize", "--nbands", "1", "--trace-samples", "11"],
     ["mourre", "--kmin", "5", "--kmax", "-5"],
     ["mourre", "--n", "0"],

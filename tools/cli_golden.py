@@ -9,10 +9,10 @@ directory and hashes every file it writes (sha256). The digests live in
 `cli_golden.json` next to this script. Output bytes depend on the machine's
 floating-point libraries, so the stored digests are a refactoring guard for
 one machine, not a portable test; record them before a change and check
-them after it. The `_jobs2` twins run the traced commands at `--jobs 2`;
-their digests were recorded where `--jobs` was ignored, so they show that
-the output does not depend on `--jobs`. The whole run takes about a minute
-on two cores.
+them after it. The `_jobs2` twins run the commands that fork workers at
+`--jobs 2`; their digests were recorded where `--jobs` was ignored, so they
+show that the output does not depend on `--jobs`. The whole run takes about
+15 s on two cores.
 """
 
 import argparse
@@ -55,9 +55,10 @@ CASES["count2d_above_band"] = ["count2d", "--b", "1", "--hy", "0.8",
 # the unrefined row sampler and the JSON table over a k-range
 CASES["bands_norefine"] = CASES["bands"] + ["--no-refine"]
 CASES["bands_json"] = CASES["bands"] + ["--format", "json"]
-# --jobs 2 twins of the traced commands: their bytes must not depend on --jobs
+# --jobs 2 twins of the commands that fork workers: their bytes must not
+# depend on --jobs
 CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
-              for name in ("bands", "mourre", "localize")})
+              for name in ("bands", "ho", "mourre", "localize")})
 
 
 def run_case(cli, argv):
