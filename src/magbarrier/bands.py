@@ -20,7 +20,6 @@ from scipy.optimize import brentq
 from . import fiber
 from .errors import ConfigurationError, InvariantViolation, NumericalError
 from .fiber import DEFAULT_RESOLUTION, Parity
-from .tridiag import richardson2
 
 KAPPA_XTOL = 1e-10
 REFINE_FACTOR = 10.0       # curvature threshold over median for k-grid splits
@@ -104,15 +103,10 @@ def _trace_row(b, k, n_bands, refine):
     here, so a traced grid costs a few floats per point, not a vector per
     band. A refined row extrapolates every column in h^2, not just the energy.
     """
-    if refine:
-        coarse, fine = fiber.first_levels_two_grids(b, k, n_bands)
-        columns = [[float(richardson2(c, f))
-                    for c, f in zip(_columns(c_pair), _columns(f_pair))]
-                   for c_pair, f_pair in zip(coarse, fine)]
-    else:
-        fine = fiber.first_levels(b, k, n_bands, refine=False)
-        columns = [_columns(pair) for pair in fine]
-    return _Row(columns, [pair.parity for pair in fine])
+    grids = fiber.first_levels(b, k, n_bands, refine=refine)
+    columns = [list(map(fiber.refined, zip(*map(_columns, pairs))))
+               for pairs in zip(*grids)]
+    return _Row(columns, [pair.parity for pair in grids[-1]])
 
 
 @contextlib.contextmanager
@@ -194,8 +188,11 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
     limit = (2.0 * (2 * j - 1) - 1.0) * b      # oscillator level the band tends to
     lo, hi = 1e-6 * math.sqrt(b), math.sqrt(limit)
 
+    def omega(pairs):
+        return fiber.refined([pair.omega for pair in pairs])
+
     def g(k):
-        return fiber.band(b, k, 2 * j - 1, resolution, refine=True).omega - k * k
+        return omega(fiber.band(b, k, 2 * j - 1, resolution, refine=True)) - k * k
 
     g_lo, g_hi = g(lo), g(hi)
     if not (g_lo > 0.0 > g_hi):
@@ -204,11 +201,11 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
             f"g={g_lo:.3g}, {g_hi:.3g}"
         )
     kappa = brentq(g, lo, hi, xtol=KAPPA_XTOL * math.sqrt(b), rtol=8.0 * np.finfo(float).eps)
-    pair = fiber.band(b, kappa, 2 * j - 1, resolution, refine=True)
-    energy = kappa * kappa
-    if abs(pair.omega - energy) > 1e-8 * max(1.0, abs(energy)):
+    pairs = fiber.band(b, kappa, 2 * j - 1, resolution, refine=True)
+    energy, direct = kappa * kappa, omega(pairs)
+    if abs(direct - energy) > 1e-8 * max(1.0, abs(energy)):
         raise NumericalError(
-            f"minimum cross-check failed: omega({kappa})={pair.omega} vs kappa^2={energy}"
+            f"minimum cross-check failed: omega({kappa})={direct} vs kappa^2={energy}"
         )
     window_lo = (2.0 * (j - 1) - 1.0) * b if j > 1 else 0.0
     window_hi = (2.0 * j - 1.0) * b
@@ -218,9 +215,10 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
         )
     if not 0.0 < kappa < math.sqrt(limit):
         raise InvariantViolation(f"kappa {kappa} outside (0, sqrt({limit}))")
-    beta = (2.0 * kappa / b) * pair.psi0 ** 2
+    psi0 = pairs[-1].psi0      # the fine grid's, not extrapolated
+    beta = (2.0 * kappa / b) * psi0 ** 2
     return MinimumRecord(j=j, kappa=kappa, energy=energy, beta=beta,
-                         psi0_at_kappa=pair.psi0)
+                         psi0_at_kappa=psi0)
 
 
 @dataclass(frozen=True)

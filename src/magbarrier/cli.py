@@ -299,9 +299,10 @@ def cmd_bands(cfg, jobs):
     if cfg["kmin"] > cfg["kmax"]:
         raise ConfigurationError("kmin must not exceed kmax")
     if cfg["kmin"] == cfg["kmax"]:
-        pairs = fiber.first_levels(cfg["b"], cfg["kmin"], cfg["nbands"],
+        grids = fiber.first_levels(cfg["b"], cfg["kmin"], cfg["nbands"],
                                    refine=cfg["refine"])
-        rows = [[pair.omega] for pair in pairs]
+        rows = [[fiber.refined([pair.omega for pair in pairs])]
+                for pairs in zip(*grids)]
         return _payload("bands", cfg, ["omega"], rows,
                         {"k": cfg["kmin"], "n_levels": len(rows)}, True)
     table = bands.trace(cfg["b"], cfg["kmin"], cfg["kmax"],
@@ -452,8 +453,9 @@ def cmd_count1d(cfg, jobs):
     exponent, prefactor = counting.power_law_fit([r[0] for r in rows], counts)
     summary = {"expected_exponent": expected, "closed_form_constant": constant,
                "fitted_exponent": exponent, "fitted_prefactor": prefactor}
+    # a ladder with fewer than two nonzero counts fits nothing, and fails
     payload = _payload("count1d", cfg, columns, rows, summary,
-                       failed is None, failed)
+                       failed is None and exponent is not None, failed)
     payload["_exc"] = exc
     return payload
 
@@ -463,8 +465,8 @@ def cmd_count2d(cfg, jobs):
     counting.checked_ladder(cfg["lambdas"])  # refused before any solve
     V = counting.standard_potential(alpha, amplitude=cfg["amplitude"])
     rec = bands.find_minimum(1, b)
-    reduced = counting.reduced_potential(V, fiber.band(b, rec.kappa, 1),
-                                         np.linspace(0.0, 500.0, 4001))
+    (ground,) = fiber.band(b, rec.kappa, 1)
+    reduced = counting.reduced_potential(V, ground, np.linspace(0.0, 500.0, 4001))
     constant = counting.counting_constant_2d(alpha, reduced.ell, rec.beta)
     expected = 1.0 / alpha - 0.5
     spec = Grid2DSpec(hx=cfg["hx"], hy=cfg["hy"],

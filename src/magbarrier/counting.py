@@ -573,7 +573,7 @@ def _grid_2d(b, V, lam, spec, ell_hint=None):
     y_width = spec.y_width
     if y_width is None:
         if ell_hint is None:
-            ground = fiber.band(b, 0.768 * root_b, 1)
+            (ground,) = fiber.band(b, 0.768 * root_b, 1)
             ell_hint = fiber.expectation(
                 ground, np.asarray(V.v1(ground.grid.x), dtype=float))
         y_width = TURNING_FACTOR * tail_turning_point(ell_hint, lam, V.alpha)

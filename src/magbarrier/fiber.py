@@ -6,6 +6,11 @@ odd states a Dirichlet zero. Second-order central differences give symmetric
 tridiagonal matrices, so bisection counts eigenvalues exactly and LAPACK's
 inverse iteration supplies the vectors.
 
+One solve path: `_wall` sizes the box; `sector` solves a parity sector on
+one grid, or on two (steps h and h/2, same box), one pair list per grid;
+`band` and `first_levels` pick and merge grid by grid; `refined` reads a
+functional's per-grid values as one, extrapolated in h^2 over two grids.
+
 Grids are constructed in scaled units (the problem at field strength b and
 wave number k is the b = 1 problem at k / sqrt(b), stretched by b^{-1/2}),
 which makes the scaling law omega_j(k; b) = b * omega_j(k b^{-1/2}; 1) hold
@@ -14,7 +19,8 @@ to rounding rather than discretization accuracy.
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from itertools import zip_longest
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -28,6 +34,9 @@ MARGIN = 4.0
 # points per local wavelength at the wall; h * sqrt(V(L)) above this is
 # an impossible-margin configuration
 MAX_WALL_PHASE = 0.5
+# rows of the largest grid one solve may build; the default airy check
+# (k = -40) builds 17,000
+MAX_ROWS = 20_000_000
 
 
 class Parity(enum.Enum):
@@ -48,31 +57,14 @@ class Parity(enum.Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform half-line grid with a Dirichlet wall at x = L.
+    """Uniform half-line grid of N = len(x) nodes, Dirichlet wall at x = N*h.
 
-    x holds the interior nodes i*h for i = 0..N-1; the wall node L carries
-    an implicit zero. Odd-parity vectors store an exact 0 at the origin node.
+    x holds the interior nodes i*h for i = 0..N-1; the wall node carries an
+    implicit zero. Odd-parity vectors store an exact 0 at the origin node.
     """
 
-    L: float
-    N: int
     h: float
     x: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.N < MIN_RESOLUTION:
-            raise ConfigurationError(f"grid needs at least {MIN_RESOLUTION} points, got {self.N}")
-
-
-@dataclass(frozen=True)
-class FiberProblem:
-    """One fixed-(b, k, parity) eigenproblem on a truncated half-line grid."""
-
-    b: float
-    k: float
-    parity: Parity
-    grid: Grid
-    requested_levels: int
 
 
 @dataclass(frozen=True)
@@ -98,24 +90,8 @@ def _top_estimate_scaled(q, n_levels):
     return est
 
 
-def minimum_resolution(b, k, requested_levels=4):
-    """Smallest grid size, a multiple of 500, within 0.9 of the wall-phase cap.
-
-    Deep barrier-side solves outgrow the default resolution because the wall
-    estimate carries the k^2 offset; callers that sweep k use this to size
-    grids deterministically.
-    """
-    if b <= 0.0:
-        raise ConfigurationError("field strength must be positive")
-    q = k / math.sqrt(b)
-    est = _top_estimate_scaled(q, requested_levels)
-    scaled_L = q + math.sqrt(MARGIN * est)
-    need = scaled_L * math.sqrt(MARGIN * est) / (0.9 * MAX_WALL_PHASE)
-    return max(MIN_RESOLUTION, 500 * math.ceil(need / 500))
-
-
-def build_problem(b, k, parity, requested_levels=4, resolution=DEFAULT_RESOLUTION):
-    """Size the truncated grid for (b, k, parity) and the requested level count.
+def _scaled_wall(b, k, levels):
+    """(wall, sqrt(V(wall))) in scaled units for `levels` levels at (b, k).
 
     The wall lands where the effective potential exceeds an overestimate of
     the top requested eigenvalue by MARGIN; truncation error there is
@@ -123,23 +99,53 @@ def build_problem(b, k, parity, requested_levels=4, resolution=DEFAULT_RESOLUTIO
     """
     if b <= 0.0:
         raise ConfigurationError("field strength must be positive")
-    if requested_levels < 1:
-        raise ConfigurationError("requested_levels must be at least 1")
-    parity = Parity(parity)
-    root_b = math.sqrt(b)
-    q = k / root_b
-    est = _top_estimate_scaled(q, requested_levels)
-    scaled_L = q + math.sqrt(MARGIN * est)
-    wall_phase = (scaled_L / resolution) * math.sqrt(MARGIN * est)
+    q = k / math.sqrt(b)
+    root_v = math.sqrt(MARGIN * _top_estimate_scaled(q, levels))
+    return q + root_v, root_v
+
+
+def minimum_resolution(b, k, requested_levels=4):
+    """Smallest grid size, a multiple of 500, within 0.9 of the wall-phase cap.
+
+    Deep barrier-side solves outgrow the default resolution because the wall
+    estimate carries the k^2 offset; callers that sweep k use this to size
+    grids deterministically.
+    """
+    scaled_L, root_v = _scaled_wall(b, k, requested_levels)
+    need = scaled_L * root_v / (0.9 * MAX_WALL_PHASE)
+    return max(MIN_RESOLUTION, 500 * math.ceil(need / 500))
+
+
+def _wall(b, k, levels, resolution):
+    """The box [0, L] of a `levels`-level sector solve at (b, k), as L.
+
+    The only place a fiber box is sized. Refused before anything is
+    allocated: a grid that resolves the wall too coarsely, one whose doubled
+    grid (the largest a refined solve builds) outgrows MAX_ROWS, and a step
+    so coarse that LAPACK's square of the off-diagonal 1/h^2 underflows.
+    """
+    if levels < 1:
+        raise ConfigurationError("a sector solve needs at least 1 level")
+    if resolution < MIN_RESOLUTION:
+        raise ConfigurationError(f"grid needs at least {MIN_RESOLUTION} points, got {resolution}")
+    scaled_L, root_v = _scaled_wall(b, k, levels)
+    wall_phase = (scaled_L / resolution) * root_v
     if wall_phase > MAX_WALL_PHASE:
         raise ConfigurationError(
-            f"impossible margin: requested level {requested_levels} needs "
+            f"impossible margin: requested level {levels} needs "
             f"h*sqrt(V(L)) <= {MAX_WALL_PHASE} but resolution {resolution} gives {wall_phase:.3f}"
         )
-    L = scaled_L / root_b
+    if 2 * resolution > MAX_ROWS:
+        raise NumericalError(
+            f"fiber grid at b={b:g}, k={k:g} needs {2 * resolution} rows, "
+            f"past the budget of {MAX_ROWS}")
+    L = scaled_L / math.sqrt(b)
     h = L / resolution
-    grid = Grid(L=L, N=resolution, h=h, x=np.arange(resolution) * h)
-    return FiberProblem(b=b, k=k, parity=parity, grid=grid, requested_levels=requested_levels)
+    inv_h2 = 1.0 / (h * h)
+    if inv_h2 * inv_h2 < np.finfo(float).tiny:
+        raise NumericalError(
+            f"fiber grid step at b={b:g} is too coarse: (1/h^2)^2 underflows")
+    return L
 
 
 def stencil(b, k, parity, L, N, dtype=np.float64):
@@ -181,95 +187,64 @@ def _fix_sign(psi):
     return psi
 
 
-def _solve_on_resolution(problem, n_levels, N):
-    d, e = stencil(problem.b, problem.k, problem.parity, problem.grid.L, N)
+def _assemble(b, k, parity, n, L, N):
+    """The n lowest eigenpairs of one parity sector on N points of [0, L]."""
+    d, e = stencil(b, k, parity, L, N)
     try:
-        w, v = eigh_tridiagonal(d, e, select="i",
-                                select_range=(0, n_levels - 1),
+        w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n - 1),
                                 check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"fiber eigensolve failed at b={problem.b:g}, k={problem.k:g}: "
-            f"{exc}") from None
+            f"fiber eigensolve failed at b={b:g}, k={k:g}: {exc}") from None
     if not np.all(np.diff(w) > 0.0):
         raise InvariantViolation(
-            f"eigenvalues not strictly increasing at k={problem.k}, parity={problem.parity.value}"
+            f"eigenvalues not strictly increasing at k={k}, parity={parity.value}"
         )
-    h = problem.grid.L / N
+    h = L / N
+    grid = Grid(h=h, x=np.arange(N) * h)
     v = v / math.sqrt(2.0 * h)
-    psis = np.zeros((N, n_levels))
-    if problem.parity is Parity.EVEN:
-        psis[0] = math.sqrt(2.0) * v[0]
-        psis[1:] = v[1:]
-    else:
-        psis[1:] = v
-    return w, psis, h
-
-
-def _assemble(problem, n_levels, N):
-    """Solve at one resolution and package the eigenpairs."""
-    if n_levels < 1:
-        raise ConfigurationError("n_levels must be at least 1")
-    if n_levels > problem.requested_levels:
-        raise ConfigurationError(
-            f"grid was sized for {problem.requested_levels} levels, asked for {n_levels}"
-        )
-    w, psis, h = _solve_on_resolution(problem, n_levels, N)
-    if N == problem.grid.N:
-        grid = problem.grid
-    else:
-        grid = Grid(L=problem.grid.L, N=N, h=h, x=np.arange(N) * h)
+    if parity is Parity.EVEN:
+        v[0] = math.sqrt(2.0) * v[0]
+    psis = np.zeros((N, n))
+    psis[N - len(v):] = v           # odd vectors keep the origin's zero
     pairs = []
-    for m in range(n_levels):
+    for m in range(n):
         psi = _fix_sign(psis[:, m].copy())
-        psi0, dpsi0 = boundary_values(psi, grid.h, problem.parity)
-        pair = EigenPair(j=problem.parity.global_index(m + 1), parity=problem.parity,
-                         b=problem.b, k=problem.k, omega=float(w[m]), psi=psi,
-                         psi0=psi0, dpsi0=dpsi0, grid=grid)
+        psi0, dpsi0 = boundary_values(psi, h, parity)
+        pair = EigenPair(j=parity.global_index(m + 1), parity=parity, b=b, k=k,
+                         omega=float(w[m]), psi=psi, psi0=psi0, dpsi0=dpsi0,
+                         grid=grid)
         if pair.j == 1 and np.any(psi < -1e-10 * psi.max()):
-            raise InvariantViolation(f"ground state not positive at k={problem.k}")
+            raise InvariantViolation(f"ground state not positive at k={k}")
         pairs.append(pair)
     return pairs
 
 
-def solve_two_grids(problem, n_levels):
-    """(coarse, fine): pure solves at steps h and h/2.
+def sector(b, k, parity, n, resolution=DEFAULT_RESOLUTION, refine=False):
+    """The n lowest eigenpairs of one parity sector, one list per grid.
 
-    Functionals of the eigenpair (energies, band derivatives, boundary data)
-    extrapolate in h^2 when evaluated on the two lists, which removes their
-    own h^2 terms.
+    (pairs,) on `resolution` points, or with refine=True (coarse, fine) at
+    steps h and h/2 on the same box. A functional of the eigenpair (energy,
+    band derivative, boundary data) read on both lists extrapolates in h^2
+    through `refined`, which removes its own h^2 term.
     """
-    coarse = _assemble(problem, n_levels, problem.grid.N)
-    fine = _assemble(problem, n_levels, 2 * problem.grid.N)
-    return coarse, fine
-
-
-def solve(problem, n_levels, refine=False):
-    """The n_levels lowest eigenpairs of the parity-restricted fiber operator.
-
-    refine=True re-solves on the doubled grid and Richardson-extrapolates the
-    eigenvalues in h^2; eigenvectors then come from the fine grid.
-    """
-    if not refine:
-        return _assemble(problem, n_levels, problem.grid.N)
-    coarse, fine = solve_two_grids(problem, n_levels)
-    return [replace(f, omega=float(richardson2(c.omega, f.omega)))
-            for c, f in zip(coarse, fine)]
-
-
-def band_problem(b, k, j, resolution=DEFAULT_RESOLUTION):
-    """(problem, m): the problem of the parity class that owns global band j.
-
-    Band j is level m of that class; the grid is sized for m levels.
-    """
-    parity, m = Parity.of_band(j)
-    return build_problem(b, k, parity, requested_levels=m, resolution=resolution), m
+    L = _wall(b, k, n, resolution)
+    sizes = (resolution, 2 * resolution) if refine else (resolution,)
+    return tuple(_assemble(b, k, parity, n, L, N) for N in sizes)
 
 
 def band(b, k, j, resolution=DEFAULT_RESOLUTION, refine=False):
-    """Global band j at (b, k) from a solve of its parity class alone."""
-    problem, m = band_problem(b, k, j, resolution)
-    return solve(problem, m, refine=refine)[m - 1]
+    """Global band j at (b, k) on each grid of a solve of its parity sector."""
+    parity, m = Parity.of_band(j)
+    return tuple(pairs[m - 1] for pairs in sector(b, k, parity, m, resolution, refine))
+
+
+def refined(values):
+    """One value per grid, read as one: a one-grid value as is, a
+    (coarse, fine) pair extrapolated in h^2."""
+    if len(values) == 1:
+        return values[0]
+    return float(richardson2(*values))
 
 
 def boundary_values(psi, h, parity):
@@ -305,23 +280,15 @@ def merge_parities(even, odd):
     therefore verified at that floor, and numerically degenerate pairs are
     emitted in the exact order.
     """
-    pairs = list(even) + list(odd)
-    tol = 0.0
-    if pairs:
-        h_min = min(p.grid.h for p in pairs)
-        tol = 64.0 * np.finfo(float).eps * 2.0 / (h_min * h_min)
+    merged = [p for pair in zip_longest(even, odd) for p in pair if p is not None]
+    h_min = min(p.grid.h for p in merged)
+    tol = 64.0 * np.finfo(float).eps * 2.0 / (h_min * h_min)
     for j in range(min(len(even), len(odd))):
         if not even[j].omega < odd[j].omega + tol:
             raise InvariantViolation(
                 f"parity order flip at pair {j + 1}, k={even[j].k}: "
                 f"{even[j].omega} !< {odd[j].omega}"
             )
-    merged = []
-    for j in range(max(len(even), len(odd))):
-        if j < len(even):
-            merged.append(even[j])
-        if j < len(odd):
-            merged.append(odd[j])
     for a, b_ in zip(merged, merged[1:]):
         if not a.omega < b_.omega + tol:
             raise InvariantViolation(
@@ -332,31 +299,13 @@ def merge_parities(even, odd):
 
 
 def first_levels(b, k, n_bands, refine=False):
-    """The n_bands lowest global bands at one k, both parities merged."""
-    n_even = (n_bands + 1) // 2
-    n_odd = n_bands // 2
-    even_problem = build_problem(b, k, Parity.EVEN, requested_levels=n_even)
-    even = solve(even_problem, n_even, refine=refine)
-    if n_odd == 0:
-        return even[:n_bands]
-    odd_problem = build_problem(b, k, Parity.ODD, requested_levels=n_odd)
-    odd = solve(odd_problem, n_odd, refine=refine)
-    return merge_parities(even, odd)[:n_bands]
+    """The n_bands lowest global bands at one k, both parities merged, one
+    list per grid as `sector` returns them.
 
-
-def first_levels_two_grids(b, k, n_bands):
-    """first_levels on both grids: the (coarse, fine) merged lists.
-
-    Both lists are merged by the same deterministic interleave, so the m-th
-    entries of each describe the same band and functionals of the pair can
-    be extrapolated entrywise.
+    Every grid's lists are merged by the same deterministic interleave, so
+    the m-th entries of each describe the same band.
     """
-    n_even = (n_bands + 1) // 2
     n_odd = n_bands // 2
-    even_problem = build_problem(b, k, Parity.EVEN, requested_levels=n_even)
-    even = solve_two_grids(even_problem, n_even)
-    if n_odd == 0:
-        return tuple(lst[:n_bands] for lst in even)
-    odd_problem = build_problem(b, k, Parity.ODD, requested_levels=n_odd)
-    odd = solve_two_grids(odd_problem, n_odd)
-    return tuple(merge_parities(e, o)[:n_bands] for e, o in zip(even, odd))
+    even = sector(b, k, Parity.EVEN, n_bands - n_odd, refine=refine)
+    odd = sector(b, k, Parity.ODD, n_odd, refine=refine) if n_odd else ([],) * len(even)
+    return tuple(map(merge_parities, even, odd))

@@ -118,7 +118,7 @@ def window_envelope_sweep(report, n_samples=9):
 @lru_cache(maxsize=1024)
 def _solved_level(b, k, j, resolution):
     """One solved global band j at (b, k), cached across states."""
-    return fiber.band(b, k, j, resolution)
+    return fiber.band(b, k, j, resolution)[0]
 
 
 def strip_split(pair, cut):
@@ -130,14 +130,14 @@ def strip_split(pair, cut):
     """
     if cut <= 0.0:
         raise ConfigurationError("strip half-width must be positive")
-    grid = pair.grid
+    grid, h = pair.grid, pair.grid.h
+    n = len(grid.x)
     f = pair.psi * pair.psi
-    full = 2.0 * grid.h * (0.5 * f[0] + f[1:].sum())
-    if cut >= grid.L:
+    full = 2.0 * h * (0.5 * f[0] + f[1:].sum())
+    if cut >= n * h:
         return float(full), 0.0
-    h = grid.h
-    m = min(int(cut / h), grid.N - 1)
-    f_next = f[m + 1] if m + 1 <= grid.N - 1 else 0.0
+    m = min(int(cut / h), n - 1)
+    f_next = f[m + 1] if m + 1 <= n - 1 else 0.0
     t = (cut - grid.x[m]) / h
     f_cut = f[m] + (f_next - f[m]) * t
     inside_half = (cut - grid.x[m]) * 0.5 * (f[m] + f_cut)
@@ -145,7 +145,7 @@ def strip_split(pair, cut):
         inside_half += h * (0.5 * f[0] + f[1:m].sum() + 0.5 * f[m])
     x_next = grid.x[m] + h
     outside_half = (x_next - cut) * 0.5 * (f_cut + f_next)
-    if m + 1 <= grid.N - 1:
+    if m + 1 <= n - 1:
         outside_half += h * (0.5 * f[m + 1] + f[m + 2:].sum())
     return 2.0 * float(inside_half), 2.0 * float(outside_half)
 

@@ -22,7 +22,6 @@ from scipy.sparse.linalg import eigsh
 from . import bands, fiber
 from .errors import ConfigurationError, InvariantViolation, NumericalError
 from .fiber import Parity
-from .tridiag import richardson2
 
 DELTA0_BISECT_ITERS = 48
 ENDPOINT_BISECTIONS = 3
@@ -201,10 +200,8 @@ class MourreReport:
 
 def _derivative_at(b, k, j):
     """Extrapolated band derivative by a fresh solve of band j's parity class."""
-    problem, m = fiber.band_problem(b, k, j)
-    coarse, fine = fiber.solve_two_grids(problem, m)
-    return float(richardson2(bands.derivative_fh(coarse[m - 1]),
-                             bands.derivative_fh(fine[m - 1])))
+    return fiber.refined([bands.derivative_fh(pair)
+                          for pair in fiber.band(b, k, j, refine=True)])
 
 
 def mourre_constant(window, table):

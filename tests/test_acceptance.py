@@ -17,7 +17,6 @@ from oracles import birman_schwinger_count
 from magbarrier import (asymptotics, bands, cli, counting, fiber,
                         localization, mourre)
 from magbarrier.counting import Grid2DSpec
-from magbarrier.fiber import Parity
 
 
 def _line(num, detail):
@@ -98,10 +97,11 @@ def minima_b1():
 
 def test_c01_oscillator_anchor():
     t0 = time.perf_counter()
-    pairs = fiber.first_levels(1.0, 0.0, 6, refine=True)
+    grids = fiber.first_levels(1.0, 0.0, 6, refine=True)
+    omegas = [fiber.refined([p.omega for p in pairs]) for pairs in zip(*grids)]
     elapsed = time.perf_counter() - t0
-    worst = max(abs(p.omega - (2 * j - 1)) / (2 * j - 1)
-                for j, p in enumerate(pairs, 1))
+    worst = max(abs(omega - (2 * j - 1)) / (2 * j - 1)
+                for j, omega in enumerate(omegas, 1))
     assert worst <= 1e-6, f"oscillator anchor off by {worst:.2e} relative"
     assert elapsed < 5.0, f"anchor took {elapsed:.1f}s"
     _line(1, f"omega_j(0) = 2j-1 to {worst:.1e} rel in {elapsed:.2f}s")
@@ -115,8 +115,8 @@ def test_c02_scaling_law():
         b = float(rng.choice([1.0, 4.0, 25.0]))
         j = int(rng.integers(1, 7))
         k = float(rng.uniform(-5.0, 5.0) * math.sqrt(b))
-        omega = fiber.first_levels(b, k, 6)[j - 1].omega
-        scaled = b * fiber.first_levels(1.0, k / math.sqrt(b), 6)[j - 1].omega
+        omega = fiber.first_levels(b, k, 6)[0][j - 1].omega
+        scaled = b * fiber.first_levels(1.0, k / math.sqrt(b), 6)[0][j - 1].omega
         worst = max(worst, abs(omega - scaled) / scaled)
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-6, f"scaling law violated at {worst:.2e} relative"
@@ -160,9 +160,8 @@ def test_c04_minima_and_effective_mass(minima_b1):
         assert 0.0 < rec.kappa < math.sqrt((4 * j - 3) * 1.0)
         assert max(2 * j - 3, 0) * 1.0 < rec.energy < (2 * j - 1) * 1.0
         hk = 1e-2
-        w = [fiber.solve(fiber.build_problem(1.0, rec.kappa + m * hk,
-                                             Parity.EVEN, requested_levels=j),
-                         j, refine=True)[j - 1].omega
+        w = [fiber.refined([p.omega for p in fiber.band(1.0, rec.kappa + m * hk,
+                                                         2 * j - 1, refine=True)])
              for m in (-2, -1, 0, 1, 2)]
         second = (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) \
             / (12.0 * hk * hk)
@@ -330,9 +329,7 @@ def test_c13_counting_2d(minima_b1):
     t0 = time.perf_counter()
     rec = minima_b1[1]
     V = counting.standard_potential(1.0)
-    ground = fiber.solve(
-        fiber.build_problem(1.0, rec.kappa, Parity.EVEN, requested_levels=1),
-        1)[0]
+    (ground,) = fiber.band(1.0, rec.kappa, 1)
     reduced = counting.reduced_potential(V, ground,
                                          np.linspace(0.0, 500.0, 4001))
     constant = counting.counting_constant_2d(1.0, reduced.ell, rec.beta)
@@ -379,10 +376,9 @@ def test_c14_figure_one(band_artifacts, minima_b1):
     worst = 0.0
     for j in range(1, 5):
         rec = minima_b1[j]
-        pair = fiber.solve(
-            fiber.build_problem(1.0, rec.kappa, Parity.EVEN,
-                                requested_levels=j), j, refine=True)[j - 1]
-        gap = abs(pair.omega - rec.kappa ** 2) / max(1.0, rec.kappa ** 2)
+        omega = fiber.refined([p.omega for p in
+                               fiber.band(1.0, rec.kappa, 2 * j - 1, refine=True)])
+        gap = abs(omega - rec.kappa ** 2) / max(1.0, rec.kappa ** 2)
         worst = max(worst, gap)
         assert gap <= 1e-6, f"band {2*j-1} minimum off E=k^2 by {gap:.2e}"
     _line(14, f"8 bands, all decreasing at k=-4, 4 even minima in (0,3.2), "

@@ -51,9 +51,11 @@ def wedge_residual(b, k, j):
     because the full and wedge operators differ by exactly that multiplier.
     """
     pred = asym.airy_prediction(b, k, j)
-    problem, m = fiber.band_problem(b, k, j, asym._wedge_resolution(b, k, j))
+    _, m = Parity.of_band(j)
+    N = asym._wedge_resolution(b, k, j)
+    h = fiber._wall(b, k, m, N) / N
+    x = np.arange(N) * h
     consts = specfun.airy_constants(pred.kind, m)
-    x, h = problem.grid.x, problem.grid.h
     sigma = (2.0 * b * abs(k)) ** (1.0 / 3.0)
     norm_c = math.sqrt(sigma / (2.0 * consts.c))
     t = sigma * x + consts.z
@@ -179,10 +181,12 @@ def test_ho_check_monotone_approach():
 def test_precise_path_agrees_with_standard_solver():
     # at k=3 the double-precision solver still resolves the pair cleanly
     [(omega_plus, omega_minus)] = asym.omega_pair_precise(1.0, 1, [3.0], jobs=1)
-    pairs = fiber.first_levels(1.0, 3.0, 2, refine=True)
-    assert abs(pairs[0].omega - omega_plus) <= 1e-8
-    assert abs(pairs[1].omega - omega_minus) <= 1e-8
-    assert pairs[0].parity is Parity.EVEN
+    grids = fiber.first_levels(1.0, 3.0, 2, refine=True)
+    omega_even, omega_odd = (fiber.refined([p.omega for p in pairs])
+                             for pairs in zip(*grids))
+    assert abs(omega_even - omega_plus) <= 1e-8
+    assert abs(omega_odd - omega_minus) <= 1e-8
+    assert grids[-1][0].parity is Parity.EVEN
 
 
 def test_splitting_fit_rate_and_floor():

@@ -119,10 +119,9 @@ def test_derivative_routes_on_random_states():
     checked = 0
     for _ in range(13):
         k = float(rng.uniform(-5.0, 5.0))
-        pairs = fiber.first_levels(1.0, k, 4, refine=True)
-        for pair in pairs:
-            fh = bands.derivative_fh(pair)
-            bd = bands.derivative_boundary(pair)
+        for pairs in zip(*fiber.first_levels(1.0, k, 4, refine=True)):
+            fh = fiber.refined([bands.derivative_fh(p) for p in pairs])
+            bd = fiber.refined([bands.derivative_boundary(p) for p in pairs])
             assert abs(fh - bd) <= 1e-5 * max(1.0, abs(fh))
             checked += 1
     assert checked >= 50
@@ -132,29 +131,30 @@ def test_derivative_fh_against_fd_oracle_on_barrier_side():
     delta = 1e-2
     w = {}
     for m in (-2, -1, 0, 1, 2):
-        pair = fiber.first_levels(1.0, -5.0 + m * delta, 1, refine=True)[0]
-        w[m] = pair.omega
+        pairs = fiber.band(1.0, -5.0 + m * delta, 1, refine=True)
+        w[m] = fiber.refined([p.omega for p in pairs])
         if m == 0:
-            fh = bands.derivative_fh(pair)
+            fh = fiber.refined([bands.derivative_fh(p) for p in pairs])
     fd = (w[-2] - 8.0 * w[-1] + 8.0 * w[1] - w[2]) / (12.0 * delta)
     assert fh < 0.0
     assert fh == pytest.approx(fd, rel=1e-5)
 
 
 def test_derivative_positive_past_minimum():
-    pair = fiber.first_levels(1.0, 5.0, 1, refine=True)[0]
-    assert bands.derivative_fh(pair) > 0.0
-    assert bands.derivative_boundary(pair) > 0.0
+    pairs = fiber.band(1.0, 5.0, 1, refine=True)
+    assert fiber.refined([bands.derivative_fh(p) for p in pairs]) > 0.0
+    assert fiber.refined([bands.derivative_boundary(p) for p in pairs]) > 0.0
 
 
 def test_derivative_at_k0_negative_and_consistent():
     delta = 1e-2
     w = {}
     for m in (-2, -1, 0, 1, 2):
-        pairs = fiber.first_levels(1.0, m * delta, 3, refine=True)
-        w[m] = [p.omega for p in pairs]
+        bands_at_k = list(zip(*fiber.first_levels(1.0, m * delta, 3, refine=True)))
+        w[m] = [fiber.refined([p.omega for p in pairs]) for pairs in bands_at_k]
         if m == 0:
-            fhs = [bands.derivative_fh(p) for p in pairs]
+            fhs = [fiber.refined([bands.derivative_fh(p) for p in pairs])
+                   for pairs in bands_at_k]
     for j in range(3):
         fd = (w[-2][j] - 8.0 * w[-1][j] + 8.0 * w[1][j] - w[2][j]) / (12.0 * delta)
         assert fhs[j] < 0.0

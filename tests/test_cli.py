@@ -283,11 +283,17 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     ["ho", "--kmin", "1e300"],
     ["ho", "--kmax", "1e300"],
     ["ho", "--kmin", "1e200", "--kmax", "1e201"],
+    # LAPACK's square of the off-diagonal 1/h^2 underflows: every band would
+    # print one value
+    ["bands", "--b", "1e-160", "--kmin", "0", "--kmax", "0"],
+    # a wedge this deep sizes a grid of 4e10 rows
+    ["airy", "--ks=-1e5", "--jmax", "1"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
                                                                    capfd, argv):
-    # LAPACK's tridiagonal solver stops converging, or b^(4/3) overflows
+    # LAPACK's tridiagonal solver stops converging, or b^(4/3) overflows, or
+    # the fiber grid is refused before it is built
     assert run(argv, tmp_path) == 3
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -361,6 +367,15 @@ def test_check_with_nothing_to_check_is_refused(tmp_path, argv):
     # each of these used to exit 0 with "# pass=true" after checking nothing
     assert run(argv, tmp_path) == 2
     assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+
+def test_count1d_ladder_with_nothing_to_fit_fails(tmp_path):
+    # every count is 0, so no exponent is fitted; this used to exit 0
+    assert run(["count1d", "--lambdas", "10,20,30"], tmp_path) == 1
+    _, _, rows, summary, failed, passed = read_csv(tmp_path / "count1d.csv")
+    assert not passed and failed is None
+    assert [row[1] for row in rows] == ["0", "0", "0"]
+    assert summary["fitted_exponent"] == "None"
 
 
 def test_short_ladder_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys):

@@ -23,8 +23,8 @@ E_1 = 0.590106125320
 
 @pytest.fixture(scope="module")
 def ground_b1():
-    return fiber.solve(
-        fiber.build_problem(1.0, KAPPA_1, Parity.EVEN, requested_levels=1), 1)[0]
+    (ground,) = fiber.band(1.0, KAPPA_1, 1)
+    return ground
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +100,7 @@ def test_reduced_potential_tail_evaluation(reduced_b1):
 
 
 def test_reduced_potential_needs_first_band(ground_b1):
-    odd = fiber.solve(
-        fiber.build_problem(1.0, KAPPA_1, Parity.ODD, requested_levels=1), 1)[0]
+    (odd,) = fiber.band(1.0, KAPPA_1, 2)
     V = counting.standard_potential(1.0)
     with pytest.raises(ConfigurationError):
         counting.reduced_potential(V, odd, np.linspace(0.0, 100.0, 801))

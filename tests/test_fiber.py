@@ -13,30 +13,33 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from magbarrier import fiber, specfun, tridiag
-from magbarrier.errors import ConfigurationError, InvariantViolation
+from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 from magbarrier.fiber import Parity
 
 
+def omegas(grids):
+    """The energy of each band of per-grid pair lists, read through refined."""
+    return [fiber.refined([pair.omega for pair in pairs]) for pairs in zip(*grids)]
+
+
 def test_even_levels_at_k0_are_odd_integers():
-    problem = fiber.build_problem(1.0, 0.0, Parity.EVEN, requested_levels=3)
-    pairs = fiber.solve(problem, 3, refine=True)
-    for pair, want in zip(pairs, (1.0, 5.0, 9.0)):
-        assert pair.omega == pytest.approx(want, abs=1e-6)
+    grids = fiber.sector(1.0, 0.0, Parity.EVEN, 3, refine=True)
+    for omega, want in zip(omegas(grids), (1.0, 5.0, 9.0)):
+        assert omega == pytest.approx(want, abs=1e-6)
 
 
 def test_odd_levels_at_k0():
-    problem = fiber.build_problem(1.0, 0.0, Parity.ODD, requested_levels=3)
-    pairs = fiber.solve(problem, 3, refine=True)
-    for pair, want in zip(pairs, (3.0, 7.0, 11.0)):
-        assert pair.omega == pytest.approx(want, abs=1e-6)
+    grids = fiber.sector(1.0, 0.0, Parity.ODD, 3, refine=True)
+    for omega, want in zip(omegas(grids), (3.0, 7.0, 11.0)):
+        assert omega == pytest.approx(want, abs=1e-6)
 
 
 def test_quadratic_scaling_between_fields():
     for parity in Parity:
-        p4 = fiber.build_problem(4.0, 2.0, parity, requested_levels=3)
-        p1 = fiber.build_problem(1.0, 1.0, parity, requested_levels=3)
-        w4 = [p.omega for p in fiber.solve(p4, 3)]
-        w1 = [p.omega for p in fiber.solve(p1, 3)]
+        (p4,) = fiber.sector(4.0, 2.0, parity, 3)
+        (p1,) = fiber.sector(1.0, 1.0, parity, 3)
+        w4 = [p.omega for p in p4]
+        w1 = [p.omega for p in p1]
         for a, c in zip(w4, w1):
             assert a == pytest.approx(4.0 * c, rel=1e-7)
 
@@ -70,8 +73,9 @@ _fields = st.floats(math.log(0.2), math.log(50.0)).map(math.exp)
 def test_scaling_law_property(b, q, j, refine):
     # omega_j(k; b) = b omega_j(k / sqrt(b); 1) at k = q sqrt(b)
     k = q * math.sqrt(b)
-    got = fiber.band(b, k, j, refine=refine).omega
-    want = b * fiber.band(1.0, k / math.sqrt(b), j, refine=refine).omega
+    got = fiber.refined([p.omega for p in fiber.band(b, k, j, refine=refine)])
+    want = b * fiber.refined([p.omega for p in
+                              fiber.band(1.0, k / math.sqrt(b), j, refine=refine)])
     assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -79,24 +83,25 @@ def test_scaling_law_property(b, q, j, refine):
 @settings(max_examples=30, deadline=None, database=None)
 @given(_fields, st.floats(-8.0, 8.0))
 def test_parity_interleaving_property(b, q):
-    pairs = fiber.first_levels(b, q * math.sqrt(b), 6)
+    (pairs,) = fiber.first_levels(b, q * math.sqrt(b), 6)
     assert [p.j for p in pairs] == [1, 2, 3, 4, 5, 6]
     assert [p.parity for p in pairs] == [Parity.EVEN, Parity.ODD] * 3
 
 
 def test_merge_at_k0_gives_oscillator_ladder():
-    pairs = fiber.first_levels(1.0, 0.0, 6, refine=True)
+    grids = fiber.first_levels(1.0, 0.0, 6, refine=True)
+    pairs = grids[-1]
     wants = (1.0, 3.0, 5.0, 7.0, 9.0, 11.0)
     parities = (Parity.EVEN, Parity.ODD) * 3
-    for pair, want, parity in zip(pairs, wants, parities):
-        assert pair.omega == pytest.approx(want, abs=1e-6)
+    for pair, omega, want, parity in zip(pairs, omegas(grids), wants, parities):
+        assert omega == pytest.approx(want, abs=1e-6)
         assert pair.parity is parity
     assert [p.j for p in pairs] == [1, 2, 3, 4, 5, 6]
 
 
 def test_merge_matches_airy_interlacing_at_negative_k():
     # far on the barrier side the parity pattern follows the Airy zeros
-    pairs = fiber.first_levels(1.0, -10.0, 6)
+    (pairs,) = fiber.first_levels(1.0, -10.0, 6)
     zs = []
     for j in (1, 2, 3):
         zs.append((specfun.airy_zero(specfun.AiryKind.ZERO_OF_AI_PRIME, j), Parity.EVEN))
@@ -106,17 +111,23 @@ def test_merge_matches_airy_interlacing_at_negative_k():
         assert pair.parity is parity
 
 
-def test_band_matches_merged_levels_on_random_inputs():
-    rng = np.random.default_rng(11)
-    for _ in range(12):
-        b = float(rng.uniform(0.3, 30.0))
-        k = float(rng.uniform(-3.0, 3.0) * math.sqrt(b))
-        j = int(rng.integers(1, 7))
-        refine = bool(rng.integers(0, 2))
-        pair = fiber.band(b, k, j, refine=refine)
-        merged = fiber.first_levels(b, k, j, refine=refine)[j - 1]
-        assert pair.omega == merged.omega
-        assert (pair.j, pair.parity) == (merged.j, merged.parity)
+def boundary_bits(pair):
+    return np.array([pair.omega, pair.psi0, pair.dpsi0]).tobytes()
+
+
+@seed(20261018)
+@settings(max_examples=30, deadline=None, database=None)
+@given(_fields, st.floats(-3.0, 3.0), st.integers(1, 6), st.booleans())
+def test_band_matches_merged_levels_on_random_inputs(b, q, j, refine):
+    k = q * math.sqrt(b)
+    alone = fiber.band(b, k, j, refine=refine)
+    merged = fiber.first_levels(b, k, j, refine=refine)
+    assert len(alone) == len(merged) == (2 if refine else 1)
+    for pair, pairs in zip(alone, merged):     # grid by grid, bit for bit
+        other = pairs[j - 1]
+        assert boundary_bits(pair) == boundary_bits(other)
+        assert (pair.j, pair.parity) == (other.j, other.parity)
+    assert fiber.refined((alone[0],)) is alone[0]
 
 
 def test_parity_of_band_inverts_global_index():
@@ -128,23 +139,23 @@ def test_parity_of_band_inverts_global_index():
 
 
 def test_merge_single_level_lists():
-    even = fiber.solve(fiber.build_problem(1.0, 0.5, Parity.EVEN, 1), 1)
-    odd = fiber.solve(fiber.build_problem(1.0, 0.5, Parity.ODD, 1), 1)
+    (even,) = fiber.sector(1.0, 0.5, Parity.EVEN, 1)
+    (odd,) = fiber.sector(1.0, 0.5, Parity.ODD, 1)
     merged = fiber.merge_parities(even, odd)
     assert [p.j for p in merged] == [1, 2]
     assert merged[0].omega < merged[1].omega
 
 
 def test_merge_detects_order_flip():
-    even = fiber.solve(fiber.build_problem(1.0, 0.5, Parity.EVEN, 2), 2)
-    odd = fiber.solve(fiber.build_problem(1.0, 0.5, Parity.ODD, 2), 2)
+    (even,) = fiber.sector(1.0, 0.5, Parity.EVEN, 2)
+    (odd,) = fiber.sector(1.0, 0.5, Parity.ODD, 2)
     with pytest.raises(InvariantViolation):
         fiber.merge_parities([even[1]], [odd[0]])
 
 
 def test_boundary_data_parity_exact_zeros():
-    even = fiber.solve(fiber.build_problem(1.0, 1.2, Parity.EVEN, 2), 2)
-    odd = fiber.solve(fiber.build_problem(1.0, 1.2, Parity.ODD, 2), 2)
+    (even,) = fiber.sector(1.0, 1.2, Parity.EVEN, 2)
+    (odd,) = fiber.sector(1.0, 1.2, Parity.ODD, 2)
     for pair in even:
         assert pair.dpsi0 == 0.0
         assert pair.psi0 != 0.0
@@ -154,8 +165,7 @@ def test_boundary_data_parity_exact_zeros():
 
 
 def test_ground_state_boundary_value_is_gaussian_peak():
-    problem = fiber.build_problem(1.0, 0.0, Parity.EVEN, requested_levels=1)
-    pair = fiber.solve(problem, 1, refine=True)[0]
+    _, (pair,) = fiber.sector(1.0, 0.0, Parity.EVEN, 1, refine=True)   # the fine grid
     assert pair.psi0 == pytest.approx(math.pi ** -0.25, abs=1e-5)
 
 
@@ -164,13 +174,12 @@ def test_never_both_boundary_values_zero():
     for _ in range(12):
         b = float(rng.uniform(0.5, 8.0))
         k = float(rng.uniform(-4.0, 4.0))
-        for pair in fiber.first_levels(b, k, 4):
+        for pair in fiber.first_levels(b, k, 4)[0]:
             assert pair.psi0 ** 2 + pair.dpsi0 ** 2 > 0.0
 
 
 def test_normalization_and_orthonormality_within_parity():
-    problem = fiber.build_problem(1.0, -1.7, Parity.EVEN, requested_levels=4)
-    pairs = fiber.solve(problem, 4)
+    (pairs,) = fiber.sector(1.0, -1.7, Parity.EVEN, 4)
     for i, a in enumerate(pairs):
         for j, c in enumerate(pairs):
             w = a.psi * c.psi
@@ -180,14 +189,14 @@ def test_normalization_and_orthonormality_within_parity():
 
 def test_ground_state_positive():
     for k in (-3.0, 0.0, 2.5):
-        pair = fiber.first_levels(1.0, k, 1)[0]
+        [(pair,)] = fiber.first_levels(1.0, k, 1)
         assert np.all(pair.psi >= -1e-10 * pair.psi.max())
         assert pair.psi[1:-5].min() > 0.0
 
 
 def test_residual_second_order_under_doubling():
-    coarse = fiber.solve(fiber.build_problem(1.0, 1.3, Parity.EVEN, 2, resolution=1500), 2)
-    fine = fiber.solve(fiber.build_problem(1.0, 1.3, Parity.EVEN, 2, resolution=3000), 2)
+    (coarse,) = fiber.sector(1.0, 1.3, Parity.EVEN, 2, resolution=1500)
+    (fine,) = fiber.sector(1.0, 1.3, Parity.EVEN, 2, resolution=3000)
     for pc, pf in zip(coarse, fine):
         order = math.log2(residual_norm(pc) / residual_norm(pf))
         assert order >= 1.9
@@ -196,42 +205,55 @@ def test_residual_second_order_under_doubling():
 def test_band_bounds_against_oscillator_levels():
     # odd bands sit strictly above their limit, even bands at or below for k >= 0
     for k in (-3.0, -1.0, 0.0, 1.0, 2.0, 3.0):
-        pairs = fiber.first_levels(1.0, k, 4, refine=True)
-        for pair in pairs:
+        grids = fiber.first_levels(1.0, k, 4, refine=True)
+        for pair, omega in zip(grids[-1], omegas(grids)):
             m = (pair.j + 1) // 2  # local index within the parity class
             if pair.parity is Parity.ODD:
-                assert pair.omega > 2.0 * m - 1.0
+                assert omega > 2.0 * m - 1.0
             elif k >= 0.0:
                 # even band m stays at or below oscillator level 2m-1
-                assert pair.omega <= 2.0 * (2 * m - 1) - 1.0 + 1e-8
+                assert omega <= 2.0 * (2 * m - 1) - 1.0 + 1e-8
 
 
-def test_build_problem_margin_and_scaling():
-    p = fiber.build_problem(1.0, 0.0, Parity.EVEN, requested_levels=3)
-    omega3 = fiber.solve(p, 3, refine=True)[-1].omega
-    assert (p.k - p.b * p.grid.L) ** 2 >= 4.0 * omega3
-    p10 = fiber.build_problem(1.0, 10.0, Parity.EVEN, requested_levels=3)
-    assert p10.grid.L > 10.0  # both wells enclosed
-    p100 = fiber.build_problem(100.0, 0.0, Parity.EVEN, requested_levels=3)
-    assert p100.grid.L == pytest.approx(p.grid.L / 10.0, rel=1e-12)
+def test_wall_margin_and_scaling():
+    b, k = 1.0, 0.0
+    L = fiber._wall(b, k, 3, fiber.DEFAULT_RESOLUTION)
+    omega3 = omegas(fiber.sector(b, k, Parity.EVEN, 3, refine=True))[-1]
+    assert (k - b * L) ** 2 >= 4.0 * omega3
+    L10 = fiber._wall(1.0, 10.0, 3, fiber.DEFAULT_RESOLUTION)
+    assert L10 > 10.0  # both wells enclosed
+    L100 = fiber._wall(100.0, 0.0, 3, fiber.DEFAULT_RESOLUTION)
+    assert L100 == pytest.approx(L / 10.0, rel=1e-12)
 
 
-def test_build_problem_rejects_impossible_requests():
+def test_wall_rejects_impossible_requests():
     with pytest.raises(ConfigurationError):
-        fiber.build_problem(1.0, 0.0, Parity.EVEN, requested_levels=3, resolution=32)
+        fiber.sector(1.0, 0.0, Parity.EVEN, 3, resolution=32)
     with pytest.raises(ConfigurationError):
-        fiber.build_problem(1.0, 0.0, Parity.EVEN, requested_levels=300, resolution=64)
+        fiber.sector(1.0, 0.0, Parity.EVEN, 300, resolution=64)
     with pytest.raises(ConfigurationError):
-        fiber.build_problem(0.0, 0.0, Parity.EVEN, requested_levels=2)
-    problem = fiber.build_problem(1.0, 0.0, Parity.EVEN, requested_levels=2)
+        fiber.sector(0.0, 0.0, Parity.EVEN, 2)
     with pytest.raises(ConfigurationError):
-        fiber.solve(problem, 3)
+        fiber.sector(1.0, 0.0, Parity.EVEN, 0)
+
+
+def test_wall_refuses_grids_the_eigensolver_cannot_take(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a stencil was built")
+
+    monkeypatch.setattr(fiber, "stencil", boom)
+    # LAPACK squares the off-diagonal 1/h^2, which underflows at this field
+    with pytest.raises(NumericalError, match="underflows"):
+        fiber.sector(1e-160, 0.0, Parity.EVEN, 1)
+    # the doubled grid of a refined solve would outgrow the row budget
+    with pytest.raises(NumericalError, match="budget"):
+        fiber.sector(1.0, 0.0, Parity.EVEN, 1, resolution=fiber.MAX_ROWS)
 
 
 def test_sturm_count_consistent_with_solved_levels():
-    problem = fiber.build_problem(1.0, 0.6, Parity.EVEN, requested_levels=3, resolution=1000)
-    pairs = fiber.solve(problem, 3)
-    d, e = fiber.stencil(1.0, 0.6, Parity.EVEN, problem.grid.L, 1000)
+    (pairs,) = fiber.sector(1.0, 0.6, Parity.EVEN, 3, resolution=1000)
+    L = fiber._wall(1.0, 0.6, 3, 1000)
+    d, e = fiber.stencil(1.0, 0.6, Parity.EVEN, L, 1000)
     e2 = (e * e).tolist()
     piv = tridiag.pivmin(d.tolist(), e2)
     for m, pair in enumerate(pairs):

@@ -141,7 +141,7 @@ def test_strip_split_oscillator_oracles():
 
 def test_strip_split_edges():
     pair = loc._solved_level(1.0, 0.0, 1, 4000)
-    inside, outside = loc.strip_split(pair, pair.grid.L + 1.0)
+    inside, outside = loc.strip_split(pair, len(pair.grid.x) * pair.grid.h + 1.0)
     assert inside == pytest.approx(1.0, abs=1e-12) and outside == 0.0
     with pytest.raises(ConfigurationError):
         loc.strip_split(pair, 0.0)

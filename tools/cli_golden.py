@@ -55,6 +55,13 @@ CASES["count2d_above_band"] = ["count2d", "--b", "1", "--hy", "0.8",
 # the unrefined row sampler and the JSON table over a k-range
 CASES["bands_norefine"] = CASES["bands"] + ["--no-refine"]
 CASES["bands_json"] = CASES["bands"] + ["--format", "json"]
+# the single-k branch on one grid and on two, and a deep wedge past the
+# default resolution
+CASES["bands_k03_norefine"] = ["bands", "--b", "1", "--kmin", "0.3", "--kmax", "0.3",
+                               "--nbands", "7", "--no-refine"]
+CASES["bands_k03_one_band"] = ["bands", "--b", "1", "--kmin", "0.3", "--kmax", "0.3",
+                               "--nbands", "1"]
+CASES["airy_deep"] = ["airy", "--b", "1", "--ks=-60", "--jmax", "3"]
 # --jobs 2 twins of the commands that fork workers: their bytes must not
 # depend on --jobs
 CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
