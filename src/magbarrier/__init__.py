@@ -25,10 +25,10 @@ mathematical guarantee failing outright.
 import os
 
 # One OpenBLAS thread per process unless the user chose a thread count: the
-# parallelism is --jobs (count2d rung threads; forked workers for the k-sweep
-# of bands, mourre, budget and localize and for the precise pair solves of
-# ho), and BLAS threads under those workers contend for the same cores. Set
-# before numpy loads OpenBLAS.
+# parallelism is --jobs (forked workers for the sectors of count2d, the
+# k-sweep of bands, mourre, budget and localize, and the precise pair solves
+# of ho), and BLAS threads under those workers contend for the same cores.
+# Set before numpy loads OpenBLAS.
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

@@ -111,14 +111,15 @@ def _trace_row(b, k, n_bands, refine):
 
 @contextlib.contextmanager
 def _k_map(jobs):
-    """A map over independent solves (k-points, or the precise units of
-    asymptotics): in order, serially or on forked worker processes.
+    """A map over independent solves (k-points, the precise units of
+    asymptotics, or the 2D count sectors of counting): in order, serially or
+    on forked worker processes.
 
     At most `jobs` workers, and no more than the CPUs this process may use.
     The pool is left (and its workers reaped) when the block exits, on an
     error too; a worker's exception re-raises as itself in the caller.
     """
-    import multiprocessing     # here, so commands that never trace do not load it
+    import multiprocessing     # here, so commands that never fork do not load it
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1

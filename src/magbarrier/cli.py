@@ -486,13 +486,15 @@ def cmd_count2d(cfg, jobs):
         return payload
     rows = [[lam, n, lam ** expected * n]
             for lam, n in zip(curve.lambdas, curve.counts)]
-    gap, ratio = counting.asymptotics_check(curve, alpha, constant)
+    # counts with nothing to fit fail the check, as count1d's do
+    passed = curve.fitted_exponent is not None
+    gap, ratio = counting.asymptotics_check(curve, alpha, constant) \
+        if passed else (None, None)
     summary.update(fitted_exponent=curve.fitted_exponent,
                    fitted_prefactor=curve.fitted_prefactor,
                    exponent_gap=gap, prefactor_ratio=ratio,
                    threshold=meta["threshold"], unknowns=meta["unknowns"])
-    passed = True
-    if cfg["check_stability"]:
+    if passed and cfg["check_stability"]:
         # the curve's first rung, its largest lambda, recounted on the same
         # box with both steps refined and its own discrete threshold; a drift
         # beyond one count flags the result as grid-limited
@@ -554,10 +556,10 @@ def build_parser():
         sub.add_argument("--outdir", default=".", help="output directory")
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--jobs", type=int, default=1,
-                         help="workers: count2d threads for the ladder rungs; "
-                         "bands, mourre, budget and localize processes for "
-                         "the k-sweep; ho processes for the precise pair "
-                         "solves (output never depends on it)")
+                         help="worker processes: count2d for the (rung, "
+                         "parity) sectors; bands, mourre, budget and localize "
+                         "for the k-sweep; ho for the precise pair solves "
+                         "(output never depends on it)")
     return parser
 
 

@@ -15,7 +15,6 @@ of being swamped by the O(h^2) shift of the continuum threshold.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,7 +23,7 @@ from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.optimize import minimize_scalar
 from scipy.special import betaln
 
-from . import fiber
+from . import bands, fiber
 from .errors import ConfigurationError, InvariantViolation, NumericalError
 from .fiber import Parity
 
@@ -33,6 +32,9 @@ DEFAULT_HX_2D = 0.05
 DEFAULT_HY_2D = 0.4
 TURNING_FACTOR = 3.0
 MAX_UNKNOWNS_2D = 10_000_000
+# x-points of one Schur block, which the sweep holds as dense nx x nx complex
+# buffers: 64 MiB each at the cap, over 10x the nx of b = 1 at the default hx
+MAX_NX_2D = 2048
 # rows of one 1D line grid: over 10x the 1.8 M of the default count1d
 # ladder's widened grid
 MAX_ROWS_1D = 20_000_000
@@ -307,7 +309,11 @@ def count_1d(m, Q, lam, half_width=None, h=DEFAULT_H_1D, verify_width=True):
 
 @dataclass(frozen=True)
 class CountingCurve:
-    """Counts along a decreasing lambda ladder with its power-law fit."""
+    """Counts along a decreasing lambda ladder with its power-law fit.
+
+    Both fitted fields are None for a 2D ladder whose counts leave nothing to
+    fit (counting_curve_2d).
+    """
 
     lambdas: tuple
     counts: tuple
@@ -458,22 +464,33 @@ def _strict_upper(n):
 
 
 def _block_inertia(block):
-    """(negatives, inverse) of a Hermitian block by Bunch-Kaufman LDL^H.
+    """(negatives, inverse) of a Hermitian block, Cholesky first.
 
-    Sylvester's law gives the inertia of the block as that of D, and zhetri
-    on the same factors gives the inverse, whose strict upper triangle is
-    then mirrored from the lower one in place. A block is refused as
-    near-singular when its 2-norm condition exceeds 1e12; n kappa_1 bounds
-    it from above, and only a block that bound cannot clear has its
-    eigenvalues computed. The inverse comes back in Fortran order; its
-    transpose is the same matrix of moduli in C order, so both 1-norms are
-    the column sums of a C-ordered array, summed row by row.
+    Nearly every Schur block of a count is positive definite, so zpotrf is
+    tried first: when it factors the block, the block has no negatives and
+    zpotri gives its inverse. A block zpotrf refuses is factored again, as
+    given, by Bunch-Kaufman LDL^H: Sylvester's law gives its inertia as that
+    of D, and zhetri on the same factors gives the inverse. Either way the
+    inverse's strict upper triangle is then mirrored from the lower one in
+    place. A block is refused as near-singular when its 2-norm condition
+    exceeds 1e12; n kappa_1 bounds it from above, and only a block that
+    bound cannot clear has its eigenvalues computed. This guard keeps the
+    count exact on both paths: zpotrf can succeed on a block whose smallest
+    eigenvalue is within rounding of zero, and the guard refuses that block.
+    The inverse comes back in Fortran order; its transpose is the same
+    matrix of moduli in C order, so both 1-norms are the column sums of a
+    C-ordered array, summed row by row.
     """
     n = len(block)
-    ldu, ipiv, info = lapack.zhetrf(block, lower=1)
+    factor, info = lapack.zpotrf(block, lower=1, clean=0)
     if info == 0:
-        negatives = _ldl_negatives(ldu, ipiv)
-        inverse, info = lapack.zhetri(ldu, ipiv, lower=1, overwrite_a=1)
+        negatives = 0
+        inverse, info = lapack.zpotri(factor, lower=1, overwrite_c=1)
+    else:
+        ldu, ipiv, info = lapack.zhetrf(block, lower=1)
+        if info == 0:
+            negatives = _ldl_negatives(ldu, ipiv)
+            inverse, info = lapack.zhetri(ldu, ipiv, lower=1, overwrite_a=1)
     if info != 0:
         raise NumericalError("singular pivot block in the inertia sweep")
     # adding zero turns -0.0 into +0.0 where tril(X) + conj(tril(X, -1))^T
@@ -562,8 +579,10 @@ def _grid_2d(b, V, lam, spec, ell_hint=None):
     TURNING_FACTOR times the turning point of the reduced tail
     ell |y|^{-alpha}; without a hint, ell comes from the band-1 state at the
     frozen minimum estimate kappa_1 ~ 0.768 sqrt(b). A grid that cannot be
-    represented, that has fewer than two x-steps, or that exceeds
-    spec.max_unknowns, is refused here, before any grid array exists.
+    represented, that has fewer than two x-steps, more than MAX_NX_2D
+    x-steps (the side of every dense Schur block), or more than
+    spec.max_unknowns unknowns, is refused here, before any grid array
+    exists.
     """
     root_b = math.sqrt(b)
     lx = spec.lx
@@ -587,6 +606,10 @@ def _grid_2d(b, V, lam, spec, ell_hint=None):
         raise ConfigurationError(
             f"hx={spec.hx:g} leaves {nx} x-step(s) on the half-width "
             f"{lx:g}; the fiber stencil needs at least 2")
+    if nx > MAX_NX_2D:
+        raise NumericalError(
+            f"{nx} x-steps exceed the cap of {MAX_NX_2D} on one dense Schur "
+            "block; raise hx or b")
     if (2 * nx - 1) * ny > spec.max_unknowns:
         raise NumericalError(
             f"grid {2 * nx - 1} x {ny} exceeds the budget of "
@@ -595,22 +618,20 @@ def _grid_2d(b, V, lam, spec, ell_hint=None):
     return nx * spec.hx, nx, y_width, ny
 
 
-def _count_sector(parity, system, tau):
-    """Negatives of one sector below tau, with count_2d's singular retries."""
+def _count_sector(unit):
+    """(count, attempt, shifted tau) of one (parity, system, tau) sector unit.
+
+    A sector that meets a near-singular Schur block is recounted at
+    tau (1 + 1e-9 attempt); attempt 0 is the unshifted count.
+    """
+    _, system, tau = unit
     for attempt in range(SINGULAR_RETRIES):
         shifted = tau * (1.0 + attempt * 1e-9)
         try:
-            count = _sector_inertia(*system, shifted)
-            break
+            return _sector_inertia(*system, shifted), attempt, shifted
         except NumericalError:
             if attempt == SINGULAR_RETRIES - 1:
                 raise
-    if attempt:
-        warnings.warn(
-            f"{parity.value} sector counted at tau*(1 + {attempt}e-9) = "
-            f"{shifted!r} instead of tau = {tau!r}: near-singular Schur "
-            f"block", RuntimeWarning, stacklevel=2)
-    return count
 
 
 def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, threshold=None,
@@ -624,11 +645,13 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, threshold=None,
     module's stencils, which requires v1 even; the y-extent covers
     TURNING_FACTOR times the classical turning point of the reduced tail
     ell |y|^{-alpha}. Every guard runs before any sweep. Each (lam, parity)
-    sector is independent and runs on a pool of `jobs` threads (the
-    factorizations release the interpreter lock); counts come back in the
-    order of lambdas. A sector that meets a near-singular Schur block is
-    recounted at tau (1 + 1e-9 attempt), and a RuntimeWarning names the
-    sector and the shifted threshold. meta records the threshold and grid.
+    sector is independent, and jobs > 1 runs the sectors on up to that many
+    forked worker processes (bands._k_map): LAPACK's level-3 routines on
+    blocks this small gain nothing from a second thread of one process.
+    Counts come back in the order of lambdas. A sector that meets a
+    near-singular Schur block is recounted at tau (1 + 1e-9 attempt), and a
+    RuntimeWarning, raised here in ladder order, names the sector and the
+    shifted threshold. meta records the threshold and grid.
     """
     if not all(lam > 0.0 for lam in lambdas):
         raise ConfigurationError("lam must be positive")
@@ -655,9 +678,15 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, threshold=None,
         sectors.append((parity, (d_x, e_x, xs, b, v1_vals, v2_vals, hy)))
     units = [(parity, system, threshold - lam)
              for lam in lambdas for parity, system in sectors]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        sector_counts = list(pool.map(_count_sector, *zip(*units)))
-    counts = [sector_counts[i] + sector_counts[i + 1]
+    with bands._k_map(jobs) as k_map:
+        sector_counts = list(k_map(_count_sector, units))
+    for (parity, _, tau), (_, attempt, shifted) in zip(units, sector_counts):
+        if attempt:
+            warnings.warn(
+                f"{parity.value} sector counted at tau*(1 + {attempt}e-9) = "
+                f"{shifted!r} instead of tau = {tau!r}: near-singular Schur "
+                f"block", RuntimeWarning, stacklevel=2)
+    counts = [sector_counts[i][0] + sector_counts[i + 1][0]
               for i in range(0, len(units), 2)]
     meta = {"threshold": threshold, "lx": lx, "y_width": y_width,
             "hx": spec.hx, "unknowns": (2 * nx - 1) * ny}
@@ -668,9 +697,16 @@ def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, jobs=1):
     """2D counts over a ladder on one shared grid, plus the fitted curve.
 
     Returns (curve, meta), meta as count_2d's. A ladder the fit would refuse
-    is refused before any sweep runs.
+    is refused before any sweep runs. When the swept counts leave too few
+    nonzero rungs, or too narrow a span of them, to fit, the curve carries
+    the counts with no fit (both fitted fields None): the check ran and
+    failed.
     """
     lambdas = checked_ladder(lambdas)
     counts, meta = count_2d(b, V, lambdas, spec=spec, ell_hint=ell_hint,
                             jobs=jobs)
-    return fit_curve(lambdas, counts), meta
+    try:
+        return fit_curve(lambdas, counts), meta
+    except ConfigurationError:  # the ladder passed, so its nonzero part did not
+        return CountingCurve(lambdas=tuple(lambdas), counts=tuple(counts),
+                             fitted_exponent=None, fitted_prefactor=None), meta

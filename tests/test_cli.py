@@ -250,6 +250,10 @@ def test_count2d_stability_flags_a_drift_beyond_one(tmp_path, monkeypatch):
     ["count2d", "--alpha", "0.001"],
     ["count1d", "--alpha", "0.1"],
     ["count1d", "--alpha", "0.001"],
+    # under the unknowns budget, but each dense Schur block is nx x nx:
+    # nx = 14828 (3.5 GB a block) and nx = 1482843 at ny = 1
+    ["count2d", "--b", "1e-4"],
+    ["count2d", "--b", "1e-8"],
 ])
 def test_grid_past_its_budget_exits_three_before_allocating(tmp_path, monkeypatch,
                                                             capsys, argv):
@@ -376,6 +380,20 @@ def test_count1d_ladder_with_nothing_to_fit_fails(tmp_path):
     assert not passed and failed is None
     assert [row[1] for row in rows] == ["0", "0", "0"]
     assert summary["fitted_exponent"] == "None"
+
+
+def test_count2d_ladder_counted_to_zeros_fails(tmp_path, capsys):
+    # the ladder passes the pre-sweep shape check, but the sweep leaves too
+    # few nonzero counts to fit; this used to exit 2 as a usage error
+    argv = ["count2d", "--b", "2", "--hy", "0.8", "--lambdas",
+            "0.6,0.28,0.13,0.06"]
+    assert run(argv, tmp_path) == 1
+    assert "error:" not in capsys.readouterr().err
+    _, _, rows, summary, failed, passed = read_csv(tmp_path / "count2d.csv")
+    assert not passed and failed is None
+    assert [row[1] for row in rows] == ["0", "1", "1", "2"]
+    assert summary["fitted_exponent"] == "None"
+    assert summary["prefactor_ratio"] == "None"
 
 
 def test_short_ladder_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys):

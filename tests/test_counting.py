@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import birman_schwinger_count
 from scipy.linalg import lapack
 
-from magbarrier import counting, fiber
+from magbarrier import cli, counting, fiber
 from magbarrier.counting import Grid2DSpec
 from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 from magbarrier.fiber import Parity
@@ -588,21 +588,104 @@ def test_palindrome_off_by_one_ulp_takes_the_full_sweep():
             == int((_sector_eigenvalues(*system) < tau).sum())
 
 
+def _hermitian(rng, eigenvalues):
+    """A random complex Hermitian block with the given spectrum."""
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    block = (q * np.asarray(eigenvalues)) @ q.conj().T
+    return np.ascontiguousarray(0.5 * (block + block.conj().T))
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["definite", "indefinite", "one small negative"]),
+       st.floats(1e-8, 1e-2))
+def test_block_inertia_equals_eigvalsh_count_on_random_blocks(n, rng_seed,
+                                                              kind, small):
+    rng = np.random.default_rng(rng_seed)
+    eigenvalues = rng.uniform(0.1, 10.0, size=n)
+    if kind == "indefinite":
+        eigenvalues *= rng.choice([-1.0, 1.0], size=n)
+        eigenvalues[0] = -eigenvalues[0]   # at least one of each sign when n > 1
+    elif kind == "one small negative":
+        eigenvalues[rng.integers(n)] = -small * eigenvalues.max()
+    block = _hermitian(rng, eigenvalues)
+    with mock.patch.object(lapack, "zhetrf", wraps=lapack.zhetrf) as bunch:
+        negatives, inverse = counting._block_inertia(block)
+    assert negatives == int((np.linalg.eigvalsh(block) < 0.0).sum()) \
+        == int((eigenvalues < 0.0).sum())
+    # only a block with a negative eigenvalue leaves the Cholesky path
+    assert bunch.call_count == (negatives > 0)
+    assert np.allclose(inverse @ block, np.eye(n), atol=1e-6)
+
+
+def test_ill_conditioned_definite_block_is_refused_after_cholesky():
+    # zpotrf factors a positive definite block of condition 1e13, but the
+    # condition guard refuses it as it refuses a near-singular LDL^H block
+    rng = np.random.default_rng(20261019)
+    block = _hermitian(rng, np.geomspace(1e-13, 1.0, 40))
+    assert lapack.zpotrf(block, lower=1)[1] == 0
+    assert np.linalg.eigvalsh(block).min() > 0.0
+    with mock.patch.object(lapack, "zhetrf", wraps=lapack.zhetrf) as bunch:
+        with pytest.raises(NumericalError, match="near-singular"):
+            counting._block_inertia(block)
+    assert bunch.call_count == 0
+
+
 def test_mirrored_inverse_is_the_triangle_sum_bit_for_bit():
-    # the inverse zhetri leaves in the lower triangle, made Hermitian the
-    # way the sweep did before it mirrored in place; a real block makes
-    # exact zeros of both signs in the imaginary parts
+    # the inverse LAPACK leaves in the lower triangle (zpotri on a positive
+    # definite block, zhetri on the Bunch-Kaufman factors otherwise), made
+    # Hermitian the way the sweep did before it mirrored in place; a real
+    # block makes exact zeros of both signs in the imaginary parts
     rng = np.random.default_rng(20261018)
     for n, real in ((1, False), (7, True), (40, False), (40, True)):
         a = rng.normal(size=(n, n)) + (0.0 if real else 1j) * rng.normal(size=(n, n))
-        block = np.asarray(a + a.conj().T, dtype=complex)
-        ldu, ipiv, _ = lapack.zhetrf(block, lower=1)
-        raw, _ = lapack.zhetri(ldu, ipiv, lower=1)
-        expected = np.tril(raw) + np.tril(raw, -1).conj().T
-        negatives, inverse = counting._block_inertia(block)
-        assert np.array_equal(np.ascontiguousarray(inverse).view(np.uint64),
-                              expected.view(np.uint64))
-        assert negatives == int((np.linalg.eigvalsh(block) < 0.0).sum())
+        a = np.asarray(a + a.conj().T, dtype=complex)
+        shift = np.abs(np.linalg.eigvalsh(a)).max() + 1.0
+        for definite in (True, False):
+            block = a + (shift if definite else -shift) * np.eye(n)
+            factor, info = lapack.zpotrf(block, lower=1, clean=0)
+            assert (info == 0) == definite
+            if definite:
+                raw, _ = lapack.zpotri(factor, lower=1)
+            else:
+                ldu, ipiv, _ = lapack.zhetrf(block, lower=1)
+                raw, _ = lapack.zhetri(ldu, ipiv, lower=1)
+            expected = np.tril(raw) + np.tril(raw, -1).conj().T
+            negatives, inverse = counting._block_inertia(block)
+            assert np.array_equal(np.ascontiguousarray(inverse).view(np.uint64),
+                                  expected.view(np.uint64))
+            assert negatives == int((np.linalg.eigvalsh(block) < 0.0).sum()) \
+                == (0 if definite else n)
+
+
+def test_bunch_kaufman_runs_only_where_cholesky_failed(tmp_path):
+    # the count2d golden ladder, on one process so the spies see every block
+    potrf, hetrf = lapack.zpotrf, lapack.zhetrf
+    last, calls = {}, {"potrf": 0, "failed": 0, "hetrf": 0}
+
+    def spied_potrf(block, **kwargs):
+        factor, info = potrf(block, **kwargs)
+        calls["potrf"] += 1
+        calls["failed"] += info != 0
+        last.update(block=block, copy=block.copy(), info=info)
+        return factor, info
+
+    def spied_hetrf(block, **kwargs):
+        calls["hetrf"] += 1
+        # the same block zpotrf just refused, untouched by it
+        assert block is last["block"] and last["info"] != 0
+        assert np.array_equal(block, last["copy"])
+        return hetrf(block, **kwargs)
+
+    argv = ["count2d", "--b", "1", "--hy", "0.8", "--lambdas",
+            "0.3,0.14,0.066,0.03", "--jobs", "1", "--outdir", str(tmp_path)]
+    with mock.patch.object(lapack, "zpotrf", spied_potrf), \
+            mock.patch.object(lapack, "zhetrf", spied_hetrf):
+        assert cli.main(argv) == 0
+    assert calls["hetrf"] == calls["failed"] > 0
+    assert calls["hetrf"] < 0.05 * calls["potrf"]
 
 
 @pytest.mark.parametrize("y_width", [6.0, 5.7])
@@ -813,7 +896,7 @@ def test_count_2d_monotone_in_lambda_on_one_grid(y_width, u, v, amplitude):
 
 @pytest.mark.parametrize("y_width", [6.0, 5.7])  # ny = 30 and 29
 def test_counting_curve_2d_pool_matches_serial_and_count_2d(monkeypatch,
-                                                            y_width):
+                                                            tmp_path, y_width):
     V = counting.standard_potential(1.0, amplitude=3.0)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=y_width)
     lams = [0.5, 0.2, 0.1, 0.04]
@@ -829,22 +912,24 @@ def test_counting_curve_2d_pool_matches_serial_and_count_2d(monkeypatch,
         == list(serial.counts[::-1])
     assert len(set(per_rung)) > 1
 
-    # the odd sector of the third rung meets a singular block once: the
-    # pool retries it and warns as count_2d does
+    # the odd sector of the third rung meets a singular block once: a pool
+    # worker retries it, and the parent warns as count_2d does; the refusal
+    # is recorded in a file, which the worker process shares with the test
     tau = meta["threshold"] - lams[2]
     shifted = tau * (1.0 + 1e-9)
     sweep = counting._sector_inertia
-    refused = []
+    record = tmp_path / "refused"
 
     def flaky(*args):
-        if args[-1] == tau and len(args[0]) == 17 and not refused:
-            refused.append(tau)
+        if args[-1] == tau and len(args[0]) == 17 and not record.exists():
+            record.write_text(f"{tau!r}\n")
             raise NumericalError("near-singular pivot block in the inertia sweep")
         return sweep(*args)
 
     monkeypatch.setattr(counting, "_sector_inertia", flaky)
     with pytest.warns(RuntimeWarning) as warned:
         retried, _ = counting.counting_curve_2d(1.0, V, lams, spec=spec, jobs=2)
+    refused = [float(line) for line in record.read_text().splitlines()]
     assert refused == [tau]
     assert [str(w.message) for w in warned] == [
         f"odd sector counted at tau*(1 + 1e-9) = {shifted!r} "

@@ -47,6 +47,9 @@ CASES = {
                         "--lambdas", "0.3,0.14,0.066,0.0295", "--jobs", "2"],
 }
 CASES["count2d_stability"] = CASES["count2d"] + ["--check-stability"]
+# counts 3, 4, 7, 11: more Schur blocks are indefinite than at amplitude 1
+CASES["count2d_amp3"] = ["count2d", "--b", "1", "--amplitude", "3", "--hy", "0.8",
+                         "--lambdas", "0.3,0.14,0.066,0.03", "--jobs", "2"]
 # the stability recount on one thread, and a ladder whose top rung sits above
 # the band floor: exit 2 with a FAILED row
 CASES["count2d_stability_jobs1"] = CASES["count2d_stability"] + ["--jobs", "1"]
