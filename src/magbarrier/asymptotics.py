@@ -220,16 +220,6 @@ def omega_pair_precise(b, j, ks, jobs):
             for k in ks]
 
 
-_KAPPA_CACHE = {}
-
-
-def _kappa(j, b):
-    key = (j, float(b))
-    if key not in _KAPPA_CACHE:
-        _KAPPA_CACHE[key] = bands.find_minimum(j, b).kappa
-    return _KAPPA_CACHE[key]
-
-
 def splitting_fit(b, j, k_samples, kappa=None, jobs=1):
     """Least-squares decay rate of the parity splitting against k^2/b.
 
@@ -245,7 +235,7 @@ def splitting_fit(b, j, k_samples, kappa=None, jobs=1):
     ks = sorted(float(k) for k in k_samples)
     if len(set(ks)) < 3:
         raise ConfigurationError("need at least 3 distinct k for a decay fit")
-    kappa = _kappa(j, b) if kappa is None else kappa
+    kappa = bands.find_minimum(j, b).kappa if kappa is None else kappa
     entry = kappa + math.sqrt(b)
     if min(ks) < entry:
         raise ConfigurationError(

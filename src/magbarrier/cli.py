@@ -7,9 +7,13 @@ Every run writes one deterministic CSV or JSON document (floats at 12 and 17
 significant digits respectively), echoing the effective configuration into
 the output header so a file reproduces itself.
 
-Exit codes: 0 all pass flags true; 1 a computed check failed; 2 usage or
-configuration error; 3 resolution or resource limit. Multi-rung commands
-flush partial tables with a FAILED marker before reporting the error.
+Exit codes: 0 all pass flags true; 1 a computed check failed, written as
+pass=false under the full table; 2 usage or configuration error; 3
+resolution or resource limit. Multi-rung commands stopped by an error (exit
+2 or 3) flush partial tables with a FAILED marker before reporting it. In
+count1d and count2d, a ladder whose nonzero counts take fewer than two
+values fits nothing and fails with exit 1; count2d also fails when fewer
+than four nonzero rungs remain or they span less than a decade.
 """
 
 import argparse
@@ -453,7 +457,8 @@ def cmd_count1d(cfg, jobs):
     exponent, prefactor = counting.power_law_fit([r[0] for r in rows], counts)
     summary = {"expected_exponent": expected, "closed_form_constant": constant,
                "fitted_exponent": exponent, "fitted_prefactor": prefactor}
-    # a ladder with fewer than two nonzero counts fits nothing, and fails
+    # a ladder whose nonzero counts take fewer than two values fits nothing,
+    # and fails
     payload = _payload("count1d", cfg, columns, rows, summary,
                        failed is None and exponent is not None, failed)
     payload["_exc"] = exc
@@ -467,7 +472,8 @@ def cmd_count2d(cfg, jobs):
     rec = bands.find_minimum(1, b)
     (ground,) = fiber.band(b, rec.kappa, 1)
     reduced = counting.reduced_potential(V, ground, np.linspace(0.0, 500.0, 4001))
-    constant = counting.counting_constant_2d(alpha, reduced.ell, rec.beta)
+    constant = counting.counting_constant_1d(alpha, reduced.ell,
+                                             math.sqrt(rec.beta))
     expected = 1.0 / alpha - 0.5
     spec = Grid2DSpec(hx=cfg["hx"], hy=cfg["hy"],
                       max_unknowns=cfg["max_unknowns"])
@@ -477,7 +483,7 @@ def cmd_count2d(cfg, jobs):
     try:
         curve, meta = counting.counting_curve_2d(b, V, cfg["lambdas"],
                                                  spec=spec,
-                                                 ell_hint=reduced.ell,
+                                                 ell=reduced.ell,
                                                  jobs=jobs)
     except (ConfigurationError, NumericalError, InvariantViolation) as err:
         payload = _payload("count2d", cfg, columns, [], summary, False,
@@ -488,8 +494,8 @@ def cmd_count2d(cfg, jobs):
             for lam, n in zip(curve.lambdas, curve.counts)]
     # counts with nothing to fit fail the check, as count1d's do
     passed = curve.fitted_exponent is not None
-    gap, ratio = counting.asymptotics_check(curve, alpha, constant) \
-        if passed else (None, None)
+    gap, ratio = (abs(curve.fitted_exponent - expected),
+                  curve.fitted_prefactor / constant) if passed else (None, None)
     summary.update(fitted_exponent=curve.fitted_exponent,
                    fitted_prefactor=curve.fitted_prefactor,
                    exponent_gap=gap, prefactor_ratio=ratio,

@@ -122,7 +122,7 @@ class ReducedPotential:
         if not self.ell > 0.0:
             raise InvariantViolation("tail coefficient ell must be positive")
 
-    def evaluate(self, y):
+    def __call__(self, y):
         y = np.abs(np.asarray(y, dtype=float))
         inside = np.interp(y, self.ys, self.values)
         tail = np.where(y > 0.0, self.ell * np.maximum(y, 1e-300) ** -self.alpha,
@@ -194,13 +194,6 @@ def tail_turning_point(ell, lam, alpha):
         return math.inf
 
 
-def counting_constant_2d(alpha, L, beta1):
-    """The 2D prefactor; the 1D constant at effective mass m = sqrt(beta1)."""
-    if not beta1 > 0.0:
-        raise ConfigurationError("effective mass beta1 must be positive")
-    return counting_constant_1d(alpha, L, math.sqrt(beta1))
-
-
 # ---------------------------------------------------------------------------
 # 1D counts
 
@@ -253,30 +246,19 @@ def _line_grid(half_width, h):
     return ys
 
 
-def _q_values(Q, ys):
-    if isinstance(Q, ReducedPotential):
-        return Q.evaluate(ys)
-    return np.asarray(Q(ys), dtype=float)
+def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
+    """Eigenvalues of -m^2 d^2/dy^2 - Q below -lam on the line |y| <= half_width.
 
-
-def count_1d(m, Q, lam, half_width=None, h=DEFAULT_H_1D, verify_width=True):
-    """Eigenvalues of -m^2 d^2/dy^2 - Q below -lam on an auto-sized line grid.
-
-    The grid spans 3x the classical turning point (ell/lam)^{1/alpha} each
-    side, so every bound state is enclosed with margin; verify_width recounts
-    on a widened grid and raises when the count is still moving. A grid of
-    more than MAX_ROWS_1D rows is refused before any of it is allocated.
+    count1d spans TURNING_FACTOR times the classical turning point
+    (ell/lam)^{1/alpha} each side, so every bound state is enclosed with
+    margin; verify_width recounts on a widened grid and raises when the
+    count is still moving. A grid of more than MAX_ROWS_1D rows is refused
+    before any of it is allocated.
     """
     if not (m > 0.0 and lam > 0.0):
         raise ConfigurationError("need m > 0 and lam > 0")
     if not h > 0.0:
         raise ConfigurationError(f"grid step h must be positive, got {h}")
-    if half_width is None:
-        if not isinstance(Q, ReducedPotential):
-            raise ConfigurationError(
-                "half_width is required when Q is a bare callable"
-            )
-        half_width = TURNING_FACTOR * tail_turning_point(Q.ell, lam, Q.alpha)
     widest = 1.5 * half_width if verify_width else half_width
     rows = 2.0 * widest / h
     if not rows <= MAX_ROWS_1D:
@@ -287,7 +269,7 @@ def count_1d(m, Q, lam, half_width=None, h=DEFAULT_H_1D, verify_width=True):
     def count_at(width):
         # each grid-long array is dropped once used, so at most three of
         # them are alive at a time and only d and e live through the sweep
-        q = _q_values(Q, _line_grid(width, h))
+        q = np.asarray(Q(_line_grid(width, h)), dtype=float)
         if (q < 0.0).any():
             raise ConfigurationError("Q must be nonnegative")
         d = 2.0 * m * m / (h * h) - q
@@ -311,7 +293,7 @@ def count_1d(m, Q, lam, half_width=None, h=DEFAULT_H_1D, verify_width=True):
 class CountingCurve:
     """Counts along a decreasing lambda ladder with its power-law fit.
 
-    Both fitted fields are None for a 2D ladder whose counts leave nothing to
+    Both fitted fields are None for a ladder whose counts leave nothing to
     fit (counting_curve_2d).
     """
 
@@ -333,23 +315,25 @@ class CountingCurve:
 def power_law_fit(lambdas, counts):
     """(p, A) of N ~ A lambda^{-p} by log-log least squares on nonzero counts.
 
-    (None, None) when fewer than two counts are nonzero.
+    (None, None) when the nonzero counts take fewer than two values: a flat
+    ladder has no slope to fit.
     """
     lams = np.asarray(lambdas, dtype=float)
     cnts = np.asarray(counts, dtype=float)
     mask = cnts > 0
-    if mask.sum() < 2:
+    if len(np.unique(cnts[mask])) < 2:
         return None, None
     slope, intercept = np.polyfit(np.log(lams[mask]), np.log(cnts[mask]), 1)
     return float(-slope), float(math.exp(intercept))
 
 
-def _check_ladder(lams):
-    """Refuse a positive ladder too short or too narrow for the fit."""
+def _ladder_fault(lams):
+    """Why a positive ladder is too short or too narrow to fit, or None."""
     if len(lams) < 4:
-        raise ConfigurationError("need at least 4 lambdas with nonzero counts")
-    if lams.max() / lams.min() < 10.0:
-        raise ConfigurationError("lambda ladder must span at least one decade")
+        return "need at least 4 lambdas with nonzero counts"
+    if max(lams) / min(lams) < 10.0:
+        return "lambda ladder must span at least one decade"
+    return None
 
 
 def checked_ladder(lambdas):
@@ -361,36 +345,10 @@ def checked_ladder(lambdas):
     lambdas = sorted((float(v) for v in lambdas), reverse=True)
     if not all(lam > 0.0 for lam in lambdas):
         raise ConfigurationError("lam must be positive")
-    _check_ladder(np.asarray(lambdas))
+    fault = _ladder_fault(lambdas)
+    if fault:
+        raise ConfigurationError(fault)
     return lambdas
-
-
-def fit_curve(lambdas, counts):
-    """CountingCurve with N ~ A lambda^{-p} fitted in log-log least squares."""
-    lams = np.asarray(lambdas, dtype=float)
-    cnts = np.asarray(counts, dtype=float)
-    mask = cnts > 0
-    _check_ladder(lams[mask])
-    if np.all(cnts[mask] == cnts[mask][0]):
-        raise NumericalError("degenerate curve: all counts equal; widen the ladder")
-    exponent, prefactor = power_law_fit(lams, cnts)
-    return CountingCurve(lambdas=tuple(float(v) for v in lambdas),
-                         counts=tuple(int(c) for c in counts),
-                         fitted_exponent=exponent, fitted_prefactor=prefactor)
-
-
-def asymptotics_check(curve, alpha, constant):
-    """(exponent_gap, prefactor_ratio) of a curve against the theory.
-
-    The expected exponent is 1/alpha - 1/2 and the expected prefactor the
-    closed-form constant; callers assert their own tolerances.
-    """
-    if not 0.0 < alpha < 2.0:
-        raise ConfigurationError("alpha must lie in (0, 2)")
-    if not constant > 0.0:
-        raise ConfigurationError("the comparison constant must be positive")
-    gap = abs(curve.fitted_exponent - (1.0 / alpha - 0.5))
-    return gap, curve.fitted_prefactor / constant
 
 
 # ---------------------------------------------------------------------------
@@ -571,31 +529,28 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     return negatives + _block_inertia(join)[0]
 
 
-def _grid_2d(b, V, lam, spec, ell_hint=None):
+def _grid_2d(b, V, lam, spec, ell):
     """(lx, nx, y_width, ny) of the folded 2D grid for the gap lam.
 
     lx defaults to the orbit plus envelope room and is snapped to a whole
     number of x-steps. Unless the spec fixes it, the y half-width covers
     TURNING_FACTOR times the turning point of the reduced tail
-    ell |y|^{-alpha}; without a hint, ell comes from the band-1 state at the
-    frozen minimum estimate kappa_1 ~ 0.768 sqrt(b). A grid that cannot be
-    represented, that has fewer than two x-steps, more than MAX_NX_2D
-    x-steps (the side of every dense Schur block), or more than
+    ell |y|^{-alpha}, and a call that gives neither is refused. A grid that
+    cannot be represented, that has fewer than two x-steps, more than
+    MAX_NX_2D x-steps (the side of every dense Schur block), or more than
     spec.max_unknowns unknowns, is refused here, before any grid array
     exists.
     """
-    root_b = math.sqrt(b)
     lx = spec.lx
     if lx is None:
-        lx = (1.0 + math.sqrt(2.0) + 5.0) / root_b  # orbit + envelope room
+        lx = (1.0 + math.sqrt(2.0) + 5.0) / math.sqrt(b)  # orbit + envelope room
     x_cells = lx / spec.hx
     y_width = spec.y_width
     if y_width is None:
-        if ell_hint is None:
-            (ground,) = fiber.band(b, 0.768 * root_b, 1)
-            ell_hint = fiber.expectation(
-                ground, np.asarray(V.v1(ground.grid.x), dtype=float))
-        y_width = TURNING_FACTOR * tail_turning_point(ell_hint, lam, V.alpha)
+        if ell is None:
+            raise ConfigurationError(
+                "the 2D grid needs spec.y_width or the tail coefficient ell")
+        y_width = TURNING_FACTOR * tail_turning_point(ell, lam, V.alpha)
     y_cells = 2.0 * y_width / spec.hy
     if not (math.isfinite(x_cells) and math.isfinite(y_cells)):
         raise NumericalError(
@@ -634,7 +589,7 @@ def _count_sector(unit):
                 raise
 
 
-def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, threshold=None,
+def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, threshold=None,
              jobs=1):
     """(counts, meta): N(threshold - lam) of the lattice H0 - V at each lam.
 
@@ -642,12 +597,13 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, threshold=None,
     discrete threshold, so count monotonicity in lam is an exact spectral
     fact; one count is a one-rung ladder. The x-line folds into even
     (Neumann) and odd (Dirichlet) half-line sectors sharing the fiber
-    module's stencils, which requires v1 even; the y-extent covers
-    TURNING_FACTOR times the classical turning point of the reduced tail
-    ell |y|^{-alpha}. Every guard runs before any sweep. Each (lam, parity)
-    sector is independent, and jobs > 1 runs the sectors on up to that many
-    forked worker processes (bands._k_map): LAPACK's level-3 routines on
-    blocks this small gain nothing from a second thread of one process.
+    module's stencils, which requires v1 even; unless spec.y_width fixes it,
+    the y-extent covers TURNING_FACTOR times the classical turning point of
+    the reduced tail ell |y|^{-alpha}. Every guard runs before any sweep.
+    Each (lam, parity) sector is independent, and jobs > 1 runs the sectors
+    on up to that many forked worker processes (bands._k_map): LAPACK's
+    level-3 routines on blocks this small gain nothing from a second thread
+    of one process.
     Counts come back in the order of lambdas. A sector that meets a
     near-singular Schur block is recounted at tau (1 + 1e-9 attempt), and a
     RuntimeWarning, raised here in ladder order, names the sector and the
@@ -656,7 +612,7 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, threshold=None,
     if not all(lam > 0.0 for lam in lambdas):
         raise ConfigurationError("lam must be positive")
     hy = spec.hy
-    lx, nx, y_width, ny = _grid_2d(b, V, min(lambdas), spec, ell_hint)
+    lx, nx, y_width, ny = _grid_2d(b, V, min(lambdas), spec, ell)
     probe = np.linspace(0.0, lx, 7)
     if not np.allclose(V.v1(probe), V.v1(-probe), rtol=1e-12, atol=0.0):
         raise ConfigurationError("the x-parity split needs an even v1")
@@ -693,20 +649,20 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, threshold=None,
     return counts, meta
 
 
-def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell_hint=None, jobs=1):
+def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, jobs=1):
     """2D counts over a ladder on one shared grid, plus the fitted curve.
 
-    Returns (curve, meta), meta as count_2d's. A ladder the fit would refuse
-    is refused before any sweep runs. When the swept counts leave too few
-    nonzero rungs, or too narrow a span of them, to fit, the curve carries
-    the counts with no fit (both fitted fields None): the check ran and
-    failed.
+    Returns (curve, meta), meta as count_2d's. A ladder _ladder_fault
+    refuses is refused before any sweep runs, and the swept counts are
+    fitted only where their nonzero rungs pass the same check. Otherwise,
+    or when those counts are flat, the curve carries the counts with no fit
+    (both fitted fields None): the check ran and failed.
     """
     lambdas = checked_ladder(lambdas)
-    counts, meta = count_2d(b, V, lambdas, spec=spec, ell_hint=ell_hint,
-                            jobs=jobs)
-    try:
-        return fit_curve(lambdas, counts), meta
-    except ConfigurationError:  # the ladder passed, so its nonzero part did not
-        return CountingCurve(lambdas=tuple(lambdas), counts=tuple(counts),
-                             fitted_exponent=None, fitted_prefactor=None), meta
+    counts, meta = count_2d(b, V, lambdas, spec=spec, ell=ell, jobs=jobs)
+    nonzero = [lam for lam, n in zip(lambdas, counts) if n > 0]
+    exponent, prefactor = (None, None) if _ladder_fault(nonzero) \
+        else power_law_fit(lambdas, counts)
+    return CountingCurve(lambdas=tuple(lambdas), counts=tuple(counts),
+                         fitted_exponent=exponent,
+                         fitted_prefactor=prefactor), meta

@@ -83,17 +83,15 @@ def ratio_profile(pair, x_n=None):
     return xs[sel], amp[sel] / envelope_values(pair.b, x_n, xs[sel])
 
 
-def envelope_check(pair, b, k):
+def envelope_check(pair):
     """LocalizationCheck of one solved eigenstate against its envelope."""
-    if pair.b != b or pair.k != k:
-        raise ConfigurationError("pair was solved at different (b, k)")
     total = fiber.expectation(pair, np.ones_like(pair.grid.x))
     if abs(total - 1.0) > NORM_TOL:
         raise ConfigurationError(f"pair is not normalized: ||psi||^2 = {total!r}")
-    x_n = turning_point(k, b, pair.omega)
+    x_n = turning_point(pair.k, pair.b, pair.omega)
     _, ratios = ratio_profile(pair, x_n=x_n)
     max_ratio = float(ratios.max())
-    return LocalizationCheck(j=pair.j, k=k, x_n=x_n,
+    return LocalizationCheck(j=pair.j, k=pair.k, x_n=x_n,
                              envelope_ok=max_ratio <= 1.0 + ENVELOPE_TOL,
                              max_ratio=max_ratio)
 
@@ -106,8 +104,8 @@ def window_envelope_sweep(report, n_samples=9):
     checks = []
     for j, left, right in report.preimages:
         for k in np.linspace(left, right, n_samples):
-            pair = _solved_level(b, float(k), j, fiber.DEFAULT_RESOLUTION)
-            checks.append(envelope_check(pair, b, float(k)))
+            checks.append(envelope_check(
+                _solved_level(b, float(k), j, fiber.DEFAULT_RESOLUTION)))
     return checks
 
 

@@ -332,12 +332,14 @@ def test_c13_counting_2d(minima_b1):
     (ground,) = fiber.band(1.0, rec.kappa, 1)
     reduced = counting.reduced_potential(V, ground,
                                          np.linspace(0.0, 500.0, 4001))
-    constant = counting.counting_constant_2d(1.0, reduced.ell, rec.beta)
+    constant = counting.counting_constant_1d(1.0, reduced.ell,
+                                             math.sqrt(rec.beta))
     ladder = tuple(3e-2 * rec.energy * 0.1 ** (i / 4.0) for i in range(5))
     curve, meta = counting.counting_curve_2d(1.0, V, ladder,
                                              spec=Grid2DSpec(),
-                                             ell_hint=reduced.ell, jobs=2)
-    gap, ratio = counting.asymptotics_check(curve, 1.0, constant)
+                                             ell=reduced.ell, jobs=2)
+    gap = abs(curve.fitted_exponent - 0.5)  # 1/alpha - 1/2 at alpha = 1
+    ratio = curve.fitted_prefactor / constant
     elapsed = time.perf_counter() - t0
     assert gap <= 0.15, f"fitted exponent off 1/2 by {gap:.4f}"
     assert 0.5 <= ratio <= 2.0, f"prefactor ratio {ratio:.3f} outside [0.5, 2]"

@@ -16,7 +16,7 @@ import pytest
 from scipy import special
 
 from magbarrier import asymptotics as asym
-from magbarrier import fiber, specfun
+from magbarrier import bands, fiber, specfun
 from magbarrier.errors import ConfigurationError, NumericalError
 from magbarrier.fiber import Parity
 from magbarrier.specfun import AiryKind
@@ -240,7 +240,7 @@ def test_splitting_fit_preconditions(monkeypatch):
 
     # every refusal comes before the band minimum is located or any pair is
     # solved; seven copies of one k would fit a line through one point
-    monkeypatch.setattr(asym, "_kappa", boom)
+    monkeypatch.setattr(bands, "find_minimum", boom)
     monkeypatch.setattr(asym, "_precise_level", boom)
     with pytest.raises(ConfigurationError):
         asym.splitting_fit(1.0, 1, [1.0, 1.2, 1.4], kappa=KAPPA_1)
@@ -284,9 +284,18 @@ def test_precise_worker_error_surfaces_unchanged(monkeypatch):
     assert messages == ["planted at k=3"] * 2
 
 
-def test_kappa_cache_used_when_not_supplied():
-    # exercises the find_minimum route once; cached for any later call
+def test_find_minimum_kappa_used_when_not_supplied(monkeypatch):
+    # without a kappa the fit locates the band minimum once and starts its
+    # samples past that kappa
+    real, found = bands.find_minimum, []
+
+    def spy(j, b, *args, **kwargs):
+        found.append(real(j, b, *args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(bands, "find_minimum", spy)
     fit = asym.splitting_fit(1.0, 1, [3.0, 3.5, 4.0])
     assert fit.passed
-    assert (1, 1.0) in asym._KAPPA_CACHE
-    assert abs(asym._kappa(1, 1.0) - KAPPA_1) <= 1e-6
+    assert len(found) == 1 and abs(found[0].kappa - KAPPA_1) <= 1e-6
+    with pytest.raises(ConfigurationError, match="past kappa_1"):
+        asym.splitting_fit(1.0, 1, [found[0].kappa + 0.9, 3.0, 3.5])

@@ -396,6 +396,33 @@ def test_count2d_ladder_counted_to_zeros_fails(tmp_path, capsys):
     assert summary["prefactor_ratio"] == "None"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count1d", "--h", "1e300"],
+    ["count1d", "--ell", "0.03", "--lambdas", "1e-3,9.9e-4,9.8e-4"],
+])
+def test_count1d_flat_ladder_fails(tmp_path, capsys, argv):
+    # every count is 1: the nonzero counts have no slope, so nothing is
+    # fitted; these used to pass with fitted_exponent=-0
+    assert run(argv, tmp_path) == 1
+    assert "error:" not in capsys.readouterr().err
+    _, _, rows, summary, failed, passed = read_csv(tmp_path / "count1d.csv")
+    assert not passed and failed is None
+    assert [row[1] for row in rows] == ["1", "1", "1"]
+    assert summary["fitted_exponent"] == summary["fitted_prefactor"] == "None"
+
+
+def test_count2d_flat_ladder_fails_with_its_rows(tmp_path, capsys):
+    # one eigenvalue on every rung of the default ladder; this used to exit 3
+    # as a "degenerate curve" and drop the counted rows
+    assert run(["count2d", "--alpha", "1.99"], tmp_path) == 1
+    assert "error:" not in capsys.readouterr().err
+    _, _, rows, summary, failed, passed = read_csv(tmp_path / "count2d.csv")
+    assert not passed and failed is None
+    assert [row[1] for row in rows] == ["1", "1", "1", "1"]
+    assert summary["fitted_exponent"] == summary["fitted_prefactor"] == "None"
+    assert summary["exponent_gap"] == summary["prefactor_ratio"] == "None"
+
+
 def test_short_ladder_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise AssertionError("a solve ran")

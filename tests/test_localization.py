@@ -64,7 +64,7 @@ def test_envelope_check_pure_oscillator():
     # state is the Gaussian pi^{-1/4} e^{-x^2/2}, so the ratio against the
     # envelope is 2^{-1/4} e^{1/2} e^{-x} beyond the onset x_n = 1
     pair = loc._solved_level(1.0, 0.0, 1, 4000)
-    check = loc.envelope_check(pair, 1.0, 0.0)
+    check = loc.envelope_check(pair)
     assert check.envelope_ok
     assert check.x_n == pytest.approx(1.0, abs=1e-6)
     onset_ratio = 2.0 ** -0.25 * math.exp(-0.5)
@@ -91,11 +91,7 @@ def test_ratio_profile_monotone_decay():
 def test_envelope_check_guards():
     pair = loc._solved_level(1.0, 0.5, 1, 4000)
     with pytest.raises(ConfigurationError):
-        loc.envelope_check(pair, 1.0, 0.25)       # wrong k
-    with pytest.raises(ConfigurationError):
-        loc.envelope_check(pair, 2.0, 0.5)        # wrong b
-    with pytest.raises(ConfigurationError):
-        loc.envelope_check(replace(pair, psi=2.0 * pair.psi), 1.0, 0.5)
+        loc.envelope_check(replace(pair, psi=2.0 * pair.psi))
     with pytest.raises(InvariantViolation):
         loc.LocalizationCheck(j=1, k=0.0, x_n=1.0, envelope_ok=True,
                               max_ratio=2.0)
@@ -115,8 +111,8 @@ def test_window_envelope_sweep(window_b1):
 def test_envelope_scaling_b4(window_b1):
     # the b=4 problem at doubled k is the b=1 problem on an exactly halved
     # grid, so the whole ratio profile agrees to rounding
-    c1 = loc.envelope_check(loc._solved_level(1.0, 0.7, 2, 4000), 1.0, 0.7)
-    c4 = loc.envelope_check(loc._solved_level(4.0, 1.4, 2, 4000), 4.0, 1.4)
+    c1 = loc.envelope_check(loc._solved_level(1.0, 0.7, 2, 4000))
+    c4 = loc.envelope_check(loc._solved_level(4.0, 1.4, 2, 4000))
     assert c4.max_ratio == pytest.approx(c1.max_ratio, rel=1e-9)
     assert c4.x_n == pytest.approx(c1.x_n / 2.0, rel=1e-9)
 
