@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fiber
 from .errors import ConfigurationError, InvariantViolation, NumericalError
 from .fiber import DEFAULT_RESOLUTION, Parity
 
 KAPPA_XTOL = 1e-10
+BRENTQ_MAX_ITERATIONS = 100   # scipy.optimize.brentq's maxiter
 REFINE_FACTOR = 10.0       # curvature threshold over median for k-grid splits
 
 
@@ -175,6 +175,58 @@ def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True,
     return BandTable(b, np.array(ks), *columns, parities=rows[ks[0]].parities)
 
 
+def _brentq(f, a, b, fa, fb, xtol, rtol):
+    """Root of f in [a, b] by Brent's method, given fa = f(a) and fb = f(b)
+    of opposite signs (the caller checks them).
+
+    An operation-for-operation port of the C loop behind scipy.optimize.brentq
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4),
+    so it returns the same float to the last bit, without importing
+    scipy.optimize; the caller's end values save brentq's two re-evaluations.
+    """
+    a, b, fa, fb, xtol, rtol = map(float, (a, b, fa, fb, xtol, rtol))
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENTQ_MAX_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise NumericalError(f"f({xcur}) is NaN in the root search")
+    raise NumericalError(
+        f"root search did not converge in {BRENTQ_MAX_ITERATIONS} iterations; "
+        f"last value {xcur}"
+    )
+
+
 def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
     """Locate the minimum of even band j as the root of omega(k) - k^2.
 
@@ -201,7 +253,7 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
             f"no sign change for band {2 * j - 1} minimum in ({lo:.3g}, {hi:.3g}): "
             f"g={g_lo:.3g}, {g_hi:.3g}"
         )
-    kappa = brentq(g, lo, hi, xtol=KAPPA_XTOL * math.sqrt(b), rtol=8.0 * np.finfo(float).eps)
+    kappa = _brentq(g, lo, hi, g_lo, g_hi, KAPPA_XTOL * math.sqrt(b), 8.0 * np.finfo(float).eps)
     pairs = fiber.band(b, kappa, 2 * j - 1, resolution, refine=True)
     energy, direct = kappa * kappa, omega(pairs)
     if abs(direct - energy) > 1e-8 * max(1.0, abs(energy)):

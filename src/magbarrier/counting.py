@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
-from scipy.optimize import minimize_scalar
 from scipy.special import betaln
 
 from . import bands, fiber
@@ -39,6 +38,8 @@ MAX_NX_2D = 2048
 # ladder's widened grid
 MAX_ROWS_1D = 20_000_000
 THRESHOLD_K_SAMPLES = 161
+THRESHOLD_XATOL = 1e-9
+BOUNDED_MAX_EVALUATIONS = 500   # minimize_scalar(method="bounded")'s maxiter
 SINGULAR_RETRIES = 3
 FIT_SPREAD_TOL = 0.05
 INERTIA_CHUNK = 1 << 15
@@ -393,9 +394,82 @@ def discrete_threshold(b, lx, nx, hy):
     i = int(np.argmin(vals))
     if i == 0 or i == len(ks) - 1:
         return float(vals[i])
-    res = minimize_scalar(value, bounds=(ks[i - 1], ks[i + 1]),
-                          method="bounded", options={"xatol": 1e-9})
-    return float(min(vals[i], res.fun))
+    return float(min(vals[i], _bounded_minimum(value, ks[i - 1], ks[i + 1], THRESHOLD_XATOL)))
+
+
+def _bounded_minimum(func, lo, hi, xatol):
+    """Least value of func found on [lo, hi] by Brent's bounded minimizer.
+
+    An operation-for-operation port of scipy.optimize's
+    `_minimize_scalar_bounded` (golden section with parabolic steps; R. P.
+    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5), so
+    its value is minimize_scalar(method="bounded").fun to the last bit,
+    without importing scipy.optimize. Like SciPy it returns the best value
+    so far when the evaluation cap is reached.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:               # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:                      # a golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= BOUNDED_MAX_EVALUATIONS:
+            break
+    return fx
 
 
 def _ldl_negatives(ldu, ipiv):

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
 from . import bands, fiber
 from .errors import ConfigurationError, InvariantViolation, NumericalError
@@ -492,6 +490,10 @@ def edge_current_2d(b, a, q, window, report, nx=127, ny=128,
         raise ConfigurationError(
             "only scalar (electric) perturbations are supported on the 2D grid"
         )
+    # Only this cross-check is sparse: scipy.sparse stays off the import path.
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh
+
     if nx % 2 == 0:
         raise ConfigurationError("nx must be odd so a node sits on the barrier")
     lx, ly = _grid_2d(report, lx, ly)

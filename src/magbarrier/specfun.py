@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from scipy import special
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, NumericalError
 
@@ -66,6 +65,9 @@ def airy_moment(kind, j, power):
     def integrand(v):
         ai = special.airy(v + z)[0]
         return v ** power * ai * ai
+
+    # Only `airy` integrates: scipy.integrate stays off the import path.
+    from scipy.integrate import quad
 
     val, err = quad(integrand, 0.0, upper, epsabs=1e-15, epsrel=1e-12, limit=200)
     if not (val > 0.0) or err > MOMENT_REL_TOL * val:

@@ -2,10 +2,11 @@
 
 scipy's eigh_tridiagonal (LAPACK bisection plus inverse iteration) is the
 fast path used by the fiber solver. The functions here cover what LAPACK
-does not expose: eigenvalue counting at arbitrary shifts with the dtype
-chosen by the caller, so the same recurrence runs in float64 for large
-counting problems and in longdouble where parity splittings sit below the
-float64 noise floor (eps * ||T|| is the measurable limit either way).
+does not expose: eigenvalue counting and bisection at arbitrary shifts in
+the dtype chosen by the caller. The package runs them in longdouble, for the
+precise pair solves where parity splittings sit below the float64 noise
+floor (eps * ||T|| is the measurable limit); the float64 counts of the
+counting problems run in counting.tridiagonal_inertia.
 """
 
 import numpy as np

@@ -8,12 +8,16 @@ bracketed root refinement; they are good to the digit count shown.
 import dataclasses
 import math
 import multiprocessing
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from magbarrier import bands, fiber
-from magbarrier.errors import ConfigurationError
+from magbarrier.errors import ConfigurationError, NumericalError
 from magbarrier.fiber import Parity
 
 KAPPA_1 = 0.768183653380
@@ -277,3 +281,62 @@ def test_find_minimum_rejects_bad_field_or_ordinal():
             bands.find_minimum(1, b)
     with pytest.raises(ConfigurationError):
         bands.find_minimum(0, 1.0)
+
+
+# f(x) = s (c1 t + c2 t^3 + c3 tanh t + c4 (e^t - 1)) + c5 sin(w x), t = x - r:
+# increasing in t when c5 = 0, so a bracket around r changes sign; with c5 the
+# wiggle may add roots or take the sign change away (such draws are dropped).
+_SMOOTH = st.tuples(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]),
+                    *[st.floats(0.0, 2.0)] * 4,
+                    st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.floats(0.0, 10.0))
+_XTOL = st.one_of(st.floats(0.1, 10.0).map(lambda b: bands.KAPPA_XTOL * math.sqrt(b)),
+                  st.floats(1e-14, 1e-1))
+_RTOL = st.one_of(st.just(8.0 * np.finfo(float).eps),
+                  st.floats(4.0 * np.finfo(float).eps, 1e-6))
+
+
+@seed(20261019)
+@settings(max_examples=600, deadline=None, database=None)
+@given(_SMOOTH, st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.booleans(),
+       st.sampled_from(["interior", "a", "b"]), _XTOL, _RTOL,
+       st.one_of(st.just(bands.BRENTQ_MAX_ITERATIONS), st.integers(1, 6)))
+def test_brentq_port_is_scipy_brentq_bit_for_bit(coeffs, left, right, flip, zero_at,
+                                                 xtol, rtol, cap):
+    r, sign, c1, c2, c3, c4, c5, w = coeffs
+    a, b = r - left, r + right
+    if flip:
+        a, b = b, a
+    if zero_at != "interior":          # f is exactly 0 at that bracket end
+        r, c5 = (a if zero_at == "a" else b), 0.0
+
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        t = x - r
+        return sign * (c1 * t + c2 * t ** 3 + c3 * math.tanh(t)
+                       + c4 * math.expm1(t)) + c5 * math.sin(w * x)
+
+    fa, fb = f(a), f(b)
+    assume(fa * fb < 0.0 or zero_at != "interior")
+    try:
+        want = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=cap)
+    except RuntimeError:               # not converged in cap iterations
+        want = None
+    scipy_calls, calls[:] = calls[4:], []   # brentq evaluates f(a), f(b) again
+    with mock.patch.object(bands, "BRENTQ_MAX_ITERATIONS", cap):
+        if want is None:
+            with pytest.raises(NumericalError):
+                bands._brentq(f, a, b, fa, fb, xtol, rtol)
+        else:
+            got = bands._brentq(f, a, b, fa, fb, xtol, rtol)
+            assert type(got) is float
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert calls == scipy_calls            # the same points, in order
+
+
+def test_root_search_that_does_not_converge_is_a_numerical_error(monkeypatch):
+    # the CLI maps a NumericalError to exit 3; a bare RuntimeError was a traceback
+    monkeypatch.setattr(bands, "BRENTQ_MAX_ITERATIONS", 2)
+    with pytest.raises(NumericalError, match="did not converge in 2 iterations"):
+        bands.find_minimum(1, 1.0)

@@ -6,6 +6,10 @@ the exit code and the rendered CSV/JSON document.
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +308,14 @@ def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
     assert multiprocessing.active_children() == []
 
 
+def test_root_search_that_does_not_converge_exits_three(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bands, "BRENTQ_MAX_ITERATIONS", 2)
+    assert run(["minima", "--b", "1", "--jmax", "1"], tmp_path) == 3
+    lines = capsys.readouterr().err.splitlines()   # no traceback, no other line
+    assert len(lines) == 1
+    assert lines[0].startswith("error: root search did not converge in 2 iterations")
+
+
 def test_bad_jobs_value_is_usage(tmp_path):
     assert run(["count1d", "--jobs", "0"], tmp_path) == 2
 
@@ -452,3 +464,36 @@ def test_int_options_below_one_are_refused_before_any_solve(tmp_path,
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trace_samples=0\n")
     assert run(["localize", "--config", str(cfg)], tmp_path) == 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Run in a fresh interpreter: the test process has already imported SciPy's
+# oracles. Prints the heavy SciPy subpackages loaded after `import
+# magbarrier.cli`, then after the golden runs (at --jobs 1, so in this
+# process) of the commands that never need them.
+FOOTPRINT_CHILD = """
+import sys, tempfile
+HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.integrate")
+def loaded():
+    return "loaded: " + " ".join(name for name in HEAVY if name in sys.modules)
+from magbarrier import cli
+print(loaded())
+from cli_golden import CASES
+for name in ("minima", "ho", "count1d", "count2d", "localize"):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert cli.main(CASES[name] + ["--jobs", "1", "--outdir", tmp]) == 0, name
+print(loaded())
+"""
+
+
+def test_cli_imports_no_scipy_optimize_sparse_or_integrate():
+    # cold start: only numpy, scipy.linalg and scipy.special load at module
+    # scope, and the benchmarked commands load none of the three at runtime
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tools"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    at_import, after_runs = (line for line in out.splitlines()
+                             if line.startswith("loaded:"))
+    assert at_import == after_runs == "loaded: "

@@ -10,6 +10,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from oracles import birman_schwinger_count
 from scipy.linalg import lapack
+from scipy.optimize import minimize_scalar
 
 from magbarrier import cli, counting, fiber
 from magbarrier.counting import Grid2DSpec
@@ -495,6 +496,38 @@ def _count(b, V, lam, **kw):
     """count_2d of the one-rung ladder [lam]."""
     (count,), _ = counting.count_2d(b, V, [lam], **kw)
     return count
+
+
+# f(x) = c2 (x - m)^2 + c4 (x - m)^4 + c1 x + c cos(w x): one well when c = 0,
+# several local minima in the bracket when the cosine dominates
+_WELLS = st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0),
+                   st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                   st.floats(0.0, 8.0))
+
+
+@seed(20261019)
+@settings(max_examples=500, deadline=None, database=None)
+@given(_WELLS, st.floats(0.0, 3.0), st.floats(1e-6, 3.0), st.booleans(),
+       st.one_of(st.just(counting.THRESHOLD_XATOL), st.floats(1e-12, 1e-2)),
+       st.one_of(st.just(counting.BOUNDED_MAX_EVALUATIONS), st.integers(1, 12)))
+def test_bounded_minimum_is_scipy_bounded_minimize_scalar_bit_for_bit(
+        well, left, right, numpy_bounds, xatol, cap):
+    m, c2, c4, c1, c, w = well
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return c2 * (x - m) ** 2 + c4 * (x - m) ** 4 + c1 * x + c * math.cos(w * x)
+
+    lo, hi = m - left, m + right
+    if numpy_bounds:                   # discrete_threshold brackets by k-grid points
+        lo, hi = np.float64(lo), np.float64(hi)
+    want = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                           options={"xatol": xatol, "maxiter": cap}).fun
+    scipy_calls, calls[:] = calls[:], []
+    with mock.patch.object(counting, "BOUNDED_MAX_EVALUATIONS", cap):
+        got = counting._bounded_minimum(f, lo, hi, xatol)
+    assert got == want and calls == scipy_calls    # the same points, in order
 
 
 def test_count_2d_matches_dense_eigensolve():
