@@ -46,10 +46,6 @@ class AiryPrediction:
     predicted: float
     bound: float
 
-    def __post_init__(self):
-        if not self.bound > 0.0:
-            raise ConfigurationError("airy error bound must be positive")
-
 
 @dataclass(frozen=True)
 class AiryCheck:
@@ -88,12 +84,14 @@ def airy_prediction(b, k, j):
 
     The bound is D * b^{4/3} (2|k|)^{-2/3} with D^2 the fourth moment of the
     squared Airy eigenfunction over its normalization — independent of (k,b).
-    A b whose b^{4/3} leaves the float range has no bound to test against.
+    A k^2 or b^{4/3} outside the float range leaves no bound to test against.
     """
     if not k < 0.0:
         raise ConfigurationError("the wedge regime needs k < 0")
-    if b <= 0.0:
+    if not b > 0.0:
         raise ConfigurationError("field strength must be positive")
+    if not math.isfinite(k * k):
+        raise NumericalError(f"k^2 overflows at k={k:g}")
     kind = _airy_kind_for_band(j)
     consts = specfun.airy_constants(kind, Parity.of_band(j)[1])
     sigma2 = (2.0 * b * abs(k)) ** (2.0 / 3.0)
@@ -102,6 +100,8 @@ def airy_prediction(b, k, j):
         bound = consts.D * b ** (4.0 / 3.0) * (2.0 * abs(k)) ** (-2.0 / 3.0)
     except OverflowError:
         raise NumericalError(f"airy error bound overflows at b={b:g}") from None
+    if not bound > 0.0:
+        raise NumericalError(f"airy error bound underflows at b={b:g}, k={k:g}")
     return AiryPrediction(j=j, k=float(k), b=float(b), kind=kind,
                           predicted=predicted, bound=bound)
 

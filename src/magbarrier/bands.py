@@ -1,10 +1,10 @@
 """Band functions omega_j(k): tracing over a k-grid, derivatives by
 independent routes, and even-band minima with their effective masses.
 
-Derivative routes: the quadrature route integrates 2(k - b|x|) psi^2 over the
-line; the boundary route evaluates (-2/b) [(omega - k^2) psi(0)^2 + psi'(0)^2],
-which collapses to one term per parity. They agree to discretization accuracy
-and both match finite differences of the traced band.
+Derivative routes: the Feynman-Hellmann route integrates 2(k - b|x|) psi^2
+over the line; the boundary route evaluates (-2/b) [(omega - k^2) psi(0)^2
++ psi'(0)^2], which collapses to one term per parity. They agree to
+discretization accuracy and both match finite differences of the traced band.
 """
 
 import contextlib

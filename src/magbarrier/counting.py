@@ -253,8 +253,8 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     count1d spans TURNING_FACTOR times the classical turning point
     (ell/lam)^{1/alpha} each side, so every bound state is enclosed with
     margin; verify_width recounts on a widened grid and raises when the
-    count is still moving. A grid of more than MAX_ROWS_1D rows is refused
-    before any of it is allocated.
+    count is still moving. A grid past MAX_ROWS_1D rows or past the float
+    range (2m^2/h^2) is refused before any of it is allocated.
     """
     if not (m > 0.0 and lam > 0.0):
         raise ConfigurationError("need m > 0 and lam > 0")
@@ -266,6 +266,9 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
         raise NumericalError(
             f"line grid of {rows:.3g} rows at half-width {widest:g} exceeds "
             f"the budget of {MAX_ROWS_1D} rows; raise lam")
+    stiffness = m * m / (h * h)
+    if not math.isfinite(2.0 * stiffness):
+        raise NumericalError(f"stencil diagonal 2m^2/h^2 overflows at m={m:g}, h={h:g}")
 
     def count_at(width):
         # each grid-long array is dropped once used, so at most three of
@@ -273,9 +276,9 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
         q = np.asarray(Q(_line_grid(width, h)), dtype=float)
         if (q < 0.0).any():
             raise ConfigurationError("Q must be nonnegative")
-        d = 2.0 * m * m / (h * h) - q
+        d = 2.0 * stiffness - q
         del q
-        e = np.full(len(d) - 1, -m * m / (h * h))
+        e = np.full(len(d) - 1, -stiffness)
         return tridiagonal_inertia(d, e, -lam)
 
     n = count_at(half_width)

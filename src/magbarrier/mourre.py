@@ -271,7 +271,7 @@ class BandComponent:
     """Coefficient samples of one band, stored as modulus^2 and phase.
 
     Splitting the complex coefficient this way makes the free evolution a
-    phase-only update, so current quadratures are bitwise invariant under it.
+    phase-only update, so current integrals are bitwise invariant under it.
     """
 
     j: int

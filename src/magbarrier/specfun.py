@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 from scipy import special
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
 AIRY_ZERO_MAX_J = 64
 MOMENT_POWERS = (0, 4)
-MOMENT_REL_TOL = 1.0e-10
 
 
 class AiryKind(enum.Enum):
@@ -54,28 +53,26 @@ def airy_moment(kind, j, power):
     """Half-line moment integral(0, inf) v^power * Ai(v + z_{kind,j})^2 dv.
 
     power 0 is the normalization c_{X,j}; power 4 the numerator of D_{X,j}^2.
-    Relative accuracy 1e-10 or a NumericalError carrying the achieved bound.
+    Closed form: I_n = integral(z, inf) x^n Ai(x)^2 dx obeys, by parts with
+    Ai'' = x Ai (Albright, J. Phys. A 10, 485, 1977),
+    (2n+1) I_n = n(n-1)(n-2)/2 I_{n-3}
+                 - [x^{n+1} Ai^2 - x^n Ai'^2 + n x^{n-1} Ai Ai' - n(n-1)/2 x^{n-2} Ai^2](z),
+    and the moment is sum_m C(power, m) (-z)^{power-m} I_m.
     """
     if power not in MOMENT_POWERS:
         raise ConfigurationError(f"moment power must be one of {MOMENT_POWERS}")
     z = airy_zero(kind, j)
-    # Ai(s)^2 < 1e-21 beyond s = 20, so the tail past v = 25 + |z| is dead.
-    upper = 25.0 + abs(z)
-
-    def integrand(v):
-        ai = special.airy(v + z)[0]
-        return v ** power * ai * ai
-
-    # Only `airy` integrates: scipy.integrate stays off the import path.
-    from scipy.integrate import quad
-
-    val, err = quad(integrand, 0.0, upper, epsabs=1e-15, epsrel=1e-12, limit=200)
-    if not (val > 0.0) or err > MOMENT_REL_TOL * val:
-        raise NumericalError(
-            f"airy moment quadrature achieved {err:.3e} on value {val:.6e}, "
-            f"needs rel {MOMENT_REL_TOL:g}"
-        )
-    return val
+    ai, aip, _, _ = special.airy(z)
+    moments = []
+    for n in range(power + 1):
+        # the x^{n-1} and x^{n-2} terms carry a factor n or n(n-1), so a
+        # negative power of z is always multiplied by 0
+        edge = (z ** (n + 1) * ai * ai - z ** n * aip * aip
+                + n * z ** (n - 1) * ai * aip - n * (n - 1) / 2 * z ** (n - 2) * ai * ai)
+        lower = n * (n - 1) * (n - 2) / 2 * moments[n - 3] if n >= 3 else 0.0
+        moments.append((lower - edge) / (2 * n + 1))
+    return float(sum(math.comb(power, m) * (-z) ** (power - m) * moments[m]
+                     for m in range(power + 1)))
 
 
 @dataclass(frozen=True)

@@ -296,12 +296,17 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     ["bands", "--b", "1e-160", "--kmin", "0", "--kmax", "0"],
     # a wedge this deep sizes a grid of 4e10 rows
     ["airy", "--ks=-1e5", "--jmax", "1"],
+    # k^2 overflows, and b^(4/3) underflows to a zero error bound
+    ["airy", "--ks=-1e200", "--jmax", "1"],
+    ["airy", "--b", "1e-300", "--ks=-15", "--jmax", "1"],
+    # the 1D stencil's 2m^2/h^2 overflows
+    ["count1d", "--m", "1e200"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
                                                                    capfd, argv):
-    # LAPACK's tridiagonal solver stops converging, or b^(4/3) overflows, or
-    # the fiber grid is refused before it is built
+    # LAPACK's tridiagonal solver stops converging, or a square or power
+    # leaves the float range, or the fiber grid is refused before it is built
     assert run(argv, tmp_path) == 3
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -480,7 +485,7 @@ def loaded():
 from magbarrier import cli
 print(loaded())
 from cli_golden import CASES
-for name in ("minima", "ho", "count1d", "count2d", "localize"):
+for name in ("minima", "airy", "ho", "count1d", "count2d", "localize"):
     with tempfile.TemporaryDirectory() as tmp:
         assert cli.main(CASES[name] + ["--jobs", "1", "--outdir", tmp]) == 0, name
 print(loaded())
@@ -489,7 +494,7 @@ print(loaded())
 
 def test_cli_imports_no_scipy_optimize_sparse_or_integrate():
     # cold start: only numpy, scipy.linalg and scipy.special load at module
-    # scope, and the benchmarked commands load none of the three at runtime
+    # scope, and none of these subcommand runs loads any of the three
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "tools"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD], env=env, cwd=ROOT,

@@ -116,7 +116,9 @@ def simpson_moment(kind, j, power, n):
 
 
 @pytest.mark.parametrize("kind,j,power", [(AI, 1, 0), (AI, 1, 4), (AIP, 1, 0),
-                                          (AIP, 1, 4), (AI, 3, 0), (AIP, 2, 4)])
+                                          (AIP, 1, 4), (AI, 3, 0), (AIP, 2, 4),
+                                          (AI, 16, 4), (AIP, 5, 0), (AIP, 64, 0),
+                                          (AI, 64, 4)])
 def test_airy_moment_against_doubled_simpson(kind, j, power):
     got = specfun.airy_moment(kind, j, power)
     coarse = simpson_moment(kind, j, power, 20000)

@@ -65,6 +65,8 @@ CASES["bands_k03_norefine"] = ["bands", "--b", "1", "--kmin", "0.3", "--kmax", "
 CASES["bands_k03_one_band"] = ["bands", "--b", "1", "--kmin", "0.3", "--kmax", "0.3",
                                "--nbands", "1"]
 CASES["airy_deep"] = ["airy", "--b", "1", "--ks=-60", "--jmax", "3"]
+# 17 significant digits: shows the last bits of the Airy moments
+CASES["airy_json"] = CASES["airy"] + ["--format", "json"]
 # --jobs 2 twins of the commands that fork workers: their bytes must not
 # depend on --jobs
 CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
