@@ -162,31 +162,46 @@ def _precise_box(b, k, pair_j):
     return center + width / math.sqrt(b)
 
 
-def _precise_eigenvalue(b, k, parity, index, L, N, seed):
-    """Eigenvalue `index` of the parity sector in extended precision."""
+def _precise_eigenvalue(b, k, parity, index, L, N, seed, vector):
+    """Eigenvalue `index` of the parity sector in extended precision.
+
+    seed and vector are a float64 eigenpair of the same sector. The bracket
+    is centred on their Rayleigh quotient against the long-double stencil,
+    which carries the seed's error down to long-double rounding, and starts
+    at a few units of that rounding; bisect_eigenvalue moves an end that
+    does not hold out, at most to 1e-6 max(1, |seed|) from the centre.
+    """
     ld = np.longdouble
     d, e = fiber.stencil(b, k, parity, L, N, dtype=ld)
-    lo = ld(seed) - ld(1e-6) * max(1.0, abs(seed))
-    hi = ld(seed) + ld(1e-6) * max(1.0, abs(seed))
-    return bisect_eigenvalue(d, e * e, index, lo, hi)
+    s = ld(seed)
+    x = vector.astype(ld)
+    y = (d - s) * x
+    y[:-1] += e * x[1:]
+    y[1:] += e * x[:-1]
+    centre = s + np.dot(x, y) / np.dot(x, x)
+    widest = 1e-6 * max(1.0, abs(seed))
+    radius = min(4 * np.finfo(ld).eps * (np.abs(d).max() + 2 * np.abs(e).max()),
+                 ld(widest))
+    return bisect_eigenvalue(d, e * e, index, centre - radius, centre + radius,
+                             widest)
 
 
 def _precise_level(b, j, unit):
     """Extended-precision omega of pair j in one (k, parity, N) unit.
 
-    A float64 eigensolve seeds the bracket of the long-double bisection.
+    A float64 eigenpair seeds the bracket of the long-double bisection.
     """
     k, parity, N = unit
     L = _precise_box(b, k, j)
     d, e = fiber.stencil(b, k, parity, L, N)
     try:
-        seed = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
-                                check_finite=False, eigvals_only=True)[0]
+        w, v = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
+                                check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"precise seed eigensolve failed at b={b:g}, k={k:g}: "
             f"{exc}") from None
-    return _precise_eigenvalue(b, k, parity, j - 1, L, N, seed)
+    return _precise_eigenvalue(b, k, parity, j - 1, L, N, w[0], v[:, 0])
 
 
 def omega_pair_precise(b, j, ks, jobs):

@@ -200,33 +200,49 @@ def tail_turning_point(ell, lam, alpha):
 
 
 def tridiagonal_inertia(d, e, tau):
-    """Eigenvalues of tridiag(d, e) below tau, by the scalar LDL recurrence.
+    """Eigenvalues of tridiag(d, e) below tau, by the LDL^T pivot signs.
 
     Exact in the Sturm sense: each pivot sign is computed from the shifted
     recurrence, a zero pivot counting as negative (the LAPACK convention).
-    Each pivot is (d[i] - tau) - e[i-1]^2 / pivot in native floats; the
-    shifted diagonal and the squares are formed as vectors, which round
-    exactly as the scalar operations do, INERTIA_CHUNK rows at a time so a
-    long line grid adds little memory, and read through memoryviews, which
-    hand out one native float at a time.
+    Each pivot is (d[i] - tau) - e[i-1] (e[i-1] / pivot), the expression of
+    LAPACK's dpttrf, which factors the shifted diagonal in place,
+    INERTIA_CHUNK rows at a time so a long line grid adds little memory.
+    dpttrf stops at the first nonpositive pivot; that pivot is counted,
+    clamped to -1e-300 when zero, and carried into the next row, and dpttrf
+    restarts there, so the cost is one call per negative pivot plus one per
+    chunk. The last pivot of a chunk is carried into the next one the same
+    way.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     if len(e) != len(d) - 1:
         raise ConfigurationError("need len(e) == len(d) - 1")
     count = 0
-    pivot = float(d[0] - tau)  # an np.float64 pivot would run the loop slowly
-    for start in range(1, len(d), INERTIA_CHUNK):
-        stop = start + INERTIA_CHUNK
-        ec = e[start - 1:stop - 1]
-        for shifted, e2 in zip(memoryview(d[start:stop] - tau),
-                               memoryview(ec * ec)):
-            if pivot <= 0.0:
-                count += 1
-                if pivot == 0.0:
-                    pivot = -1e-300
-            pivot = shifted - e2 / pivot
-    return count + 1 if pivot <= 0.0 else count
+    for start in range(0, len(d), INERTIA_CHUNK):
+        ds = d[start:start + INERTIA_CHUNK] - tau
+        ec = e[start:start + len(ds) - 1].copy()  # dpttrf overwrites it
+        if start:
+            seam = float(e[start - 1])
+            ds[0] = float(ds[0]) - seam * (seam / pivot)
+        row = 0
+        # a last row alone is left to the check below: f2py refuses an empty e
+        while row < len(ds) - 1:
+            info = lapack.dpttrf(ds[row:], ec[row:], overwrite_d=1, overwrite_e=1)[2]
+            if info == 0:
+                break
+            row += info - 1
+            if row == len(ds) - 1:
+                break
+            count += 1
+            pivot = float(ds[row]) or -1e-300
+            coupling = float(ec[row])
+            row += 1
+            ds[row] = float(ds[row]) - coupling * (coupling / pivot)
+        pivot = float(ds[-1])
+        if pivot <= 0.0:
+            count += 1
+            pivot = pivot or -1e-300
+    return count
 
 
 def bisection_count(d, e, tau):
@@ -254,7 +270,9 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     (ell/lam)^{1/alpha} each side, so every bound state is enclosed with
     margin; verify_width recounts on a widened grid and raises when the
     count is still moving. A grid past MAX_ROWS_1D rows or past the float
-    range (2m^2/h^2) is refused before any of it is allocated.
+    range (2m^2/h^2 overflows, or the coupling m^2/h^2 of a grid of more
+    than one row falls below the smallest normal float) is refused before
+    any of it is allocated.
     """
     if not (m > 0.0 and lam > 0.0):
         raise ConfigurationError("need m > 0 and lam > 0")
@@ -269,6 +287,8 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     stiffness = m * m / (h * h)
     if not math.isfinite(2.0 * stiffness):
         raise NumericalError(f"stencil diagonal 2m^2/h^2 overflows at m={m:g}, h={h:g}")
+    if rows > 1.0 and not stiffness >= np.finfo(float).tiny:
+        raise NumericalError(f"stencil coupling m^2/h^2 underflows at m={m:g}, h={h:g}")
 
     def count_at(width):
         # each grid-long array is dropped once used, so at most three of

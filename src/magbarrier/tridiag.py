@@ -16,6 +16,8 @@ from .errors import NumericalError
 # halvings allowed per bisection; the loop stops sooner, at the dtype's
 # resolution, for any bracket the callers form
 MAX_BISECTIONS = 240
+# factor by which a bracket end whose count does not hold moves out
+GROWTH = 256
 
 
 def pivmin(d, e2):
@@ -54,18 +56,32 @@ def sturm_count(d, e2, sigma, piv):
     return count + 1 if q < 0 else count
 
 
-def bisect_eigenvalue(d, e2, index, lo, hi):
-    """Eigenvalue number `index` (ascending, 0-based) of T by Sturm bisection.
+def bisect_eigenvalue(d, e2, index, lo, hi, widest=0.0):
+    """Eigenvalue `index` (ascending, 0-based) of T by Sturm bisection.
 
     Runs in the dtype of lo/hi and stops when the midpoint is no longer
     representable between the bracket ends, i.e. at the dtype's resolution.
+    An end whose count does not hold moves out from the centre 1/2(lo + hi),
+    GROWTH times as far each time but at most `widest` from it, and raises
+    where it can move no further (at once for the default widest = 0). Each
+    end is counted once where it is placed.
+
+    The count is monotone in sigma, so every valid bracket ends on the same
+    adjacent pair of representable numbers and returns the same bits.
     """
     piv = pivmin(d, e2)
-    if sturm_count(d, e2, lo, piv) > index:
-        raise NumericalError(f"bisection bracket: {index} eigenvalues not above lo={lo}")
-    if sturm_count(d, e2, hi, piv) < index + 1:
-        raise NumericalError(f"bisection bracket: eigenvalue {index} not below hi={hi}")
     half = type(lo)(0.5)
+    centre = half * (lo + hi)
+    while sturm_count(d, e2, lo, piv) > index:
+        grown = centre - min(GROWTH * (centre - lo), widest)
+        if not grown < lo:
+            raise NumericalError(f"bisection bracket: {index} eigenvalues not above lo={lo}")
+        lo = grown
+    while sturm_count(d, e2, hi, piv) < index + 1:
+        grown = centre + min(GROWTH * (hi - centre), widest)
+        if not grown > hi:
+            raise NumericalError(f"bisection bracket: eigenvalue {index} not below hi={hi}")
+        hi = grown
     for _ in range(MAX_BISECTIONS):
         mid = half * (lo + hi)
         if mid == lo or mid == hi:

@@ -1,6 +1,9 @@
-"""Test oracles shared by more than one test module."""
+"""Test oracles: independent routes to the library's counts, and the paths
+its faster code must reproduce bit for bit."""
 
 import numpy as np
+
+from magbarrier import fiber, tridiag
 
 
 def birman_schwinger_count(m, q_values, lam, h):
@@ -22,3 +25,15 @@ def birman_schwinger_count(m, q_values, lam, h):
     kernel = 0.5 * (kernel + kernel.T)
     eigs = np.linalg.eigvalsh(kernel)
     return int((eigs > 1.0).sum())
+
+
+def wide_bracket_eigenvalue(b, k, parity, index, L, N, seed):
+    """Long-double eigenvalue `index` of the parity sector by Sturm bisection
+    from seed +- 1e-6 max(1, |seed|), the bracket the precise pair solve
+    used before it centred on a Rayleigh quotient; the bit-identity oracle.
+    """
+    ld = np.longdouble
+    d, e = fiber.stencil(b, k, parity, L, N, dtype=ld)
+    lo = ld(seed) - ld(1e-6) * max(1.0, abs(seed))
+    hi = ld(seed) + ld(1e-6) * max(1.0, abs(seed))
+    return tridiag.bisect_eigenvalue(d, e * e, index, lo, hi)

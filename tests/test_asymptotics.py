@@ -268,10 +268,10 @@ def test_splitting_fit_on_workers_is_bit_identical_to_serial():
 def test_precise_worker_error_surfaces_unchanged(monkeypatch):
     real = asym._precise_eigenvalue
 
-    def planted(b, k, parity, index, L, N, seed):
+    def planted(b, k, parity, index, L, N, seed, vector):
         if parity is Parity.ODD and N == asym.PRECISE_LEVELS[1]:
             raise NumericalError(f"planted at k={k:g}")
-        return real(b, k, parity, index, L, N, seed)
+        return real(b, k, parity, index, L, N, seed, vector)
 
     # set before the pool forks, so the workers inherit it
     monkeypatch.setattr(asym, "_precise_eigenvalue", planted)

@@ -299,8 +299,9 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     # k^2 overflows, and b^(4/3) underflows to a zero error bound
     ["airy", "--ks=-1e200", "--jmax", "1"],
     ["airy", "--b", "1e-300", "--ks=-15", "--jmax", "1"],
-    # the 1D stencil's 2m^2/h^2 overflows
+    # the 1D stencil's 2m^2/h^2 overflows, or m^2/h^2 underflows
     ["count1d", "--m", "1e200"],
+    ["count1d", "--m", "1e-200"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,

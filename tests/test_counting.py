@@ -240,6 +240,35 @@ def test_inertia_equals_reference_loop_across_chunk_edges(n, rng_seed,
     assert counting.tridiagonal_inertia(d, e, tau) == _reference_inertia(d, e, tau)
 
 
+CHUNK = counting.INERTIA_CHUNK
+
+
+@pytest.mark.parametrize("n, zero_rows", [
+    (1, [0]), (2, [0]), (2, [1]), (2, [0, 1]),
+    (CHUNK, [CHUNK - 1]),                 # the last row
+    (CHUNK + 3, [CHUNK - 1]),             # the last row of a chunk
+    (CHUNK + 3, [CHUNK]),                 # the first row after a seam
+    (CHUNK + 3, [CHUNK - 1, CHUNK]),
+    (2 * CHUNK + 1, [2 * CHUNK - 1, 2 * CHUNK]),  # a last chunk of one row
+])
+def test_inertia_exact_zero_pivots_at_seams_and_ends(n, zero_rows):
+    # d[row] = tau with no coupling to the row before makes that pivot an
+    # exact zero: it counts, and the clamp carries it into the next row
+    rng = np.random.default_rng(n + sum(zero_rows))
+    d = rng.normal(size=n) * 3.0
+    e = rng.normal(size=n - 1)
+    tau = 0.5
+    for row in zero_rows:
+        d[row] = tau
+        if row:
+            e[row - 1] = 0.0
+    got = counting.tridiagonal_inertia(d, e, tau)
+    assert got == _reference_inertia(d, e, tau)
+    if n <= 2:
+        assert got == int((np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1)
+                                              + np.diag(e, -1)) <= tau).sum())
+
+
 @st.composite
 def tridiagonals(draw):
     n = draw(st.integers(1, 60))

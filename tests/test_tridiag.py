@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from oracles import wide_bracket_eigenvalue
 from scipy.linalg import eigh_tridiagonal
 
 from magbarrier import asymptotics, fiber, tridiag
@@ -123,20 +124,95 @@ def test_sturm_count_equals_reference_loop_property(problem):
     assert tridiag.sturm_count(*problem) == _reference_sturm_count(*problem)
 
 
+@seed(20261019)
+@settings(max_examples=400, deadline=None, database=None)
+@given(sturm_problems(), st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-15]),
+                                   st.floats(0.0, 40.0)))
+def test_sturm_count_monotone_in_sigma_property(problem, step):
+    # the invariant that makes every valid bisection bracket end on the
+    # same adjacent pair, and so return the same bits
+    d, e2, sigma, piv = problem
+    sigma2 = sigma + type(sigma)(step)
+    assert sigma2 >= sigma
+    assert tridiag.sturm_count(d, e2, sigma, piv) <= tridiag.sturm_count(d, e2, sigma2, piv)
+
+
+def _float64_pair(b, k, parity, index, L, N):
+    d, e = fiber.stencil(b, k, parity, L, N)
+    w, v = eigh_tridiagonal(d, e, select="i", select_range=(index, index))
+    return w[0], v[:, 0]
+
+
 @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
 @pytest.mark.parametrize("b, k, j", [(1.0, 3.0, 1), (2.0, 5.5, 2)])
 def test_longdouble_bisection_bit_equal_to_reference_driven(monkeypatch, parity,
                                                             b, k, j):
     # the open-side oscillator solve, at a grid small enough for the oracle
     L, N = asymptotics._precise_box(b, k, j), 400
-    d, e = fiber.stencil(b, k, parity, L, N)
-    guess = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
-                             eigvals_only=True)[0]
-    got = asymptotics._precise_eigenvalue(b, k, parity, j - 1, L, N, guess)
+    guess, vector = _float64_pair(b, k, parity, j - 1, L, N)
+    got = asymptotics._precise_eigenvalue(b, k, parity, j - 1, L, N, guess, vector)
     monkeypatch.setattr(tridiag, "sturm_count", _reference_sturm_count)
-    want = asymptotics._precise_eigenvalue(b, k, parity, j - 1, L, N, guess)
+    want = asymptotics._precise_eigenvalue(b, k, parity, j - 1, L, N, guess, vector)
     assert type(got) is np.longdouble and type(want) is np.longdouble
     assert got == want
+
+
+# band minima kappa_j at b = 1; kappa_j(b) = sqrt(b) kappa_j(1)
+KAPPA_AT_B1 = {1: 0.7681836530015678, 2: 1.6232250005248745, 3: 2.1551827658919107}
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.floats(0.5, 4.0), st.sampled_from([1, 2, 3]), st.floats(0.0, 2.0),
+       st.sampled_from([Parity.EVEN, Parity.ODD]), st.integers(200, 800))
+def test_rayleigh_bracket_bit_equal_to_wide_bracket_property(b, j, past, parity, N):
+    k = math.sqrt(b) * (KAPPA_AT_B1[j] + 1.0 + past)
+    L = asymptotics._precise_box(b, k, j)
+    seed_value, vector = _float64_pair(b, k, parity, j - 1, L, N)
+    got = asymptotics._precise_eigenvalue(b, k, parity, j - 1, L, N, seed_value, vector)
+    want = wide_bracket_eigenvalue(b, k, parity, j - 1, L, N, seed_value)
+    assert type(got) is np.longdouble
+    assert got == want
+
+
+def test_displaced_centre_grows_the_bracket_and_keeps_the_bits(monkeypatch):
+    b, k, j, parity, N = 1.5, 4.0, 2, Parity.ODD, 500
+    L = asymptotics._precise_box(b, k, j)
+    d, e = fiber.stencil(b, k, parity, L, N)
+    w, v = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j))
+    # mixing in the next eigenvector moves the Rayleigh quotient up by
+    # mix^2 (w1 - w0) / (1 + mix^2): here 1e4 starting radii
+    ld = np.longdouble
+    radius = 4 * np.finfo(ld).eps * (np.abs(d).max() + 2 * np.abs(e).max())
+    mix = math.sqrt(1e4 * float(radius) / (w[1] - w[0]))
+    passes, real = [], tridiag.sturm_count
+
+    def spy(*args):
+        passes.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(tridiag, "sturm_count", spy)
+    centred = asymptotics._precise_eigenvalue(b, k, parity, j - 1, L, N, w[0], v[:, 0])
+    plain = len(passes)
+    displaced = asymptotics._precise_eigenvalue(b, k, parity, j - 1, L, N, w[0],
+                                                v[:, 0] + mix * v[:, 1])
+    # two more lo ends (256 and 65536 radii) and ~16 more halvings
+    assert len(passes) - plain >= plain + 10
+    assert min(passes[plain:]) < w[0] - 255 * float(radius)
+    assert displaced == centred
+    assert centred == wide_bracket_eigenvalue(b, k, parity, j - 1, L, N, w[0])
+
+
+def test_bracket_that_never_holds_still_raises():
+    # the eigenpair of level j - 1 seeds level j: no bracket of at most
+    # 1e-6 |seed| holds it, whatever the centre
+    b, k, j, parity, N = 1.0, 3.0, 1, Parity.EVEN, 300
+    L = asymptotics._precise_box(b, k, j)
+    seed_value, vector = _float64_pair(b, k, parity, j - 1, L, N)
+    with pytest.raises(NumericalError, match="bisection bracket: eigenvalue 1 not below"):
+        asymptotics._precise_eigenvalue(b, k, parity, j, L, N, seed_value, vector)
+    with pytest.raises(NumericalError, match="bisection bracket: eigenvalue 1 not below"):
+        wide_bracket_eigenvalue(b, k, parity, j, L, N, seed_value)
 
 
 def test_richardson_kills_leading_orders():

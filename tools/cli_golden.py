@@ -71,6 +71,11 @@ CASES["airy_json"] = CASES["airy"] + ["--format", "json"]
 # depend on --jobs
 CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
               for name in ("bands", "ho", "mourre", "localize")})
+# the long-double bisection for pair j = 2 at b = 2, and the 1D inertia at
+# the benchmark's count1d shape
+CASES["ho_b2_j2"] = ["ho", "--b", "2", "--j", "2", "--kmin", "6", "--kmax", "8",
+                     "--samples", "3", "--jobs", "2"]
+CASES["count1d_ell"] = ["count1d", "--ell", "0.9", "--lambdas", "9e-4,2.7e-4"]
 
 
 def run_case(cli, argv):
