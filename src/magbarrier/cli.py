@@ -467,7 +467,7 @@ def cmd_count1d(cfg, jobs):
 
 def cmd_count2d(cfg, jobs):
     b, alpha = cfg["b"], cfg["alpha"]
-    counting.checked_ladder(cfg["lambdas"])  # refused before any solve
+    lambdas = counting.checked_ladder(cfg["lambdas"])  # before any solve
     V = counting.standard_potential(alpha, amplitude=cfg["amplitude"])
     rec = bands.find_minimum(1, b)
     (ground,) = fiber.band(b, rec.kappa, 1)
@@ -481,37 +481,34 @@ def cmd_count2d(cfg, jobs):
     summary = {"expected_exponent": expected, "closed_form_constant": constant,
                "ell": reduced.ell, "beta1": rec.beta, "kappa1": rec.kappa}
     try:
-        curve, meta = counting.counting_curve_2d(b, V, cfg["lambdas"],
-                                                 spec=spec,
-                                                 ell=reduced.ell,
-                                                 jobs=jobs)
+        counts, meta = counting.count_2d(b, V, lambdas, spec=spec,
+                                         ell=reduced.ell, jobs=jobs)
     except (ConfigurationError, NumericalError, InvariantViolation) as err:
         payload = _payload("count2d", cfg, columns, [], summary, False,
                            f"{type(err).__name__}: {err}")
         payload["_exc"] = err
         return payload
-    rows = [[lam, n, lam ** expected * n]
-            for lam, n in zip(curve.lambdas, curve.counts)]
+    rows = [[lam, n, lam ** expected * n] for lam, n in zip(lambdas, counts)]
     # counts with nothing to fit fail the check, as count1d's do
-    passed = curve.fitted_exponent is not None
-    gap, ratio = (abs(curve.fitted_exponent - expected),
-                  curve.fitted_prefactor / constant) if passed else (None, None)
-    summary.update(fitted_exponent=curve.fitted_exponent,
-                   fitted_prefactor=curve.fitted_prefactor,
+    exponent, prefactor = counting.ladder_fit(lambdas, counts)
+    passed = exponent is not None
+    gap, ratio = (abs(exponent - expected),
+                  prefactor / constant) if passed else (None, None)
+    summary.update(fitted_exponent=exponent, fitted_prefactor=prefactor,
                    exponent_gap=gap, prefactor_ratio=ratio,
                    threshold=meta["threshold"], unknowns=meta["unknowns"])
     if passed and cfg["check_stability"]:
-        # the curve's first rung, its largest lambda, recounted on the same
+        # the ladder's first rung, its largest lambda, recounted on the same
         # box with both steps refined and its own discrete threshold; a drift
         # beyond one count flags the result as grid-limited
         finer = Grid2DSpec(hx=cfg["hx"] / STABILITY_REFINE,
                            hy=cfg["hy"] / STABILITY_REFINE, lx=meta["lx"],
                            y_width=meta["y_width"],
                            max_unknowns=cfg["max_unknowns"])
-        (refined,), _ = counting.count_2d(b, V, curve.lambdas[:1], spec=finer,
+        (refined,), _ = counting.count_2d(b, V, lambdas[:1], spec=finer,
                                           jobs=jobs)
-        stable = abs(refined - curve.counts[0]) <= 1
-        summary.update(stability_base=curve.counts[0],
+        stable = abs(refined - counts[0]) <= 1
+        summary.update(stability_base=counts[0],
                        stability_refined=refined, stable=stable)
         passed = stable
     return _payload("count2d", cfg, columns, rows, summary, passed)

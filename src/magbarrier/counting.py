@@ -272,7 +272,10 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     count is still moving. A grid past MAX_ROWS_1D rows or past the float
     range (2m^2/h^2 overflows, or the coupling m^2/h^2 of a grid of more
     than one row falls below the smallest normal float) is refused before
-    any of it is allocated.
+    any of it is allocated. A grid of more than one row whose step resolves
+    the bottom of the well by fewer than 2 pi steps per local wavelength
+    2 pi m / sqrt(Q), that is h sqrt(max Q) > m, counts what the grid
+    allows rather than what the well holds, and is refused before the sweep.
     """
     if not (m > 0.0 and lam > 0.0):
         raise ConfigurationError("need m > 0 and lam > 0")
@@ -296,6 +299,12 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
         q = np.asarray(Q(_line_grid(width, h)), dtype=float)
         if (q < 0.0).any():
             raise ConfigurationError("Q must be nonnegative")
+        phase = h * math.sqrt(q.max())
+        if len(q) > 1 and phase > m:
+            raise NumericalError(
+                f"line grid step h={h:g} under-resolves the well: "
+                f"h sqrt(max Q) = {phase:.3g} exceeds m={m:g}, "
+                "fewer than 2 pi steps per local wavelength; refine h")
         d = 2.0 * stiffness - q
         del q
         e = np.full(len(d) - 1, -stiffness)
@@ -310,30 +319,7 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
 
 
 # ---------------------------------------------------------------------------
-# counting curves and the asymptotic fit
-
-
-@dataclass(frozen=True)
-class CountingCurve:
-    """Counts along a decreasing lambda ladder with its power-law fit.
-
-    Both fitted fields are None for a ladder whose counts leave nothing to
-    fit (counting_curve_2d).
-    """
-
-    lambdas: tuple
-    counts: tuple
-    fitted_exponent: float
-    fitted_prefactor: float
-
-    def __post_init__(self):
-        lams = np.asarray(self.lambdas, dtype=float)
-        if (lams <= 0.0).any() or (np.diff(lams) >= 0.0).any():
-            raise InvariantViolation("lambdas must be positive and decreasing")
-        if any(c != int(c) or c < 0 for c in self.counts):
-            raise InvariantViolation("counts must be nonnegative integers")
-        if (np.diff(np.asarray(self.counts)) < 0).any():
-            raise InvariantViolation("counts must not decrease as lambda does")
+# the asymptotic fit
 
 
 def power_law_fit(lambdas, counts):
@@ -360,8 +346,18 @@ def _ladder_fault(lams):
     return None
 
 
+def ladder_fit(lambdas, counts):
+    """power_law_fit of a 2D ladder, or (None, None) when its nonzero rungs
+    are too few or too narrow for _ladder_fault: the check ran and failed."""
+    nonzero = [lam for lam, n in zip(lambdas, counts) if n > 0]
+    if _ladder_fault(nonzero):
+        return None, None
+    return power_law_fit(lambdas, counts)
+
+
 def checked_ladder(lambdas):
-    """The ladder in decreasing order, refused unless positive and fit-worthy.
+    """The ladder in decreasing order, refused unless positive, free of
+    repeated rungs and fit-worthy.
 
     A 2D ladder is checked before anything is solved for it, so a ladder the
     fit would refuse costs no sweep.
@@ -369,6 +365,8 @@ def checked_ladder(lambdas):
     lambdas = sorted((float(v) for v in lambdas), reverse=True)
     if not all(lam > 0.0 for lam in lambdas):
         raise ConfigurationError("lam must be positive")
+    if any(a == b for a, b in zip(lambdas, lambdas[1:])):
+        raise ConfigurationError("lambdas must be distinct; a rung is repeated")
     fault = _ladder_fault(lambdas)
     if fault:
         raise ConfigurationError(fault)
@@ -704,7 +702,9 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, threshold=None,
     Counts come back in the order of lambdas. A sector that meets a
     near-singular Schur block is recounted at tau (1 + 1e-9 attempt), and a
     RuntimeWarning, raised here in ladder order, names the sector and the
-    shifted threshold. meta records the threshold and grid.
+    shifted threshold. On one grid the counts, ordered by decreasing lam,
+    never decrease; a ladder that breaks this raises InvariantViolation.
+    meta records the threshold and grid.
     """
     if not all(lam > 0.0 for lam in lambdas):
         raise ConfigurationError("lam must be positive")
@@ -741,25 +741,11 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, threshold=None,
                 f"block", RuntimeWarning, stacklevel=2)
     counts = [sector_counts[i][0] + sector_counts[i + 1][0]
               for i in range(0, len(units), 2)]
+    ladder = sorted(zip(lambdas, counts), key=lambda rung: rung[0], reverse=True)
+    if any(deeper < shallower
+           for (_, shallower), (_, deeper) in zip(ladder, ladder[1:])):
+        raise InvariantViolation("counts must not decrease as lambda does")
     meta = {"threshold": threshold, "lx": lx, "y_width": y_width,
             "hx": spec.hx, "unknowns": (2 * nx - 1) * ny}
     return counts, meta
 
-
-def counting_curve_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, jobs=1):
-    """2D counts over a ladder on one shared grid, plus the fitted curve.
-
-    Returns (curve, meta), meta as count_2d's. A ladder _ladder_fault
-    refuses is refused before any sweep runs, and the swept counts are
-    fitted only where their nonzero rungs pass the same check. Otherwise,
-    or when those counts are flat, the curve carries the counts with no fit
-    (both fitted fields None): the check ran and failed.
-    """
-    lambdas = checked_ladder(lambdas)
-    counts, meta = count_2d(b, V, lambdas, spec=spec, ell=ell, jobs=jobs)
-    nonzero = [lam for lam, n in zip(lambdas, counts) if n > 0]
-    exponent, prefactor = (None, None) if _ladder_fault(nonzero) \
-        else power_law_fit(lambdas, counts)
-    return CountingCurve(lambdas=tuple(lambdas), counts=tuple(counts),
-                         fitted_exponent=exponent,
-                         fitted_prefactor=prefactor), meta

@@ -104,8 +104,7 @@ def window_envelope_sweep(report, n_samples=9):
     checks = []
     for j, left, right in report.preimages:
         for k in np.linspace(left, right, n_samples):
-            checks.append(envelope_check(
-                _solved_level(b, float(k), j, fiber.DEFAULT_RESOLUTION)))
+            checks.append(envelope_check(_solved_level(b, float(k), j)))
     return checks
 
 
@@ -114,9 +113,9 @@ def window_envelope_sweep(report, n_samples=9):
 
 
 @lru_cache(maxsize=1024)
-def _solved_level(b, k, j, resolution):
+def _solved_level(b, k, j):
     """One solved global band j at (b, k), cached across states."""
-    return fiber.band(b, k, j, resolution)[0]
+    return fiber.band(b, k, j)[0]
 
 
 def strip_split(pair, cut):
@@ -149,11 +148,11 @@ def strip_split(pair, cut):
 
 
 @lru_cache(maxsize=4096)
-def _strip_fraction(b, k, j, cut, resolution):
-    return strip_split(_solved_level(b, k, j, resolution), cut)[0]
+def _strip_fraction(b, k, j, cut):
+    return strip_split(_solved_level(b, k, j), cut)[0]
 
 
-def strip_mass(state, table, epsilon, b, resolution=fiber.DEFAULT_RESOLUTION):
+def strip_mass(state, table, epsilon, b):
     """(inside, bound, pass): mass in |x| <= b^{epsilon - 1/2} vs the bound.
 
     inside = sum_j int |beta_j(k)|^2 (int_strip psi_j(x,k)^2 dx) dk from
@@ -172,7 +171,7 @@ def strip_mass(state, table, epsilon, b, resolution=fiber.DEFAULT_RESOLUTION):
     inside = 0.0
     for comp in state.components:
         fractions = np.array([
-            _strip_fraction(b, float(k), comp.j, cut, resolution)
+            _strip_fraction(b, float(k), comp.j, cut)
             for k in comp.ks
         ])
         inside += float(np.trapezoid(comp.amp2 * fractions, comp.ks))

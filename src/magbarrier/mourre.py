@@ -26,7 +26,6 @@ ENDPOINT_BISECTIONS = 3
 TRUST_DECREMENT = 1e-8     # per-step omega decrease certifiable above solver noise
 BUDGET_FLOOR = 1e-8
 BUDGET_CEIL = 1.0
-BUDGET_DELTA_GRID = 64
 BUDGET_A_GRID = 48
 BUDGET_Q_BISECTS = 40
 EDGE_SLACK_FRACTION = 0.05
@@ -399,21 +398,17 @@ class PerturbationBudget:
 def perturbation_budget(report):
     """Maximize a_star * q_star with F < 1/2 somewhere below delta0.
 
-    Logarithmic scan in a, logarithmic bisection in q, with F minimized over
-    a logarithmic delta grid; F increases in each perturbation argument, so
-    the feasible region is downward closed and the scan is exhaustive at
-    grid resolution. All quantities are scaled, hence b-independent.
+    Logarithmic scan in a, logarithmic bisection in q, with F taken at
+    delta = 1e-6 delta0: f_n increases in delta and F_nE in f_n, so a larger
+    delta only raises F. F increases in each perturbation argument, so the
+    feasible region is downward closed and the scan is exhaustive at grid
+    resolution. All quantities are scaled, hence b-independent.
     """
     n, delta0, c_n = report.window.n, report.window.delta, report.c_n
-    deltas = np.geomspace(delta0 * 1e-6, delta0 * (1.0 - 1e-9), BUDGET_DELTA_GRID)
-
-    def best_delta(a_frak, q_frak):
-        vals = [F_nE(d, a_frak, q_frak, n, delta0, c_n) for d in deltas]
-        i = int(np.argmin(vals))
-        return float(deltas[i]), float(vals[i])
+    delta = delta0 * 1e-6
 
     def feasible(a_frak, q_frak):
-        return best_delta(a_frak, q_frak)[1] < 0.5
+        return F_nE(delta, a_frak, q_frak, n, delta0, c_n) < 0.5
 
     if not feasible(BUDGET_FLOOR, BUDGET_FLOOR):
         raise InvariantViolation(
@@ -436,8 +431,8 @@ def perturbation_budget(report):
         if best is None or a_frak * lo > best[0] * best[1]:
             best = (float(a_frak), float(lo))
     a_star, q_star = best
-    delta_star, f_val = best_delta(a_star, q_star)
-    return PerturbationBudget(delta=delta_star, a_star=a_star, q_star=q_star,
+    f_val = F_nE(delta, a_star, q_star, n, delta0, c_n)
+    return PerturbationBudget(delta=delta, a_star=a_star, q_star=q_star,
                               F_value=f_val, delta0=delta0, c_n=c_n)
 
 

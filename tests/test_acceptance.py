@@ -335,18 +335,18 @@ def test_c13_counting_2d(minima_b1):
     constant = counting.counting_constant_1d(1.0, reduced.ell,
                                              math.sqrt(rec.beta))
     ladder = tuple(3e-2 * rec.energy * 0.1 ** (i / 4.0) for i in range(5))
-    curve, meta = counting.counting_curve_2d(1.0, V, ladder,
-                                             spec=Grid2DSpec(),
-                                             ell=reduced.ell, jobs=2)
-    gap = abs(curve.fitted_exponent - 0.5)  # 1/alpha - 1/2 at alpha = 1
-    ratio = curve.fitted_prefactor / constant
+    counts, meta = counting.count_2d(1.0, V, ladder, spec=Grid2DSpec(),
+                                     ell=reduced.ell, jobs=2)
+    exponent, prefactor = counting.ladder_fit(ladder, counts)
+    gap = abs(exponent - 0.5)  # 1/alpha - 1/2 at alpha = 1
+    ratio = prefactor / constant
     elapsed = time.perf_counter() - t0
     assert gap <= 0.15, f"fitted exponent off 1/2 by {gap:.4f}"
     assert 0.5 <= ratio <= 2.0, f"prefactor ratio {ratio:.3f} outside [0.5, 2]"
     assert meta["unknowns"] <= 10_000_000
     assert elapsed < 600.0, f"2D counting took {elapsed:.0f}s"
-    _line(13, f"counts {curve.counts} over 5 rungs: exponent "
-              f"{curve.fitted_exponent:.4f} (gap {gap:.4f}), prefactor "
+    _line(13, f"counts {tuple(counts)} over 5 rungs: exponent "
+              f"{exponent:.4f} (gap {gap:.4f}), prefactor "
               f"{ratio:.3f}x theory, {meta['unknowns']:.2g} unknowns, "
               f"{elapsed:.0f}s")
 

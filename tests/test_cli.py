@@ -302,6 +302,9 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     # the 1D stencil's 2m^2/h^2 overflows, or m^2/h^2 underflows
     ["count1d", "--m", "1e200"],
     ["count1d", "--m", "1e-200"],
+    # h sqrt(max Q) = 0.05 against m = 1e-3: the grid, not the well, sets
+    # the counts
+    ["count1d", "--m", "1e-3"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
@@ -362,12 +365,25 @@ def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, cod
     ["localize", "--b=-1"],
     ["count1d", "--lambdas", "0"],
     ["count2d", "--alpha", "1e300"],
+    ["count2d", "--lambdas", "0.3,0.3,0.066,0.03"],
 ])
 def test_bad_input_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
     assert run(argv, tmp_path) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
+
+
+def test_count2d_repeated_rung_is_refused_before_any_solve(tmp_path,
+                                                           monkeypatch):
+    # refused before the band minimum, the first solve, and before any file
+    def boom(*args, **kwargs):
+        raise AssertionError("a band minimum was solved")
+
+    monkeypatch.setattr(bands, "find_minimum", boom)
+    assert run(["count2d", "--b", "1", "--hy", "0.8",
+                "--lambdas", "0.3,0.3,0.066,0.03"], tmp_path) == 2
+    assert not (tmp_path / "count2d.csv").exists()
 
 
 def test_worker_error_is_a_usage_error_without_traceback(tmp_path, capfd):

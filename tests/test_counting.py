@@ -414,18 +414,30 @@ def test_count_1d_monotone_in_lambda_at_fixed_width(lam_a, lam_b, m):
 
 
 def test_curve_invariants():
-    with pytest.raises(InvariantViolation):
-        counting.CountingCurve(lambdas=(1e-3, 1e-2), counts=(3, 1),
-                               fitted_exponent=0.5, fitted_prefactor=1.0)
-    with pytest.raises(InvariantViolation):
-        counting.CountingCurve(lambdas=(1e-2, 1e-3), counts=(3, 1),
-                               fitted_exponent=0.5, fitted_prefactor=1.0)
-    with pytest.raises(InvariantViolation):
-        counting.CountingCurve(lambdas=(1e-2, 1e-3), counts=(1, 2.5),
-                               fitted_exponent=0.5, fitted_prefactor=1.0)
-    # a positive decreasing ladder with nondecreasing counts constructs
-    counting.CountingCurve(lambdas=(1e-2, 1e-3), counts=(1, 3),
-                           fitted_exponent=0.5, fitted_prefactor=1.0)
+    # a ladder is refused before any sweep unless positive and free of
+    # repeated rungs; its order does not matter
+    assert counting.checked_ladder([1e-3, 1e-2, 1e-4, 1e-1]) \
+        == [1e-1, 1e-2, 1e-3, 1e-4]
+    with pytest.raises(ConfigurationError, match="repeated"):
+        counting.checked_ladder([0.3, 0.3, 0.066, 0.03])
+    with pytest.raises(ConfigurationError, match="positive"):
+        counting.checked_ladder([0.3, 0.1, 0.03, 0.0])
+
+
+def test_count_2d_refuses_counts_that_decrease_with_lambda(monkeypatch):
+    # planted sector counts that grow with lambda break the exact invariant
+    threshold = _small_threshold()
+    monkeypatch.setattr(counting, "_count_sector",
+                        lambda unit: (round(10.0 * (threshold - unit[2])), 0,
+                                      unit[2]))
+    V = counting.standard_potential(1.0)
+    spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=6.0)
+    with pytest.raises(InvariantViolation, match="decrease"):
+        counting.count_2d(1.0, V, [0.5, 0.2, 0.1, 0.04], spec=spec,
+                          threshold=threshold)
+    # the same sectors on a one-rung ladder have nothing to compare
+    assert counting.count_2d(1.0, V, [0.5], spec=spec,
+                             threshold=threshold)[0] == [10]
 
 
 def test_asymptotics_check_one_dimensional_example():
@@ -496,25 +508,16 @@ def test_power_law_fit_is_the_polyfit_or_nothing(rungs, data):
 @settings(max_examples=200, deadline=None, database=None)
 @given(_RUNGS, st.data())
 def test_counting_curve_2d_fits_only_a_fit_worthy_nonzero_ladder(rungs, data):
+    # ladder_fit, the fit count2d takes of count_2d's counts on a decreasing
+    # ladder, fits only where the nonzero rungs pass the ladder check
     lams = [0.1 ** (i / 4.0) for i in rungs]
-    assume(counting._ladder_fault(lams) is None)  # else refused before a sweep
     steps = data.draw(st.lists(st.integers(0, 2), min_size=len(lams),
                                max_size=len(lams)))
-    planted = dict(zip(lams, np.cumsum(steps).tolist()))
-
-    def count_2d(b, V, lambdas, **kwargs):
-        return [planted[lam] for lam in lambdas], {}
-
-    with mock.patch.object(counting, "count_2d", count_2d):
-        curve, _ = counting.counting_curve_2d(
-            1.0, counting.standard_potential(1.0), lams[::-1], ell=0.6)
-    assert curve.counts == tuple(planted[lam] for lam in curve.lambdas)
-    nonzero = [lam for lam in curve.lambdas if planted[lam] > 0]
-    fit = counting.power_law_fit(curve.lambdas, curve.counts)
-    if counting._ladder_fault(nonzero) is None and fit != (None, None):
-        assert (curve.fitted_exponent, curve.fitted_prefactor) == fit
-    else:
-        assert curve.fitted_exponent is curve.fitted_prefactor is None
+    counts = np.cumsum(steps).tolist()
+    nonzero = [lam for lam, n in zip(lams, counts) if n > 0]
+    expected = (None, None) if counting._ladder_fault(nonzero) \
+        else counting.power_law_fit(lams, counts)
+    assert counting.ladder_fit(lams, counts) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -976,14 +979,14 @@ def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch,
         with pytest.raises(NumericalError, match=match):
             _count(1.0, V, 6e-3, spec=spec, ell=reduced_b1.ell)
         with pytest.raises(NumericalError, match=match):
-            counting.counting_curve_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3],
-                                       spec=spec, ell=reduced_b1.ell)
+            counting.count_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3], spec=spec,
+                              ell=reduced_b1.ell)
     # with neither a y half-width nor the tail coefficient nothing sizes y
     V = counting.standard_potential(1.0)
     with pytest.raises(ConfigurationError, match="y_width"):
         _count(1.0, V, 6e-3, spec=spec)
     with pytest.raises(ConfigurationError, match="y_width"):
-        counting.counting_curve_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3], spec=spec)
+        counting.count_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3], spec=spec)
 
 
 def test_count_2d_refinement_stability(reduced_b1):
@@ -998,12 +1001,13 @@ def test_count_2d_refinement_stability(reduced_b1):
 def test_counting_curve_2d_small_ladder(reduced_b1):
     V = counting.standard_potential(1.0)
     lams = [0.1 * E_1, 0.05 * E_1, 0.02 * E_1, 0.01 * E_1]
-    curve, meta = counting.counting_curve_2d(1.0, V, lams, ell=reduced_b1.ell)
-    assert len(curve.counts) == 4
-    assert all(b >= a for a, b in zip(curve.counts, curve.counts[1:]))
+    counts, meta = counting.count_2d(1.0, V, lams, ell=reduced_b1.ell)
+    assert len(counts) == 4
+    assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert meta["threshold"] == pytest.approx(E_1, abs=0.05)
     assert meta["unknowns"] <= Grid2DSpec().max_unknowns
-    assert curve.fitted_exponent == pytest.approx(0.5, abs=0.25)
+    exponent, _ = counting.ladder_fit(lams, counts)
+    assert exponent == pytest.approx(0.5, abs=0.25)
 
 
 @lru_cache(maxsize=None)
@@ -1032,16 +1036,15 @@ def test_counting_curve_2d_pool_matches_serial_and_count_2d(monkeypatch,
     V = counting.standard_potential(1.0, amplitude=3.0)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=y_width)
     lams = [0.5, 0.2, 0.1, 0.04]
-    serial, meta = counting.counting_curve_2d(1.0, V, lams, spec=spec)
-    pooled, _ = counting.counting_curve_2d(1.0, V, lams, spec=spec, jobs=2)
-    per_rung = tuple(_count(1.0, V, lam, spec=spec,
-                            threshold=meta["threshold"])
-                     for lam in lams)
+    serial, meta = counting.count_2d(1.0, V, lams, spec=spec)
+    pooled, _ = counting.count_2d(1.0, V, lams, spec=spec, jobs=2)
+    per_rung = [_count(1.0, V, lam, spec=spec, threshold=meta["threshold"])
+                for lam in lams]
     assert meta["unknowns"] == 35 * math.ceil(2.0 * y_width / 0.4)
-    assert pooled.counts == serial.counts == per_rung
+    assert pooled == serial == per_rung
     # counts come back in the order of the lambdas given
     assert counting.count_2d(1.0, V, lams[::-1], spec=spec)[0] \
-        == list(serial.counts[::-1])
+        == serial[::-1]
     assert len(set(per_rung)) > 1
 
     # the odd sector of the third rung meets a singular block once: a pool
@@ -1060,10 +1063,10 @@ def test_counting_curve_2d_pool_matches_serial_and_count_2d(monkeypatch,
 
     monkeypatch.setattr(counting, "_sector_inertia", flaky)
     with pytest.warns(RuntimeWarning) as warned:
-        retried, _ = counting.counting_curve_2d(1.0, V, lams, spec=spec, jobs=2)
+        retried, _ = counting.count_2d(1.0, V, lams, spec=spec, jobs=2)
     refused = [float(line) for line in record.read_text().splitlines()]
     assert refused == [tau]
     assert [str(w.message) for w in warned] == [
         f"odd sector counted at tau*(1 + 1e-9) = {shifted!r} "
         f"instead of tau = {tau!r}: near-singular Schur block"]
-    assert retried.counts == serial.counts
+    assert retried == serial

@@ -63,7 +63,7 @@ def test_envelope_check_pure_oscillator():
     # at k = 0 the fiber operator is an exact oscillator; the even ground
     # state is the Gaussian pi^{-1/4} e^{-x^2/2}, so the ratio against the
     # envelope is 2^{-1/4} e^{1/2} e^{-x} beyond the onset x_n = 1
-    pair = loc._solved_level(1.0, 0.0, 1, 4000)
+    pair = loc._solved_level(1.0, 0.0, 1)
     check = loc.envelope_check(pair)
     assert check.envelope_ok
     assert check.x_n == pytest.approx(1.0, abs=1e-6)
@@ -82,14 +82,14 @@ def test_envelope_check_pure_oscillator():
 def test_ratio_profile_monotone_decay():
     for b, k, j in [(1.0, 0.0, 1), (1.0, 0.7, 2), (1.0, -0.5, 1),
                     (1.0, 1.05, 2), (4.0, 1.4, 2)]:
-        pair = loc._solved_level(b, k, j, 4000)
+        pair = loc._solved_level(b, k, j)
         _, ratios = loc.ratio_profile(pair)
         assert ratios[0] == ratios.max()
         assert np.all(np.diff(ratios) <= 1e-9 * ratios[:-1])
 
 
 def test_envelope_check_guards():
-    pair = loc._solved_level(1.0, 0.5, 1, 4000)
+    pair = loc._solved_level(1.0, 0.5, 1)
     with pytest.raises(ConfigurationError):
         loc.envelope_check(replace(pair, psi=2.0 * pair.psi))
     with pytest.raises(InvariantViolation):
@@ -111,8 +111,8 @@ def test_window_envelope_sweep(window_b1):
 def test_envelope_scaling_b4(window_b1):
     # the b=4 problem at doubled k is the b=1 problem on an exactly halved
     # grid, so the whole ratio profile agrees to rounding
-    c1 = loc.envelope_check(loc._solved_level(1.0, 0.7, 2, 4000))
-    c4 = loc.envelope_check(loc._solved_level(4.0, 1.4, 2, 4000))
+    c1 = loc.envelope_check(loc._solved_level(1.0, 0.7, 2))
+    c4 = loc.envelope_check(loc._solved_level(4.0, 1.4, 2))
     assert c4.max_ratio == pytest.approx(c1.max_ratio, rel=1e-9)
     assert c4.x_n == pytest.approx(c1.x_n / 2.0, rel=1e-9)
 
@@ -121,13 +121,13 @@ def test_strip_split_oscillator_oracles():
     # k = 0: the even ground state gives inside = erf(sqrt(b) c), the odd
     # one erf(y) - 2 y e^{-y^2}/sqrt(pi) with y = sqrt(b) c
     for b in (1.0, 100.0):
-        pair = loc._solved_level(b, 0.0, 1, 4000)
+        pair = loc._solved_level(b, 0.0, 1)
         for y in (0.3, 1.0, 2.5):
             cut = y / math.sqrt(b)
             inside, outside = loc.strip_split(pair, cut)
             assert inside == pytest.approx(float(erf(y)), abs=1e-6)
             assert abs(inside + outside - 1.0) < 1e-10
-    pair2 = loc._solved_level(1.0, 0.0, 2, 4000)
+    pair2 = loc._solved_level(1.0, 0.0, 2)
     y = 0.8
     inside, outside = loc.strip_split(pair2, y)
     oracle = erf(y) - 2.0 * y * math.exp(-y * y) / math.sqrt(math.pi)
@@ -136,7 +136,7 @@ def test_strip_split_oscillator_oracles():
 
 
 def test_strip_split_edges():
-    pair = loc._solved_level(1.0, 0.0, 1, 4000)
+    pair = loc._solved_level(1.0, 0.0, 1)
     inside, outside = loc.strip_split(pair, len(pair.grid.x) * pair.grid.h + 1.0)
     assert inside == pytest.approx(1.0, abs=1e-12) and outside == 0.0
     with pytest.raises(ConfigurationError):
@@ -148,8 +148,8 @@ def test_strip_split_edges():
 
 
 def test_strip_fraction_scale_invariance():
-    f1 = loc._strip_fraction(1.0, 0.0, 1, 0.8, 4000)
-    f25 = loc._strip_fraction(25.0, 0.0, 1, 0.8 / 5.0, 4000)
+    f1 = loc._strip_fraction(1.0, 0.0, 1, 0.8)
+    f25 = loc._strip_fraction(25.0, 0.0, 1, 0.8 / 5.0)
     assert f25 == pytest.approx(f1, abs=1e-9)
 
 

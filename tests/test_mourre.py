@@ -198,13 +198,24 @@ def test_perturbation_budget(report_b1, e_mid):
     # recomputed F at the recorded point stays under 1/2
     assert mourre.F_nE(bud.delta, bud.a_star, bud.q_star, 1,
                        report_b1.window.delta, report_b1.c_n) < 0.5
-    # the q bound is tight: 5% more q is infeasible for every delta on the grid
+    # the q bound is tight: 5% more q is infeasible for every delta below delta0
     deltas = np.geomspace(report_b1.window.delta * 1e-6,
-                          report_b1.window.delta * (1.0 - 1e-9),
-                          mourre.BUDGET_DELTA_GRID)
+                          report_b1.window.delta * (1.0 - 1e-9), 64)
     worst = min(mourre.F_nE(d, bud.a_star, 1.05 * bud.q_star, 1,
                             report_b1.window.delta, report_b1.c_n) for d in deltas)
     assert worst >= 0.5
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_budget_delta_is_the_smallest_tested(report_b1, report_n2, n):
+    # F increases in delta, so the budget sits at the bottom of (0, delta0)
+    report = report_b1 if n == 1 else report_n2
+    bud = mourre.perturbation_budget(report)
+    assert bud.delta == report.window.delta * 1e-6
+    values = [mourre.F_nE(d, bud.a_star, bud.q_star, n, report.window.delta,
+                          report.c_n)
+              for d in np.geomspace(bud.delta, report.window.delta, 16)]
+    assert values == sorted(values) and values[0] == bud.F_value
 
 
 def test_budget_b_invariance_and_n2(report_b1, report_n2, table_b4, e_mid):

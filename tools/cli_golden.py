@@ -9,9 +9,11 @@ directory and hashes every file it writes (sha256). The digests live in
 `cli_golden.json` next to this script. Output bytes depend on the machine's
 floating-point libraries, so the stored digests are a refactoring guard for
 one machine, not a portable test; record them before a change and check
-them after it. The `_jobs2` twins run the commands that fork workers at
-`--jobs 2`; their digests were recorded where `--jobs` was ignored, so they
-show that the output does not depend on `--jobs`. The whole run takes about
+them after it. Each case prints its exit code, its verdict and its wall
+time in seconds on stdout, so a run also gives the end-to-end time of every
+subcommand at its pinned config. The `_jobs2` twins run the commands that
+fork workers at `--jobs 2`; their digests were recorded where `--jobs` was
+ignored, so they show that the output does not depend on `--jobs`. The whole run takes about
 15 s on two cores.
 """
 
@@ -96,18 +98,20 @@ def main(argv=None):
 
     from magbarrier import cli
 
+    stored = {} if args.write else json.loads(DIGESTS.read_text())
     results = {}
     for name, case in CASES.items():
         start = time.perf_counter()
         code, digests = run_case(cli, case)
+        elapsed = time.perf_counter() - start
         results[name] = {"argv": case, "exit": code, "sha256": digests}
-        print(f"{name}: exit {code} in {time.perf_counter() - start:.1f} s",
-              file=sys.stderr)
+        verdict = "recorded" if args.write else \
+            "identical" if stored.get(name) == results[name] else "DIFF"
+        print(f"{name}: exit {code}, {verdict}, {elapsed:.2f} s wall")
     if args.write:
         DIGESTS.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
         print(f"wrote {DIGESTS}")
         return 0
-    stored = json.loads(DIGESTS.read_text())
     drift = sorted(name for name in set(stored) | set(results)
                    if stored.get(name) != results.get(name))
     for name in drift:
