@@ -167,9 +167,10 @@ def _precise_eigenvalue(b, k, parity, index, L, N, seed, vector):
 
     seed and vector are a float64 eigenpair of the same sector. The bracket
     is centred on their Rayleigh quotient against the long-double stencil,
-    which carries the seed's error down to long-double rounding, and starts
-    at a few units of that rounding; bisect_eigenvalue moves an end that
-    does not hold out, at most to 1e-6 max(1, |seed|) from the centre.
+    which carries the seed's error down to long-double rounding. It starts
+    at eps/2 times a bound on the stencil's norm, about twice the centre's
+    error; bisect_eigenvalue moves an end that does not hold out, at most
+    to 1e-6 max(1, |seed|) from the centre.
     """
     ld = np.longdouble
     d, e = fiber.stencil(b, k, parity, L, N, dtype=ld)
@@ -180,7 +181,7 @@ def _precise_eigenvalue(b, k, parity, index, L, N, seed, vector):
     y[1:] += e * x[:-1]
     centre = s + np.dot(x, y) / np.dot(x, x)
     widest = 1e-6 * max(1.0, abs(seed))
-    radius = min(4 * np.finfo(ld).eps * (np.abs(d).max() + 2 * np.abs(e).max()),
+    radius = min(0.5 * np.finfo(ld).eps * (np.abs(d).max() + 2 * np.abs(e).max()),
                  ld(widest))
     return bisect_eigenvalue(d, e * e, index, centre - radius, centre + radius,
                              widest)

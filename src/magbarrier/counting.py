@@ -43,6 +43,10 @@ BOUNDED_MAX_EVALUATIONS = 500   # minimize_scalar(method="bounded")'s maxiter
 SINGULAR_RETRIES = 3
 FIT_SPREAD_TOL = 0.05
 INERTIA_CHUNK = 1 << 15
+# complex band entries of one chunk of a 2D sector sweep, never less than one
+# y-slice: 1.5 MiB, 4 slices at nx = 148, so a serial count2d peaks within
+# 2 MB of the dense sweep's RSS
+SECTOR_CHUNK = 3 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +520,28 @@ def _strict_upper(n):
     return mask
 
 
+def _hermitian(inverse):
+    """The lower triangle of a LAPACK inverse mirrored into its strict upper
+    one, in place.
+
+    Adding zero turns -0.0 into +0.0 where tril(X) + conj(tril(X, -1))^T
+    did, so the mirrored inverse is that sum bit for bit.
+    """
+    upper = inverse.T.conj()
+    upper += 0.0
+    np.copyto(inverse, upper, where=_strict_upper(len(inverse)))
+    inverse.real += 0.0
+    return inverse
+
+
+def _refuse_near_singular(eigs):
+    """Raise unless the eigenvalues of a block show a 2-norm condition of at
+    most 1e12."""
+    scale = np.abs(eigs).max()
+    if scale == 0.0 or np.abs(eigs).min() < 1e-12 * scale:
+        raise NumericalError("near-singular pivot block in the inertia sweep")
+
+
 def _block_inertia(block):
     """(negatives, inverse) of a Hermitian block, Cholesky first.
 
@@ -546,19 +572,73 @@ def _block_inertia(block):
             inverse, info = lapack.zhetri(ldu, ipiv, lower=1, overwrite_a=1)
     if info != 0:
         raise NumericalError("singular pivot block in the inertia sweep")
-    # adding zero turns -0.0 into +0.0 where tril(X) + conj(tril(X, -1))^T
-    # did, so the mirrored inverse is that sum bit for bit
-    upper = inverse.T.conj()
-    upper += 0.0
-    np.copyto(inverse, upper, where=_strict_upper(n))
-    inverse.real += 0.0
+    _hermitian(inverse)
     norm = np.abs(block).sum(axis=0).max()
     if not n * norm * np.abs(inverse.T).sum(axis=0).max() < 1e12:
-        eigs = np.linalg.eigvalsh(block)
-        scale = np.abs(eigs).max()
-        if scale == 0.0 or np.abs(eigs).min() < 1e-12 * scale:
-            raise NumericalError("near-singular pivot block in the inertia sweep")
+        _refuse_near_singular(np.linalg.eigvalsh(block))
     return negatives, inverse
+
+
+def _diagonal_block(band, n, j):
+    """Block j of the diagonal of a lower band of half-width n, held flat.
+
+    With n + 1 rows of band storage in Fortran order, entry (i, c) of the
+    full matrix sits at flat index c n + i, so the block is the n x n
+    Fortran matrix of leading dimension n at offset j n (n + 1). Its lower
+    triangle is the block; its strict upper triangle aliases the band's
+    entries below the block.
+    """
+    return np.lib.stride_tricks.as_strided(
+        band[j * n * (n + 1):], shape=(n, n),
+        strides=(band.itemsize, n * band.itemsize))
+
+
+def _trace_weights(beta):
+    """(n (n+1), 2) weights from the squared moduli of one slice's band
+    entries to trace(S_j) and trace(S_j^{-1}).
+
+    Band row r of column c of slice j holds L_jj[c + r, c] for c + r < n,
+    and L_{j+1,j}[c + r - n, c] beyond. As L_{j+1,j} = diag(conj beta)
+    L_jj^{-H}, trace(S_j) = |L_jj|_F^2 and trace(S_j^{-1}) = |L_jj^{-1}|_F^2
+    = |diag(1 / conj beta) L_{j+1,j}|_F^2.
+    """
+    n = len(beta)
+    row = np.arange(n)[:, None] + np.arange(n + 1)[None, :]
+    weights = np.empty((n, n + 1, 2))
+    weights[..., 0] = row < n
+    weights[..., 1] = np.where(row >= n, 1.0 / np.abs(beta[row - n]) ** 2, 0.0)
+    return weights.reshape(-1, 2)
+
+
+def _band_traces(band, weights, slices):
+    """(slices, 2) array of trace(S_j) and trace(S_j^{-1}) of the first
+    slices of a factored band, by _trace_weights; the band does not hold
+    the second trace of the last slice, which comes back meaningless.
+
+    Each slice's entries are squared, real and imaginary parts apart, into
+    one reused buffer, and weighted by one matrix product.
+    """
+    width = len(weights)
+    squares = np.empty((width, 2))
+    traces = np.empty((slices, 2))
+    entries = band[:slices * width].view(float).reshape(slices, width, 2)
+    for j in range(slices):
+        traces[j] = (weights.T @ np.square(entries[j], out=squares)).sum(axis=1)
+    return traces
+
+
+def _band_guard(traces, band, n):
+    """Refuse a near-singular slice of a factored band chunk.
+
+    traces[j] holds trace(S_j) and trace(S_j^{-1}) of the chunk's slice j.
+    Their product bounds kappa_2(S_j) of a positive definite S_j from above,
+    and a slice it does not clear of 1e12 has the eigenvalues of
+    S_j = L_jj L_jj^H computed and is refused by _block_inertia's rule.
+    """
+    bounds = traces[:, 0] * traces[:, 1]
+    for j in np.flatnonzero(~(bounds < 1e12)):
+        low = np.tril(_diagonal_block(band, n, j))
+        _refuse_near_singular(np.linalg.eigvalsh(low @ low.conj().T))
 
 
 def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
@@ -571,6 +651,16 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     C_j = diag(conj beta) S_{j-1}^{-1} diag(beta), and the inertia of T is
     the sum of theirs.
 
+    In slice-major order T is a Hermitian band of half-width n, and nearly
+    every S_j is positive definite, so runs of slices are factored by one
+    band Cholesky (zpbtrf) per chunk of at most SECTOR_CHUNK band entries;
+    a factored slice has no negatives. A chunk's first block is A_j - C_j,
+    with C_j from zpotri on the last factored block. Where zpbtrf stops,
+    its slice is counted by _block_inertia, and the next chunk starts after
+    it. Each factored slice passes _band_guard on traces read from the band
+    (zpotri's diagonal for the last slice of a chunk), which refuses what
+    _block_inertia's guard refuses.
+
     When v2 is a palindrome (an even v2 on the symmetric y-grid, probed
     exactly), so is A_j, and reversing the slices maps T to conj(T): the
     bottom-up complement at slice ny-1-j is conj(S_j), with the inertia of
@@ -582,16 +672,16 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     sweep would.
     """
     n, ny = len(d_x), len(v2_vals)
+    width = n * (n + 1)
     diagonal = d_x + 2.0 / (hy * hy) - tau
     beta = -1.0 / (hy * hy) + 1j * b * xs / hy
     conj_beta = np.conj(beta)
-    template = np.zeros((n, n), dtype=complex)
-    template.reshape(-1)[1::n + 1] = e_x
-    template.reshape(-1)[n::n + 1] = e_x
 
     def diagonal_block(j):
-        block = template.copy()
+        block = np.zeros((n, n), dtype=complex)
         block.reshape(-1)[::n + 1] = diagonal - v1_vals * v2_vals[j]
+        block.reshape(-1)[1::n + 1] = e_x
+        block.reshape(-1)[n::n + 1] = e_x
         return block
 
     def coupled(inverse):
@@ -603,15 +693,45 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     # slices below `twins` count twice, for themselves and their mirror image;
     # slice m-1 of an even ny is mirrored by slice m, which the join counts
     steps, twins = (ny // 2, (ny - 1) // 2) if mirror else (ny, 0)
-    negatives = 0
-    block = coupling = None
-    for j in range(steps):
-        block = diagonal_block(j)
+    per_chunk = min(steps, max(1, SECTOR_CHUNK // width))
+    buffer = np.empty(per_chunk * width, dtype=complex)
+    weights = _trace_weights(beta)
+    lower = ~_strict_upper(n)
+    negatives = start = 0
+    block = coupling = factor = None
+    while start < steps:
+        k = min(per_chunk, steps - start)
+        chunk = buffer[:k * width]
+        columns = chunk.reshape(k, n, n + 1)  # slice, column, band row
+        columns[...] = 0.0
+        columns[:, :, 0] = diagonal - v1_vals * v2_vals[start:start + k, None]
+        columns[:, :-1, 1] = e_x
+        columns[:, :, n] = conj_beta
         if coupling is not None:
-            block -= coupling
-        count, inverse = _block_inertia(block)
-        negatives += 2 * count if j < twins else count
-        coupling = coupled(inverse)
+            first = _diagonal_block(buffer, n, 0)
+            np.subtract(first, coupling, out=first, where=lower)
+        info = lapack.zpbtrf(chunk.reshape((n + 1, k * n), order="F"), lower=1,
+                             overwrite_ab=1)[1]
+        done = k if info == 0 else (info - 1) // n
+        if done:
+            factor = _diagonal_block(buffer, n, done - 1)
+            traces = _band_traces(buffer, weights, done)
+            inverse = lapack.zpotri(factor, lower=1)[0]
+            # the last slice's coupling is past the chunk, or unfinished
+            # where zpbtrf stopped; its inverse's diagonal gives the trace
+            traces[-1, 1] = inverse.diagonal().real.sum()
+            _band_guard(traces, buffer, n)
+            coupling = coupled(_hermitian(inverse))
+            block = None
+            start += done
+        if info:
+            block = diagonal_block(start)
+            if coupling is not None:
+                block -= coupling
+            count, inverse = _block_inertia(block)
+            negatives += 2 * count if start < twins else count
+            coupling = coupled(inverse)
+            start += 1
     if not mirror:
         return negatives
     if ny % 2:
@@ -619,6 +739,9 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
         join -= coupling
         join -= np.conj(coupling)
     else:
+        if block is None:   # S_{m-1} ended a chunk: rebuild it from L_jj
+            low = np.tril(factor)
+            block = low @ low.conj().T
         join = np.conj(block)
         join -= coupling
     return negatives + _block_inertia(join)[0]

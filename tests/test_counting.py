@@ -1,7 +1,10 @@
 """Eigenvalue counting: reduced potential, 1D/2D inertia counts, asymptotics."""
 
+import itertools
 import math
+from contextlib import contextmanager
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -594,13 +597,12 @@ def test_count_2d_matches_dense_eigensolve():
     assert block > 0
 
 
-def _eigvalsh_sweep(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
-    """The block sweep with each Schur block's inertia from its eigenvalues."""
+def _schur_complements(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
+    """The Schur blocks S_j of the full sweep, formed densely with inv."""
     n = len(d_x)
     base = d_x + 2.0 / (hy * hy) - tau
     beta = -1.0 / (hy * hy) + 1j * b * xs / hy
     idx = np.arange(n - 1)
-    negatives = 0
     prev_inv = None
     for j, v2j in enumerate(v2_vals):
         block = np.zeros((n, n), dtype=complex)
@@ -609,14 +611,42 @@ def _eigvalsh_sweep(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
         block[idx + 1, idx] = e_x
         if prev_inv is not None:
             block -= np.conj(beta)[:, None] * prev_inv * beta[None, :]
+        yield block
+        if j != len(v2_vals) - 1:
+            prev_inv = np.linalg.inv(block)
+
+
+def _eigvalsh_sweep(*system):
+    """The block sweep with each Schur block's inertia from its eigenvalues."""
+    negatives = 0
+    for block in _schur_complements(*system):
         eigs = np.linalg.eigvalsh(block)
         scale = np.abs(eigs).max()
         if scale == 0.0 or np.abs(eigs).min() < 1e-12 * scale:
             raise NumericalError("near-singular pivot block in the inertia sweep")
         negatives += int((eigs < 0.0).sum())
-        if j != len(v2_vals) - 1:
-            prev_inv = np.linalg.inv(block)
     return negatives
+
+
+@contextmanager
+def _sweep_spy():
+    """Counts, over the sweeps run inside it, the dense Schur blocks
+    (`blocks.call_count`), the zpbtrf calls that stopped at a slice that is
+    not positive definite (`stops`), and the slices swept, banded or dense."""
+    spy = SimpleNamespace(stops=0, slices=0)
+    pbtrf = lapack.zpbtrf
+
+    def spied(ab, **kwargs):
+        factor, info = pbtrf(ab, **kwargs)
+        n = ab.shape[0] - 1
+        spy.stops += info > 0
+        spy.slices += (info - 1) // n + 1 if info else ab.shape[1] // n
+        return factor, info
+
+    with mock.patch.object(lapack, "zpbtrf", spied), \
+            mock.patch.object(counting, "_block_inertia",
+                              wraps=counting._block_inertia) as spy.blocks:
+        yield spy
 
 
 def _sector_eigenvalues(d_x, e_x, xs, b, v1_vals, v2_vals, hy):
@@ -687,12 +717,93 @@ def test_mirror_sweep_equals_eigvalsh_sweep_and_dense_count(ny, data):
         oracle = _eigvalsh_sweep(*system, tau)
     except NumericalError:
         assume(False)  # a near-singular Schur block; the guard is tested below
-    with mock.patch.object(counting, "_block_inertia",
-                           wraps=counting._block_inertia) as blocks:
+    with _sweep_spy() as spy:
         count = counting._sector_inertia(*system, tau)
-    # half the slices plus the join block; one block has no half to skip
-    assert blocks.call_count == (ny // 2 + 1 if ny > 1 else 1)
+    # half the slices, dense only where zpbtrf stopped, plus the join block;
+    # one slice has no half to skip and no join
+    assert spy.slices == (ny // 2 if ny > 1 else 1)
+    assert spy.blocks.call_count == spy.stops + (ny > 1)
     assert count == oracle == int((eigs < tau).sum())
+
+
+def _chunk_caps(n):
+    """SECTOR_CHUNK values that band 1 slice, 2 slices, and the default."""
+    return (n * (n + 1), 2 * n * (n + 1), counting.SECTOR_CHUNK)
+
+
+@seed(20261019)
+@settings(max_examples=120, deadline=None, database=None)
+@given(sectors(ny=st.integers(1, 12)), st.booleans())
+def test_banded_sweep_equals_eigvalsh_sweep_at_every_chunk_size(sector,
+                                                                mirrored):
+    # chunks of one slice put a seam after every slice, so zpbtrf stops and
+    # restarts, and the even-ny join, meet every chunk position
+    system, tau = _mirrored(sector) if mirrored else (list(sector[:-1]),
+                                                        sector[-1])
+    eigs = _sector_eigenvalues(*system)
+    assume(np.abs(eigs - tau).min() > 1e-8 * max(1.0, np.abs(eigs).max()))
+    try:
+        oracle = _eigvalsh_sweep(*system, tau)
+    except NumericalError:
+        assume(False)  # a near-singular Schur block; the guard is tested below
+    for cap in _chunk_caps(len(system[0])):
+        with mock.patch.object(counting, "SECTOR_CHUNK", cap):
+            assert counting._sector_inertia(*system, tau) == oracle \
+                == int((eigs < tau).sum())
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(sectors(ny=st.integers(1, 12)), st.booleans(), st.floats(0.0, 4.0))
+def test_band_read_traces_equal_the_dense_schur_traces(sector, mirrored,
+                                                       depth):
+    # tau below the spectrum of T makes every S_j positive definite, so
+    # zpbtrf never stops; depth sets how far below, and so kappa(S_j)
+    system, _ = _mirrored(sector) if mirrored else (list(sector[:-1]), None)
+    eigs = _sector_eigenvalues(*system)
+    spread = max(eigs[-1] - eigs[0], 1.0)
+    tau = eigs[0] - spread * 10.0 ** -depth
+    ny = len(system[5])
+    steps = ny // 2 if mirrored and ny > 1 else ny
+    dense = [(np.trace(S).real, np.trace(np.linalg.inv(S)).real)
+             for S in itertools.islice(_schur_complements(*system, tau), steps)]
+    for cap in _chunk_caps(len(system[0])):
+        seen = []
+        guard = counting._band_guard
+
+        def recorded(traces, *args):
+            seen.extend(map(tuple, traces))
+            return guard(traces, *args)
+
+        with mock.patch.object(counting, "SECTOR_CHUNK", cap), \
+                mock.patch.object(counting, "_band_guard", recorded):
+            counting._sector_inertia(*system, tau)
+        assert np.allclose(seen, dense, rtol=1e-10, atol=0.0)
+
+
+def test_ill_conditioned_definite_slice_is_refused_from_the_band():
+    # the sector twin of the dense block test below: slice 2 of 4 is a
+    # positive definite Schur block of condition ~1e13, which zpbtrf factors
+    # and reads a trace bound for; the bound hands it to eigvalsh, whose
+    # rule refuses it, as _block_inertia refuses the same block
+    n = 5
+    d_x = np.array([1e14 + 1.0, 2.0, 2.0, 2.0, 2.0])
+    v1 = np.array([1e14, 0.0, 0.0, 0.0, 0.0])
+    system = (d_x, -np.ones(n - 1), np.linspace(0.0, 1.0, n), 1.0, v1,
+              np.array([1.0, 1.0, 0.0, 1.0]), 1.0)
+    tau = -10.0
+    blocks = list(_schur_complements(*system, tau))
+    eigs = np.linalg.eigvalsh(blocks[2])
+    assert eigs.min() > 0.0 and 1e12 < eigs.max() / eigs.min() < 1e14
+    with pytest.raises(NumericalError, match="near-singular"):
+        counting._block_inertia(blocks[2])
+    with _sweep_spy() as spy, \
+            mock.patch.object(np.linalg, "eigvalsh",
+                              wraps=np.linalg.eigvalsh) as eigvalsh:
+        with pytest.raises(NumericalError, match="near-singular"):
+            counting._sector_inertia(*system, tau)
+    assert spy.stops == 0 and spy.slices == 4 and spy.blocks.call_count == 0
+    assert eigvalsh.call_count == 1
 
 
 def test_palindrome_off_by_one_ulp_takes_the_full_sweep():
@@ -704,12 +815,12 @@ def test_palindrome_off_by_one_ulp_takes_the_full_sweep():
     skewed = v2.copy()
     skewed[-1] = np.nextafter(skewed[-1], 1.0)
     tau = 0.5
-    for values, blocks_run in ((v2, ny // 2 + 1), (skewed, ny)):
+    for values, slices_run, joins in ((v2, ny // 2, 1), (skewed, ny, 0)):
         system = (d_x, e_x, xs, b, V.v1(xs), values, hy)
-        with mock.patch.object(counting, "_block_inertia",
-                               wraps=counting._block_inertia) as blocks:
+        with _sweep_spy() as spy:
             count = counting._sector_inertia(*system, tau)
-        assert blocks.call_count == blocks_run
+        assert spy.slices == slices_run
+        assert spy.blocks.call_count == spy.stops + joins
         assert count == _eigvalsh_sweep(*system, tau) \
             == int((_sector_eigenvalues(*system) < tau).sum())
 
@@ -788,8 +899,8 @@ def test_mirrored_inverse_is_the_triangle_sum_bit_for_bit():
 
 def test_bunch_kaufman_runs_only_where_cholesky_failed(tmp_path):
     # the count2d golden ladder, on one process so the spies see every block
-    potrf, hetrf = lapack.zpotrf, lapack.zhetrf
-    last, calls = {}, {"potrf": 0, "failed": 0, "hetrf": 0}
+    potrf, hetrf, pbtrf = lapack.zpotrf, lapack.zhetrf, lapack.zpbtrf
+    last, calls = {}, {"potrf": 0, "failed": 0, "hetrf": 0, "stops": 0}
 
     def spied_potrf(block, **kwargs):
         factor, info = potrf(block, **kwargs)
@@ -805,13 +916,21 @@ def test_bunch_kaufman_runs_only_where_cholesky_failed(tmp_path):
         assert np.array_equal(block, last["copy"])
         return hetrf(block, **kwargs)
 
+    def spied_pbtrf(band, **kwargs):
+        factor, info = pbtrf(band, **kwargs)
+        calls["stops"] += info > 0
+        return factor, info
+
     argv = ["count2d", "--b", "1", "--hy", "0.8", "--lambdas",
             "0.3,0.14,0.066,0.03", "--jobs", "1", "--outdir", str(tmp_path)]
     with mock.patch.object(lapack, "zpotrf", spied_potrf), \
-            mock.patch.object(lapack, "zhetrf", spied_hetrf):
+            mock.patch.object(lapack, "zhetrf", spied_hetrf), \
+            mock.patch.object(lapack, "zpbtrf", spied_pbtrf):
         assert cli.main(argv) == 0
     assert calls["hetrf"] == calls["failed"] > 0
-    assert calls["hetrf"] < 0.05 * calls["potrf"]
+    # dense blocks: the slices where zpbtrf stopped, and the join of each of
+    # the 4 rungs x 2 parities
+    assert calls["potrf"] == calls["stops"] + 8
 
 
 @pytest.mark.parametrize("y_width", [6.0, 5.7])
@@ -831,11 +950,12 @@ def test_tau_on_a_sector_eigenvalue_is_refused_by_the_join_block(monkeypatch,
     odd = _sector_eigenvalues(*by_parity[Parity.ODD])
     tau = float(even[1])
     assert tau > 0.0 and np.abs(odd - tau).min() > 1e-6
-    with mock.patch.object(counting, "_block_inertia",
-                           wraps=counting._block_inertia) as blocks:
+    with _sweep_spy() as spy:
         with pytest.raises(NumericalError, match="singular"):
             counting._sector_inertia(*by_parity[Parity.EVEN], tau)
-    assert blocks.call_count == ny // 2 + 1  # every half-sweep block passed
+    # every half-sweep slice passed; the join block, dense, refused
+    assert spy.slices == ny // 2
+    assert spy.blocks.call_count == spy.stops + 1
 
     threshold = 1.25 * tau
     lam = threshold - tau
