@@ -153,10 +153,8 @@ def _precise_box(b, k, pair_j):
 
     The pair's states sit in a well centered at k/b; the wall goes far enough
     past the turning point that the Agmon weight kills the truncation error
-    below extended-precision resolution.
+    below extended-precision resolution. k > 0, as _range_refusal checks.
     """
-    if not k > 0.0:
-        raise ConfigurationError("the open-side path needs k > 0")
     center = k / b
     width = (math.sqrt(2.0 * AGMON_BUDGET) + math.sqrt(2.0 * pair_j + 1.0))
     return center + width / math.sqrt(b)
@@ -205,32 +203,64 @@ def _precise_level(b, j, unit):
     return _precise_eigenvalue(b, k, parity, j - 1, L, N, w[0], v[:, 0])
 
 
-def omega_pair_precise(b, j, ks, jobs):
+def _range_refusal(b, j, ks):
+    """The error that refuses ks before any stencil is formed, or None.
+
+    The open side needs k > 0; a k whose square, or whose box's squared
+    coarsest step, leaves the float range has no precise solve.
+    """
+    for k in ks:
+        if not k > 0.0:
+            return ConfigurationError("the open-side path needs k > 0")
+        h = _precise_box(b, k, j) / PRECISE_LEVELS[0]
+        if not (math.isfinite(k * k) and math.isfinite(h * h)):
+            return NumericalError(
+                f"k={k:g} leaves the float range of the precise solve at "
+                f"b={b:g}; use smaller k")
+    return None
+
+
+def _pool_unit(b, j, unit):
+    """One unit of the precise pool: kappa_j, the minimum of even band j,
+    for None, else the _precise_level of a (k, parity, N) unit."""
+    if unit is None:
+        return bands.find_minimum(j, b).kappa
+    return _precise_level(b, j, unit)
+
+
+def omega_pair_precise(b, j, ks, jobs, check_kappa=None):
     """[(omega_plus, omega_minus)] of pair j at each k of ks, in extended
     precision.
 
     Solves both parity sectors on an Agmon-sized box at three grid steps and
     extrapolates twice, so gap structure is resolved down to the extended
-    floating-point floor rather than double roundoff. A k whose square, or
-    whose box's squared coarsest step, leaves the float range is refused
-    before any stencil is formed. The (k, parity, N) solves are independent:
+    floating-point floor rather than double roundoff. A k that _range_refusal
+    refuses forms no stencil. The (k, parity, N) solves are independent:
     jobs > 1 runs them on up to that many forked worker processes, largest
     grids first so that no worker finishes on a long solve alone, and the
     pairs are the same, bit for bit, at every jobs.
+
+    check_kappa, if given, is called in the parent with kappa_j, which the
+    pool solves as its first unit, beside the precise solves rather than
+    before them. The refusal of ks waits for it, and no level is read before
+    it returns; at jobs = 1 no precise solve runs before it.
     """
-    for k in ks:
-        h = _precise_box(b, k, j) / PRECISE_LEVELS[0]
-        if not (math.isfinite(k * k) and math.isfinite(h * h)):
-            raise NumericalError(
-                f"k={k:g} leaves the float range of the precise solve at "
-                f"b={b:g}; use smaller k")
+    refusal = _range_refusal(b, j, ks)
+    if refusal is not None and check_kappa is None:
+        raise refusal
     parities = (Parity.EVEN, Parity.ODD)
-    units = sorted(dict.fromkeys((k, parity, N) for k in ks for parity in parities
-                                 for N in PRECISE_LEVELS),
-                   key=lambda unit: -unit[2])
+    units = [] if refusal is not None else sorted(
+        dict.fromkeys((k, parity, N) for k in ks for parity in parities
+                      for N in PRECISE_LEVELS),
+        key=lambda unit: -unit[2])
+    lead = [] if check_kappa is None else [None]
     with bands._k_map(jobs) as k_map:
-        levels = dict(zip(units, k_map(functools.partial(_precise_level, b, j),
-                                       units)))
+        results = k_map(functools.partial(_pool_unit, b, j), lead + units)
+        if check_kappa is not None:
+            check_kappa(next(results))
+        if refusal is not None:
+            raise refusal
+        levels = dict(zip(units, results))
     return [tuple(float(richardson3(*(levels[k, parity, N] for N in PRECISE_LEVELS)))
                   for parity in parities)
             for k in ks]
@@ -245,25 +275,34 @@ def splitting_fit(b, j, k_samples, kappa=None, jobs=1):
     Samples whose splitting sits below the floating floor carry no sign or
     magnitude information and are excluded, with the retained window kept
     in the result. A line through fewer than 3 distinct k checks nothing
-    and is refused before any solve. jobs > 1 runs the precise solves of
-    every sample on one pool of forked workers.
+    and is refused before any solve, and so are a b or j that find_minimum
+    refuses. Without a kappa, the band minimum is the first unit of the
+    precise pool; jobs > 1 runs it and the precise solves of every sample
+    on one pool of forked workers.
     """
     ks = sorted(float(k) for k in k_samples)
     if len(set(ks)) < 3:
         raise ConfigurationError("need at least 3 distinct k for a decay fit")
-    kappa = bands.find_minimum(j, b).kappa if kappa is None else kappa
-    entry = kappa + math.sqrt(b)
-    if min(ks) < entry:
-        raise ConfigurationError(
-            f"samples must start past kappa_{j} + b^(1/2) = {entry:.6g}"
-        )
+    bands.check_minimum_args(j, b)
+
+    def check_entry(kappa):
+        entry = kappa + math.sqrt(b)
+        if min(ks) < entry:
+            raise ConfigurationError(
+                f"samples must start past kappa_{j} + b^(1/2) = {entry:.6g}"
+            )
+
+    if kappa is None:
+        pairs = omega_pair_precise(b, j, ks, jobs, check_kappa=check_entry)
+    else:
+        check_entry(kappa)
+        pairs = omega_pair_precise(b, j, ks, jobs)
     floor = SPLITTING_FLOOR_FACTOR * b
     level = (2.0 * j - 1.0) * b
     samples = [SplitSample(k=k, gap_plus=level - omega_plus,
                            gap_minus=omega_minus - level,
                            splitting=omega_minus - omega_plus)
-               for k, (omega_plus, omega_minus)
-               in zip(ks, omega_pair_precise(b, j, ks, jobs))]
+               for k, (omega_plus, omega_minus) in zip(ks, pairs)]
     retained = [s for s in samples if s.splitting > floor]
     if len(retained) < 3:
         raise NumericalError(

@@ -227,6 +227,15 @@ def _brentq(f, a, b, fa, fb, xtol, rtol):
     )
 
 
+def check_minimum_args(j, b):
+    """Refuse a field b or an even-band ordinal j that find_minimum cannot
+    take, before anything is solved or sized from them."""
+    if not (b > 0.0 and math.isfinite(b)):
+        raise ConfigurationError(f"field strength must be positive and finite, got {b}")
+    if j < 1:
+        raise ConfigurationError(f"even-band ordinal starts at 1, got {j}")
+
+
 def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
     """Locate the minimum of even band j as the root of omega(k) - k^2.
 
@@ -234,10 +243,7 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
     energy is the square of the root, cross-checked against the direct
     eigenvalue there.
     """
-    if not (b > 0.0 and math.isfinite(b)):
-        raise ConfigurationError(f"field strength must be positive and finite, got {b}")
-    if j < 1:
-        raise ConfigurationError(f"even-band ordinal starts at 1, got {j}")
+    check_minimum_args(j, b)
     limit = (2.0 * (2 * j - 1) - 1.0) * b      # oscillator level the band tends to
     lo, hi = 1e-6 * math.sqrt(b), math.sqrt(limit)
 

@@ -17,6 +17,7 @@ than four nonzero rungs remain or they span less than a decade.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -335,8 +336,12 @@ def cmd_minima(cfg, jobs):
     columns = ["j", "kappa", "energy", "beta", "psi0_at_kappa",
                "kappa_max", "energy_lo", "energy_hi", "pass"]
     rows = []
-    for j in range(1, cfg["jmax"] + 1):
-        rec = bands.find_minimum(j, b)
+    # the minima are independent root searches, one pool unit each, read in
+    # ordinal order
+    with bands._k_map(jobs) as k_map:
+        records = list(k_map(functools.partial(bands.find_minimum, b=b),
+                             range(1, cfg["jmax"] + 1)))
+    for j, rec in enumerate(records, 1):
         kappa_max = math.sqrt((4 * j - 3) * b)
         energy_lo = max(2 * j - 3, 0) * b
         energy_hi = (2 * j - 1) * b
@@ -561,7 +566,8 @@ def build_parser():
         sub.add_argument("--jobs", type=int, default=1,
                          help="worker processes: count2d for the (rung, "
                          "parity) sectors; bands, mourre, budget and localize "
-                         "for the k-sweep; ho for the precise pair solves "
+                         "for the k-sweep; ho for the band minimum beside the "
+                         "precise pair solves; minima for the minima "
                          "(output never depends on it)")
     return parser
 

@@ -29,10 +29,11 @@ def _line(num, detail):
 
 @pytest.fixture(scope="module")
 def band_artifacts(tmp_path_factory):
-    """The emitted band table and plot data: b=1, k in [-4, 6], 401 samples."""
+    """The emitted band table and plot data: b=1, k in [-4, 6], 401 samples,
+    traced on two workers (the table is the same at every --jobs)."""
     outdir = tmp_path_factory.mktemp("bands")
     code = cli.main(["bands", "--b", "1", "--kmin", "-4", "--kmax", "6",
-                     "--nbands", "8", "--samples", "401",
+                     "--nbands", "8", "--samples", "401", "--jobs", "2",
                      "--outdir", str(outdir)])
     assert code == 0
     columns, rows, summary = None, [], {}
@@ -60,7 +61,7 @@ def _build_window(n, b, n_bands=None):
     if n_bands is None:
         n_bands = max(2 * n + 1, 5)
     table = bands.trace(b, -4.0 * root_b, 6.0 * root_b, n_bands=n_bands,
-                        base_samples=81, refine=True)
+                        base_samples=81, refine=True, jobs=2)
     hi = bands.table_minimum(table, 2 * n + 1)[1]
     e_mid = 0.5 * ((2.0 * n - 1.0) * b + hi)
     return table, mourre.window_report(n, e_mid, b, table)

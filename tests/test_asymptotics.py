@@ -299,3 +299,41 @@ def test_find_minimum_kappa_used_when_not_supplied(monkeypatch):
     assert len(found) == 1 and abs(found[0].kappa - KAPPA_1) <= 1e-6
     with pytest.raises(ConfigurationError, match="past kappa_1"):
         asym.splitting_fit(1.0, 1, [found[0].kappa + 0.9, 3.0, 3.5])
+
+
+def test_splitting_fit_without_kappa_is_bit_identical_on_workers():
+    # the band minimum is the pool's first unit, solved in a worker at jobs=2
+    ks = [3.0, 3.5, 4.0]
+    serial = asym.splitting_fit(1.0, 1, ks, jobs=1)
+    parallel = asym.splitting_fit(1.0, 1, ks, jobs=2)
+    assert _bits(parallel) == _bits(serial)
+    assert multiprocessing.active_children() == []
+
+
+def test_minimum_error_surfaces_unchanged_at_every_jobs(monkeypatch):
+    def planted(j, b, *args, **kwargs):
+        raise NumericalError(f"planted minimum of band {2 * j - 1}")
+
+    # set before the pool forks, so the workers inherit it
+    monkeypatch.setattr(bands, "find_minimum", planted)
+    messages = []
+    for jobs in (1, 2):
+        with pytest.raises(NumericalError) as info:
+            asym.splitting_fit(1.0, 1, [3.0, 3.5, 4.0], jobs=jobs)
+        messages.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert messages == ["planted minimum of band 1"] * 2
+
+
+def test_refused_entry_runs_no_precise_solve_serially(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a precise level was solved")
+
+    # at jobs=1 the lazy map solves kappa first, and the entry check refuses
+    # the samples before the next unit is asked for
+    monkeypatch.setattr(asym, "_precise_level", boom)
+    with pytest.raises(ConfigurationError, match="past kappa_1"):
+        asym.splitting_fit(1.0, 1, [1.0, 3.0, 3.5], jobs=1)
+    # a range refusal waits for the entry check, and forms no stencil either
+    with pytest.raises(NumericalError, match="leaves the float range"):
+        asym.splitting_fit(1.0, 1, [3.0, 3.5, 1e200], jobs=1)

@@ -317,6 +317,59 @@ def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv, code, message", [
+    # find_minimum's own checks, in the parent before the pool opens and
+    # before any precise box is sized from b
+    (["ho", "--b", "0"], 2,
+     "error: field strength must be positive and finite, got 0.0"),
+    (["ho", "--b", "-1"], 2,
+     "error: field strength must be positive and finite, got -1.0"),
+    # the entry check on the pool's first unit comes before the float-range
+    # refusal of the samples
+    (["ho", "--kmin", "0.5", "--kmax", "1e200"], 2,
+     "error: samples must start past kappa_1 + b^(1/2) = 1.76818"),
+    (["ho", "--kmin", "1e200", "--kmax", "1e201"], 3,
+     "error: k=1e+200 leaves the float range of the precise solve at b=1"),
+    # the band minimum itself fails, in a worker at --jobs 2
+    (["ho", "--b", "1e300"], 3, "error: fiber eigensolve failed at b=1e+300"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ho_refusals_keep_their_order_at_every_jobs(tmp_path, capfd, argv, code,
+                                                   message, jobs):
+    assert run(argv + ["--jobs", jobs], tmp_path) == code
+    lines = capfd.readouterr().err.splitlines()   # workers' stderr included
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "ho.csv").exists()
+
+
+def test_minima_on_workers_is_byte_identical_to_serial(tmp_path):
+    texts = []
+    for jobs in ("1", "2"):
+        outdir = tmp_path / f"jobs{jobs}"
+        assert run(["minima", "--b", "1", "--jmax", "3", "--format", "json",
+                    "--jobs", jobs], outdir) == 0
+        texts.append((outdir / "minima.json").read_text())
+    assert texts[0] == texts[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_minima_worker_error_is_the_first_in_ordinal_order(tmp_path, monkeypatch,
+                                                          capfd):
+    # every root search stops, each on its own last value; set before the
+    # pool forks, so the workers inherit it
+    monkeypatch.setattr(bands, "BRENTQ_MAX_ITERATIONS", 2)
+    errors = []
+    for jobs in ("1", "2"):
+        assert run(["minima", "--jmax", "3", "--jobs", jobs], tmp_path) == 3
+        errors.append(capfd.readouterr().err.splitlines())
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1] and len(errors[0]) == 1
+    assert errors[0][0].startswith("error: root search did not converge")
+    assert not (tmp_path / "minima.csv").exists()
+
+
 def test_root_search_that_does_not_converge_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bands, "BRENTQ_MAX_ITERATIONS", 2)
     assert run(["minima", "--b", "1", "--jmax", "1"], tmp_path) == 3

@@ -72,7 +72,7 @@ CASES["airy_json"] = CASES["airy"] + ["--format", "json"]
 # --jobs 2 twins of the commands that fork workers: their bytes must not
 # depend on --jobs
 CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
-              for name in ("bands", "ho", "mourre", "localize")})
+              for name in ("bands", "minima", "ho", "mourre", "localize")})
 # the long-double bisection for pair j = 2 at b = 2, and the 1D inertia at
 # the benchmark's count1d shape
 CASES["ho_b2_j2"] = ["ho", "--b", "2", "--j", "2", "--kmin", "6", "--kmax", "8",
