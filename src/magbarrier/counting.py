@@ -16,7 +16,7 @@ of being swamped by the O(h^2) shift of the continuum threshold.
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
@@ -38,8 +38,6 @@ MAX_NX_2D = 2048
 # ladder's widened grid
 MAX_ROWS_1D = 20_000_000
 THRESHOLD_K_SAMPLES = 161
-THRESHOLD_XATOL = 1e-9
-BOUNDED_MAX_EVALUATIONS = 500   # minimize_scalar(method="bounded")'s maxiter
 SINGULAR_RETRIES = 3
 FIT_SPREAD_TOL = 0.05
 INERTIA_CHUNK = 1 << 15
@@ -399,102 +397,54 @@ class Grid2DSpec:
 def discrete_threshold(b, lx, nx, hy):
     """The lattice operator's own band-1 minimum.
 
-    Scans the even-sector fiber at the lattice momentum s(k) = sin(k hy)/hy
-    with the dispersion correction mu(k) - s(k)^2, then polishes the scan
-    minimum with a bounded 1D minimizer. Every evaluation sits on or above
-    the true lattice infimum, and the 2D box spectrum sits above that, so
-    this is the correct zero point for lattice eigenvalue counts.
+    Scans _lattice_value at THRESHOLD_K_SAMPLES momenta of [0, pi/hy] and
+    polishes an interior scan minimum at the root of _lattice_slope between
+    its scan neighbours, by bands._brentq at find_minimum's tolerances; an
+    end point, or neighbours whose slopes share a sign, keep the scan
+    minimum. Every value sits on or above the true lattice infimum, and the
+    2D box spectrum above that: the zero point of lattice eigenvalue counts.
     """
-
-    def value(k):
-        s = math.sin(k * hy) / hy
-        mu = 2.0 * (1.0 - math.cos(k * hy)) / (hy * hy)
-        d, e = fiber.stencil(b, s, Parity.EVEN, lx, nx)
-        w = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                             eigvals_only=True, check_finite=False)
-        return float(w[0]) + (mu - s * s)
-
     ks = np.linspace(0.0, math.pi / hy, THRESHOLD_K_SAMPLES)
-    vals = np.array([value(k) for k in ks])
+    vals = np.array([_lattice_value(b, lx, nx, hy, k) for k in ks])
     i = int(np.argmin(vals))
     if i == 0 or i == len(ks) - 1:
         return float(vals[i])
-    return float(min(vals[i], _bounded_minimum(value, ks[i - 1], ks[i + 1], THRESHOLD_XATOL)))
+    slope = partial(_lattice_slope, b, lx, nx, hy)
+    lo, hi = ks[i - 1], ks[i + 1]
+    slope_lo, slope_hi = slope(lo), slope(hi)
+    if slope_lo * slope_hi > 0.0:
+        return float(vals[i])
+    root = bands._brentq(slope, lo, hi, slope_lo, slope_hi,
+                         bands.KAPPA_XTOL * math.sqrt(b), 8.0 * np.finfo(float).eps)
+    return float(min(vals[i], _lattice_value(b, lx, nx, hy, root)))
 
 
-def _bounded_minimum(func, lo, hi, xatol):
-    """Least value of func found on [lo, hi] by Brent's bounded minimizer.
+def _lattice_value(b, lx, nx, hy, k):
+    """The lattice band-1 energy at momentum k: the even fiber's lowest
+    eigenvalue at the lattice momentum s = sin(k hy)/hy, plus the dispersion
+    correction mu(k) - s^2 with mu(k) = 2 (1 - cos(k hy))/hy^2."""
+    s = math.sin(k * hy) / hy
+    mu = 2.0 * (1.0 - math.cos(k * hy)) / (hy * hy)
+    d, e = fiber.stencil(b, s, Parity.EVEN, lx, nx)
+    w = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
+                         eigvals_only=True, check_finite=False)
+    return float(w[0]) + (mu - s * s)
 
-    An operation-for-operation port of scipy.optimize's
-    `_minimize_scalar_bounded` (golden section with parabolic steps; R. P.
-    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5), so
-    its value is minimize_scalar(method="bounded").fun to the last bit,
-    without importing scipy.optimize. Like SciPy it returns the best value
-    so far when the evaluation cap is reached.
+
+def _lattice_slope(b, lx, nx, hy, k):
+    """d/dk of _lattice_value by Hellmann-Feynman.
+
+    Only the stencil's diagonal depends on s, through (s - b x_i)^2, so the
+    unit lowest eigenvector v gives omega'(s) = sum v_i^2 2 (s - b x_i).
+    With s' = cos(k hy) and (mu - s^2)' = 2 s (1 - cos(k hy)), the slope is
+    omega'(s) cos(k hy) + 2 s (1 - cos(k hy)).
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:               # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:                      # a golden-section step
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf + (step if rat >= 0.0 else -step)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= BOUNDED_MAX_EVALUATIONS:
-            break
-    return fx
+    s, c = math.sin(k * hy) / hy, math.cos(k * hy)
+    d, e = fiber.stencil(b, s, Parity.EVEN, lx, nx)
+    _, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
+                            check_finite=False)
+    x = np.arange(nx) * (lx / nx)
+    return 2.0 * float(np.dot(v[:, 0] ** 2, s - b * x)) * c + 2.0 * s * (1.0 - c)
 
 
 def _ldl_negatives(ldu, ipiv):
@@ -755,9 +705,9 @@ def _grid_2d(b, V, lam, spec, ell):
     TURNING_FACTOR times the turning point of the reduced tail
     ell |y|^{-alpha}, and a call that gives neither is refused. A grid that
     cannot be represented, that has fewer than two x-steps, more than
-    MAX_NX_2D x-steps (the side of every dense Schur block), or more than
-    spec.max_unknowns unknowns, is refused here, before any grid array
-    exists.
+    MAX_NX_2D x-steps (the side of every dense Schur block), a y-step whose
+    (1/hy^2)^2 underflows, or more than spec.max_unknowns unknowns, is
+    refused here, before any grid array exists.
     """
     lx = spec.lx
     if lx is None:
@@ -774,15 +724,19 @@ def _grid_2d(b, V, lam, spec, ell):
         raise NumericalError(
             f"grid of {x_cells:g} x {y_cells:g} steps cannot be represented; "
             "raise lam or coarsen")
+    if x_cells > MAX_NX_2D + 0.5:     # round(x_cells) > MAX_NX_2D
+        raise NumericalError(
+            f"{x_cells:.3g} x-steps exceed the cap of {MAX_NX_2D} on one dense "
+            "Schur block; raise hx or b")
     nx, ny = int(round(x_cells)), int(math.ceil(y_cells))
     if nx < 2:
         raise ConfigurationError(
             f"hx={spec.hx:g} leaves {nx} x-step(s) on the half-width "
             f"{lx:g}; the fiber stencil needs at least 2")
-    if nx > MAX_NX_2D:
+    inv_hy2 = 1.0 / (spec.hy * spec.hy)
+    if inv_hy2 * inv_hy2 < np.finfo(float).tiny:
         raise NumericalError(
-            f"{nx} x-steps exceed the cap of {MAX_NX_2D} on one dense Schur "
-            "block; raise hx or b")
+            f"y-step hy={spec.hy:g} is too coarse: (1/hy^2)^2 underflows")
     if (2 * nx - 1) * ny > spec.max_unknowns:
         raise NumericalError(
             f"grid {2 * nx - 1} x {ny} exceeds the budget of "

@@ -273,6 +273,16 @@ def test_grid_past_its_budget_exits_three_before_allocating(tmp_path, monkeypatc
     assert failed.startswith("NumericalError") and not passed and rows == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count2d", "--hx", "1e-300"], "error: 7.41e+300 x-steps exceed the cap of 2048"),
+    (["count2d", "--hy", "1e300"], "error: y-step hy=1e+300 is too coarse"),
+])
+def test_count2d_grid_refusal_is_one_short_line(tmp_path, capsys, argv, message):
+    assert run(argv, tmp_path) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(message) and len(line) < 100
+
+
 def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     assert run(["count1d", "--alpha", "0.001", "--ell", "3"], tmp_path) == 3
     assert capsys.readouterr().err.splitlines() == [
@@ -305,6 +315,10 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     # h sqrt(max Q) = 0.05 against m = 1e-3: the grid, not the well, sets
     # the counts
     ["count1d", "--m", "1e-3"],
+    # 7.4e300 x-steps against the cap of 2048, refused before rounding
+    ["count2d", "--hx", "1e-300"],
+    # (1/hy^2)^2 underflows, and with it the slices' y-coupling
+    ["count2d", "--hy", "1e300"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
