@@ -228,36 +228,38 @@ def _pool_unit(b, j, unit):
     return _precise_level(b, j, unit)
 
 
-def omega_pair_precise(b, j, ks, jobs, check_kappa=None):
+def omega_pair_precise(b, j, ks, jobs):
     """[(omega_plus, omega_minus)] of pair j at each k of ks, in extended
     precision.
 
     Solves both parity sectors on an Agmon-sized box at three grid steps and
     extrapolates twice, so gap structure is resolved down to the extended
-    floating-point floor rather than double roundoff. A k that _range_refusal
-    refuses forms no stencil. The (k, parity, N) solves are independent:
-    jobs > 1 runs them on up to that many forked worker processes, largest
-    grids first so that no worker finishes on a long solve alone, and the
-    pairs are the same, bit for bit, at every jobs.
+    floating-point floor rather than double roundoff. The (k, parity, N)
+    solves are independent: jobs > 1 runs them on up to that many forked
+    worker processes, largest grids first so that no worker finishes on a
+    long solve alone, and the pairs are the same, bit for bit, at every jobs.
 
-    check_kappa, if given, is called in the parent with kappa_j, which the
-    pool solves as its first unit, beside the precise solves rather than
-    before them. The refusal of ks waits for it, and no level is read before
-    it returns; at jobs = 1 no precise solve runs before it.
+    kappa_j is the pool's first unit, solved beside the precise solves rather
+    than before them; a b or j that find_minimum refuses is refused before
+    the pool opens. Samples that do not start past kappa_j + b^(1/2) are
+    refused as soon as kappa_j returns, then a k that _range_refusal
+    refuses, which forms no stencil; no level is read before both checks,
+    and at jobs = 1 no precise solve runs before them.
     """
+    bands.check_minimum_args(j, b)
     refusal = _range_refusal(b, j, ks)
-    if refusal is not None and check_kappa is None:
-        raise refusal
     parities = (Parity.EVEN, Parity.ODD)
     units = [] if refusal is not None else sorted(
         dict.fromkeys((k, parity, N) for k in ks for parity in parities
                       for N in PRECISE_LEVELS),
         key=lambda unit: -unit[2])
-    lead = [] if check_kappa is None else [None]
     with bands._k_map(jobs) as k_map:
-        results = k_map(functools.partial(_pool_unit, b, j), lead + units)
-        if check_kappa is not None:
-            check_kappa(next(results))
+        results = k_map(functools.partial(_pool_unit, b, j), [None] + units)
+        entry = next(results) + math.sqrt(b)
+        if min(ks) < entry:
+            raise ConfigurationError(
+                f"samples must start past kappa_{j} + b^(1/2) = {entry:.6g}"
+            )
         if refusal is not None:
             raise refusal
         levels = dict(zip(units, results))
@@ -266,7 +268,7 @@ def omega_pair_precise(b, j, ks, jobs, check_kappa=None):
             for k in ks]
 
 
-def splitting_fit(b, j, k_samples, kappa=None, jobs=1):
+def splitting_fit(b, j, k_samples, jobs=1):
     """Least-squares decay rate of the parity splitting against k^2/b.
 
     Only the upper-bound consistency is asserted: the fitted slope must not
@@ -276,27 +278,13 @@ def splitting_fit(b, j, k_samples, kappa=None, jobs=1):
     magnitude information and are excluded, with the retained window kept
     in the result. A line through fewer than 3 distinct k checks nothing
     and is refused before any solve, and so are a b or j that find_minimum
-    refuses. Without a kappa, the band minimum is the first unit of the
-    precise pool; jobs > 1 runs it and the precise solves of every sample
-    on one pool of forked workers.
+    refuses. jobs > 1 runs the band minimum and the precise solves of every
+    sample on one pool of forked workers.
     """
     ks = sorted(float(k) for k in k_samples)
     if len(set(ks)) < 3:
         raise ConfigurationError("need at least 3 distinct k for a decay fit")
-    bands.check_minimum_args(j, b)
-
-    def check_entry(kappa):
-        entry = kappa + math.sqrt(b)
-        if min(ks) < entry:
-            raise ConfigurationError(
-                f"samples must start past kappa_{j} + b^(1/2) = {entry:.6g}"
-            )
-
-    if kappa is None:
-        pairs = omega_pair_precise(b, j, ks, jobs, check_kappa=check_entry)
-    else:
-        check_entry(kappa)
-        pairs = omega_pair_precise(b, j, ks, jobs)
+    pairs = omega_pair_precise(b, j, ks, jobs)
     floor = SPLITTING_FLOOR_FACTOR * b
     level = (2.0 * j - 1.0) * b
     samples = [SplitSample(k=k, gap_plus=level - omega_plus,

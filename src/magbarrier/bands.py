@@ -12,17 +12,17 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import fiber
 from .errors import ConfigurationError, InvariantViolation, NumericalError
-from .fiber import DEFAULT_RESOLUTION, Parity
+from .fiber import Parity
 
 KAPPA_XTOL = 1e-10
 BRENTQ_MAX_ITERATIONS = 100   # scipy.optimize.brentq's maxiter
 REFINE_FACTOR = 10.0       # curvature threshold over median for k-grid splits
+REFINE_PASSES = 2          # curvature-driven bisection passes over the k-grid
 
 
 @dataclass(frozen=True)
@@ -89,24 +89,16 @@ def _curvatures(ks, ws):
     return np.abs(out)
 
 
-class _Row(NamedTuple):
-    """The traced bands at one k: one _columns row and one Parity per band."""
-
-    columns: list
-    parities: list
-
-
 def _trace_row(b, k, n_bands, refine):
-    """The _Row of the n_bands lowest bands at one k.
+    """One _columns row per band of the n_bands lowest bands at one k.
 
     Only the column values leave; the eigenvectors behind them are dropped
     here, so a traced grid costs a few floats per point, not a vector per
     band. A refined row extrapolates every column in h^2, not just the energy.
     """
     grids = fiber.first_levels(b, k, n_bands, refine=refine)
-    columns = [list(map(fiber.refined, zip(*map(_columns, pairs))))
-               for pairs in zip(*grids)]
-    return _Row(columns, [pair.parity for pair in grids[-1]])
+    return [list(map(fiber.refined, zip(*map(_columns, pairs))))
+            for pairs in zip(*grids)]
 
 
 @contextlib.contextmanager
@@ -131,20 +123,20 @@ def _k_map(jobs):
         yield pool.imap
 
 
-def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True,
-          refine_passes=2, jobs=1):
+def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True, jobs=1):
     """Sample the lowest n_bands band functions on an adaptive k-grid.
 
     The base grid is uniform; each pass bisects the intervals around nodes
     whose curvature estimate exceeds REFINE_FACTOR times the median, which
-    concentrates points near the even-band minima and k = 0. A refine pass
-    reads curvature at interior nodes, so it needs at least three samples.
+    concentrates points near the even-band minima and k = 0. REFINE_PASSES
+    passes read curvature at interior nodes, so they need at least three
+    samples.
     jobs > 1 solves the k-points on up to that many forked worker processes;
     the table is the same, bit for bit, at every jobs.
     """
     if not k_min < k_max:
         raise ConfigurationError("need k_min < k_max")
-    if refine_passes > 0 and base_samples < 3:
+    if base_samples < 3:
         raise ConfigurationError("adaptive refinement needs at least 3 base samples")
     row_at = functools.partial(_trace_row, b, n_bands=n_bands, refine=refine)
     rows = {}
@@ -157,10 +149,10 @@ def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True,
         def stacked():
             """The sorted k-grid and its (5, n_bands, len(ks)) column stack."""
             ks = sorted(rows)
-            return ks, np.array([rows[k].columns for k in ks]).T
+            return ks, np.array([rows[k] for k in ks]).T
 
         solve(float(k) for k in np.linspace(k_min, k_max, base_samples))
-        for _ in range(refine_passes):
+        for _ in range(REFINE_PASSES):
             ks, columns = stacked()
             curv = _curvatures(ks, columns[0])
             cut = REFINE_FACTOR * float(np.median(curv[:, 1:-1]))
@@ -172,7 +164,8 @@ def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True,
                     new_ks.add(0.5 * (ks[i] + ks[i + 1]))
             solve(sorted(new_ks - set(ks)))
     ks, columns = stacked()
-    return BandTable(b, np.array(ks), *columns, parities=rows[ks[0]].parities)
+    return BandTable(b, np.array(ks), *columns,
+                     parities=[Parity.of_band(j)[0] for j in range(1, n_bands + 1)])
 
 
 def _brentq(f, a, b, fa, fb, xtol, rtol):
@@ -236,7 +229,7 @@ def check_minimum_args(j, b):
         raise ConfigurationError(f"even-band ordinal starts at 1, got {j}")
 
 
-def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
+def find_minimum(j, b):
     """Locate the minimum of even band j as the root of omega(k) - k^2.
 
     The bracket is (0, sqrt of the band's oscillator limit); the minimum
@@ -251,7 +244,7 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
         return fiber.refined([pair.omega for pair in pairs])
 
     def g(k):
-        return omega(fiber.band(b, k, 2 * j - 1, resolution, refine=True)) - k * k
+        return omega(fiber.band(b, k, 2 * j - 1, refine=True)) - k * k
 
     g_lo, g_hi = g(lo), g(hi)
     if not (g_lo > 0.0 > g_hi):
@@ -260,7 +253,7 @@ def find_minimum(j, b, resolution=DEFAULT_RESOLUTION):
             f"g={g_lo:.3g}, {g_hi:.3g}"
         )
     kappa = _brentq(g, lo, hi, g_lo, g_hi, KAPPA_XTOL * math.sqrt(b), 8.0 * np.finfo(float).eps)
-    pairs = fiber.band(b, kappa, 2 * j - 1, resolution, refine=True)
+    pairs = fiber.band(b, kappa, 2 * j - 1, refine=True)
     energy, direct = kappa * kappa, omega(pairs)
     if abs(direct - energy) > 1e-8 * max(1.0, abs(energy)):
         raise NumericalError(

@@ -493,33 +493,22 @@ def _refuse_near_singular(eigs):
 
 
 def _block_inertia(block):
-    """(negatives, inverse) of a Hermitian block, Cholesky first.
+    """(negatives, inverse) of a Hermitian block, by Bunch-Kaufman LDL^H.
 
-    Nearly every Schur block of a count is positive definite, so zpotrf is
-    tried first: when it factors the block, the block has no negatives and
-    zpotri gives its inverse. A block zpotrf refuses is factored again, as
-    given, by Bunch-Kaufman LDL^H: Sylvester's law gives its inertia as that
-    of D, and zhetri on the same factors gives the inverse. Either way the
-    inverse's strict upper triangle is then mirrored from the lower one in
-    place. A block is refused as near-singular when its 2-norm condition
-    exceeds 1e12; n kappa_1 bounds it from above, and only a block that
-    bound cannot clear has its eigenvalues computed. This guard keeps the
-    count exact on both paths: zpotrf can succeed on a block whose smallest
-    eigenvalue is within rounding of zero, and the guard refuses that block.
-    The inverse comes back in Fortran order; its transpose is the same
-    matrix of moduli in C order, so both 1-norms are the column sums of a
-    C-ordered array, summed row by row.
+    Sylvester's law gives the block's inertia as that of D, and zhetri on
+    the same factors gives the inverse, whose strict upper triangle is then
+    mirrored from the lower one in place. A block is refused as
+    near-singular when its 2-norm condition exceeds 1e12; n kappa_1 bounds
+    it from above, and only a block that bound cannot clear has its
+    eigenvalues computed. The inverse comes back in Fortran order; its
+    transpose is the same matrix of moduli in C order, so both 1-norms are
+    the column sums of a C-ordered array, summed row by row.
     """
     n = len(block)
-    factor, info = lapack.zpotrf(block, lower=1, clean=0)
+    ldu, ipiv, info = lapack.zhetrf(block, lower=1)
     if info == 0:
-        negatives = 0
-        inverse, info = lapack.zpotri(factor, lower=1, overwrite_c=1)
-    else:
-        ldu, ipiv, info = lapack.zhetrf(block, lower=1)
-        if info == 0:
-            negatives = _ldl_negatives(ldu, ipiv)
-            inverse, info = lapack.zhetri(ldu, ipiv, lower=1, overwrite_a=1)
+        negatives = _ldl_negatives(ldu, ipiv)
+        inverse, info = lapack.zhetri(ldu, ipiv, lower=1, overwrite_a=1)
     if info != 0:
         raise NumericalError("singular pivot block in the inertia sweep")
     _hermitian(inverse)
@@ -739,7 +728,7 @@ def _grid_2d(b, V, lam, spec, ell):
             f"y-step hy={spec.hy:g} is too coarse: (1/hy^2)^2 underflows")
     if (2 * nx - 1) * ny > spec.max_unknowns:
         raise NumericalError(
-            f"grid {2 * nx - 1} x {ny} exceeds the budget of "
+            f"grid {2 * nx - 1} x {ny:.3g} exceeds the budget of "
             f"{spec.max_unknowns} unknowns; raise lam or coarsen"
         )
     return nx * spec.hx, nx, y_width, ny
@@ -761,8 +750,7 @@ def _count_sector(unit):
                 raise
 
 
-def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, threshold=None,
-             jobs=1):
+def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, jobs=1):
     """(counts, meta): N(threshold - lam) of the lattice H0 - V at each lam.
 
     Every lam is counted on one grid, sized for the smallest, against one
@@ -790,8 +778,7 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, threshold=None,
     probe = np.linspace(0.0, lx, 7)
     if not np.allclose(V.v1(probe), V.v1(-probe), rtol=1e-12, atol=0.0):
         raise ConfigurationError("the x-parity split needs an even v1")
-    if threshold is None:
-        threshold = discrete_threshold(b, lx, nx, hy)
+    threshold = discrete_threshold(b, lx, nx, hy)
     if not max(lambdas) < threshold:
         raise ConfigurationError(
             f"lam must sit inside (0, {threshold:g}), the gap below the band"

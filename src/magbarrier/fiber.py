@@ -69,10 +69,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """A solved fiber eigenstate; j is the global, parity-interleaved index."""
+    """A solved fiber eigenstate; j is the global, parity-interleaved index,
+    and Parity.of_band(j) its parity and local index."""
 
     j: int
-    parity: Parity
     b: float
     k: float
     omega: float
@@ -211,7 +211,7 @@ def _assemble(b, k, parity, n, L, N):
     for m in range(n):
         psi = _fix_sign(psis[:, m].copy())
         psi0, dpsi0 = boundary_values(psi, h, parity)
-        pair = EigenPair(j=parity.global_index(m + 1), parity=parity, b=b, k=k,
+        pair = EigenPair(j=parity.global_index(m + 1), b=b, k=k,
                          omega=float(w[m]), psi=psi, psi0=psi0, dpsi0=dpsi0,
                          grid=grid)
         if pair.j == 1 and np.any(psi < -1e-10 * psi.max()):

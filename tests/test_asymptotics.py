@@ -186,11 +186,11 @@ def test_precise_path_agrees_with_standard_solver():
                              for pairs in zip(*grids))
     assert abs(omega_even - omega_plus) <= 1e-8
     assert abs(omega_odd - omega_minus) <= 1e-8
-    assert grids[-1][0].parity is Parity.EVEN
+    assert grids[-1][0].j == 1
 
 
 def test_splitting_fit_rate_and_floor():
-    fit = asym.splitting_fit(1.0, 1, np.arange(3.0, 6.01, 0.5), kappa=KAPPA_1)
+    fit = asym.splitting_fit(1.0, 1, np.arange(3.0, 6.01, 0.5))
     assert fit.passed
     assert fit.rate <= -0.20
     assert fit.r2 >= 0.99
@@ -206,7 +206,7 @@ def test_splitting_fit_rate_and_floor():
 
 
 def test_splitting_fit_oscillator_sandwich():
-    fit = asym.splitting_fit(1.0, 1, np.arange(3.0, 5.51, 0.5), kappa=KAPPA_1)
+    fit = asym.splitting_fit(1.0, 1, np.arange(3.0, 5.51, 0.5))
     env = [math.exp(-s.k * s.k / 4.0) for s in fit.retained]
     c_fit = max(max(s.gap_plus, s.gap_minus) / e
                 for s, e in zip(fit.retained, env))
@@ -217,21 +217,20 @@ def test_splitting_fit_oscillator_sandwich():
 
 def test_splitting_fit_scaling_law():
     ks = np.arange(3.0, 5.01, 0.5)
-    fit1 = asym.splitting_fit(1.0, 1, ks, kappa=KAPPA_1)
+    fit1 = asym.splitting_fit(1.0, 1, ks)
     # power-of-two field: the scaled matrices are exact multiples, so the
     # fit reproduces to the last bit
-    fit4 = asym.splitting_fit(4.0, 1, 2.0 * ks, kappa=2.0 * KAPPA_1)
+    fit4 = asym.splitting_fit(4.0, 1, 2.0 * ks)
     assert fit4.rate == pytest.approx(fit1.rate, abs=1e-12)
     # irrational scale factor: reproduction is numerical, not structural
-    fit2 = asym.splitting_fit(2.0, 1, math.sqrt(2.0) * ks,
-                              kappa=math.sqrt(2.0) * KAPPA_1)
+    fit2 = asym.splitting_fit(2.0, 1, math.sqrt(2.0) * ks)
     assert abs(fit2.rate - fit1.rate) <= 1e-3
     assert fit2.passed
 
 
 def test_splitting_fit_below_floor_raises_range_error():
     with pytest.raises(NumericalError):
-        asym.splitting_fit(1.0, 1, [7.0, 7.5, 8.0], kappa=KAPPA_1)
+        asym.splitting_fit(1.0, 1, [7.0, 7.5, 8.0])
 
 
 def test_splitting_fit_preconditions(monkeypatch):
@@ -242,11 +241,13 @@ def test_splitting_fit_preconditions(monkeypatch):
     # solved; seven copies of one k would fit a line through one point
     monkeypatch.setattr(bands, "find_minimum", boom)
     monkeypatch.setattr(asym, "_precise_level", boom)
-    with pytest.raises(ConfigurationError):
-        asym.splitting_fit(1.0, 1, [1.0, 1.2, 1.4], kappa=KAPPA_1)
     for ks in ([3.0, 3.5], [3.0] * 7, [3.0, 3.5, 3.0, 3.5]):
         with pytest.raises(ConfigurationError, match="3 distinct k"):
             asym.splitting_fit(1.0, 1, ks)
+    # the pair solve refuses a field that would size its boxes, itself
+    for b in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="field strength"):
+            asym.omega_pair_precise(b, 1, [3.0, 3.5, 4.0], jobs=1)
 
 
 def _bits(fit):
@@ -257,9 +258,10 @@ def _bits(fit):
 
 
 def test_splitting_fit_on_workers_is_bit_identical_to_serial():
+    # the band minimum is the pool's first unit, solved in a worker at jobs=2
     ks = [3.0, 3.5, 4.0]
-    serial = asym.splitting_fit(1.0, 1, ks, kappa=KAPPA_1, jobs=1)
-    parallel = asym.splitting_fit(1.0, 1, ks, kappa=KAPPA_1, jobs=2)
+    serial = asym.splitting_fit(1.0, 1, ks, jobs=1)
+    parallel = asym.splitting_fit(1.0, 1, ks, jobs=2)
     assert _bits(parallel) == _bits(serial)
     assert parallel.passed == serial.passed
     assert multiprocessing.active_children() == []
@@ -278,15 +280,15 @@ def test_precise_worker_error_surfaces_unchanged(monkeypatch):
     messages = []
     for jobs in (1, 2):
         with pytest.raises(NumericalError) as info:
-            asym.splitting_fit(1.0, 1, [3.0, 3.5, 4.0], kappa=KAPPA_1, jobs=jobs)
+            asym.splitting_fit(1.0, 1, [3.0, 3.5, 4.0], jobs=jobs)
         messages.append(str(info.value))
         assert multiprocessing.active_children() == []
     assert messages == ["planted at k=3"] * 2
 
 
 def test_find_minimum_kappa_used_when_not_supplied(monkeypatch):
-    # without a kappa the fit locates the band minimum once and starts its
-    # samples past that kappa
+    # the fit locates the band minimum once and starts its samples past
+    # that kappa
     real, found = bands.find_minimum, []
 
     def spy(j, b, *args, **kwargs):
@@ -299,15 +301,6 @@ def test_find_minimum_kappa_used_when_not_supplied(monkeypatch):
     assert len(found) == 1 and abs(found[0].kappa - KAPPA_1) <= 1e-6
     with pytest.raises(ConfigurationError, match="past kappa_1"):
         asym.splitting_fit(1.0, 1, [found[0].kappa + 0.9, 3.0, 3.5])
-
-
-def test_splitting_fit_without_kappa_is_bit_identical_on_workers():
-    # the band minimum is the pool's first unit, solved in a worker at jobs=2
-    ks = [3.0, 3.5, 4.0]
-    serial = asym.splitting_fit(1.0, 1, ks, jobs=1)
-    parallel = asym.splitting_fit(1.0, 1, ks, jobs=2)
-    assert _bits(parallel) == _bits(serial)
-    assert multiprocessing.active_children() == []
 
 
 def test_minimum_error_surfaces_unchanged_at_every_jobs(monkeypatch):
@@ -332,8 +325,9 @@ def test_refused_entry_runs_no_precise_solve_serially(monkeypatch):
     # at jobs=1 the lazy map solves kappa first, and the entry check refuses
     # the samples before the next unit is asked for
     monkeypatch.setattr(asym, "_precise_level", boom)
-    with pytest.raises(ConfigurationError, match="past kappa_1"):
-        asym.splitting_fit(1.0, 1, [1.0, 3.0, 3.5], jobs=1)
+    for ks in ([1.0, 1.2, 1.4], [1.0, 3.0, 3.5]):
+        with pytest.raises(ConfigurationError, match="past kappa_1"):
+            asym.splitting_fit(1.0, 1, ks, jobs=1)
     # a range refusal waits for the entry check, and forms no stencil either
     with pytest.raises(NumericalError, match="leaves the float range"):
         asym.splitting_fit(1.0, 1, [3.0, 3.5, 1e200], jobs=1)

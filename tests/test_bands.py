@@ -80,7 +80,7 @@ def test_trace_derivative_cross_check_on_table(figure_table):
         assert abs(fh - bd) <= 1e-5 * max(1.0, abs(fh))
 
 
-def test_trace_derivatives_match_finite_differences(figure_table):
+def test_trace_derivatives_match_finite_differences(figure_table, monkeypatch):
     # Coarse-grid sanity over the whole figure: a wrong sign or factor in
     # either route would blow past this even where the stencil truncation
     # error peaks (the band knees).
@@ -100,10 +100,12 @@ def test_trace_derivatives_match_finite_differences(figure_table):
     assert checked > 20
     # At a converged stencil step the routes match finite differences to 1e-4,
     # including on the barrier side, near the first minimum, and at the knees.
+    # Without refine passes the five samples stay uniform.
     dk = 1e-2
+    monkeypatch.setattr(bands, "REFINE_PASSES", 0)
     for k0 in (-3.0, -0.7, 0.3, 1.2, 2.0):
         t2 = bands.trace(1.0, k0 - 2 * dk, k0 + 2 * dk, n_bands=4,
-                         base_samples=5, refine=True, refine_passes=0)
+                         base_samples=5, refine=True)
         for j in range(4):
             ws = t2.omega[j]
             fd = (ws[0] - 8.0 * ws[1] + 8.0 * ws[3] - ws[4]) / (12.0 * dk)
@@ -187,7 +189,7 @@ def test_find_minimum_higher_bands_in_windows():
     r2 = bands.find_minimum(2, 1.0)
     assert 1.0 < r2.energy < 3.0
     assert r2.energy == pytest.approx(ENERGY_2, abs=2e-6)
-    r3 = bands.find_minimum(3, 1.0, resolution=3000)
+    r3 = bands.find_minimum(3, 1.0)
     assert 3.0 < r3.energy < 5.0
     assert r3.energy == pytest.approx(ENERGY_3, abs=1e-5)
 
@@ -209,7 +211,7 @@ def test_effective_mass_is_b_independent():
 
 def test_effective_mass_positive_first_four():
     for j in (1, 2, 3, 4):
-        rec = bands.find_minimum(j, 1.0, resolution=2500)
+        rec = bands.find_minimum(j, 1.0)
         assert rec.beta > 0.0
 
 
@@ -271,8 +273,6 @@ def test_trace_refinement_needs_three_base_samples():
     for samples in (0, 1, 2):
         with pytest.raises(ConfigurationError):
             bands.trace(1.0, -1.0, 1.0, n_bands=1, base_samples=samples)
-    table = bands.trace(1.0, -1.0, 1.0, n_bands=1, base_samples=2, refine_passes=0)
-    assert len(table.ks) == 2
 
 
 def test_find_minimum_rejects_bad_field_or_ordinal():

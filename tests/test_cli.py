@@ -276,6 +276,10 @@ def test_grid_past_its_budget_exits_three_before_allocating(tmp_path, monkeypatc
 @pytest.mark.parametrize("argv, message", [
     (["count2d", "--hx", "1e-300"], "error: 7.41e+300 x-steps exceed the cap of 2048"),
     (["count2d", "--hy", "1e300"], "error: y-step hy=1e+300 is too coarse"),
+    # ny of 304 and 301 digits against the unknowns budget, printed to 3
+    (["count2d", "--amplitude", "1e300"], "error: grid 295 x 1.57e+303"),
+    (["count2d", "--lambdas", "1e-300,1e-200,1e-100,1e-50"],
+     "error: grid 295 x 9.26e+300"),
 ])
 def test_count2d_grid_refusal_is_one_short_line(tmp_path, capsys, argv, message):
     assert run(argv, tmp_path) == 3
@@ -319,6 +323,9 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     ["count2d", "--hx", "1e-300"],
     # (1/hy^2)^2 underflows, and with it the slices' y-coupling
     ["count2d", "--hy", "1e300"],
+    # a y-extent of ~1e303 or ~1e301 steps against the unknowns budget
+    ["count2d", "--amplitude", "1e300"],
+    ["count2d", "--lambdas", "1e-300,1e-200,1e-100,1e-50"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,

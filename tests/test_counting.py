@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import lru_cache
 from types import SimpleNamespace
 from unittest import mock
@@ -435,12 +435,11 @@ def test_count_2d_refuses_counts_that_decrease_with_lambda(monkeypatch):
                                       unit[2]))
     V = counting.standard_potential(1.0)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=6.0)
+    monkeypatch.setattr(counting, "discrete_threshold", lambda *grid: threshold)
     with pytest.raises(InvariantViolation, match="decrease"):
-        counting.count_2d(1.0, V, [0.5, 0.2, 0.1, 0.04], spec=spec,
-                          threshold=threshold)
+        counting.count_2d(1.0, V, [0.5, 0.2, 0.1, 0.04], spec=spec)
     # the same sectors on a one-rung ladder have nothing to compare
-    assert counting.count_2d(1.0, V, [0.5], spec=spec,
-                             threshold=threshold)[0] == [10]
+    assert counting.count_2d(1.0, V, [0.5], spec=spec)[0] == [10]
 
 
 def test_asymptotics_check_one_dimensional_example():
@@ -527,9 +526,13 @@ def test_counting_curve_2d_fits_only_a_fit_worthy_nonzero_ladder(rungs, data):
 # 2D counts
 
 
-def _count(b, V, lam, **kw):
-    """count_2d of the one-rung ladder [lam]."""
-    (count,), _ = counting.count_2d(b, V, [lam], **kw)
+def _count(b, V, lam, threshold=None, **kw):
+    """count_2d of the one-rung ladder [lam], below `threshold` in place of
+    the grid's discrete threshold if one is given."""
+    with mock.patch.object(counting, "discrete_threshold",
+                           lambda *grid: threshold) if threshold is not None \
+            else nullcontext():
+        (count,), _ = counting.count_2d(b, V, [lam], **kw)
     return count
 
 
@@ -850,33 +853,32 @@ def test_block_inertia_equals_eigvalsh_count_on_random_blocks(n, rng_seed,
     elif kind == "one small negative":
         eigenvalues[rng.integers(n)] = -small * eigenvalues.max()
     block = _hermitian(rng, eigenvalues)
-    with mock.patch.object(lapack, "zhetrf", wraps=lapack.zhetrf) as bunch:
+    with mock.patch.object(lapack, "zhetri", wraps=lapack.zhetri) as bunch:
         negatives, inverse = counting._block_inertia(block)
     assert negatives == int((np.linalg.eigvalsh(block) < 0.0).sum()) \
         == int((eigenvalues < 0.0).sum())
-    # only a block with a negative eigenvalue leaves the Cholesky path
-    assert bunch.call_count == (negatives > 0)
+    # definite or not, every block is inverted from its LDL^H factors
+    assert bunch.call_count == 1
     assert np.allclose(inverse @ block, np.eye(n), atol=1e-6)
 
 
-def test_ill_conditioned_definite_block_is_refused_after_cholesky():
-    # zpotrf factors a positive definite block of condition 1e13, but the
-    # condition guard refuses it as it refuses a near-singular LDL^H block
+def test_ill_conditioned_definite_block_is_refused_after_bunch_kaufman():
+    # zhetrf and zhetri factor and invert a positive definite block of
+    # condition 1e13, but the condition guard refuses it
     rng = np.random.default_rng(20261019)
     block = _hermitian(rng, np.geomspace(1e-13, 1.0, 40))
-    assert lapack.zpotrf(block, lower=1)[1] == 0
     assert np.linalg.eigvalsh(block).min() > 0.0
-    with mock.patch.object(lapack, "zhetrf", wraps=lapack.zhetrf) as bunch:
+    with mock.patch.object(lapack, "zhetri", wraps=lapack.zhetri) as bunch:
         with pytest.raises(NumericalError, match="near-singular"):
             counting._block_inertia(block)
-    assert bunch.call_count == 0
+    assert bunch.call_count == 1
 
 
 def test_mirrored_inverse_is_the_triangle_sum_bit_for_bit():
-    # the inverse LAPACK leaves in the lower triangle (zpotri on a positive
-    # definite block, zhetri on the Bunch-Kaufman factors otherwise), made
-    # Hermitian the way the sweep did before it mirrored in place; a real
-    # block makes exact zeros of both signs in the imaginary parts
+    # the inverse zhetri leaves in the lower triangle from the Bunch-Kaufman
+    # factors, definite or not, made Hermitian the way the sweep did before
+    # it mirrored in place; a real block makes exact zeros of both signs in
+    # the imaginary parts
     rng = np.random.default_rng(20261018)
     for n, real in ((1, False), (7, True), (40, False), (40, True)):
         a = rng.normal(size=(n, n)) + (0.0 if real else 1j) * rng.normal(size=(n, n))
@@ -884,13 +886,8 @@ def test_mirrored_inverse_is_the_triangle_sum_bit_for_bit():
         shift = np.abs(np.linalg.eigvalsh(a)).max() + 1.0
         for definite in (True, False):
             block = a + (shift if definite else -shift) * np.eye(n)
-            factor, info = lapack.zpotrf(block, lower=1, clean=0)
-            assert (info == 0) == definite
-            if definite:
-                raw, _ = lapack.zpotri(factor, lower=1)
-            else:
-                ldu, ipiv, _ = lapack.zhetrf(block, lower=1)
-                raw, _ = lapack.zhetri(ldu, ipiv, lower=1)
+            ldu, ipiv, _ = lapack.zhetrf(block, lower=1)
+            raw, _ = lapack.zhetri(ldu, ipiv, lower=1)
             expected = np.tril(raw) + np.tril(raw, -1).conj().T
             negatives, inverse = counting._block_inertia(block)
             assert np.array_equal(np.ascontiguousarray(inverse).view(np.uint64),
@@ -899,24 +896,10 @@ def test_mirrored_inverse_is_the_triangle_sum_bit_for_bit():
                 == (0 if definite else n)
 
 
-def test_bunch_kaufman_runs_only_where_cholesky_failed(tmp_path):
+def test_bunch_kaufman_runs_once_per_dense_block(tmp_path):
     # the count2d golden ladder, on one process so the spies see every block
-    potrf, hetrf, pbtrf = lapack.zpotrf, lapack.zhetrf, lapack.zpbtrf
-    last, calls = {}, {"potrf": 0, "failed": 0, "hetrf": 0, "stops": 0}
-
-    def spied_potrf(block, **kwargs):
-        factor, info = potrf(block, **kwargs)
-        calls["potrf"] += 1
-        calls["failed"] += info != 0
-        last.update(block=block, copy=block.copy(), info=info)
-        return factor, info
-
-    def spied_hetrf(block, **kwargs):
-        calls["hetrf"] += 1
-        # the same block zpotrf just refused, untouched by it
-        assert block is last["block"] and last["info"] != 0
-        assert np.array_equal(block, last["copy"])
-        return hetrf(block, **kwargs)
+    pbtrf = lapack.zpbtrf
+    calls = {"stops": 0}
 
     def spied_pbtrf(band, **kwargs):
         factor, info = pbtrf(band, **kwargs)
@@ -925,14 +908,15 @@ def test_bunch_kaufman_runs_only_where_cholesky_failed(tmp_path):
 
     argv = ["count2d", "--b", "1", "--hy", "0.8", "--lambdas",
             "0.3,0.14,0.066,0.03", "--jobs", "1", "--outdir", str(tmp_path)]
-    with mock.patch.object(lapack, "zpotrf", spied_potrf), \
-            mock.patch.object(lapack, "zhetrf", spied_hetrf), \
-            mock.patch.object(lapack, "zpbtrf", spied_pbtrf):
+    with mock.patch.object(lapack, "zpbtrf", spied_pbtrf), \
+            mock.patch.object(lapack, "zhetrf", wraps=lapack.zhetrf) as hetrf, \
+            mock.patch.object(lapack, "zpotrf", wraps=lapack.zpotrf) as potrf:
         assert cli.main(argv) == 0
-    assert calls["hetrf"] == calls["failed"] > 0
     # dense blocks: the slices where zpbtrf stopped, and the join of each of
-    # the 4 rungs x 2 parities
-    assert calls["potrf"] == calls["stops"] + 8
+    # the 4 rungs x 2 parities; no dense block tries Cholesky first
+    assert calls["stops"] > 0
+    assert hetrf.call_count == calls["stops"] + 8
+    assert potrf.call_count == 0
 
 
 @pytest.mark.parametrize("y_width", [6.0, 5.7])

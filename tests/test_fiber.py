@@ -85,17 +85,14 @@ def test_scaling_law_property(b, q, j, refine):
 def test_parity_interleaving_property(b, q):
     (pairs,) = fiber.first_levels(b, q * math.sqrt(b), 6)
     assert [p.j for p in pairs] == [1, 2, 3, 4, 5, 6]
-    assert [p.parity for p in pairs] == [Parity.EVEN, Parity.ODD] * 3
 
 
 def test_merge_at_k0_gives_oscillator_ladder():
     grids = fiber.first_levels(1.0, 0.0, 6, refine=True)
     pairs = grids[-1]
     wants = (1.0, 3.0, 5.0, 7.0, 9.0, 11.0)
-    parities = (Parity.EVEN, Parity.ODD) * 3
-    for pair, omega, want, parity in zip(pairs, omegas(grids), wants, parities):
+    for omega, want in zip(omegas(grids), wants):
         assert omega == pytest.approx(want, abs=1e-6)
-        assert pair.parity is parity
     assert [p.j for p in pairs] == [1, 2, 3, 4, 5, 6]
 
 
@@ -108,7 +105,7 @@ def test_merge_matches_airy_interlacing_at_negative_k():
         zs.append((specfun.airy_zero(specfun.AiryKind.ZERO_OF_AI, j), Parity.ODD))
     zs.sort(key=lambda t: -t[0])  # higher zero = lower energy
     for pair, (_, parity) in zip(pairs, zs):
-        assert pair.parity is parity
+        assert Parity.of_band(pair.j)[0] is parity
 
 
 def boundary_bits(pair):
@@ -126,7 +123,7 @@ def test_band_matches_merged_levels_on_random_inputs(b, q, j, refine):
     for pair, pairs in zip(alone, merged):     # grid by grid, bit for bit
         other = pairs[j - 1]
         assert boundary_bits(pair) == boundary_bits(other)
-        assert (pair.j, pair.parity) == (other.j, other.parity)
+        assert pair.j == other.j
     assert fiber.refined((alone[0],)) is alone[0]
 
 
@@ -208,7 +205,7 @@ def test_band_bounds_against_oscillator_levels():
         grids = fiber.first_levels(1.0, k, 4, refine=True)
         for pair, omega in zip(grids[-1], omegas(grids)):
             m = (pair.j + 1) // 2  # local index within the parity class
-            if pair.parity is Parity.ODD:
+            if Parity.of_band(pair.j)[0] is Parity.ODD:
                 assert omega > 2.0 * m - 1.0
             elif k >= 0.0:
                 # even band m stays at or below oscillator level 2m-1

@@ -60,19 +60,9 @@ ALLOWED_MEMBERS = {
 
 
 # Defaulted parameters that only tests set, each with the tests that set it.
+# A test that needs another value patches the library's constant or function
+# instead of passing a parameter.
 TEST_HOOKS = {
-    # test_counting.py::test_tau_on_a_sector_eigenvalue_is_refused_by_the_join_block
-    # and test_near_singular_block_raises_and_count_2d_retries put tau on an
-    # eigenvalue through the threshold
-    ("counting", "count_2d", "threshold"),
-    # test_bands.py::test_trace_refinement_needs_three_base_samples and the
-    # finite-difference check of test_trace_derivatives_match_finite_differences
-    ("bands", "trace", "refine_passes"),
-    # test_bands.py::test_find_minimum_higher_bands_in_windows and
-    # test_effective_mass_positive_first_four, on finer grids
-    ("bands", "find_minimum", "resolution"),
-    # test_asymptotics.py's splitting_fit tests, at a frozen kappa
-    ("asymptotics", "splitting_fit", "kappa"),
     # every test_cli.py case and tools/cli_golden.py pass their argv
     ("cli", "main", "argv"),
 }

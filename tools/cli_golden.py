@@ -57,6 +57,9 @@ CASES["count2d_amp3"] = ["count2d", "--b", "1", "--amplitude", "3", "--hy", "0.8
 CASES["count2d_stability_jobs1"] = CASES["count2d_stability"] + ["--jobs", "1"]
 CASES["count2d_above_band"] = ["count2d", "--b", "1", "--hy", "0.8",
                                "--lambdas", "0.9,0.3,0.1,0.05"]
+# a y-extent past the unknowns budget: exit 3 with a FAILED row whose one
+# short line gives ny to 3 digits
+CASES["count2d_budget"] = ["count2d", "--amplitude", "1e300"]
 # the unrefined row sampler and the JSON table over a k-range
 CASES["bands_norefine"] = CASES["bands"] + ["--no-refine"]
 CASES["bands_json"] = CASES["bands"] + ["--format", "json"]
