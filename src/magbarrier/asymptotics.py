@@ -116,33 +116,26 @@ def _neighbor_spacing(pred):
     return min(gaps)
 
 
-def _wedge_resolution(b, k, j):
-    """Grid size for band j on the barrier side.
-
-    The wall estimate carries the k^2 offset, so deep wedge solves outgrow
-    the default resolution.
-    """
-    _, m = Parity.of_band(j)
-    return max(fiber.DEFAULT_RESOLUTION,
-               fiber.minimum_resolution(b, k, requested_levels=m))
-
-
 def airy_check(b, k, j):
     """Measure |omega_j(k) - prediction| against the wedge-model bound.
 
     Requires the bound to be smaller than the spacing to the neighboring
     predictions; otherwise the bound says nothing about this band and the
-    check refuses to run.
+    check refuses to run. Neighbors that coincide in float64, where k^2 has
+    absorbed the Airy term, are a resolution limit instead.
     """
     pred = airy_prediction(b, k, j)
     spacing = _neighbor_spacing(pred)
+    if not spacing > 0.0:
+        raise NumericalError(
+            f"k={k:g} is past the float64 resolution of the wedge model: "
+            f"k^2 absorbs the Airy term, so neighbor predictions coincide")
     if not pred.bound < spacing:
         raise ConfigurationError(
             f"|k|={abs(k):g} is not deep enough in the wedge regime: bound "
             f"{pred.bound:.3g} >= neighbor spacing {spacing:.3g}"
         )
-    omega = fiber.refined([pair.omega for pair in
-                           fiber.band(b, k, j, _wedge_resolution(b, k, j), refine=True)])
+    omega = fiber.refined([pair.omega for pair in fiber.band(b, k, j, refine=True)])
     measured = abs(omega - pred.predicted)
     return AiryCheck(prediction=pred, omega=omega,
                      measured_error=measured, passed=bool(measured <= pred.bound))

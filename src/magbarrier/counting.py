@@ -722,15 +722,17 @@ def _grid_2d(b, V, lam, spec, ell):
         raise ConfigurationError(
             f"hx={spec.hx:g} leaves {nx} x-step(s) on the half-width "
             f"{lx:g}; the fiber stencil needs at least 2")
-    inv_hy2 = 1.0 / (spec.hy * spec.hy)
-    if inv_hy2 * inv_hy2 < np.finfo(float).tiny:
-        raise NumericalError(
-            f"y-step hy={spec.hy:g} is too coarse: (1/hy^2)^2 underflows")
+    # the budget first: a y-step fine enough for hy^2 to underflow asks
+    # for ~1e300 y-steps, and 1 / hy^2 would divide by zero
     if (2 * nx - 1) * ny > spec.max_unknowns:
         raise NumericalError(
             f"grid {2 * nx - 1} x {ny:.3g} exceeds the budget of "
             f"{spec.max_unknowns} unknowns; raise lam or coarsen"
         )
+    inv_hy2 = 1.0 / (spec.hy * spec.hy)
+    if inv_hy2 * inv_hy2 < np.finfo(float).tiny:
+        raise NumericalError(
+            f"y-step hy={spec.hy:g} is too coarse: (1/hy^2)^2 underflows")
     return nx * spec.hx, nx, y_width, ny
 
 

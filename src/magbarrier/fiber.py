@@ -6,10 +6,11 @@ odd states a Dirichlet zero. Second-order central differences give symmetric
 tridiagonal matrices, so bisection counts eigenvalues exactly and LAPACK's
 inverse iteration supplies the vectors.
 
-One solve path: `_wall` sizes the box; `sector` solves a parity sector on
-one grid, or on two (steps h and h/2, same box), one pair list per grid;
-`band` and `first_levels` pick and merge grid by grid; `refined` reads a
-functional's per-grid values as one, extrapolated in h^2 over two grids.
+One solve path: `_wall` sizes the box and its grid; `sector` solves a
+parity sector on one grid, or on two (steps h and h/2, same box), one pair
+list per grid; `band` and `first_levels` pick and merge grid by grid;
+`refined` reads a functional's per-grid values as one, extrapolated in h^2
+over two grids.
 
 Grids are constructed in scaled units (the problem at field strength b and
 wave number k is the b = 1 problem at k / sqrt(b), stretched by b^{-1/2}),
@@ -29,11 +30,10 @@ from .errors import ConfigurationError, InvariantViolation, NumericalError
 from .tridiag import richardson2
 
 DEFAULT_RESOLUTION = 4000
-MIN_RESOLUTION = 64
 MARGIN = 4.0
-# points per local wavelength at the wall; h * sqrt(V(L)) above this is
-# an impossible-margin configuration
-MAX_WALL_PHASE = 0.5
+# the largest h * sqrt(V(L)) a grid may have at the wall; a solve whose
+# wall needs a finer step gets more than DEFAULT_RESOLUTION points
+WALL_PHASE = 0.45
 # rows of the largest grid one solve may build; the default airy check
 # (k = -40) builds 17,000
 MAX_ROWS = 20_000_000
@@ -104,48 +104,33 @@ def _scaled_wall(b, k, levels):
     return q + root_v, root_v
 
 
-def minimum_resolution(b, k, requested_levels=4):
-    """Smallest grid size, a multiple of 500, within 0.9 of the wall-phase cap.
+def _wall(b, k, levels):
+    """The box [0, L] of a `levels`-level sector solve at (b, k) and its
+    grid size N, as (L, N).
 
-    Deep barrier-side solves outgrow the default resolution because the wall
-    estimate carries the k^2 offset; callers that sweep k use this to size
-    grids deterministically.
-    """
-    scaled_L, root_v = _scaled_wall(b, k, requested_levels)
-    need = scaled_L * root_v / (0.9 * MAX_WALL_PHASE)
-    return max(MIN_RESOLUTION, 500 * math.ceil(need / 500))
-
-
-def _wall(b, k, levels, resolution):
-    """The box [0, L] of a `levels`-level sector solve at (b, k), as L.
-
-    The only place a fiber box is sized. Refused before anything is
-    allocated: a grid that resolves the wall too coarsely, one whose doubled
-    grid (the largest a refined solve builds) outgrows MAX_ROWS, and a step
-    so coarse that LAPACK's square of the off-diagonal 1/h^2 underflows.
+    The only place a fiber grid is sized: N is DEFAULT_RESOLUTION, or the
+    next multiple of 500 that keeps h * sqrt(V(L)) <= WALL_PHASE, which
+    deep barrier-side solves need because V(L) carries the k^2 offset. Refused
+    before anything is allocated: a doubled grid (the largest a refined
+    solve builds) past MAX_ROWS, and a step so coarse that LAPACK's square
+    of the off-diagonal 1/h^2 underflows.
     """
     if levels < 1:
         raise ConfigurationError("a sector solve needs at least 1 level")
-    if resolution < MIN_RESOLUTION:
-        raise ConfigurationError(f"grid needs at least {MIN_RESOLUTION} points, got {resolution}")
     scaled_L, root_v = _scaled_wall(b, k, levels)
-    wall_phase = (scaled_L / resolution) * root_v
-    if wall_phase > MAX_WALL_PHASE:
-        raise ConfigurationError(
-            f"impossible margin: requested level {levels} needs "
-            f"h*sqrt(V(L)) <= {MAX_WALL_PHASE} but resolution {resolution} gives {wall_phase:.3f}"
-        )
-    if 2 * resolution > MAX_ROWS:
+    need = scaled_L * root_v / WALL_PHASE
+    if not 2 * need <= MAX_ROWS:
         raise NumericalError(
-            f"fiber grid at b={b:g}, k={k:g} needs {2 * resolution} rows, "
+            f"fiber grid at b={b:g}, k={k:g} needs {2 * need:.3g} rows, "
             f"past the budget of {MAX_ROWS}")
+    N = max(DEFAULT_RESOLUTION, 500 * math.ceil(need / 500))
     L = scaled_L / math.sqrt(b)
-    h = L / resolution
+    h = L / N
     inv_h2 = 1.0 / (h * h)
     if inv_h2 * inv_h2 < np.finfo(float).tiny:
         raise NumericalError(
             f"fiber grid step at b={b:g} is too coarse: (1/h^2)^2 underflows")
-    return L
+    return L, N
 
 
 def stencil(b, k, parity, L, N, dtype=np.float64):
@@ -220,23 +205,23 @@ def _assemble(b, k, parity, n, L, N):
     return pairs
 
 
-def sector(b, k, parity, n, resolution=DEFAULT_RESOLUTION, refine=False):
+def sector(b, k, parity, n, refine=False):
     """The n lowest eigenpairs of one parity sector, one list per grid.
 
-    (pairs,) on `resolution` points, or with refine=True (coarse, fine) at
-    steps h and h/2 on the same box. A functional of the eigenpair (energy,
-    band derivative, boundary data) read on both lists extrapolates in h^2
-    through `refined`, which removes its own h^2 term.
+    (pairs,) on the N points `_wall` sizes, or with refine=True (coarse,
+    fine) at steps h and h/2 on the same box. A functional of the eigenpair
+    (energy, band derivative, boundary data) read on both lists extrapolates
+    in h^2 through `refined`, which removes its own h^2 term.
     """
-    L = _wall(b, k, n, resolution)
-    sizes = (resolution, 2 * resolution) if refine else (resolution,)
-    return tuple(_assemble(b, k, parity, n, L, N) for N in sizes)
+    L, N = _wall(b, k, n)
+    sizes = (N, 2 * N) if refine else (N,)
+    return tuple(_assemble(b, k, parity, n, L, size) for size in sizes)
 
 
-def band(b, k, j, resolution=DEFAULT_RESOLUTION, refine=False):
+def band(b, k, j, refine=False):
     """Global band j at (b, k) on each grid of a solve of its parity sector."""
     parity, m = Parity.of_band(j)
-    return tuple(pairs[m - 1] for pairs in sector(b, k, parity, m, resolution, refine))
+    return tuple(pairs[m - 1] for pairs in sector(b, k, parity, m, refine))
 
 
 def refined(values):
@@ -278,17 +263,12 @@ def merge_parities(even, odd):
     floor (eps * ||T||) a few magnetic lengths past the band minima, where
     two independent solves can come back in either order. Ordering is
     therefore verified at that floor, and numerically degenerate pairs are
-    emitted in the exact order.
+    emitted in the exact order. The interleave e1, o1, e2, o2, ... puts each
+    even level next to its odd partner, so one pass over it checks both.
     """
     merged = [p for pair in zip_longest(even, odd) for p in pair if p is not None]
     h_min = min(p.grid.h for p in merged)
     tol = 64.0 * np.finfo(float).eps * 2.0 / (h_min * h_min)
-    for j in range(min(len(even), len(odd))):
-        if not even[j].omega < odd[j].omega + tol:
-            raise InvariantViolation(
-                f"parity order flip at pair {j + 1}, k={even[j].k}: "
-                f"{even[j].omega} !< {odd[j].omega}"
-            )
     for a, b_ in zip(merged, merged[1:]):
         if not a.omega < b_.omega + tol:
             raise InvariantViolation(

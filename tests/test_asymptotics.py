@@ -52,8 +52,8 @@ def wedge_residual(b, k, j):
     """
     pred = asym.airy_prediction(b, k, j)
     _, m = Parity.of_band(j)
-    N = asym._wedge_resolution(b, k, j)
-    h = fiber._wall(b, k, m, N) / N
+    L, N = fiber._wall(b, k, m)
+    h = L / N
     x = np.arange(N) * h
     consts = specfun.airy_constants(pred.kind, m)
     sigma = (2.0 * b * abs(k)) ** (1.0 / 3.0)
@@ -145,6 +145,19 @@ def test_airy_bound_honored_across_fields_and_bands():
 def test_airy_check_refuses_shallow_k():
     with pytest.raises(ConfigurationError):
         asym.airy_check(1.0, -0.05, 1)
+
+
+def test_airy_check_past_float_resolution_is_a_numerical_error(monkeypatch):
+    # k^2 absorbs (2b|k|)^{2/3} z: every prediction rounds to the same float,
+    # so the spacing is 0, and no fiber grid is sized
+    def boom(*args, **kwargs):
+        raise AssertionError("a fiber grid was sized")
+
+    monkeypatch.setattr(fiber, "_wall", boom)
+    for k in (-1e13, -1e150):
+        assert asym._neighbor_spacing(asym.airy_prediction(1.0, k, 1)) == 0.0
+        with pytest.raises(NumericalError, match="neighbor predictions coincide"):
+            asym.airy_check(1.0, k, 1)
 
 
 def test_airy_residual_saturates_bound():

@@ -259,11 +259,12 @@ def test_trace_on_workers_equals_serial_bitwise(monkeypatch, refine):
 
 
 def test_trace_worker_error_surfaces_unchanged():
-    args = (1.0, -200.0, 0.0)
-    kwargs = dict(n_bands=8, base_samples=81)
-    with pytest.raises(ConfigurationError, match="impossible margin") as serial:
+    # k = -1e5 sizes a fiber grid past the row budget
+    args = (1.0, -1e5, 0.0)
+    kwargs = dict(n_bands=8, base_samples=5)
+    with pytest.raises(NumericalError, match="budget") as serial:
         bands.trace(*args, **kwargs)
-    with pytest.raises(ConfigurationError) as parallel:
+    with pytest.raises(NumericalError) as parallel:
         bands.trace(*args, jobs=2, **kwargs)
     assert str(parallel.value) == str(serial.value)
     assert multiprocessing.active_children() == []

@@ -310,6 +310,9 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     ["bands", "--b", "1e-160", "--kmin", "0", "--kmax", "0"],
     # a wedge this deep sizes a grid of 4e10 rows
     ["airy", "--ks=-1e5", "--jmax", "1"],
+    # k^2 absorbs the Airy term: neighbouring predictions coincide
+    ["airy", "--ks=-1e13", "--jmax", "1"],
+    ["airy", "--ks=-1e150", "--jmax", "1"],
     # k^2 overflows, and b^(4/3) underflows to a zero error bound
     ["airy", "--ks=-1e200", "--jmax", "1"],
     ["airy", "--b", "1e-300", "--ks=-15", "--jmax", "1"],
@@ -323,6 +326,8 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     ["count2d", "--hx", "1e-300"],
     # (1/hy^2)^2 underflows, and with it the slices' y-coupling
     ["count2d", "--hy", "1e300"],
+    # hy^2 underflows to 0: ~6e302 y-steps against the unknowns budget
+    ["count2d", "--hy", "1e-300"],
     # a y-extent of ~1e303 or ~1e301 steps against the unknowns budget
     ["count2d", "--amplitude", "1e300"],
     ["count2d", "--lambdas", "1e-300,1e-200,1e-100,1e-50"],
@@ -460,14 +465,35 @@ def test_count2d_repeated_rung_is_refused_before_any_solve(tmp_path,
     assert not (tmp_path / "count2d.csv").exists()
 
 
-def test_worker_error_is_a_usage_error_without_traceback(tmp_path, capfd):
-    # k = -200 is past the default grid; the k-sweep runs on two workers
-    assert run(["bands", "--b", "1", "--kmin", "-200", "--kmax", "0",
-                "--jobs", "2"], tmp_path) == 2
+def _worker_refusal(tmp_path, capfd, argv):
+    """Exit code of a bands run whose first k-point a worker refuses; the
+    one stderr line, without a traceback, is checked against its prefix."""
+    code = run(["bands", *argv, "--samples", "5", "--jobs", "2"], tmp_path)
     lines = capfd.readouterr().err.splitlines()   # no traceback, no other line
-    assert len(lines) == 1 and lines[0].startswith("error: impossible margin")
+    assert len(lines) == 1
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "bands.csv").exists()
+    return code, lines[0]
+
+
+def test_worker_error_is_a_usage_error_without_traceback(tmp_path, capfd):
+    # the k-sweep runs on two workers, and a worker refuses the field
+    code, line = _worker_refusal(tmp_path, capfd,
+                                 ["--b", "-1", "--kmin=-1", "--kmax", "1"])
+    assert code == 2 and line == "error: field strength must be positive"
+
+
+def test_worker_budget_refusal_is_a_resolution_error(tmp_path, capfd):
+    # k = -1e5 sizes a fiber grid of 8.89e10 rows, past the row budget
+    code, line = _worker_refusal(tmp_path, capfd, ["--kmin=-1e5", "--kmax", "0"])
+    assert code == 3 and line.startswith(
+        "error: fiber grid at b=1, k=-100000 needs 8.89e+10 rows")
+
+
+def test_bands_solve_deep_in_the_wedge(tmp_path):
+    # k / sqrt(b) = -40 needs a grid past the default; bands sizes it
+    assert run(["bands", "--b", "1", "--kmin", "-40", "--kmax", "-30",
+                "--nbands", "2"], tmp_path) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -69,14 +69,32 @@ _fields = st.floats(math.log(0.2), math.log(50.0)).map(math.exp)
 
 @seed(20261018)
 @settings(max_examples=30, deadline=None, database=None)
-@given(_fields, st.floats(-8.0, 8.0), st.integers(1, 6), st.booleans())
+@given(_fields, st.floats(-60.0, 8.0), st.integers(1, 6), st.booleans())
 def test_scaling_law_property(b, q, j, refine):
-    # omega_j(k; b) = b omega_j(k / sqrt(b); 1) at k = q sqrt(b)
+    # omega_j(k; b) = b omega_j(k / sqrt(b); 1) at k = q sqrt(b); the grid
+    # size depends on q alone, so past the default grid too
     k = q * math.sqrt(b)
     got = fiber.refined([p.omega for p in fiber.band(b, k, j, refine=refine)])
     want = b * fiber.refined([p.omega for p in
                               fiber.band(1.0, k / math.sqrt(b), j, refine=refine)])
     assert got == pytest.approx(want, rel=1e-8)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_fields, st.floats(-100.0, 100.0), st.integers(1, 8))
+def test_wall_keeps_default_grid_where_it_resolves_the_wall(b, q, levels):
+    # every solve that resolves the wall at DEFAULT_RESOLUTION keeps it; a
+    # deeper one grows in steps of 500 to resolve it
+    scaled_L, root_v = fiber._scaled_wall(b, q * math.sqrt(b), levels)
+    L, N = fiber._wall(b, q * math.sqrt(b), levels)
+    assert L == pytest.approx(scaled_L / math.sqrt(b), rel=1e-15)
+    if scaled_L / fiber.DEFAULT_RESOLUTION * root_v <= fiber.WALL_PHASE:
+        assert N == fiber.DEFAULT_RESOLUTION
+    else:
+        assert N > fiber.DEFAULT_RESOLUTION and N % 500 == 0
+        assert scaled_L / N * root_v <= fiber.WALL_PHASE * (1.0 + 1e-12)
+        assert scaled_L / (N - 500) * root_v > fiber.WALL_PHASE
 
 
 @seed(20261018)
@@ -192,8 +210,9 @@ def test_ground_state_positive():
 
 
 def test_residual_second_order_under_doubling():
-    (coarse,) = fiber.sector(1.0, 1.3, Parity.EVEN, 2, resolution=1500)
-    (fine,) = fiber.sector(1.0, 1.3, Parity.EVEN, 2, resolution=3000)
+    L, _ = fiber._wall(1.0, 1.3, 2)
+    coarse = fiber._assemble(1.0, 1.3, Parity.EVEN, 2, L, 1500)
+    fine = fiber._assemble(1.0, 1.3, Parity.EVEN, 2, L, 3000)
     for pc, pf in zip(coarse, fine):
         order = math.log2(residual_norm(pc) / residual_norm(pf))
         assert order >= 1.9
@@ -214,20 +233,20 @@ def test_band_bounds_against_oscillator_levels():
 
 def test_wall_margin_and_scaling():
     b, k = 1.0, 0.0
-    L = fiber._wall(b, k, 3, fiber.DEFAULT_RESOLUTION)
+    L, N = fiber._wall(b, k, 3)
+    assert N == fiber.DEFAULT_RESOLUTION
     omega3 = omegas(fiber.sector(b, k, Parity.EVEN, 3, refine=True))[-1]
     assert (k - b * L) ** 2 >= 4.0 * omega3
-    L10 = fiber._wall(1.0, 10.0, 3, fiber.DEFAULT_RESOLUTION)
+    L10, _ = fiber._wall(1.0, 10.0, 3)
     assert L10 > 10.0  # both wells enclosed
-    L100 = fiber._wall(100.0, 0.0, 3, fiber.DEFAULT_RESOLUTION)
-    assert L100 == pytest.approx(L / 10.0, rel=1e-12)
+    L100, N100 = fiber._wall(100.0, 0.0, 3)
+    assert L100 == pytest.approx(L / 10.0, rel=1e-12) and N100 == N
 
 
 def test_wall_rejects_impossible_requests():
-    with pytest.raises(ConfigurationError):
-        fiber.sector(1.0, 0.0, Parity.EVEN, 3, resolution=32)
-    with pytest.raises(ConfigurationError):
-        fiber.sector(1.0, 0.0, Parity.EVEN, 300, resolution=64)
+    # 300 levels outgrow the default grid, which grows with them
+    _, N = fiber._wall(1.0, 0.0, 300)
+    assert N > fiber.DEFAULT_RESOLUTION
     with pytest.raises(ConfigurationError):
         fiber.sector(0.0, 0.0, Parity.EVEN, 2)
     with pytest.raises(ConfigurationError):
@@ -242,14 +261,19 @@ def test_wall_refuses_grids_the_eigensolver_cannot_take(monkeypatch):
     # LAPACK squares the off-diagonal 1/h^2, which underflows at this field
     with pytest.raises(NumericalError, match="underflows"):
         fiber.sector(1e-160, 0.0, Parity.EVEN, 1)
-    # the doubled grid of a refined solve would outgrow the row budget
-    with pytest.raises(NumericalError, match="budget"):
-        fiber.sector(1.0, 0.0, Parity.EVEN, 1, resolution=fiber.MAX_ROWS)
+    # the doubled grid of a refined solve would outgrow the row budget, and
+    # a k outside the float range sizes no grid at all
+    for k in (-1e5, 1e8, -math.inf, math.inf, math.nan):
+        with pytest.raises(NumericalError, match="budget"):
+            fiber.sector(1.0, k, Parity.EVEN, 1)
+    # printed to 3 digits, not as an 11-digit integer
+    with pytest.raises(NumericalError, match=r"needs 8\.89e\+10 rows"):
+        fiber.sector(1.0, -1e5, Parity.EVEN, 1)
 
 
 def test_sturm_count_consistent_with_solved_levels():
-    (pairs,) = fiber.sector(1.0, 0.6, Parity.EVEN, 3, resolution=1000)
-    L = fiber._wall(1.0, 0.6, 3, 1000)
+    L, _ = fiber._wall(1.0, 0.6, 3)
+    pairs = fiber._assemble(1.0, 0.6, Parity.EVEN, 3, L, 1000)
     d, e = fiber.stencil(1.0, 0.6, Parity.EVEN, L, 1000)
     e2 = (e * e).tolist()
     piv = tridiag.pivmin(d.tolist(), e2)

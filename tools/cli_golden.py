@@ -70,6 +70,9 @@ CASES["bands_k03_norefine"] = ["bands", "--b", "1", "--kmin", "0.3", "--kmax", "
 CASES["bands_k03_one_band"] = ["bands", "--b", "1", "--kmin", "0.3", "--kmax", "0.3",
                                "--nbands", "1"]
 CASES["airy_deep"] = ["airy", "--b", "1", "--ks=-60", "--jmax", "3"]
+# a k-range past the default grid, which bands sizes as airy does
+CASES["bands_deep"] = ["bands", "--b", "1", "--kmin", "-40", "--kmax", "-30",
+                       "--nbands", "2", "--samples", "5"]
 # 17 significant digits: shows the last bits of the Airy moments
 CASES["airy_json"] = CASES["airy"] + ["--format", "json"]
 # --jobs 2 twins of the commands that fork workers: their bytes must not
