@@ -387,18 +387,21 @@ def _window_report(cfg, trace_samples, jobs):
     kmin = cfg["kmin"] if cfg["kmin"] is not None else -4.0 * root_b
     kmax = cfg["kmax"] if cfg["kmax"] is not None else 6.0 * root_b
     nbands = cfg["nbands"] if cfg["nbands"] is not None else max(2 * n + 1, 5)
-    table = bands.trace(b, kmin, kmax, n_bands=nbands,
-                        base_samples=trace_samples, refine=True, jobs=jobs)
+    # a number is refused before the trace; only 'mid' reads the table
     spec = str(cfg["E"]).strip()
-    if spec == "mid":
-        level = (2 * n - 1) * b
-        ceiling = bands.table_minimum(table, 2 * n + 1)[1]
-        energy = 0.5 * (level + ceiling)
-    else:
+    if spec != "mid":
         try:
             energy = float(spec)
         except ValueError:
             raise ConfigurationError(f"E must be a number or 'mid', got {spec!r}")
+        if not math.isfinite(energy):
+            raise ConfigurationError(f"E must be finite, got {energy}")
+    table = bands.trace(b, kmin, kmax, n_bands=nbands,
+                        base_samples=trace_samples, refine=True, jobs=jobs)
+    if spec == "mid":
+        level = (2 * n - 1) * b
+        ceiling = bands.table_minimum(table, 2 * n + 1)[1]
+        energy = 0.5 * (level + ceiling)
     cfg.update(kmin=kmin, kmax=kmax, nbands=nbands, E=energy, E_spec=spec)
     return mourre.window_report(n, energy, b, table)
 

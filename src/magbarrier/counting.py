@@ -16,7 +16,7 @@ of being swamped by the O(h^2) shift of the continuum threshold.
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
@@ -462,26 +462,12 @@ def _ldl_negatives(ldu, ipiv):
         + 2 * int(((det > 0.0) & (d[first] < 0.0)).sum())
 
 
-@lru_cache(maxsize=8)
-def _strict_upper(n):
-    """Read-only mask of the strict upper triangle, in Fortran order."""
-    mask = np.tril(np.ones((n, n), dtype=bool), -1).T
-    mask.flags.writeable = False
-    return mask
-
-
-def _hermitian(inverse):
-    """The lower triangle of a LAPACK inverse mirrored into its strict upper
-    one, in place.
-
-    Adding zero turns -0.0 into +0.0 where tril(X) + conj(tril(X, -1))^T
-    did, so the mirrored inverse is that sum bit for bit.
-    """
-    upper = inverse.T.conj()
-    upper += 0.0
-    np.copyto(inverse, upper, where=_strict_upper(len(inverse)))
-    inverse.real += 0.0
-    return inverse
+def _frobenius(a):
+    """Frobenius norm of the Hermitian matrix held in a's lower triangle,
+    sqrt(2 sum_{i>j} |a_ij|^2 + sum |a_ii|^2); inf or nan where a square
+    overflows, which no guard `< bound` clears."""
+    low, d = np.tril(a), a.diagonal()
+    return math.sqrt(2.0 * np.vdot(low, low).real - np.vdot(d, d).real)
 
 
 def _refuse_near_singular(eigs):
@@ -493,27 +479,23 @@ def _refuse_near_singular(eigs):
 
 
 def _block_inertia(block):
-    """(negatives, inverse) of a Hermitian block, by Bunch-Kaufman LDL^H.
+    """(negatives, inverse) of a Hermitian block held in its lower triangle,
+    by Bunch-Kaufman LDL^H.
 
     Sylvester's law gives the block's inertia as that of D, and zhetri on
-    the same factors gives the inverse, whose strict upper triangle is then
-    mirrored from the lower one in place. A block is refused as
-    near-singular when its 2-norm condition exceeds 1e12; n kappa_1 bounds
-    it from above, and only a block that bound cannot clear has its
-    eigenvalues computed. The inverse comes back in Fortran order; its
-    transpose is the same matrix of moduli in C order, so both 1-norms are
-    the column sums of a C-ordered array, summed row by row.
+    the same factors gives the inverse in its lower triangle; no step reads
+    a strict upper triangle. A block is refused as near-singular when its
+    2-norm condition exceeds 1e12; ||S||_F ||S^-1||_F bounds it from above
+    (and n ||S||_1 ||S^-1||_1 bounds that), and only a block this bound
+    cannot clear has its eigenvalues computed.
     """
-    n = len(block)
     ldu, ipiv, info = lapack.zhetrf(block, lower=1)
     if info == 0:
         negatives = _ldl_negatives(ldu, ipiv)
         inverse, info = lapack.zhetri(ldu, ipiv, lower=1, overwrite_a=1)
     if info != 0:
         raise NumericalError("singular pivot block in the inertia sweep")
-    _hermitian(inverse)
-    norm = np.abs(block).sum(axis=0).max()
-    if not n * norm * np.abs(inverse.T).sum(axis=0).max() < 1e12:
+    if not _frobenius(block) * _frobenius(inverse) < 1e12:
         _refuse_near_singular(np.linalg.eigvalsh(block))
     return negatives, inverse
 
@@ -588,7 +570,8 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     diag(conj beta) below, with beta = -1/hy^2 + i b x / hy. Eliminating
     top-down gives the Schur complements S_j = A_j - C_j with
     C_j = diag(conj beta) S_{j-1}^{-1} diag(beta), and the inertia of T is
-    the sum of theirs.
+    the sum of theirs. Every block is held in its lower triangle, the one
+    each LAPACK call reads; no strict upper triangle is read.
 
     In slice-major order T is a Hermitian band of half-width n, and nearly
     every S_j is positive definite, so runs of slices are factored by one
@@ -619,7 +602,6 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     def diagonal_block(j):
         block = np.zeros((n, n), dtype=complex)
         block.reshape(-1)[::n + 1] = diagonal - v1_vals * v2_vals[j]
-        block.reshape(-1)[1::n + 1] = e_x
         block.reshape(-1)[n::n + 1] = e_x
         return block
 
@@ -635,7 +617,8 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
     per_chunk = min(steps, max(1, SECTOR_CHUNK // width))
     buffer = np.empty(per_chunk * width, dtype=complex)
     weights = _trace_weights(beta)
-    lower = ~_strict_upper(n)
+    # in the Fortran order of the strided first block it masks
+    lower = np.asfortranarray(np.tri(n, dtype=bool))
     negatives = start = 0
     block = coupling = factor = None
     while start < steps:
@@ -660,7 +643,7 @@ def _sector_inertia(d_x, e_x, xs, b, v1_vals, v2_vals, hy, tau):
             # where zpbtrf stopped; its inverse's diagonal gives the trace
             traces[-1, 1] = inverse.diagonal().real.sum()
             _band_guard(traces, buffer, n)
-            coupling = coupled(_hermitian(inverse))
+            coupling = coupled(inverse)
             block = None
             start += done
         if info:
@@ -695,8 +678,8 @@ def _grid_2d(b, V, lam, spec, ell):
     ell |y|^{-alpha}, and a call that gives neither is refused. A grid that
     cannot be represented, that has fewer than two x-steps, more than
     MAX_NX_2D x-steps (the side of every dense Schur block), a y-step whose
-    (1/hy^2)^2 underflows, or more than spec.max_unknowns unknowns, is
-    refused here, before any grid array exists.
+    hy^2 or (1/hy^2)^2 underflows, or more than spec.max_unknowns unknowns,
+    is refused here, before any grid array exists.
     """
     lx = spec.lx
     if lx is None:
@@ -723,12 +706,14 @@ def _grid_2d(b, V, lam, spec, ell):
             f"hx={spec.hx:g} leaves {nx} x-step(s) on the half-width "
             f"{lx:g}; the fiber stencil needs at least 2")
     # the budget first: a y-step fine enough for hy^2 to underflow asks
-    # for ~1e300 y-steps, and 1 / hy^2 would divide by zero
+    # for ~1e300 y-steps, which only a budget as large lets through
     if (2 * nx - 1) * ny > spec.max_unknowns:
         raise NumericalError(
             f"grid {2 * nx - 1} x {ny:.3g} exceeds the budget of "
             f"{spec.max_unknowns} unknowns; raise lam or coarsen"
         )
+    if not spec.hy * spec.hy >= np.finfo(float).tiny:
+        raise NumericalError(f"y-step hy={spec.hy:g} is too fine: hy^2 underflows")
     inv_hy2 = 1.0 / (spec.hy * spec.hy)
     if inv_hy2 * inv_hy2 < np.finfo(float).tiny:
         raise NumericalError(

@@ -34,8 +34,8 @@ MARGIN = 4.0
 # the largest h * sqrt(V(L)) a grid may have at the wall; a solve whose
 # wall needs a finer step gets more than DEFAULT_RESOLUTION points
 WALL_PHASE = 0.45
-# rows of the largest grid one solve may build; the default airy check
-# (k = -40) builds 17,000
+# rows x levels of the eigenvector block one solve may build; the default
+# airy check (k = -40) builds 17,000 rows for 2 levels
 MAX_ROWS = 20_000_000
 
 
@@ -112,18 +112,20 @@ def _wall(b, k, levels):
     next multiple of 500 that keeps h * sqrt(V(L)) <= WALL_PHASE, which
     deep barrier-side solves need because V(L) carries the k^2 offset. Refused
     before anything is allocated: a doubled grid (the largest a refined
-    solve builds) past MAX_ROWS, and a step so coarse that LAPACK's square
-    of the off-diagonal 1/h^2 underflows.
+    solve builds) whose rows times levels pass MAX_ROWS, and a step so
+    coarse that LAPACK's square of the off-diagonal 1/h^2 underflows.
     """
     if levels < 1:
         raise ConfigurationError("a sector solve needs at least 1 level")
     scaled_L, root_v = _scaled_wall(b, k, levels)
     need = scaled_L * root_v / WALL_PHASE
-    if not 2 * need <= MAX_ROWS:
+    # an inf or NaN need fails `<=`, so it never reaches math.ceil
+    N = max(DEFAULT_RESOLUTION, 500 * math.ceil(need / 500)) \
+        if need <= MAX_ROWS else need
+    if not 2 * N * levels <= MAX_ROWS:
         raise NumericalError(
-            f"fiber grid at b={b:g}, k={k:g} needs {2 * need:.3g} rows, "
-            f"past the budget of {MAX_ROWS}")
-    N = max(DEFAULT_RESOLUTION, 500 * math.ceil(need / 500))
+            f"fiber grid at b={b:g}, k={k:g} needs {2 * N:.3g} rows x {levels} "
+            f"level(s), past the budget of {MAX_ROWS}")
     L = scaled_L / math.sqrt(b)
     h = L / N
     inv_h2 = 1.0 / (h * h)
@@ -256,26 +258,33 @@ def expectation(pair, f_values):
 
 
 def merge_parities(even, odd):
-    """Interleave solved parity classes into globally indexed bands.
+    """Interleave solved parity classes, one pair list per grid as `sector`
+    returns them, into globally indexed bands, grid by grid.
 
     Even-below-odd pairwise order and the global interleaving are exact
     statements, but the parity splitting collapses below the eigensolver
     floor (eps * ||T||) a few magnetic lengths past the band minima, where
     two independent solves can come back in either order. Ordering is
-    therefore verified at that floor, and numerically degenerate pairs are
-    emitted in the exact order. The interleave e1, o1, e2, o2, ... puts each
-    even level next to its odd partner, so one pass over it checks both.
+    therefore verified at the finest grid's floor, once, on the `refined`
+    energies callers read (the parities' boxes, sized for their own level
+    counts, give raw energies O(h^2) errors that differ by more than that),
+    and numerically degenerate pairs are emitted in the exact order. The
+    interleave e1, o1, e2, o2, ... puts each even level next to its odd
+    partner, so one pass over it checks both.
     """
-    merged = [p for pair in zip_longest(even, odd) for p in pair if p is not None]
-    h_min = min(p.grid.h for p in merged)
+    grids = tuple([p for pair in zip_longest(e, o) for p in pair if p is not None]
+                  for e, o in zip(even, odd))
+    fine = grids[-1]
+    h_min = min(p.grid.h for p in fine)
     tol = 64.0 * np.finfo(float).eps * 2.0 / (h_min * h_min)
-    for a, b_ in zip(merged, merged[1:]):
-        if not a.omega < b_.omega + tol:
+    omegas = [refined([p.omega for p in pairs]) for pairs in zip(*grids)]
+    for a, b_, wa, wb in zip(fine, fine[1:], omegas, omegas[1:]):
+        if not wa < wb + tol:
             raise InvariantViolation(
                 f"interleaving violation between bands {a.j} and {b_.j} at k={a.k}: "
-                f"{a.omega} !< {b_.omega}"
+                f"{wa} !< {wb}"
             )
-    return merged
+    return grids
 
 
 def first_levels(b, k, n_bands, refine=False):
@@ -288,4 +297,4 @@ def first_levels(b, k, n_bands, refine=False):
     n_odd = n_bands // 2
     even = sector(b, k, Parity.EVEN, n_bands - n_odd, refine=refine)
     odd = sector(b, k, Parity.ODD, n_odd, refine=refine) if n_odd else ([],) * len(even)
-    return tuple(map(merge_parities, even, odd))
+    return merge_parities(even, odd)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from magbarrier import bands, cli, counting
+from magbarrier import bands, cli, counting, fiber
 from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 
 KAPPA_1 = 0.768183653380
@@ -326,8 +326,10 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     ["count2d", "--hx", "1e-300"],
     # (1/hy^2)^2 underflows, and with it the slices' y-coupling
     ["count2d", "--hy", "1e300"],
-    # hy^2 underflows to 0: ~6e302 y-steps against the unknowns budget
+    # hy^2 underflows to 0: ~6e302 y-steps against the unknowns budget, or,
+    # under a budget that large, against the underflow check itself
     ["count2d", "--hy", "1e-300"],
+    ["count2d", "--hy", "1e-300", "--max-unknowns", "1" + "0" * 310],
     # a y-extent of ~1e303 or ~1e301 steps against the unknowns budget
     ["count2d", "--amplitude", "1e300"],
     ["count2d", "--lambdas", "1e-300,1e-200,1e-100,1e-50"],
@@ -488,6 +490,51 @@ def test_worker_budget_refusal_is_a_resolution_error(tmp_path, capfd):
     code, line = _worker_refusal(tmp_path, capfd, ["--kmin=-1e5", "--kmax", "0"])
     assert code == 3 and line.startswith(
         "error: fiber grid at b=1, k=-100000 needs 8.89e+10 rows")
+
+
+def test_bands_past_the_eigenvector_budget_exit_three_before_a_stencil(
+        tmp_path, monkeypatch, capsys):
+    # 1000 levels per parity on a 60500-point grid: 1.21e8 vector entries
+    def boom(*args, **kwargs):
+        raise AssertionError("a stencil was built")
+
+    monkeypatch.setattr(fiber, "stencil", boom)
+    assert run(["bands", "--b", "1", "--kmin", "0", "--kmax", "0",
+                "--nbands", "2000"], tmp_path) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: fiber grid at b=1, k=0 needs 1.21e+05 rows x 1000 level(s), "
+        "past the budget of 20000000"]
+
+
+@pytest.mark.parametrize("command", ["mourre", "budget", "localize"])
+@pytest.mark.parametrize("energy, message", [
+    ("nan", "error: E must be finite, got nan"),
+    ("inf", "error: E must be finite, got inf"),
+    ("foo", "error: E must be a number or 'mid', got 'foo'"),
+])
+def test_window_energy_is_refused_before_the_trace(tmp_path, monkeypatch,
+                                                   capsys, command, energy,
+                                                   message):
+    def boom(*args, **kwargs):
+        raise AssertionError("the bands were traced")
+
+    monkeypatch.setattr(bands, "trace", boom)
+    assert run([command, "--E", energy], tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("k, nbands", [("4.25", "61"), ("5", "61"),
+                                       ("4.25", "81")])
+def test_many_levels_interleave_on_the_energies_printed(tmp_path, k, nbands):
+    # the parities sit on boxes sized for 31 and 30 (41 and 40) levels, so
+    # their unrefined O(h^2) errors differ by more than the splitting; the
+    # refined energies, which the table prints, are in order
+    assert run(["bands", "--b", "1", "--kmin", k, "--kmax", k,
+                "--nbands", nbands], tmp_path) == 0
+    _, columns, rows, _, _, passed = read_csv(tmp_path / "bands.csv")
+    omegas = [float(row[0]) for row in rows]
+    assert passed and columns == ["omega"] and len(rows) == int(nbands)
+    assert omegas == sorted(omegas)
 
 
 def test_bands_solve_deep_in_the_wedge(tmp_path):

@@ -857,9 +857,58 @@ def test_block_inertia_equals_eigvalsh_count_on_random_blocks(n, rng_seed,
         negatives, inverse = counting._block_inertia(block)
     assert negatives == int((np.linalg.eigvalsh(block) < 0.0).sum()) \
         == int((eigenvalues < 0.0).sum())
-    # definite or not, every block is inverted from its LDL^H factors
+    # definite or not, every block is inverted from its LDL^H factors, into
+    # the lower triangle
     assert bunch.call_count == 1
-    assert np.allclose(inverse @ block, np.eye(n), atol=1e-6)
+    expected = np.linalg.inv(block)
+    assert np.allclose(np.tril(inverse), np.tril(expected), rtol=0.0,
+                       atol=1e-6 * np.abs(expected).max())
+
+
+@seed(20261020)
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(1, 148), st.integers(0, 2 ** 32 - 1), st.booleans())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_block_inertia_never_reads_the_strict_upper_triangle(n, rng_seed,
+                                                             definite):
+    rng = np.random.default_rng(rng_seed)
+    eigenvalues = rng.uniform(0.1, 10.0, size=n)
+    if not definite:
+        eigenvalues *= rng.choice([-1.0, 1.0], size=n)
+    block = _hermitian(rng, eigenvalues)
+    poisoned = block.copy()
+    poisoned[np.triu_indices(n, 1)] = np.nan
+    negatives, inverse = counting._block_inertia(block)
+    # kappa_2 <= 100, so the guard clears the block without its eigenvalues
+    with mock.patch.object(np.linalg, "eigvalsh") as eigvalsh:
+        again, lower = counting._block_inertia(poisoned)
+    assert eigvalsh.call_count == 0
+    assert again == negatives == int((eigenvalues < 0.0).sum())
+    assert np.array_equal(np.tril(lower).view(np.uint64),
+                          np.tril(inverse).view(np.uint64))
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 8.0), st.booleans())
+def test_frobenius_guard_bounds_kappa_and_never_passes_the_one_norm_bound(
+        n, rng_seed, spread, definite):
+    # ||S||_F ||S^-1||_F from the lower triangles: at least kappa_2, and at
+    # most the n ||S||_1 ||S^-1||_1 the guard used before, so it clears
+    # every block that bound cleared
+    rng = np.random.default_rng(rng_seed)
+    eigenvalues = np.geomspace(1.0, 10.0 ** spread, n)
+    if not definite:
+        eigenvalues *= rng.choice([-1.0, 1.0], size=n)
+    block = _hermitian(rng, rng.permutation(eigenvalues))
+    inverse = np.linalg.inv(block)
+    bound = counting._frobenius(block) * counting._frobenius(inverse)
+    one_norms = np.abs(block).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+    kappa = np.abs(eigenvalues).max() / np.abs(eigenvalues).min()
+    assert counting._frobenius(block) == pytest.approx(np.linalg.norm(block),
+                                                       rel=1e-12)
+    assert kappa * (1.0 - 1e-6) <= bound <= n * one_norms * (1.0 + 1e-12)
 
 
 def test_ill_conditioned_definite_block_is_refused_after_bunch_kaufman():
@@ -872,28 +921,6 @@ def test_ill_conditioned_definite_block_is_refused_after_bunch_kaufman():
         with pytest.raises(NumericalError, match="near-singular"):
             counting._block_inertia(block)
     assert bunch.call_count == 1
-
-
-def test_mirrored_inverse_is_the_triangle_sum_bit_for_bit():
-    # the inverse zhetri leaves in the lower triangle from the Bunch-Kaufman
-    # factors, definite or not, made Hermitian the way the sweep did before
-    # it mirrored in place; a real block makes exact zeros of both signs in
-    # the imaginary parts
-    rng = np.random.default_rng(20261018)
-    for n, real in ((1, False), (7, True), (40, False), (40, True)):
-        a = rng.normal(size=(n, n)) + (0.0 if real else 1j) * rng.normal(size=(n, n))
-        a = np.asarray(a + a.conj().T, dtype=complex)
-        shift = np.abs(np.linalg.eigvalsh(a)).max() + 1.0
-        for definite in (True, False):
-            block = a + (shift if definite else -shift) * np.eye(n)
-            ldu, ipiv, _ = lapack.zhetrf(block, lower=1)
-            raw, _ = lapack.zhetri(ldu, ipiv, lower=1)
-            expected = np.tril(raw) + np.tril(raw, -1).conj().T
-            negatives, inverse = counting._block_inertia(block)
-            assert np.array_equal(np.ascontiguousarray(inverse).view(np.uint64),
-                                  expected.view(np.uint64))
-            assert negatives == int((np.linalg.eigvalsh(block) < 0.0).sum()) \
-                == (0 if definite else n)
 
 
 def test_bunch_kaufman_runs_once_per_dense_block(tmp_path):

@@ -6,6 +6,7 @@ the solver's second-order matrix does not share.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,9 +155,9 @@ def test_parity_of_band_inverts_global_index():
 
 
 def test_merge_single_level_lists():
-    (even,) = fiber.sector(1.0, 0.5, Parity.EVEN, 1)
-    (odd,) = fiber.sector(1.0, 0.5, Parity.ODD, 1)
-    merged = fiber.merge_parities(even, odd)
+    even = fiber.sector(1.0, 0.5, Parity.EVEN, 1)
+    odd = fiber.sector(1.0, 0.5, Parity.ODD, 1)
+    (merged,) = fiber.merge_parities(even, odd)
     assert [p.j for p in merged] == [1, 2]
     assert merged[0].omega < merged[1].omega
 
@@ -164,8 +165,8 @@ def test_merge_single_level_lists():
 def test_merge_detects_order_flip():
     (even,) = fiber.sector(1.0, 0.5, Parity.EVEN, 2)
     (odd,) = fiber.sector(1.0, 0.5, Parity.ODD, 2)
-    with pytest.raises(InvariantViolation):
-        fiber.merge_parities([even[1]], [odd[0]])
+    with pytest.raises(InvariantViolation, match="between bands 3 and 2"):
+        fiber.merge_parities(([even[1]],), ([odd[0]],))
 
 
 def test_boundary_data_parity_exact_zeros():
@@ -269,6 +270,21 @@ def test_wall_refuses_grids_the_eigensolver_cannot_take(monkeypatch):
     # printed to 3 digits, not as an 11-digit integer
     with pytest.raises(NumericalError, match=r"needs 8\.89e\+10 rows"):
         fiber.sector(1.0, -1e5, Parity.EVEN, 1)
+
+
+def test_wall_budget_counts_every_level_of_the_doubled_grid(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a stencil was built")
+
+    monkeypatch.setattr(fiber, "stencil", boom)
+    # eigh_tridiagonal returns one vector of 2N rows per level; 400 levels
+    # at k = 0 fit (N = 24500), 450 (N = 27500) and 1000 (N = 60500) do not
+    _, N = fiber._wall(1.0, 0.0, 400)
+    assert N == 24500 and 2 * N * 400 <= fiber.MAX_ROWS
+    for levels, rows in ((450, "5.5e+04"), (1000, "1.21e+05")):
+        with pytest.raises(NumericalError, match=re.escape(
+                f"needs {rows} rows x {levels} level(s), past the budget")):
+            fiber.sector(1.0, 0.0, Parity.EVEN, levels)
 
 
 def test_sturm_count_consistent_with_solved_levels():
