@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import bands, fiber, specfun
 from .errors import ConfigurationError, NumericalError
@@ -164,7 +163,7 @@ def _precise_eigenvalue(b, k, parity, index, L, N, seed, vector):
     to 1e-6 max(1, |seed|) from the centre.
     """
     ld = np.longdouble
-    d, e = fiber.stencil(b, k, parity, L, N, dtype=ld)
+    d, e, _ = fiber.stencil(b, k, parity, L, N, dtype=ld)
     s = ld(seed)
     x = vector.astype(ld)
     y = (d - s) * x
@@ -185,14 +184,7 @@ def _precise_level(b, j, unit):
     """
     k, parity, N = unit
     L = _precise_box(b, k, j)
-    d, e = fiber.stencil(b, k, parity, L, N)
-    try:
-        w, v = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1),
-                                check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"precise seed eigensolve failed at b={b:g}, k={k:g}: "
-            f"{exc}") from None
+    w, v, _ = fiber.eigenpairs(b, k, parity, L, N, j - 1, j - 1)
     return _precise_eigenvalue(b, k, parity, j - 1, L, N, w[0], v[:, 0])
 
 

@@ -400,7 +400,7 @@ def _window_report(cfg, trace_samples, jobs):
                         base_samples=trace_samples, refine=True, jobs=jobs)
     if spec == "mid":
         level = (2 * n - 1) * b
-        ceiling = bands.table_minimum(table, 2 * n + 1)[1]
+        ceiling = mourre.window_ceiling(n, b, table)
         energy = 0.5 * (level + ceiling)
     cfg.update(kmin=kmin, kmax=kmax, nbands=nbands, E=energy, E_spec=spec)
     return mourre.window_report(n, energy, b, table)
@@ -441,6 +441,7 @@ def cmd_localize(cfg, jobs):
 
 
 def cmd_count1d(cfg, jobs):
+    lambdas = counting.distinct_ladder(cfg["lambdas"])  # before any count
     alpha, ell, m = cfg["alpha"], cfg["ell"], cfg["m"]
     constant = counting.counting_constant_1d(alpha, ell, m)
     expected = 1.0 / alpha - 0.5
@@ -448,7 +449,6 @@ def cmd_count1d(cfg, jobs):
     def q_model(y):
         return ell * (1.0 + np.asarray(y, dtype=float) ** 2) ** (-alpha / 2.0)
 
-    lambdas = sorted(cfg["lambdas"], reverse=True)
     columns = ["lambda", "count", "scaled_count"]
     rows, counts, failed, exc = [], [], None, None
     for lam in lambdas:

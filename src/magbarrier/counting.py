@@ -357,6 +357,14 @@ def ladder_fit(lambdas, counts):
     return power_law_fit(lambdas, counts)
 
 
+def distinct_ladder(lambdas):
+    """The ladder in decreasing order, refused if a rung is repeated."""
+    lambdas = sorted((float(v) for v in lambdas), reverse=True)
+    if any(a == b for a, b in zip(lambdas, lambdas[1:])):
+        raise ConfigurationError("lambdas must be distinct; a rung is repeated")
+    return lambdas
+
+
 def checked_ladder(lambdas):
     """The ladder in decreasing order, refused unless positive, free of
     repeated rungs and fit-worthy.
@@ -364,11 +372,9 @@ def checked_ladder(lambdas):
     A 2D ladder is checked before anything is solved for it, so a ladder the
     fit would refuse costs no sweep.
     """
-    lambdas = sorted((float(v) for v in lambdas), reverse=True)
     if not all(lam > 0.0 for lam in lambdas):
         raise ConfigurationError("lam must be positive")
-    if any(a == b for a, b in zip(lambdas, lambdas[1:])):
-        raise ConfigurationError("lambdas must be distinct; a rung is repeated")
+    lambdas = distinct_ladder(lambdas)
     fault = _ladder_fault(lambdas)
     if fault:
         raise ConfigurationError(fault)
@@ -425,9 +431,7 @@ def _lattice_value(b, lx, nx, hy, k):
     correction mu(k) - s^2 with mu(k) = 2 (1 - cos(k hy))/hy^2."""
     s = math.sin(k * hy) / hy
     mu = 2.0 * (1.0 - math.cos(k * hy)) / (hy * hy)
-    d, e = fiber.stencil(b, s, Parity.EVEN, lx, nx)
-    w = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                         eigvals_only=True, check_finite=False)
+    w, _, _ = fiber.eigenpairs(b, s, Parity.EVEN, lx, nx, 0, 0, vectors=False)
     return float(w[0]) + (mu - s * s)
 
 
@@ -440,10 +444,7 @@ def _lattice_slope(b, lx, nx, hy, k):
     omega'(s) cos(k hy) + 2 s (1 - cos(k hy)).
     """
     s, c = math.sin(k * hy) / hy, math.cos(k * hy)
-    d, e = fiber.stencil(b, s, Parity.EVEN, lx, nx)
-    _, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                            check_finite=False)
-    x = np.arange(nx) * (lx / nx)
+    _, v, x = fiber.eigenpairs(b, s, Parity.EVEN, lx, nx, 0, 0)
     return 2.0 * float(np.dot(v[:, 0] ** 2, s - b * x)) * c + 2.0 * s * (1.0 - c)
 
 
@@ -775,9 +776,7 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, jobs=1):
     v2_vals = np.asarray(V.v2(ys), dtype=float)
     sectors = []
     for parity in (Parity.EVEN, Parity.ODD):
-        d_x, e_x = fiber.stencil(b, 0.0, parity, lx, nx)
-        xs = np.arange(nx, dtype=float) * (lx / nx) if parity is Parity.EVEN \
-            else np.arange(1, nx, dtype=float) * (lx / nx)
+        d_x, e_x, xs = fiber.stencil(b, 0.0, parity, lx, nx)
         v1_vals = np.asarray(V.v1(xs), dtype=float)
         sectors.append((parity, (d_x, e_x, xs, b, v1_vals, v2_vals, hy)))
     units = [(parity, system, threshold - lam)

@@ -136,7 +136,9 @@ def _wall(b, k, levels):
 
 
 def stencil(b, k, parity, L, N, dtype=np.float64):
-    """Symmetric tridiagonal (d, e) for the parity-reduced half-line operator.
+    """(d, e, x): the symmetric tridiagonal parity-reduced half-line operator
+    on N points of [0, L], and its nodes x, i*h for i = 0..N-1 when even and
+    from h when odd (the origin's Dirichlet zero is no unknown).
 
     Entries are formed in `dtype` end to end so the longdouble path loses
     nothing to premature rounding. Even parity symmetrizes the Neumann row
@@ -146,17 +148,31 @@ def stencil(b, k, parity, L, N, dtype=np.float64):
     typ = np.dtype(dtype).type
     h = typ(L) / typ(N)
     inv_h2 = typ(1.0) / (h * h)
-    bt, kt = typ(b), typ(k)
+    x = np.arange(0 if parity is Parity.EVEN else 1, N).astype(typ) * h
+    d = 2.0 * inv_h2 + (typ(k) - typ(b) * x) ** 2
+    e = np.full(len(x) - 1, -inv_h2, dtype=typ)
     if parity is Parity.EVEN:
-        x = np.arange(N).astype(typ) * h
-        d = 2.0 * inv_h2 + (kt - bt * x) ** 2
-        e = np.full(N - 1, -inv_h2, dtype=typ)
         e[0] = -np.sqrt(typ(2.0)) * inv_h2
-    else:
-        x = np.arange(1, N).astype(typ) * h
-        d = 2.0 * inv_h2 + (kt - bt * x) ** 2
-        e = np.full(N - 2, -inv_h2, dtype=typ)
-    return d, e
+    return d, e, x
+
+
+def eigenpairs(b, k, parity, L, N, first, last, vectors=True):
+    """(w, v, x): eigenvalues first..last (0-based) of one parity sector on
+    N points of [0, L], their unit eigenvectors as columns (None without
+    `vectors`), and the stencil's nodes.
+
+    The one float64 LAPACK solve of a sector; LAPACK's failure leaves as
+    NumericalError.
+    """
+    d, e, x = stencil(b, k, parity, L, N)
+    try:
+        out = eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i",
+                               select_range=(first, last), check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"fiber eigensolve failed at b={b:g}, k={k:g}: {exc}") from None
+    w, v = out if vectors else (out, None)
+    return w, v, x
 
 
 def _fix_sign(psi):
@@ -176,13 +192,7 @@ def _fix_sign(psi):
 
 def _assemble(b, k, parity, n, L, N):
     """The n lowest eigenpairs of one parity sector on N points of [0, L]."""
-    d, e = stencil(b, k, parity, L, N)
-    try:
-        w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n - 1),
-                                check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"fiber eigensolve failed at b={b:g}, k={k:g}: {exc}") from None
+    w, v, _ = eigenpairs(b, k, parity, L, N, 0, n - 1)
     if not np.all(np.diff(w) > 0.0):
         raise InvariantViolation(
             f"eigenvalues not strictly increasing at k={k}, parity={parity.value}"

@@ -125,6 +125,24 @@ def _preimage(table, j, lo_e, hi_e):
     return (_invert_decreasing(ks, ws, hi_e), _invert_decreasing(ks, ws, lo_e))
 
 
+def window_ceiling(n, b, table):
+    """The top of window n: band 2n+1's table minimum, refused unless it is
+    interior to the trace (an end sample says nothing of the minimum past
+    it) and inside ((2n-1) b, (2n+1) b), where find_minimum asserts it."""
+    j = 2 * n + 1
+    k_star, ceiling = bands.table_minimum(table, j)
+    if k_star in (table.ks[0], table.ks[-1]):
+        raise ConfigurationError(
+            f"band {j} has its lowest sample at k={k_star:g}, an end of the "
+            "traced range; trace a wider range")
+    lo, top = (2.0 * n - 1.0) * b, (2.0 * n + 1.0) * b
+    if not lo < ceiling < top:
+        raise ConfigurationError(
+            f"band {j}'s table minimum {ceiling:g} is outside ({lo:g}, {top:g}); "
+            "trace more samples")
+    return ceiling
+
+
 def find_delta0(n, E, b, table):
     """Largest half-width delta0 whose doubled window passes both checks.
 
@@ -132,17 +150,21 @@ def find_delta0(n, E, b, table):
     past 2n and keep the preimages of bands 1..2n pairwise disjoint. Both
     conditions tighten monotonically in delta0, so bisection applies.
     Returned in scaled units (the physical half-width is delta0 * b).
+    Bands 1..2n cross E left of their minima, so a band whose first sample
+    is not above E is refused before the bisection: the trace starts right
+    of the window.
     """
-    if table.n_bands() < 2 * n + 1:
-        raise ConfigurationError(
-            f"table needs at least {2 * n + 1} bands for window index n={n}"
-        )
     lo = (2.0 * n - 1.0) * b
-    _, hi = bands.table_minimum(table, 2 * n + 1)
+    hi = window_ceiling(n, b, table)
     if not lo < E < hi:
         raise ConfigurationError(
             f"E={E:g} is not strictly inside the window ({lo:g}, {hi:g})"
         )
+    for j in range(1, 2 * n + 1):
+        if not table.omega[j - 1][0] > E:
+            raise ConfigurationError(
+                f"band {j} is already {table.omega[j - 1][0]:g} at k="
+                f"{table.ks[0]:g}, not above E={E:g}; trace further left")
     cap = distance_cap(n, E, b, hi)
     higher_floor = table.omega[2 * n:].min()   # lowest sample past band 2n
 

@@ -33,7 +33,7 @@ def wide_bracket_eigenvalue(b, k, parity, index, L, N, seed):
     used before it centred on a Rayleigh quotient; the bit-identity oracle.
     """
     ld = np.longdouble
-    d, e = fiber.stencil(b, k, parity, L, N, dtype=ld)
+    d, e, _ = fiber.stencil(b, k, parity, L, N, dtype=ld)
     lo = ld(seed) - ld(1e-6) * max(1.0, abs(seed))
     hi = ld(seed) + ld(1e-6) * max(1.0, abs(seed))
     return tridiag.bisect_eigenvalue(d, e * e, index, lo, hi)

@@ -447,12 +447,25 @@ def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, cod
     ["count1d", "--lambdas", "0"],
     ["count2d", "--alpha", "1e300"],
     ["count2d", "--lambdas", "0.3,0.3,0.066,0.03"],
+    ["count1d", "--lambdas", "1e-3,1e-3,1e-4"],
 ])
 def test_bad_input_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
     assert run(argv, tmp_path) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
+
+
+def test_count1d_repeated_rung_is_refused_before_any_count(tmp_path,
+                                                           monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("a rung was counted")
+
+    monkeypatch.setattr(counting, "count_1d", boom)
+    assert run(["count1d", "--lambdas", "1e-3,1e-3,1e-4"], tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: lambdas must be distinct; a rung is repeated"]
+    assert not (tmp_path / "count1d.csv").exists()
 
 
 def test_count2d_repeated_rung_is_refused_before_any_solve(tmp_path,
@@ -521,6 +534,31 @@ def test_window_energy_is_refused_before_the_trace(tmp_path, monkeypatch,
     monkeypatch.setattr(bands, "trace", boom)
     assert run([command, "--E", energy], tmp_path) == 2
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv, advice", [
+    # band 3's minimum, 2.6349 at k = 1.623, lies past kmax: its lowest
+    # sample is an end sample, not a ceiling
+    (["mourre", "--kmin", "0", "--kmax", "1", "--samples", "11"],
+     "trace a wider range"),
+    (["mourre", "--kmin=-4", "--kmax", "0.5", "--samples", "11"],
+     "trace a wider range"),
+    (["budget", "--kmax", "0.2", "--samples", "11"], "trace a wider range"),
+    (["localize", "--kmax", "0.5", "--trace-samples", "11"],
+     "trace a wider range"),
+    # a parabola through three samples dips below zero
+    (["mourre", "--samples", "3"], "trace more samples"),
+    # band 1 is already 1.0 at k = 0, below E: it crosses E further left
+    (["mourre", "--kmin", "0", "--kmax", "6", "--samples", "11"],
+     "trace further left"),
+])
+def test_window_the_trace_cannot_certify_is_a_usage_error(tmp_path, capsys,
+                                                          argv, advice):
+    assert run(argv, tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: band ")
+    assert lines[0].endswith(advice)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("k, nbands", [("4.25", "61"), ("5", "61"),

@@ -425,6 +425,10 @@ def test_curve_invariants():
         counting.checked_ladder([0.3, 0.3, 0.066, 0.03])
     with pytest.raises(ConfigurationError, match="positive"):
         counting.checked_ladder([0.3, 0.1, 0.03, 0.0])
+    # count1d's ladder need not be fit-worthy, only free of repeated rungs
+    assert counting.distinct_ladder([1e-4, 1e-3]) == [1e-3, 1e-4]
+    with pytest.raises(ConfigurationError, match="repeated"):
+        counting.distinct_ladder([1e-3, 1e-3, 1e-4])
 
 
 def test_count_2d_refuses_counts_that_decrease_with_lambda(monkeypatch):
@@ -813,7 +817,7 @@ def test_ill_conditioned_definite_slice_is_refused_from_the_band():
 
 def test_palindrome_off_by_one_ulp_takes_the_full_sweep():
     b, hy, ny = 1.0, 0.4, 9
-    d_x, e_x = fiber.stencil(b, 0.0, Parity.EVEN, 1.8, 18)
+    d_x, e_x, _ = fiber.stencil(b, 0.0, Parity.EVEN, 1.8, 18)
     xs = np.arange(18, dtype=float) * 0.1
     V = counting.standard_potential(1.0, amplitude=3.0)
     v2 = V.v2((np.arange(ny) - 0.5 * (ny - 1)) * hy)
@@ -955,7 +959,7 @@ def test_tau_on_a_sector_eigenvalue_is_refused_by_the_join_block(monkeypatch,
     ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
     by_parity = {}
     for parity in (Parity.EVEN, Parity.ODD):
-        d_x, e_x = fiber.stencil(b, 0.0, parity, lx, nx)
+        d_x, e_x, _ = fiber.stencil(b, 0.0, parity, lx, nx)
         xs = np.arange(nx, dtype=float) * (lx / nx) if parity is Parity.EVEN \
             else np.arange(1, nx, dtype=float) * (lx / nx)
         by_parity[parity] = (d_x, e_x, xs, b, V.v1(xs), V.v2(ys), hy)
@@ -1000,7 +1004,7 @@ def test_near_singular_block_raises_and_count_2d_retries(monkeypatch):
     v2 = V.v2(ys)
     by_parity = {}
     for parity in (Parity.EVEN, Parity.ODD):
-        d_x, e_x = fiber.stencil(b, 0.0, parity, lx, nx)
+        d_x, e_x, _ = fiber.stencil(b, 0.0, parity, lx, nx)
         xs = np.arange(nx, dtype=float) * (lx / nx) if parity is Parity.EVEN \
             else np.arange(1, nx, dtype=float) * (lx / nx)
         by_parity[parity] = (d_x, e_x, xs, b, V.v1(xs), v2, hy)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from magbarrier import fiber, specfun, tridiag
+from magbarrier import asymptotics, counting, fiber, specfun, tridiag
 from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 from magbarrier.fiber import Parity
 
@@ -287,10 +287,52 @@ def test_wall_budget_counts_every_level_of_the_doubled_grid(monkeypatch):
             fiber.sector(1.0, 0.0, Parity.EVEN, levels)
 
 
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_fields, st.floats(-20.0, 20.0), st.sampled_from(Parity),
+       st.floats(0.5, 60.0), st.integers(3, 9000))
+def test_stencil_nodes_are_the_parity_node_rule_bit_for_bit(b, k, parity, L, N):
+    # even nodes i L/N from i = 0, odd from i = 1: the expressions count_2d
+    # and the lattice slope spelt out before the stencil returned its nodes
+    d, e, x = fiber.stencil(b, k, parity, L, N)
+    first = 0 if parity is Parity.EVEN else 1
+    assert x.tobytes() == (np.arange(first, N) * (L / N)).tobytes()
+    assert len(d) == len(x) == N - first and len(e) == len(x) - 1
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(_fields, st.floats(-8.0, 8.0), st.sampled_from(Parity),
+       st.integers(0, 4), st.integers(0, 2), st.integers(200, 2000))
+def test_eigenpairs_values_do_not_depend_on_vectors(b, q, parity, first, more, N):
+    k = q * math.sqrt(b)
+    L, _ = fiber._wall(b, k, first + more + 1)
+    w, v, x = fiber.eigenpairs(b, k, parity, L, N, first, first + more)
+    alone, none, x_alone = fiber.eigenpairs(b, k, parity, L, N, first,
+                                            first + more, vectors=False)
+    assert none is None and v.shape == (len(x), more + 1)
+    assert alone.tobytes() == w.tobytes() and x_alone.tobytes() == x.tobytes()
+
+
+def test_every_sector_solve_reports_a_lapack_failure_as_numerical(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("planted")
+
+    monkeypatch.setattr(fiber, "eigh_tridiagonal", fail)
+    solves = [lambda: fiber.band(1.0, 0.5, 2),
+              lambda: asymptotics._precise_level(1.0, 1, (4.0, Parity.ODD, 1500)),
+              lambda: counting._lattice_value(1.0, 7.4, 148, 0.8, 0.5),
+              lambda: counting._lattice_slope(1.0, 7.4, 148, 0.8, 0.5)]
+    for solve in solves:
+        with pytest.raises(NumericalError, match=r"^fiber eigensolve failed at "
+                           r"b=1, k=\S+: planted$"):
+            solve()
+
+
 def test_sturm_count_consistent_with_solved_levels():
     L, _ = fiber._wall(1.0, 0.6, 3)
     pairs = fiber._assemble(1.0, 0.6, Parity.EVEN, 3, L, 1000)
-    d, e = fiber.stencil(1.0, 0.6, Parity.EVEN, L, 1000)
+    d, e, _ = fiber.stencil(1.0, 0.6, Parity.EVEN, L, 1000)
     e2 = (e * e).tolist()
     piv = tridiag.pivmin(d.tolist(), e2)
     for m, pair in enumerate(pairs):

@@ -59,6 +59,17 @@ def test_distance_cap_readings():
     assert mourre.distance_cap(1, mid, 1.0, hi) == pytest.approx(mid - 1.0, abs=1e-12)
 
 
+def test_window_ceiling_is_the_resolved_table_minimum(table_b1):
+    assert mourre.window_ceiling(1, 1.0, table_b1) \
+        == bands.table_minimum(table_b1, 3)[1]
+    assert mourre.window_ceiling(2, 1.0, table_b1) \
+        == bands.table_minimum(table_b1, 5)[1]
+    # band 3's minimum at k = 1.62 is past this trace: an end sample
+    short = bands.trace(1.0, -4.0, 0.5, n_bands=3, base_samples=11, refine=True)
+    with pytest.raises(ConfigurationError, match="trace a wider range"):
+        mourre.window_ceiling(1, 1.0, short)
+
+
 def test_find_delta0_mid_window(table_b1, e_mid):
     d0 = mourre.find_delta0(1, e_mid, 1.0, table_b1)
     hi = bands.table_minimum(table_b1, 3)[1]

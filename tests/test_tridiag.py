@@ -138,7 +138,7 @@ def test_sturm_count_monotone_in_sigma_property(problem, step):
 
 
 def _float64_pair(b, k, parity, index, L, N):
-    d, e = fiber.stencil(b, k, parity, L, N)
+    d, e, _ = fiber.stencil(b, k, parity, L, N)
     w, v = eigh_tridiagonal(d, e, select="i", select_range=(index, index))
     return w[0], v[:, 0]
 
@@ -178,7 +178,7 @@ def test_rayleigh_bracket_bit_equal_to_wide_bracket_property(b, j, past, parity,
 def test_displaced_centre_grows_the_bracket_and_keeps_the_bits(monkeypatch):
     b, k, j, parity, N = 1.5, 4.0, 2, Parity.ODD, 500
     L = asymptotics._precise_box(b, k, j)
-    d, e = fiber.stencil(b, k, parity, L, N)
+    d, e, _ = fiber.stencil(b, k, parity, L, N)
     w, v = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j))
     # mixing in the next eigenvector moves the Rayleigh quotient up by
     # mix^2 (w1 - w0) / (1 + mix^2): here 1e4 starting radii

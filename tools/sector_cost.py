@@ -45,7 +45,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from scipy.linalg import lapack  # noqa: E402
 
-from magbarrier import cli, counting  # noqa: E402
+from magbarrier import cli, counting, fiber  # noqa: E402
 
 REFERENCE = ["--b", "1", "--hy", "0.8",
              "--lambdas", "0.305805,0.142024,0.0664536,0.0296611"]
@@ -130,8 +130,8 @@ def main(argv=None):
               f"{chunks:6d} {stops:5d} {dense:5d} {bound:9.3g}")
     print(f"sum of best sweeps: {1e3 * total:.0f} ms over {len(units)} sectors")
     best = best_time(counting.discrete_threshold, threshold_args, args.repeat)
-    with mock.patch.object(counting, "eigh_tridiagonal",
-                           wraps=counting.eigh_tridiagonal) as solves:
+    with mock.patch.object(fiber, "eigh_tridiagonal",
+                           wraps=fiber.eigh_tridiagonal) as solves:
         counting.discrete_threshold(*threshold_args)
     scan = counting.THRESHOLD_K_SAMPLES
     print(f"discrete_threshold: best {1e3 * best:.1f} ms, {solves.call_count} "
