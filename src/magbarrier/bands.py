@@ -1,4 +1,4 @@
-"""Band functions omega_j(k): tracing over a k-grid, derivatives by
+"""Band functions omega_j(k): tracing over a uniform k-grid, derivatives by
 independent routes, and even-band minima with their effective masses.
 
 Derivative routes: the Feynman-Hellmann route integrates 2(k - b|x|) psi^2
@@ -21,8 +21,6 @@ from .fiber import Parity
 
 KAPPA_XTOL = 1e-10
 BRENTQ_MAX_ITERATIONS = 100   # scipy.optimize.brentq's maxiter
-REFINE_FACTOR = 10.0       # curvature threshold over median for k-grid splits
-REFINE_PASSES = 2          # curvature-driven bisection passes over the k-grid
 
 
 @dataclass(frozen=True)
@@ -77,18 +75,6 @@ def _columns(pair):
             pair.psi0, pair.dpsi0)
 
 
-def _curvatures(ks, ws):
-    """|Second divided differences| along the last axis, on a nonuniform grid.
-
-    Both end nodes read 0.
-    """
-    ks = np.asarray(ks)
-    slopes = np.diff(ws) / np.diff(ks)
-    out = np.zeros(np.shape(ws))
-    out[..., 1:-1] = 2.0 * np.diff(slopes) / (ks[2:] - ks[:-2])
-    return np.abs(out)
-
-
 def _trace_row(b, k, n_bands, refine):
     """One _columns row per band of the n_bands lowest bands at one k.
 
@@ -124,47 +110,25 @@ def _k_map(jobs):
 
 
 def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True, jobs=1):
-    """Sample the lowest n_bands band functions on an adaptive k-grid.
+    """Sample the lowest n_bands band functions on the uniform k-grid
+    linspace(k_min, k_max, base_samples).
 
-    The base grid is uniform; each pass bisects the intervals around nodes
-    whose curvature estimate exceeds REFINE_FACTOR times the median, which
-    concentrates points near the even-band minima and k = 0. REFINE_PASSES
-    passes read curvature at interior nodes, so they need at least three
-    samples.
+    At least three samples, on distinct floats: the table's readers (the
+    window ceiling, the parabola of table_minimum) read three around a
+    minimum.
     jobs > 1 solves the k-points on up to that many forked worker processes;
     the table is the same, bit for bit, at every jobs.
     """
-    if not k_min < k_max:
-        raise ConfigurationError("need k_min < k_max")
     if base_samples < 3:
-        raise ConfigurationError("adaptive refinement needs at least 3 base samples")
+        raise ConfigurationError("a band trace needs at least 3 k-samples")
+    ks = np.linspace(k_min, k_max, base_samples)
+    if not (np.diff(ks) > 0.0).all():
+        raise ConfigurationError(
+            f"need k_min < k_max with {base_samples} distinct float k-samples between")
     row_at = functools.partial(_trace_row, b, n_bands=n_bands, refine=refine)
-    rows = {}
     with _k_map(jobs) as k_map:
-
-        def solve(ks):
-            ks = [k for k in dict.fromkeys(ks) if k not in rows]
-            rows.update(zip(ks, k_map(row_at, ks)))
-
-        def stacked():
-            """The sorted k-grid and its (5, n_bands, len(ks)) column stack."""
-            ks = sorted(rows)
-            return ks, np.array([rows[k] for k in ks]).T
-
-        solve(float(k) for k in np.linspace(k_min, k_max, base_samples))
-        for _ in range(REFINE_PASSES):
-            ks, columns = stacked()
-            curv = _curvatures(ks, columns[0])
-            cut = REFINE_FACTOR * float(np.median(curv[:, 1:-1]))
-            new_ks = set()
-            for i in np.nonzero((curv > cut).any(axis=0))[0]:
-                if i > 0:
-                    new_ks.add(0.5 * (ks[i - 1] + ks[i]))
-                if i < len(ks) - 1:
-                    new_ks.add(0.5 * (ks[i] + ks[i + 1]))
-            solve(sorted(new_ks - set(ks)))
-    ks, columns = stacked()
-    return BandTable(b, np.array(ks), *columns,
+        columns = np.array(list(k_map(row_at, ks.tolist()))).T
+    return BandTable(b, ks, *columns,
                      parities=[Parity.of_band(j)[0] for j in range(1, n_bands + 1)])
 
 

@@ -68,7 +68,7 @@ COMMANDS = {
         "kmin": Option("float", -4.0, "left end of the wave-number range"),
         "kmax": Option("float", 6.0, "right end of the wave-number range"),
         "nbands": Option("int", 8, "number of bands"),
-        "samples": Option("int", 81, "base k-samples for the trace"),
+        "samples": Option("int", 81, "k-samples for the trace"),
         "refine": Option("bool", True, "Richardson-refine eigenvalues"),
     },
     "minima": {
@@ -89,16 +89,16 @@ COMMANDS = {
     },
     "mourre": {
         **_WINDOW,
-        "samples": Option("int", 81, "base k-samples for the trace"),
+        "samples": Option("int", 81, "k-samples for the trace"),
     },
     "budget": {
         **_WINDOW,
-        "samples": Option("int", 81, "base k-samples for the trace"),
+        "samples": Option("int", 81, "k-samples for the trace"),
     },
     "localize": {
         **_WINDOW,
         "samples": Option("int", 9, "envelope samples per band"),
-        "trace_samples": Option("int", 81, "base k-samples for the trace"),
+        "trace_samples": Option("int", 81, "k-samples for the trace"),
     },
     "count1d": {
         "alpha": Option("float", 1.0, "decay exponent"),
@@ -106,7 +106,8 @@ COMMANDS = {
         "m": Option("float", 1.0, "effective mass"),
         "lambdas": Option("floats", (1e-3, 3e-4, 1e-4), "gap ladder"),
         "h": Option("float", counting.DEFAULT_H_1D, "grid step"),
-        "verify": Option("bool", True, "recount on a widened grid"),
+        "verify": Option("bool", True,
+                         "certify each count by a Dirichlet-Neumann bracket"),
     },
     "count2d": {
         "b": Option("float", 1.0, "field strength"),

@@ -34,8 +34,8 @@ MAX_UNKNOWNS_2D = 10_000_000
 # x-points of one Schur block, which the sweep holds as dense nx x nx complex
 # buffers: 64 MiB each at the cap, over 10x the nx of b = 1 at the default hx
 MAX_NX_2D = 2048
-# rows of one 1D line grid: over 10x the 1.8 M of the default count1d
-# ladder's widened grid
+# rows of one 1D line grid: over 16x the 1.2 M of the default count1d
+# ladder's deepest rung
 MAX_ROWS_1D = 20_000_000
 THRESHOLD_K_SAMPLES = 161
 SINGULAR_RETRIES = 3
@@ -266,28 +266,35 @@ def _line_grid(half_width, h):
 
 
 def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
-    """Eigenvalues of -m^2 d^2/dy^2 - Q below -lam on the line |y| <= half_width.
+    """Eigenvalues of -m^2 d^2/dy^2 - Q below -lam on the line lattice of
+    step h, counted on the box |y| <= half_width.
 
     count1d spans TURNING_FACTOR times the classical turning point
-    (ell/lam)^{1/alpha} each side, so every bound state is enclosed with
-    margin; verify_width recounts on a widened grid and raises when the
-    count is still moving. A grid past MAX_ROWS_1D rows or past the float
-    range (2m^2/h^2 overflows, or the coupling m^2/h^2 of a grid of more
-    than one row falls below the smallest normal float) is refused before
-    any of it is allocated. A grid of more than one row whose step resolves
-    the bottom of the well by fewer than 2 pi steps per local wavelength
-    2 pi m / sqrt(Q), that is h sqrt(max Q) > m, counts what the grid
-    allows rather than what the well holds, and is refused before the sweep.
+    (ell/lam)^{1/alpha} each side. The box count (Dirichlet) bounds the
+    count of the whole line from below. verify_width certifies it by
+    Dirichlet-Neumann bracketing on the same grid (Reed & Simon IV, XIII.15),
+    assuming Q decreases in |y| past the box, as the count1d model and the
+    reduced tail ell |y|^{-alpha} do: when Q at the first node outside is
+    below lam, the outside holds nothing below -lam, and the Neumann box
+    count (both end diagonals lose m^2/h^2) bounds it from above. Equal
+    counts are the infinite lattice's and are returned; an outside Q of lam
+    or more, or counts that differ, raise.
+    A grid past MAX_ROWS_1D rows or past the float range (2m^2/h^2
+    overflows, or the coupling m^2/h^2 of a grid of more than one row falls
+    below the smallest normal float) is refused before any of it is
+    allocated. A grid of more than one row whose step resolves the bottom of
+    the well by fewer than 2 pi steps per local wavelength 2 pi m / sqrt(Q),
+    that is h sqrt(max Q) > m, counts what the grid allows rather than what
+    the well holds, and is refused before the sweep.
     """
     if not (m > 0.0 and lam > 0.0):
         raise ConfigurationError("need m > 0 and lam > 0")
     if not h > 0.0:
         raise ConfigurationError(f"grid step h must be positive, got {h}")
-    widest = 1.5 * half_width if verify_width else half_width
-    rows = 2.0 * widest / h
+    rows = 2.0 * half_width / h
     if not rows <= MAX_ROWS_1D:
         raise NumericalError(
-            f"line grid of {rows:.3g} rows at half-width {widest:g} exceeds "
+            f"line grid of {rows:.3g} rows at half-width {half_width:g} exceeds "
             f"the budget of {MAX_ROWS_1D} rows; raise lam")
     stiffness = m * m / (h * h)
     if not math.isfinite(2.0 * stiffness):
@@ -295,28 +302,38 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     if rows > 1.0 and not stiffness >= np.finfo(float).tiny:
         raise NumericalError(f"stencil coupling m^2/h^2 underflows at m={m:g}, h={h:g}")
 
-    def count_at(width):
-        # each grid-long array is dropped once used, so at most three of
-        # them are alive at a time and only d and e live through the sweep
-        q = np.asarray(Q(_line_grid(width, h)), dtype=float)
-        if (q < 0.0).any():
-            raise ConfigurationError("Q must be nonnegative")
-        phase = h * math.sqrt(q.max())
-        if len(q) > 1 and phase > m:
-            raise NumericalError(
-                f"line grid step h={h:g} under-resolves the well: "
-                f"h sqrt(max Q) = {phase:.3g} exceeds m={m:g}, "
-                "fewer than 2 pi steps per local wavelength; refine h")
-        d = 2.0 * stiffness - q
-        del q
-        e = np.full(len(d) - 1, -stiffness)
-        return tridiagonal_inertia(d, e, -lam)
-
-    n = count_at(half_width)
-    if verify_width and count_at(1.5 * half_width) != n:
+    # each grid-long array is dropped once used, so at most three of them
+    # are alive at a time and only d and e live through the sweeps
+    ys = _line_grid(half_width, h)
+    q = np.asarray(Q(ys), dtype=float)
+    with np.errstate(over="ignore"):    # a far node's y^2 may overflow to inf
+        outside = float(np.max(Q(np.array([ys[0] - h, ys[-1] + h]))))
+    del ys
+    if (q < 0.0).any():
+        raise ConfigurationError("Q must be nonnegative")
+    phase = h * math.sqrt(q.max())
+    if len(q) > 1 and phase > m:
         raise NumericalError(
-            f"count at half-width {half_width:g} is not grid-converged; widen"
-        )
+            f"line grid step h={h:g} under-resolves the well: "
+            f"h sqrt(max Q) = {phase:.3g} exceeds m={m:g}, "
+            "fewer than 2 pi steps per local wavelength; refine h")
+    if verify_width and not outside < lam:
+        raise NumericalError(
+            f"line box |y| <= {half_width:g} stops short of the turning point: "
+            f"Q = {outside:.3g} at the first node outside is not below "
+            f"lam = {lam:g}; widen")
+    d = 2.0 * stiffness - q
+    del q
+    e = np.full(len(d) - 1, -stiffness)
+    n = tridiagonal_inertia(d, e, -lam)
+    if verify_width:
+        d[0] -= stiffness
+        d[-1] -= stiffness
+        upper = tridiagonal_inertia(d, e, -lam)
+        if upper != n:
+            raise NumericalError(
+                f"line box |y| <= {half_width:g} does not certify its count: "
+                f"Dirichlet {n} and Neumann {upper} differ; widen")
     return n
 
 

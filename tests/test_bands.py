@@ -80,18 +80,15 @@ def test_trace_derivative_cross_check_on_table(figure_table):
         assert abs(fh - bd) <= 1e-5 * max(1.0, abs(fh))
 
 
-def test_trace_derivatives_match_finite_differences(figure_table, monkeypatch):
+def test_trace_derivatives_match_finite_differences(figure_table):
     # Coarse-grid sanity over the whole figure: a wrong sign or factor in
     # either route would blow past this even where the stencil truncation
     # error peaks (the band knees).
     t = figure_table
-    uniform = [i for i in range(len(t.ks))
-               if i >= 2 and i + 2 < len(t.ks)
-               and np.allclose(np.diff(t.ks[i - 2:i + 3]), t.ks[1] - t.ks[0])]
     dk = t.ks[1] - t.ks[0]
     checked = 0
     for j in range(4):
-        for i in uniform[::3]:
+        for i in range(2, len(t.ks) - 2, 3):
             ws = [t.omega[j, i + m] for m in (-2, -1, 0, 1, 2)]
             fd = (ws[0] - 8.0 * ws[1] + 8.0 * ws[3] - ws[4]) / (12.0 * dk)
             assert abs(t.domega_fh[j, i] - fd) <= 5e-3 * max(1.0, abs(fd))
@@ -100,9 +97,7 @@ def test_trace_derivatives_match_finite_differences(figure_table, monkeypatch):
     assert checked > 20
     # At a converged stencil step the routes match finite differences to 1e-4,
     # including on the barrier side, near the first minimum, and at the knees.
-    # Without refine passes the five samples stay uniform.
     dk = 1e-2
-    monkeypatch.setattr(bands, "REFINE_PASSES", 0)
     for k0 in (-3.0, -0.7, 0.3, 1.2, 2.0):
         t2 = bands.trace(1.0, k0 - 2 * dk, k0 + 2 * dk, n_bands=4,
                          base_samples=5, refine=True)
@@ -247,15 +242,22 @@ def test_trace_rerun_is_bitwise_identical(figure_table):
 
 
 @pytest.mark.parametrize("refine", [True, False])
-def test_trace_on_workers_equals_serial_bitwise(monkeypatch, refine):
-    # a low curvature cut makes both refine passes add k-points
-    monkeypatch.setattr(bands, "REFINE_FACTOR", 1.0)
+def test_trace_on_workers_equals_serial_bitwise(refine):
     args = (1.0, -2.0, 3.0)
-    kwargs = dict(n_bands=3, base_samples=11, refine=refine)
+    kwargs = dict(n_bands=3, base_samples=23, refine=refine)
     serial = bands.trace(*args, **kwargs)
-    assert len(serial.ks) > 11
     assert _table_bits(bands.trace(*args, jobs=2, **kwargs)) == _table_bits(serial)
     assert multiprocessing.active_children() == []
+
+
+def test_trace_samples_the_float_linspace():
+    # an open-side range, where a curvature cut once added k-points
+    want = np.linspace(2.0, 20.0, 41).tobytes()
+    for jobs in (1, 2):
+        table = bands.trace(1.0, 2.0, 20.0, n_bands=2, base_samples=41,
+                            refine=False, jobs=jobs)
+        assert table.ks.tobytes() == want
+        assert table.omega.shape == (2, 41)
 
 
 def test_trace_worker_error_surfaces_unchanged():
@@ -270,10 +272,13 @@ def test_trace_worker_error_surfaces_unchanged():
     assert multiprocessing.active_children() == []
 
 
-def test_trace_refinement_needs_three_base_samples():
+def test_trace_needs_three_samples():
     for samples in (0, 1, 2):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="at least 3 k-samples"):
             bands.trace(1.0, -1.0, 1.0, n_bands=1, base_samples=samples)
+    # three samples on a range of one float step would repeat a k-node
+    with pytest.raises(ConfigurationError, match="3 distinct float k-samples"):
+        bands.trace(1.0, 1.0, 1.0000000000000002, n_bands=1, base_samples=3)
 
 
 def test_find_minimum_rejects_bad_field_or_ordinal():

@@ -287,6 +287,24 @@ def test_count2d_grid_refusal_is_one_short_line(tmp_path, capsys, argv, message)
     assert line.startswith(message) and len(line) < 100
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the budget names the box that is built: 3 turning points of 1000
+    (["count1d", "--h", "1e-300"],
+     "error: line grid of 6e+303 rows at half-width 3000 exceeds"),
+    # a heavy mass at a shallow gap: the level near -lam decays over
+    # m/sqrt(lam), past the box, and the whole line holds one level
+    (["count1d", "--m", "3", "--lambdas", "0.3,0.1"],
+     "error: line box |y| <= 10 does not certify its count: "
+     "Dirichlet 0 and Neumann 1 differ"),
+])
+def test_count1d_refusal_is_one_short_line(tmp_path, capsys, argv, message):
+    assert run(argv, tmp_path) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(message) and len(line) < 100
+    _, _, rows, _, failed, passed = read_csv(tmp_path / "count1d.csv")
+    assert failed.startswith("NumericalError") and not passed and rows == []
+
+
 def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     assert run(["count1d", "--alpha", "0.001", "--ell", "3"], tmp_path) == 3
     assert capsys.readouterr().err.splitlines() == [

@@ -328,8 +328,61 @@ def test_count_1d_free_operator_and_guards():
 
 def test_count_1d_narrow_grid_is_a_resolution_error():
     Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
-    with pytest.raises(NumericalError, match="grid-converged"):
+    with pytest.raises(NumericalError, match="stops short of the turning point"):
         counting.count_1d(1.0, Q, 1e-3, half_width=30.0)
+
+
+def _bracket(m, Q, lam, half_width, h, pad):
+    """(Dirichlet, whole, Neumann) counts below -lam: on the box, on the box
+    padded by pad nodes each side (the same nodes inside), and on the box
+    with its two outside links dropped."""
+    s = m * m / (h * h)
+    n = len(counting._line_grid(half_width, h))
+    counts = []
+    for lo, drop in ((0, 0.0), (-pad, 0.0), (0, s)):
+        ys = (np.arange(lo, n - lo) - 0.5 * (n - 1)) * h
+        d = 2.0 * s - Q(ys)
+        d[0] -= drop
+        d[-1] -= drop
+        counts.append(counting.tridiagonal_inertia(d, np.full(len(d) - 1, -s), -lam))
+    return counts
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=st.floats(0.5, 2.0), amplitude=st.floats(0.2, 3.0),
+       alpha=st.floats(0.3, 1.9), half_width=st.floats(1.0, 60.0),
+       step=st.floats(0.05, 1.0), above=st.floats(1e-3, 2.0))
+def test_count_1d_bracket_encloses_a_wider_box(m, amplitude, alpha, half_width,
+                                               step, above):
+    # a decreasing well, a box past its turning point (Q below lam at the
+    # first node outside) and a step that resolves the bottom of the well
+    Q = lambda y: amplitude * (1.0 + np.asarray(y, dtype=float) ** 2) ** (-alpha / 2.0)
+    h = step * m / math.sqrt(amplitude)
+    n = len(counting._line_grid(half_width, h))
+    lam = float(Q(0.5 * (n + 1) * h)) * (1.0 + above)
+    lower, whole, upper = _bracket(m, Q, lam, half_width, h, pad=3 * n // 2)
+    assert lower <= whole <= upper
+    assert counting.count_1d(m, Q, lam, half_width=half_width, h=h,
+                             verify_width=False) == lower
+    if lower == upper:
+        assert counting.count_1d(m, Q, lam, half_width=half_width, h=h) == lower
+    else:
+        with pytest.raises(NumericalError, match="does not certify"):
+            counting.count_1d(m, Q, lam, half_width=half_width, h=h)
+
+
+def test_verified_count_1d_builds_one_line_grid(monkeypatch):
+    calls, line_grid = [], counting._line_grid
+
+    def spy(half_width, h):
+        calls.append((half_width, h))
+        return line_grid(half_width, h)
+
+    monkeypatch.setattr(counting, "_line_grid", spy)
+    Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
+    assert counting.count_1d(1.0, Q, 3e-3, half_width=1000.0) == 17
+    assert calls == [(1000.0, counting.DEFAULT_H_1D)]
 
 
 def _no_grid(*args, **kwargs):
@@ -339,12 +392,13 @@ def _no_grid(*args, **kwargs):
 def test_count_1d_refuses_an_oversized_grid_before_allocating(monkeypatch):
     monkeypatch.setattr(counting, "_line_grid", _no_grid)
     Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
-    # the base grid fits the budget and only its 1.5x verify grid does not
-    width = counting.MAX_ROWS_1D * counting.DEFAULT_H_1D / 2.4
-    with pytest.raises(NumericalError, match="budget"):
-        counting.count_1d(1.0, Q, 1e-3, half_width=width)
-    with pytest.raises(AssertionError, match="allocated"):
-        counting.count_1d(1.0, Q, 1e-3, half_width=width, verify_width=False)
+    # the budget counts the rows of the box that is built, with or without
+    # the bracket, and names that box
+    width = 0.6 * counting.MAX_ROWS_1D * counting.DEFAULT_H_1D
+    message = f"2.4e\\+07 rows at half-width {width:g} exceeds"
+    for verify in (True, False):
+        with pytest.raises(NumericalError, match=message):
+            counting.count_1d(1.0, Q, 1e-3, half_width=width, verify_width=verify)
     # turning points of 1e30 and past the float range
     for alpha in (0.1, 0.001):
         reduced = counting.ReducedPotential(alpha=alpha, ys=np.zeros(1),

@@ -84,6 +84,11 @@ CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
 CASES["ho_b2_j2"] = ["ho", "--b", "2", "--j", "2", "--kmin", "6", "--kmax", "8",
                      "--samples", "3", "--jobs", "2"]
 CASES["count1d_ell"] = ["count1d", "--ell", "0.9", "--lambdas", "9e-4,2.7e-4"]
+# the unverified count on the default ladder, and a slower tail at a heavier
+# mass, whose bracketed counts 3, 3 fit nothing: exit 1
+CASES["count1d_noverify"] = ["count1d", "--no-verify", "--lambdas", "1e-3,3e-4,1e-4"]
+CASES["count1d_alpha15"] = ["count1d", "--alpha", "1.5", "--m", "2",
+                            "--lambdas", "1e-3,3e-4"]
 
 
 def run_case(cli, argv):
