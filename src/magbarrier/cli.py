@@ -305,8 +305,9 @@ def cmd_bands(cfg, jobs):
     if cfg["kmin"] > cfg["kmax"]:
         raise ConfigurationError("kmin must not exceed kmax")
     if cfg["kmin"] == cfg["kmax"]:
+        # energies only: the table prints no vector-derived column
         grids = fiber.first_levels(cfg["b"], cfg["kmin"], cfg["nbands"],
-                                   refine=cfg["refine"])
+                                   refine=cfg["refine"], vectors=False)
         rows = [[fiber.refined([pair.omega for pair in pairs])]
                 for pairs in zip(*grids)]
         return _payload("bands", cfg, ["omega"], rows,
@@ -455,8 +456,7 @@ def cmd_count1d(cfg, jobs):
     for lam in lambdas:
         try:
             n = counting.count_1d(m, q_model, lam,
-                                  half_width=counting.TURNING_FACTOR
-                                  * counting.tail_turning_point(ell, lam, alpha),
+                                  counting.line_half_width(ell, lam, alpha, m),
                                   h=cfg["h"], verify_width=cfg["verify"])
         except (ConfigurationError, NumericalError, InvariantViolation) as err:
             failed, exc = f"{type(err).__name__}: {err}", err

@@ -30,6 +30,13 @@ DEFAULT_H_1D = 0.05
 DEFAULT_HX_2D = 0.05
 DEFAULT_HY_2D = 0.4
 TURNING_FACTOR = 3.0
+# decay lengths m/sqrt(lam) of count1d's box past the turning point: the
+# smallest factor from which every box certifies its count is at most 3.75
+# over m in {1, 3, 10, 100} and lam in {0.3, 0.1, ..., 1e-3} (alpha 0.5,
+# 1, 1.5; ell 1, h 0.05); TURNING_FACTOR turning points still set the box
+# of the default ladder and of every benchmark one, which only a factor
+# above 55 would widen
+DECAY_LENGTHS = 6.0
 MAX_UNKNOWNS_2D = 10_000_000
 # x-points of one Schur block, which the sweep holds as dense nx x nx complex
 # buffers: 64 MiB each at the cap, over 10x the nx of b = 1 at the default hx
@@ -197,11 +204,19 @@ def tail_turning_point(ell, lam, alpha):
         return math.inf
 
 
+def line_half_width(ell, lam, alpha, m):
+    """Half-width of count1d's box at gap lam: TURNING_FACTOR turning points
+    (ell / lam)^{1/alpha}, or DECAY_LENGTHS decay lengths m / sqrt(lam) of
+    the level near -lam past one turning point, whichever is wider."""
+    turning = tail_turning_point(ell, lam, alpha)
+    return max(TURNING_FACTOR * turning, turning + DECAY_LENGTHS * m / math.sqrt(lam))
+
+
 # ---------------------------------------------------------------------------
 # 1D counts
 
 
-def tridiagonal_inertia(d, e, tau):
+def tridiagonal_inertia(d, e, tau, carry=None):
     """Eigenvalues of tridiag(d, e) below tau, by the LDL^T pivot signs.
 
     Exact in the Sturm sense: each pivot sign is computed from the shifted
@@ -214,17 +229,26 @@ def tridiagonal_inertia(d, e, tau):
     restarts there, so the cost is one call per negative pivot plus one per
     chunk. The last pivot of a chunk is carried into the next one the same
     way.
+
+    `carry` streams a longer matrix through in pieces, d and e being its
+    rows from some row r on: a list [coupling, pivot] of the entry joining
+    row r - 1 to row r and the last pivot of the rows before r, with pivot
+    None at r = 0. The call joins d to those rows by that seam and leaves
+    carry[1] holding d's last pivot, so the counts of consecutive pieces add
+    up to the longer matrix's, pivot for pivot.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     if len(e) != len(d) - 1:
         raise ConfigurationError("need len(e) == len(d) - 1")
+    seam, pivot = carry or (0.0, None)
     count = 0
     for start in range(0, len(d), INERTIA_CHUNK):
         ds = d[start:start + INERTIA_CHUNK] - tau
         ec = e[start:start + len(ds) - 1].copy()  # dpttrf overwrites it
         if start:
             seam = float(e[start - 1])
+        if pivot is not None:
             ds[0] = float(ds[0]) - seam * (seam / pivot)
         row = 0
         # a last row alone is left to the check below: f2py refuses an empty e
@@ -244,6 +268,8 @@ def tridiagonal_inertia(d, e, tau):
         if pivot <= 0.0:
             count += 1
             pivot = pivot or -1e-300
+    if carry is not None:
+        carry[1] = pivot
     return count
 
 
@@ -259,33 +285,40 @@ def bisection_count(d, e, tau):
     return int(len(w))
 
 
-def _line_grid(half_width, h):
-    n = int(math.ceil(2.0 * half_width / h))
-    ys = (np.arange(n) - 0.5 * (n - 1)) * h
-    return ys
+def _line_nodes(n, h, start):
+    """Nodes start, start + 1, ... of the n-node line grid of step h centred
+    on 0, at most INERTIA_CHUNK of them: the floats one arange over the whole
+    grid would give."""
+    return (np.arange(start, min(start + INERTIA_CHUNK, n)) - 0.5 * (n - 1)) * h
 
 
 def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     """Eigenvalues of -m^2 d^2/dy^2 - Q below -lam on the line lattice of
     step h, counted on the box |y| <= half_width.
 
-    count1d spans TURNING_FACTOR times the classical turning point
-    (ell/lam)^{1/alpha} each side. The box count (Dirichlet) bounds the
-    count of the whole line from below. verify_width certifies it by
-    Dirichlet-Neumann bracketing on the same grid (Reed & Simon IV, XIII.15),
-    assuming Q decreases in |y| past the box, as the count1d model and the
-    reduced tail ell |y|^{-alpha} do: when Q at the first node outside is
-    below lam, the outside holds nothing below -lam, and the Neumann box
-    count (both end diagonals lose m^2/h^2) bounds it from above. Equal
-    counts are the infinite lattice's and are returned; an outside Q of lam
-    or more, or counts that differ, raise.
-    A grid past MAX_ROWS_1D rows or past the float range (2m^2/h^2
-    overflows, or the coupling m^2/h^2 of a grid of more than one row falls
-    below the smallest normal float) is refused before any of it is
-    allocated. A grid of more than one row whose step resolves the bottom of
+    count1d sizes the box by line_half_width. The box count (Dirichlet)
+    bounds the count of the whole line from below. verify_width certifies it
+    by Dirichlet-Neumann bracketing on the same grid (Reed & Simon IV,
+    XIII.15), assuming Q decreases in |y| past the box, as the count1d model
+    and the reduced tail ell |y|^{-alpha} do: when Q at the first node
+    outside is below lam, the outside holds nothing below -lam, and the
+    Neumann box count (both end diagonals lose m^2/h^2) bounds it from
+    above. Equal counts are the infinite lattice's and are returned; an
+    outside Q of lam or more, or counts that differ, raise.
+    A grid past MAX_ROWS_1D rows, with no row, or past the float range
+    (2m^2/h^2 overflows, or the coupling m^2/h^2 of a grid of more than one
+    row falls below the smallest normal float) is refused before any of it
+    is built. A grid of more than one row whose step resolves the bottom of
     the well by fewer than 2 pi steps per local wavelength 2 pi m / sqrt(Q),
     that is h sqrt(max Q) > m, counts what the grid allows rather than what
-    the well holds, and is refused before the sweep.
+    the well holds, and is refused.
+    The grid is built and swept INERTIA_CHUNK nodes at a time, in one pass
+    that feeds both bracket sweeps, each carrying its last pivot across the
+    chunk seams, so the memory is O(INERTIA_CHUNK) at any box. A Q that is
+    negative or NaN at a node is refused at the chunk that shows it; the
+    other refusals wait for the pass to see all of Q, which stops sweeping
+    once one of them is due, and every refusal comes before any count, in
+    the order of this docstring.
     """
     if not (m > 0.0 and lam > 0.0):
         raise ConfigurationError("need m > 0 and lam > 0")
@@ -296,23 +329,44 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
         raise NumericalError(
             f"line grid of {rows:.3g} rows at half-width {half_width:g} exceeds "
             f"the budget of {MAX_ROWS_1D} rows; raise lam")
+    n = math.ceil(rows)
+    if n < 1:
+        raise NumericalError(
+            f"line box |y| <= {half_width:g} holds no node of the grid of "
+            f"step h={h:g}; widen")
     stiffness = m * m / (h * h)
     if not math.isfinite(2.0 * stiffness):
         raise NumericalError(f"stencil diagonal 2m^2/h^2 overflows at m={m:g}, h={h:g}")
     if rows > 1.0 and not stiffness >= np.finfo(float).tiny:
         raise NumericalError(f"stencil coupling m^2/h^2 underflows at m={m:g}, h={h:g}")
 
-    # each grid-long array is dropped once used, so at most three of them
-    # are alive at a time and only d and e live through the sweeps
-    ys = _line_grid(half_width, h)
-    q = np.asarray(Q(ys), dtype=float)
-    with np.errstate(over="ignore"):    # a far node's y^2 may overflow to inf
-        outside = float(np.max(Q(np.array([ys[0] - h, ys[-1] + h]))))
-    del ys
-    if (q < 0.0).any():
-        raise ConfigurationError("Q must be nonnegative")
-    phase = h * math.sqrt(q.max())
-    if len(q) > 1 and phase > m:
+    if verify_width:
+        ends = (np.array([0, n - 1]) - 0.5 * (n - 1)) * h + np.array([-h, h])
+        with np.errstate(over="ignore"):  # a far node's y^2 may overflow to inf
+            outside = float(np.max(Q(ends)))
+    refusing = verify_width and not outside < lam
+    q_max = 0.0
+    lower = upper = 0               # the Dirichlet and the Neumann count
+    dirichlet, neumann = [-stiffness, None], [-stiffness, None]
+    for start in range(0, n, INERTIA_CHUNK):
+        q = np.asarray(Q(_line_nodes(n, h, start)), dtype=float)
+        if not (q >= 0.0).all():
+            raise ConfigurationError("Q must be nonnegative")
+        q_max = max(q_max, float(q.max()))
+        refusing = refusing or (n > 1 and h * math.sqrt(q_max) > m)
+        if refusing:
+            continue    # now only a negative or NaN Q is looked for
+        d = 2.0 * stiffness - q
+        e = np.full(len(d) - 1, -stiffness)
+        lower += tridiagonal_inertia(d, e, -lam, dirichlet)
+        if verify_width:
+            if start == 0:
+                d[0] -= stiffness
+            if start + len(d) == n:
+                d[-1] -= stiffness
+            upper += tridiagonal_inertia(d, e, -lam, neumann)
+    phase = h * math.sqrt(q_max)
+    if n > 1 and phase > m:
         raise NumericalError(
             f"line grid step h={h:g} under-resolves the well: "
             f"h sqrt(max Q) = {phase:.3g} exceeds m={m:g}, "
@@ -322,19 +376,11 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
             f"line box |y| <= {half_width:g} stops short of the turning point: "
             f"Q = {outside:.3g} at the first node outside is not below "
             f"lam = {lam:g}; widen")
-    d = 2.0 * stiffness - q
-    del q
-    e = np.full(len(d) - 1, -stiffness)
-    n = tridiagonal_inertia(d, e, -lam)
-    if verify_width:
-        d[0] -= stiffness
-        d[-1] -= stiffness
-        upper = tridiagonal_inertia(d, e, -lam)
-        if upper != n:
-            raise NumericalError(
-                f"line box |y| <= {half_width:g} does not certify its count: "
-                f"Dirichlet {n} and Neumann {upper} differ; widen")
-    return n
+    if verify_width and upper != lower:
+        raise NumericalError(
+            f"line box |y| <= {half_width:g} does not certify its count: "
+            f"Dirichlet {lower} and Neumann {upper} differ; widen")
+    return lower
 
 
 # ---------------------------------------------------------------------------

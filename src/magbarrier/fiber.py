@@ -82,6 +82,17 @@ class EigenPair:
     grid: Grid
 
 
+@dataclass(frozen=True)
+class Level:
+    """A solved fiber energy without its eigenvector: global index j and the
+    grid it was solved on, as an EigenPair names them."""
+
+    j: int
+    k: float
+    omega: float
+    grid: Grid
+
+
 def _top_estimate_scaled(q, n_levels):
     """Overestimate of omega at the top requested level for b = 1, k = q."""
     est = (2.0 * n_levels + 1.0) + 3.0 * (n_levels + 1.0) * (2.0 * (abs(q) + 1.0)) ** (2.0 / 3.0)
@@ -190,15 +201,19 @@ def _fix_sign(psi):
     return psi
 
 
-def _assemble(b, k, parity, n, L, N):
-    """The n lowest eigenpairs of one parity sector on N points of [0, L]."""
-    w, v, _ = eigenpairs(b, k, parity, L, N, 0, n - 1)
+def _assemble(b, k, parity, n, L, N, vectors=True):
+    """The n lowest eigenpairs of one parity sector on N points of [0, L],
+    or without `vectors` their Levels, solved for energies only."""
+    w, v, _ = eigenpairs(b, k, parity, L, N, 0, n - 1, vectors=vectors)
     if not np.all(np.diff(w) > 0.0):
         raise InvariantViolation(
             f"eigenvalues not strictly increasing at k={k}, parity={parity.value}"
         )
     h = L / N
     grid = Grid(h=h, x=np.arange(N) * h)
+    if not vectors:
+        return [Level(j=parity.global_index(m + 1), k=k, omega=float(w[m]),
+                      grid=grid) for m in range(n)]
     v = v / math.sqrt(2.0 * h)
     if parity is Parity.EVEN:
         v[0] = math.sqrt(2.0) * v[0]
@@ -217,17 +232,19 @@ def _assemble(b, k, parity, n, L, N):
     return pairs
 
 
-def sector(b, k, parity, n, refine=False):
+def sector(b, k, parity, n, refine=False, vectors=True):
     """The n lowest eigenpairs of one parity sector, one list per grid.
 
     (pairs,) on the N points `_wall` sizes, or with refine=True (coarse,
     fine) at steps h and h/2 on the same box. A functional of the eigenpair
     (energy, band derivative, boundary data) read on both lists extrapolates
-    in h^2 through `refined`, which removes its own h^2 term.
+    in h^2 through `refined`, which removes its own h^2 term. Without
+    `vectors` the lists hold Levels: the same energies, bit for bit, and no
+    eigenvector block.
     """
     L, N = _wall(b, k, n)
     sizes = (N, 2 * N) if refine else (N,)
-    return tuple(_assemble(b, k, parity, n, L, size) for size in sizes)
+    return tuple(_assemble(b, k, parity, n, L, size, vectors) for size in sizes)
 
 
 def band(b, k, j, refine=False):
@@ -268,8 +285,8 @@ def expectation(pair, f_values):
 
 
 def merge_parities(even, odd):
-    """Interleave solved parity classes, one pair list per grid as `sector`
-    returns them, into globally indexed bands, grid by grid.
+    """Interleave solved parity classes, one pair (or Level) list per grid
+    as `sector` returns them, into globally indexed bands, grid by grid.
 
     Even-below-odd pairwise order and the global interleaving are exact
     statements, but the parity splitting collapses below the eigensolver
@@ -297,14 +314,14 @@ def merge_parities(even, odd):
     return grids
 
 
-def first_levels(b, k, n_bands, refine=False):
+def first_levels(b, k, n_bands, refine=False, vectors=True):
     """The n_bands lowest global bands at one k, both parities merged, one
-    list per grid as `sector` returns them.
+    list per grid as `sector` returns them (Levels without `vectors`).
 
     Every grid's lists are merged by the same deterministic interleave, so
     the m-th entries of each describe the same band.
     """
     n_odd = n_bands // 2
-    even = sector(b, k, Parity.EVEN, n_bands - n_odd, refine=refine)
-    odd = sector(b, k, Parity.ODD, n_odd, refine=refine) if n_odd else ([],) * len(even)
+    even = sector(b, k, Parity.EVEN, n_bands - n_odd, refine, vectors)
+    odd = sector(b, k, Parity.ODD, n_odd, refine, vectors) if n_odd else ([],) * len(even)
     return merge_parities(even, odd)

@@ -43,9 +43,19 @@ def read_csv(path):
     return config, columns, rows, summary, failed, passed
 
 
-def test_bands_single_k_gives_oscillator_levels(tmp_path):
-    assert run(["bands", "--b", "1", "--kmin", "0", "--kmax", "0",
-                "--nbands", "6"], tmp_path) == 0
+def test_bands_single_k_gives_oscillator_levels(tmp_path, monkeypatch):
+    # the table prints energies only, so no solve asks LAPACK for vectors
+    solve, asked = fiber.eigh_tridiagonal, []
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs["eigvals_only"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fiber, "eigh_tridiagonal", spy)
+    for refine in ("--no-refine", "--refine"):     # the refined table is read
+        assert run(["bands", "--b", "1", "--kmin", "0", "--kmax", "0",
+                    "--nbands", "6", refine], tmp_path) == 0
+    assert asked == [True] * 6      # two parities, on one grid and on two
     _, columns, rows, _, failed, passed = read_csv(tmp_path / "bands.csv")
     assert columns == ["omega"] and failed is None and passed
     for row, want in zip(rows, (1.0, 3.0, 5.0, 7.0, 9.0, 11.0)):
@@ -264,7 +274,7 @@ def test_grid_past_its_budget_exits_three_before_allocating(tmp_path, monkeypatc
     def boom(*args, **kwargs):
         raise AssertionError("a grid array was allocated")
 
-    monkeypatch.setattr(counting, "_line_grid", boom)
+    monkeypatch.setattr(counting, "_line_nodes", boom)
     monkeypatch.setattr(counting, "discrete_threshold", boom)
     assert run(argv, tmp_path) == 3
     err = capsys.readouterr().err
@@ -291,11 +301,6 @@ def test_count2d_grid_refusal_is_one_short_line(tmp_path, capsys, argv, message)
     # the budget names the box that is built: 3 turning points of 1000
     (["count1d", "--h", "1e-300"],
      "error: line grid of 6e+303 rows at half-width 3000 exceeds"),
-    # a heavy mass at a shallow gap: the level near -lam decays over
-    # m/sqrt(lam), past the box, and the whole line holds one level
-    (["count1d", "--m", "3", "--lambdas", "0.3,0.1"],
-     "error: line box |y| <= 10 does not certify its count: "
-     "Dirichlet 0 and Neumann 1 differ"),
 ])
 def test_count1d_refusal_is_one_short_line(tmp_path, capsys, argv, message):
     assert run(argv, tmp_path) == 3
@@ -303,6 +308,17 @@ def test_count1d_refusal_is_one_short_line(tmp_path, capsys, argv, message):
     assert line.startswith(message) and len(line) < 100
     _, _, rows, _, failed, passed = read_csv(tmp_path / "count1d.csv")
     assert failed.startswith("NumericalError") and not passed and rows == []
+
+
+def test_count1d_box_reaches_past_a_slowly_decaying_level(tmp_path):
+    # a heavy mass at a shallow gap: the level near -lam decays over
+    # m/sqrt(lam), past 3 turning points (a box of 10 at lam = 0.3 counts 0
+    # where the line holds 1); DECAY_LENGTHS of them certify 1, 1, which fit
+    # nothing
+    assert run(["count1d", "--m", "3", "--lambdas", "0.3,0.1"], tmp_path) == 1
+    _, columns, rows, summary, failed, passed = read_csv(tmp_path / "count1d.csv")
+    assert failed is None and not passed and summary["fitted_exponent"] == "None"
+    assert [int(r[columns.index("count")]) for r in rows] == [1, 1]
 
 
 def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
@@ -334,7 +350,8 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     # k^2 overflows, and b^(4/3) underflows to a zero error bound
     ["airy", "--ks=-1e200", "--jmax", "1"],
     ["airy", "--b", "1e-300", "--ks=-15", "--jmax", "1"],
-    # the 1D stencil's 2m^2/h^2 overflows, or m^2/h^2 underflows
+    # six decay lengths m/sqrt(lam) of 3.2e201 take the box past the row
+    # budget (its 2m^2/h^2 would overflow too), or m^2/h^2 underflows
     ["count1d", "--m", "1e200"],
     ["count1d", "--m", "1e-200"],
     # h sqrt(max Q) = 0.05 against m = 1e-3: the grid, not the well, sets

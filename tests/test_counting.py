@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from contextlib import contextmanager, nullcontext
 from functools import lru_cache
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
-from oracles import birman_schwinger_count
+from oracles import birman_schwinger_count, whole_array_count_1d
 from scipy.linalg import lapack
 from scipy.optimize import minimize_scalar
 
@@ -321,6 +322,11 @@ def test_count_1d_free_operator_and_guards():
     negative = lambda y: -np.ones_like(np.asarray(y, dtype=float))
     with pytest.raises(ConfigurationError):
         counting.count_1d(1.0, negative, 0.1, half_width=10.0)
+    # a NaN is no nonnegative value either, even past a refusal already due
+    far_nan = lambda y: np.where(np.asarray(y) > 2000.0, np.nan, 4e4)
+    for Q in (lambda y: np.full(np.shape(y), np.nan), far_nan):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            counting.count_1d(1.0, Q, 0.1, half_width=3000.0)
     for h in (0.0, -0.05):
         with pytest.raises(ConfigurationError):
             counting.count_1d(1.0, zero, 0.1, half_width=10.0, h=h)
@@ -337,7 +343,7 @@ def _bracket(m, Q, lam, half_width, h, pad):
     padded by pad nodes each side (the same nodes inside), and on the box
     with its two outside links dropped."""
     s = m * m / (h * h)
-    n = len(counting._line_grid(half_width, h))
+    n = math.ceil(2.0 * half_width / h)
     counts = []
     for lo, drop in ((0, 0.0), (-pad, 0.0), (0, s)):
         ys = (np.arange(lo, n - lo) - 0.5 * (n - 1)) * h
@@ -359,7 +365,7 @@ def test_count_1d_bracket_encloses_a_wider_box(m, amplitude, alpha, half_width,
     # first node outside) and a step that resolves the bottom of the well
     Q = lambda y: amplitude * (1.0 + np.asarray(y, dtype=float) ** 2) ** (-alpha / 2.0)
     h = step * m / math.sqrt(amplitude)
-    n = len(counting._line_grid(half_width, h))
+    n = math.ceil(2.0 * half_width / h)
     lam = float(Q(0.5 * (n + 1) * h)) * (1.0 + above)
     lower, whole, upper = _bracket(m, Q, lam, half_width, h, pad=3 * n // 2)
     assert lower <= whole <= upper
@@ -373,16 +379,20 @@ def test_count_1d_bracket_encloses_a_wider_box(m, amplitude, alpha, half_width,
 
 
 def test_verified_count_1d_builds_one_line_grid(monkeypatch):
-    calls, line_grid = [], counting._line_grid
+    # one pass over one grid: each chunk of nodes is built once, in order,
+    # and feeds both bracket sweeps
+    calls, line_nodes = [], counting._line_nodes
 
-    def spy(half_width, h):
-        calls.append((half_width, h))
-        return line_grid(half_width, h)
+    def spy(n, h, start):
+        calls.append((n, h, start))
+        return line_nodes(n, h, start)
 
-    monkeypatch.setattr(counting, "_line_grid", spy)
+    monkeypatch.setattr(counting, "_line_nodes", spy)
     Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
     assert counting.count_1d(1.0, Q, 3e-3, half_width=1000.0) == 17
-    assert calls == [(1000.0, counting.DEFAULT_H_1D)]
+    n = 40_000      # 2000 / DEFAULT_H_1D: two chunks and one seam
+    assert calls == [(n, counting.DEFAULT_H_1D, start)
+                     for start in range(0, n, CHUNK)]
 
 
 def _no_grid(*args, **kwargs):
@@ -390,7 +400,7 @@ def _no_grid(*args, **kwargs):
 
 
 def test_count_1d_refuses_an_oversized_grid_before_allocating(monkeypatch):
-    monkeypatch.setattr(counting, "_line_grid", _no_grid)
+    monkeypatch.setattr(counting, "_line_nodes", _no_grid)
     Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
     # the budget counts the rows of the box that is built, with or without
     # the bracket, and names that box
@@ -407,6 +417,126 @@ def test_count_1d_refuses_an_oversized_grid_before_allocating(monkeypatch):
             reduced.ell, 1e-3, alpha)
         with pytest.raises(NumericalError, match="budget"):
             counting.count_1d(1.0, reduced, 1e-3, half_width=width)
+    # a box too narrow for one node, as a turning point that underflows to 0
+    # gives, has no grid to count on
+    for width in (0.0, -1.0):
+        with pytest.raises(NumericalError, match=f"box \\|y\\| <= {width:g} "
+                           "holds no node of the grid of step h=0.05"):
+            counting.count_1d(1.0, Q, 1e-3, half_width=width)
+
+
+def _node_table(values, h):
+    """Q that takes values[i] at node i of the len(values)-node line grid of
+    step h, and 0 off it; planted pivots need Q node by node."""
+    n = len(values)
+
+    def Q(y):
+        i = np.rint(np.asarray(y, dtype=float) / h + 0.5 * (n - 1)).astype(np.int64)
+        inside = (i >= 0) & (i < n)
+        out = np.zeros(i.shape)
+        out[inside] = values[i[inside]]
+        return out
+
+    return Q
+
+
+def _seam_zero_table(n, row):
+    """Q on n nodes, at m = 1, h = 0.5 and lam = 2, whose Dirichlet pivot at
+    `row` is an exact zero: Q = 2 at node 0 starts the pivots at 8, Q = 0
+    keeps them there (10 - 16/8), and Q = 4, 4, 2 ending at `row` steps
+    them 4, 2, 0 (10 - Q - 16/p), every float exact. Q stays within the
+    wavelength limit m^2/h^2 = 4."""
+    values = np.zeros(n)
+    values[0] = 2.0
+    values[row - 2:row + 1] = [4.0, 4.0, 2.0]
+    return _node_table(values, 0.5)
+
+
+@st.composite
+def line_counts(draw):
+    """count_1d arguments on grids of 1, 2, a few and over 3 chunk seams:
+    decreasing wells, some negative, under-resolved or stopping short of
+    the turning point, and planted exact zero pivots on seam rows."""
+    verify = draw(st.booleans())
+    n = draw(st.sampled_from([1, 2, 7, 3 * CHUNK + 1])) if draw(st.booleans()) \
+        else draw(st.integers(3 * CHUNK + 2, 4 * CHUNK))
+    if n > 3 * CHUNK and draw(st.booleans()):
+        row = draw(st.sampled_from([CHUNK - 1, CHUNK, 2 * CHUNK, 3 * CHUNK - 1,
+                                    3 * CHUNK]))
+        return 1.0, _seam_zero_table(n, row), 2.0, 0.25 * n, 0.5, verify
+    m = draw(st.floats(0.5, 2.0))
+    amplitude = draw(st.floats(0.2, 3.0))
+    alpha = draw(st.floats(0.3, 1.9))
+    offset = draw(st.sampled_from([0.0, 0.0, 0.0, 1e-3]))
+    h = draw(st.floats(0.05, 1.2)) * m / math.sqrt(amplitude)
+    half_width = 0.5 * n * h
+    edge = amplitude * (1.0 + (0.5 * (n + 1) * h) ** 2) ** (-alpha / 2.0)
+    lam = edge * draw(st.floats(0.5, 3.0))
+    Q = lambda y: amplitude * (1.0 + np.asarray(y, dtype=float) ** 2) \
+        ** (-alpha / 2.0) - offset
+    return m, Q, lam, half_width, h, verify
+
+
+def _outcome(count, args):
+    try:
+        return count(*args)
+    except (ConfigurationError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None, database=None)
+@given(line_counts())
+def test_streamed_count_1d_equals_the_whole_array_oracle(args):
+    assert _outcome(counting.count_1d, args) == _outcome(whole_array_count_1d, args)
+
+
+@pytest.mark.parametrize("row", [CHUNK - 1, CHUNK, 3 * CHUNK])
+def test_planted_seam_pivot_is_an_exact_zero(row):
+    # the Dirichlet recurrence of the table, row by row, from the steady 8
+    Q = _seam_zero_table(3 * CHUNK + 5, row)
+    q = Q((np.arange(3 * CHUNK + 5) - 0.5 * (3 * CHUNK + 4)) * 0.5)
+    pivot = 8.0
+    for i in range(row - 2, row + 1):
+        pivot = (8.0 - q[i] + 2.0) - 16.0 / pivot
+    assert pivot == 0.0 and q[row - 3] == 0.0
+    args = (1.0, Q, 2.0, 0.25 * len(q), 0.5)
+    for verify in (True, False):
+        assert _outcome(counting.count_1d, args + (verify,)) \
+            == _outcome(whole_array_count_1d, args + (verify,))
+
+
+def _traced_peak(count, *args):
+    tracemalloc.start()
+    try:
+        count(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_1d_memory_is_a_few_chunks_at_any_box():
+    # the default count1d ladder's deepest rung: 1.2 M rows, certified
+    Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
+    args = (1.0, Q, 1e-4, 3e4)
+    chunk_bytes = 8 * CHUNK
+    assert _traced_peak(counting.count_1d, *args) < 8 * chunk_bytes
+    # the whole-array count holds y, Q, d and e of 1.2 M rows at once
+    assert _traced_peak(whole_array_count_1d, *args) > 100 * chunk_bytes
+
+
+def test_line_box_reaches_past_a_slowly_decaying_level():
+    # three turning points set the box of the default ladder; a heavy mass
+    # at a shallow gap gets DECAY_LENGTHS decay lengths past one
+    for lam in (1e-3, 3e-4, 1e-4):
+        assert counting.line_half_width(1.0, lam, 1.0, 1.0) \
+            == counting.TURNING_FACTOR * counting.tail_turning_point(1.0, lam, 1.0)
+    width = counting.line_half_width(1.0, 0.3, 1.0, 3.0)
+    assert width == 1.0 / 0.3 + counting.DECAY_LENGTHS * 3.0 / math.sqrt(0.3)
+    Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
+    assert counting.count_1d(3.0, Q, 0.3, width) == 1
+    with pytest.raises(NumericalError, match="Dirichlet 0 and Neumann 1 differ"):
+        counting.count_1d(3.0, Q, 0.3, counting.TURNING_FACTOR / 0.3)
 
 
 def test_turning_point_and_constant_past_the_float_range():

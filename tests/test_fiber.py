@@ -314,6 +314,20 @@ def test_eigenpairs_values_do_not_depend_on_vectors(b, q, parity, first, more, N
     assert alone.tobytes() == w.tobytes() and x_alone.tobytes() == x.tobytes()
 
 
+@seed(20261020)
+@settings(max_examples=30, deadline=None, database=None)
+@given(_fields, st.floats(-8.0, 8.0), st.integers(1, 40), st.booleans())
+def test_first_levels_energies_do_not_depend_on_vectors(b, q, n_bands, refine):
+    k = q * math.sqrt(b)
+    paired = fiber.first_levels(b, k, n_bands, refine)
+    levels = fiber.first_levels(b, k, n_bands, refine, vectors=False)
+    assert len(levels) == len(paired)
+    for pairs, alone in zip(paired, levels):
+        assert all(isinstance(level, fiber.Level) for level in alone)
+        assert [(p.j, p.k, p.omega, p.grid.h) for p in pairs] \
+            == [(p.j, p.k, p.omega, p.grid.h) for p in alone]
+
+
 def test_every_sector_solve_reports_a_lapack_failure_as_numerical(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("planted")

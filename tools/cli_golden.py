@@ -89,6 +89,10 @@ CASES["count1d_ell"] = ["count1d", "--ell", "0.9", "--lambdas", "9e-4,2.7e-4"]
 CASES["count1d_noverify"] = ["count1d", "--no-verify", "--lambdas", "1e-3,3e-4,1e-4"]
 CASES["count1d_alpha15"] = ["count1d", "--alpha", "1.5", "--m", "2",
                             "--lambdas", "1e-3,3e-4"]
+# a heavy mass at shallow gaps: the box reaches 6 decay lengths m/sqrt(lam)
+# past the turning point, where 3 turning points stop short, and certifies
+# counts 1, 1, which fit nothing: exit 1
+CASES["count1d_heavy"] = ["count1d", "--m", "3", "--lambdas", "0.3,0.1"]
 
 
 def run_case(cli, argv):
