@@ -125,41 +125,47 @@ COMMANDS = {
     },
 }
 
-_CONVERTERS = {
-    "float": float,
-    "int": int,
-    "str": str,
-}
+_EXPECTED = {"float": "a number", "int": "an integer", "bool": "a boolean",
+             "floats": "comma-separated numbers"}
 
 
 def _parse_bool(text):
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigurationError(f"expected a boolean, got {text!r}")
+    raise ValueError(text)
 
 
-def _parse_floats(text):
+def _convert(name, option, text):
+    """Option `name`'s value from its text, from argv or a config file alike:
+    read by option.kind, then held to its domain (numbers finite, integers
+    at least 1). A bool flag arrives from argv as True or False, whose text
+    reads back as the same bool."""
+    kind, text = option.kind, str(text).strip()
+    refuse = f"--{name.replace('_', '-')}: "
     try:
-        values = tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated numbers: {exc}")
-    if not values:
-        raise ConfigurationError("expected at least one number")
-    return values
-
-
-def _convert(option, text):
-    if option.kind == "bool":
-        return _parse_bool(text)
-    if option.kind == "floats":
-        return _parse_floats(text)
-    try:
-        return _CONVERTERS[option.kind](text)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc))
+        if kind == "str":
+            return text
+        if kind == "bool":
+            return _parse_bool(text)
+        if kind == "int":
+            value = int(text)
+        else:
+            parts = text.split(",") if kind == "floats" else [text]
+            value = tuple(float(part) for part in parts if part.strip())
+    except ValueError:
+        value = None
+    if value in (None, ()):
+        raise ConfigurationError(f"{refuse}expected {_EXPECTED[kind]}, got {text!r}")
+    if kind == "int":
+        if value < 1:
+            raise ConfigurationError(f"{refuse}must be at least 1, got {value}")
+        return value
+    if not all(map(math.isfinite, value)):
+        raise ConfigurationError(f"{refuse}must be finite, got {text}")
+    return value if kind == "floats" else value[0]
 
 
 def load_config_file(path):
@@ -167,7 +173,7 @@ def load_config_file(path):
     entries = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file: {exc}")
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -190,20 +196,10 @@ def effective_config(command, args):
             f"unknown config keys for {command}: {', '.join(unknown)}")
     cfg = {}
     for name, option in schema.items():
-        flag = getattr(args, name)
-        if flag is not None:
-            cfg[name] = _convert(option, flag) if isinstance(flag, str) \
-                and option.kind in ("floats",) else flag
-        elif name in file_entries:
-            cfg[name] = _convert(option, file_entries[name])
-        else:
-            cfg[name] = option.default
-        if option.kind in ("float", "floats") and cfg[name] is not None:
-            values = cfg[name] if option.kind == "floats" else (cfg[name],)
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigurationError(f"{name} must be finite, got {cfg[name]}")
-        if option.kind == "int" and cfg[name] is not None and cfg[name] < 1:
-            raise ConfigurationError(f"{name} must be at least 1, got {cfg[name]}")
+        text = getattr(args, name)
+        if text is None:
+            text = file_entries.get(name)
+        cfg[name] = option.default if text is None else _convert(name, option, text)
     return cfg
 
 
@@ -395,9 +391,9 @@ def _window_report(cfg, trace_samples, jobs):
         try:
             energy = float(spec)
         except ValueError:
-            raise ConfigurationError(f"E must be a number or 'mid', got {spec!r}")
+            raise ConfigurationError(f"--E: must be a number or 'mid', got {spec!r}")
         if not math.isfinite(energy):
-            raise ConfigurationError(f"E must be finite, got {energy}")
+            raise ConfigurationError(f"--E: must be finite, got {energy}")
     table = bands.trace(b, kmin, kmax, n_bands=nbands,
                         base_samples=trace_samples, refine=True, jobs=jobs)
     if spec == "mid":
@@ -550,19 +546,12 @@ def build_parser():
         for name, option in schema.items():
             flag = f"--{name.replace('_', '-')}"
             if option.kind == "bool":
-                sub.add_argument(flag, dest=name, default=None,
+                sub.add_argument(flag, dest=name,
                                  action=argparse.BooleanOptionalAction,
                                  help=option.help)
-            elif option.kind == "floats":
-                sub.add_argument(flag, dest=name, default=None, type=str,
-                                 help=option.help + " (comma-separated)")
-            elif option.kind == "int":
-                sub.add_argument(flag, dest=name, default=None, type=int,
-                                 help=option.help)
-            else:
-                sub.add_argument(flag, dest=name, default=None, type=str
-                                 if option.kind == "str" else float,
-                                 help=option.help)
+            else:       # text, read by _convert as config entries are
+                sub.add_argument(flag, dest=name, help=option.help + (
+                    " (comma-separated)" if option.kind == "floats" else ""))
         sub.add_argument("--config", default=None,
                          help="key=value config file; flags take precedence")
         sub.add_argument("--outdir", default=".", help="output directory")
@@ -581,6 +570,16 @@ def _exit_for(exc):
     return EXIT_USAGE if isinstance(exc, ConfigurationError) else EXIT_RESOLUTION
 
 
+def _outdir(text):
+    """The output directory, refused before any solve when it is, or lies
+    under, something other than a directory."""
+    outdir = Path(text)
+    for path in (outdir, *outdir.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigurationError(f"--outdir: {path} is not a directory")
+    return outdir
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.jobs < 1:
@@ -588,13 +587,13 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         cfg = effective_config(args.command, args)
+        outdir = _outdir(args.outdir)
         payload = DISPATCH[args.command](cfg, jobs=args.jobs)
     except (ConfigurationError, NumericalError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_for(exc)
     exc = payload.pop("_exc", None)
     extra_files = payload.pop("extra_files", {})
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{args.command}.{args.format}"
     text = render_csv(payload) if args.format == "csv" else render_json(payload)

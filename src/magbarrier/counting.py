@@ -222,52 +222,46 @@ def tridiagonal_inertia(d, e, tau, carry=None):
     Exact in the Sturm sense: each pivot sign is computed from the shifted
     recurrence, a zero pivot counting as negative (the LAPACK convention).
     Each pivot is (d[i] - tau) - e[i-1] (e[i-1] / pivot), the expression of
-    LAPACK's dpttrf, which factors the shifted diagonal in place,
-    INERTIA_CHUNK rows at a time so a long line grid adds little memory.
-    dpttrf stops at the first nonpositive pivot; that pivot is counted,
-    clamped to -1e-300 when zero, and carried into the next row, and dpttrf
-    restarts there, so the cost is one call per negative pivot plus one per
-    chunk. The last pivot of a chunk is carried into the next one the same
-    way.
+    LAPACK's dpttrf, which factors one shifted copy of d in place. dpttrf
+    stops at the first nonpositive pivot; that pivot is counted, clamped to
+    -1e-300 when zero, and carried into the next row, and dpttrf restarts
+    there, so the cost is one call per negative pivot plus one.
 
     `carry` streams a longer matrix through in pieces, d and e being its
     rows from some row r on: a list [coupling, pivot] of the entry joining
     row r - 1 to row r and the last pivot of the rows before r, with pivot
     None at r = 0. The call joins d to those rows by that seam and leaves
     carry[1] holding d's last pivot, so the counts of consecutive pieces add
-    up to the longer matrix's, pivot for pivot.
+    up to the longer matrix's, pivot for pivot. count_1d streams its line
+    grid so, INERTIA_CHUNK rows a piece.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     if len(e) != len(d) - 1:
         raise ConfigurationError("need len(e) == len(d) - 1")
     seam, pivot = carry or (0.0, None)
-    count = 0
-    for start in range(0, len(d), INERTIA_CHUNK):
-        ds = d[start:start + INERTIA_CHUNK] - tau
-        ec = e[start:start + len(ds) - 1].copy()  # dpttrf overwrites it
-        if start:
-            seam = float(e[start - 1])
-        if pivot is not None:
-            ds[0] = float(ds[0]) - seam * (seam / pivot)
-        row = 0
-        # a last row alone is left to the check below: f2py refuses an empty e
-        while row < len(ds) - 1:
-            info = lapack.dpttrf(ds[row:], ec[row:], overwrite_d=1, overwrite_e=1)[2]
-            if info == 0:
-                break
-            row += info - 1
-            if row == len(ds) - 1:
-                break
-            count += 1
-            pivot = float(ds[row]) or -1e-300
-            coupling = float(ec[row])
-            row += 1
-            ds[row] = float(ds[row]) - coupling * (coupling / pivot)
-        pivot = float(ds[-1])
-        if pivot <= 0.0:
-            count += 1
-            pivot = pivot or -1e-300
+    ds = d - tau
+    ec = e.copy()  # dpttrf overwrites it
+    if pivot is not None:
+        ds[0] = float(ds[0]) - seam * (seam / pivot)
+    count = row = 0
+    # a last row alone is left to the check below: f2py refuses an empty e
+    while row < len(ds) - 1:
+        info = lapack.dpttrf(ds[row:], ec[row:], overwrite_d=1, overwrite_e=1)[2]
+        if info == 0:
+            break
+        row += info - 1
+        if row == len(ds) - 1:
+            break
+        count += 1
+        pivot = float(ds[row]) or -1e-300
+        coupling = float(ec[row])
+        row += 1
+        ds[row] = float(ds[row]) - coupling * (coupling / pivot)
+    pivot = float(ds[-1])
+    if pivot <= 0.0:
+        count += 1
+        pivot = pivot or -1e-300
     if carry is not None:
         carry[1] = pivot
     return count

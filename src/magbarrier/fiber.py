@@ -34,8 +34,9 @@ MARGIN = 4.0
 # the largest h * sqrt(V(L)) a grid may have at the wall; a solve whose
 # wall needs a finer step gets more than DEFAULT_RESOLUTION points
 WALL_PHASE = 0.45
-# rows x levels of the eigenvector block one solve may build; the default
-# airy check (k = -40) builds 17,000 rows for 2 levels
+# rows x levels of one solve's work: the eigenvector block where vectors are
+# built, dstebz's bisection where they are not; the default airy check
+# (k = -40) builds 17,000 rows for 2 levels
 MAX_ROWS = 20_000_000
 
 
@@ -123,7 +124,8 @@ def _wall(b, k, levels):
     next multiple of 500 that keeps h * sqrt(V(L)) <= WALL_PHASE, which
     deep barrier-side solves need because V(L) carries the k^2 offset. Refused
     before anything is allocated: a doubled grid (the largest a refined
-    solve builds) whose rows times levels pass MAX_ROWS, and a step so
+    solve builds) whose rows times levels, the size of the vector block or
+    of the bisection of an energies-only solve, pass MAX_ROWS, and a step so
     coarse that LAPACK's square of the off-diagonal 1/h^2 underflows.
     """
     if levels < 1:

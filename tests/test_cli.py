@@ -110,10 +110,86 @@ def test_config_file_yields_to_flags(tmp_path):
     assert float(rows[0][0]) == pytest.approx(1.0, rel=1e-6)
 
 
+TEXT_OPTIONS = [(command, name) for command, schema in cli.COMMANDS.items()
+                for name, option in schema.items() if option.kind != "bool"]
+
+
+def _refusal(argv, outdir, capsys):
+    """(exit code, stderr lines) of a run that must write nothing."""
+    code = run(argv, outdir)
+    assert not outdir.exists() or list(outdir.iterdir()) == []
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("command, name", TEXT_OPTIONS)
+def test_bad_text_is_one_error_line_from_argv_or_config(tmp_path, capsys,
+                                                        command, name):
+    # argv and config values go through one converter, so the same text is
+    # refused with the same line, naming the option, before any solve
+    flag = f"--{name.replace('_', '-')}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = x\n")
+    from_argv = _refusal([command, flag, "x"], tmp_path / "argv", capsys)
+    from_file = _refusal([command, "--config", str(cfg)], tmp_path / "file",
+                         capsys)
+    assert from_argv == from_file
+    code, lines = from_argv
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, schema in cli.COMMANDS.items()
+    for name, option in schema.items() if option.kind == "bool"])
+def test_config_bool_maybe_is_refused(tmp_path, capsys, command, name):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = maybe\n")
+    flag = f"--{name.replace('_', '-')}"
+    assert _refusal([command, "--config", str(cfg)], tmp_path / "out",
+                    capsys) == (2, [f"error: {flag}: expected a boolean, "
+                                    "got 'maybe'"])
+
+
+def test_config_run_writes_the_argv_run_bytes(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambdas = 1e-2,3e-3\nverify = yes\n")
+    assert run(["count1d", "--config", str(cfg)], tmp_path / "file") == 0
+    assert run(["count1d", "--lambdas", "1e-2,3e-3", "--verify"],
+               tmp_path / "argv") == 0
+    assert (tmp_path / "file" / "count1d.csv").read_bytes() \
+        == (tmp_path / "argv" / "count1d.csv").read_bytes()
+
+
+def test_outdir_that_is_not_a_directory_is_refused_before_the_solve(
+        tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("a count ran")
+
+    monkeypatch.setattr(counting, "count_1d", boom)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for outdir in (blocker, blocker / "sub" / "dir"):
+        assert cli.main(["count1d", "--lambdas", "1e-2,3e-3",
+                         "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --outdir: {blocker} is not a directory"]
+    assert blocker.read_text() == "kept\n"
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense=1\n")
     assert run(["bands", "--config", str(cfg)], tmp_path) == 2
+
+
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    # a byte that is not UTF-8 used to leave as a UnicodeDecodeError traceback
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"lambdas = 1e-2\xff\n")
+    code, lines = _refusal(["count1d", "--config", str(cfg)], tmp_path / "out",
+                           capsys)
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith("error: cannot read config file: ")
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -542,7 +618,8 @@ def test_worker_budget_refusal_is_a_resolution_error(tmp_path, capfd):
 
 def test_bands_past_the_eigenvector_budget_exit_three_before_a_stencil(
         tmp_path, monkeypatch, capsys):
-    # 1000 levels per parity on a 60500-point grid: 1.21e8 vector entries
+    # 1000 levels per parity on a 60500-point grid: 1.21e8 rows x levels of
+    # dstebz bisection, as this energies-only path builds no vector block
     def boom(*args, **kwargs):
         raise AssertionError("a stencil was built")
 
@@ -556,9 +633,9 @@ def test_bands_past_the_eigenvector_budget_exit_three_before_a_stencil(
 
 @pytest.mark.parametrize("command", ["mourre", "budget", "localize"])
 @pytest.mark.parametrize("energy, message", [
-    ("nan", "error: E must be finite, got nan"),
-    ("inf", "error: E must be finite, got inf"),
-    ("foo", "error: E must be a number or 'mid', got 'foo'"),
+    ("nan", "error: --E: must be finite, got nan"),
+    ("inf", "error: --E: must be finite, got inf"),
+    ("foo", "error: --E: must be a number or 'mid', got 'foo'"),
 ])
 def test_window_energy_is_refused_before_the_trace(tmp_path, monkeypatch,
                                                    capsys, command, energy,

@@ -223,14 +223,24 @@ def test_inertia_equals_reference_loop_on_zero_pivots(system):
     assert counting.tridiagonal_inertia(*system) == _reference_inertia(*system)
 
 
+def _inertia_in_pieces(d, e, tau, cuts):
+    """tridiagonal_inertia over the pieces of (d, e) that start at row 0 and
+    at each row of `cuts`, joined by carry as count_1d joins its chunks."""
+    bounds = [0, *cuts, len(d)]
+    carry, count = [0.0, None], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo:
+            carry[0] = float(e[lo - 1])
+        count += counting.tridiagonal_inertia(d[lo:hi], e[lo:hi - 1], tau, carry)
+    return count
+
+
 @seed(20261018)
-@settings(max_examples=24, deadline=None, database=None)
-@given(st.sampled_from([1, 2, counting.INERTIA_CHUNK, counting.INERTIA_CHUNK + 1,
-                        2 * counting.INERTIA_CHUNK + 1]),
-       st.integers(0, 2 ** 32 - 1), st.booleans(),
-       st.sampled_from(["float64", "longdouble", "list"]))
-def test_inertia_equals_reference_loop_across_chunk_edges(n, rng_seed,
-                                                          integer, kind):
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([1, 2, 3, 7, 40, 1000]), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.sampled_from(["float64", "longdouble", "list"]))
+def test_inertia_pieces_joined_by_carry_equal_one_sweep(n, rng_seed, integer,
+                                                        kind):
     rng = np.random.default_rng(rng_seed)
     if integer:
         d = rng.integers(-3, 4, size=n)
@@ -240,24 +250,29 @@ def test_inertia_equals_reference_loop_across_chunk_edges(n, rng_seed,
         d = rng.normal(size=n) * 3.0
         e = rng.normal(size=n - 1)
         tau = float(rng.normal())
+    cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(
+        0, 6))), replace=False).tolist()) if n > 1 else []
     d, e = _as_kind(kind, d, e)
-    assert counting.tridiagonal_inertia(d, e, tau) == _reference_inertia(d, e, tau)
+    whole = counting.tridiagonal_inertia(d, e, tau)
+    assert whole == _reference_inertia(d, e, tau)
+    assert _inertia_in_pieces(d, e, tau, cuts) == whole
 
 
 CHUNK = counting.INERTIA_CHUNK
 
 
-@pytest.mark.parametrize("n, zero_rows", [
-    (1, [0]), (2, [0]), (2, [1]), (2, [0, 1]),
-    (CHUNK, [CHUNK - 1]),                 # the last row
-    (CHUNK + 3, [CHUNK - 1]),             # the last row of a chunk
-    (CHUNK + 3, [CHUNK]),                 # the first row after a seam
-    (CHUNK + 3, [CHUNK - 1, CHUNK]),
-    (2 * CHUNK + 1, [2 * CHUNK - 1, 2 * CHUNK]),  # a last chunk of one row
+@pytest.mark.parametrize("n, zero_rows, cuts", [
+    (1, [0], []), (2, [0], [1]), (2, [1], [1]), (2, [0, 1], []),
+    (10, [9], []),                        # the last row
+    (13, [9], [10]),                      # the last row of a piece
+    (13, [10], [10]),                     # the first row after a seam
+    (13, [9, 10], [10]),
+    (21, [19, 20], [10, 20]),             # a last piece of one row
 ])
-def test_inertia_exact_zero_pivots_at_seams_and_ends(n, zero_rows):
+def test_inertia_exact_zero_pivots_at_piece_seams_and_ends(n, zero_rows, cuts):
     # d[row] = tau with no coupling to the row before makes that pivot an
-    # exact zero: it counts, and the clamp carries it into the next row
+    # exact zero: it counts, and the clamp carries it into the next row,
+    # across a seam through carry
     rng = np.random.default_rng(n + sum(zero_rows))
     d = rng.normal(size=n) * 3.0
     e = rng.normal(size=n - 1)
@@ -268,6 +283,7 @@ def test_inertia_exact_zero_pivots_at_seams_and_ends(n, zero_rows):
             e[row - 1] = 0.0
     got = counting.tridiagonal_inertia(d, e, tau)
     assert got == _reference_inertia(d, e, tau)
+    assert _inertia_in_pieces(d, e, tau, cuts) == got
     if n <= 2:
         assert got == int((np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1)
                                               + np.diag(e, -1)) <= tau).sum())
@@ -453,16 +469,17 @@ def _seam_zero_table(n, row):
 
 
 @st.composite
-def line_counts(draw):
-    """count_1d arguments on grids of 1, 2, a few and over 3 chunk seams:
-    decreasing wells, some negative, under-resolved or stopping short of
-    the turning point, and planted exact zero pivots on seam rows."""
+def line_counts(draw, chunk=CHUNK):
+    """count_1d arguments on grids of 1, 2, a few and over 3 seams of
+    `chunk`-row chunks: decreasing wells, some negative, under-resolved or
+    stopping short of the turning point, and planted exact zero pivots on
+    seam rows."""
     verify = draw(st.booleans())
-    n = draw(st.sampled_from([1, 2, 7, 3 * CHUNK + 1])) if draw(st.booleans()) \
-        else draw(st.integers(3 * CHUNK + 2, 4 * CHUNK))
-    if n > 3 * CHUNK and draw(st.booleans()):
-        row = draw(st.sampled_from([CHUNK - 1, CHUNK, 2 * CHUNK, 3 * CHUNK - 1,
-                                    3 * CHUNK]))
+    n = draw(st.sampled_from([1, 2, 7, 3 * chunk + 1])) if draw(st.booleans()) \
+        else draw(st.integers(3 * chunk + 2, 4 * chunk))
+    if n > 3 * chunk and draw(st.booleans()):
+        row = draw(st.sampled_from([chunk - 1, chunk, 2 * chunk, 3 * chunk - 1,
+                                    3 * chunk]))
         return 1.0, _seam_zero_table(n, row), 2.0, 0.25 * n, 0.5, verify
     m = draw(st.floats(0.5, 2.0))
     amplitude = draw(st.floats(0.2, 3.0))
@@ -489,6 +506,16 @@ def _outcome(count, args):
 @given(line_counts())
 def test_streamed_count_1d_equals_the_whole_array_oracle(args):
     assert _outcome(counting.count_1d, args) == _outcome(whole_array_count_1d, args)
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None, database=None)
+@given(line_counts(chunk=7))
+def test_count_1d_in_seven_row_chunks_equals_the_whole_array_oracle(args):
+    # a short grid crosses many seams, each joined by carry
+    with mock.patch.object(counting, "INERTIA_CHUNK", 7):
+        streamed = _outcome(counting.count_1d, args)
+    assert streamed == _outcome(whole_array_count_1d, args)
 
 
 @pytest.mark.parametrize("row", [CHUNK - 1, CHUNK, 3 * CHUNK])

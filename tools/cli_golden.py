@@ -13,8 +13,10 @@ them after it. Each case prints its exit code, its verdict and its wall
 time in seconds on stdout, so a run also gives the end-to-end time of every
 subcommand at its pinned config. The `_jobs2` twins run the commands that
 fork workers at `--jobs 2`; their digests were recorded where `--jobs` was
-ignored, so they show that the output does not depend on `--jobs`. The whole run takes about
-15 s on two cores.
+ignored, so they show that the output does not depend on `--jobs`. A case
+named in `CONFIGS` also passes its text by `--config`, from a file beside
+the output directory, so it shows that a config file and argv give the same
+bytes. The whole run takes about 15 s on two cores.
 """
 
 import argparse
@@ -93,14 +95,25 @@ CASES["count1d_alpha15"] = ["count1d", "--alpha", "1.5", "--m", "2",
 # past the turning point, where 3 turning points stop short, and certifies
 # counts 1, 1, which fit nothing: exit 1
 CASES["count1d_heavy"] = ["count1d", "--m", "3", "--lambdas", "0.3,0.1"]
+# config-file cases: the text is passed by --config from a file beside the
+# output directory; count1d_config must hash as count1d does
+CONFIGS = {"count1d_config": "lambdas = 1e-3,3e-4,1e-4\nverify = yes\n"}
+CASES["count1d_config"] = ["count1d"]
 
 
-def run_case(cli, argv):
-    """(exit code, {file name: sha256}) of one CLI run in a fresh directory."""
+def run_case(cli, argv, config=None):
+    """(exit code, {file name: sha256}) of one CLI run in a fresh directory,
+    with the config text, if any, passed by --config."""
     with tempfile.TemporaryDirectory() as tmp:
-        code = cli.main(argv + ["--outdir", tmp])
+        outdir = Path(tmp) / "out"
+        outdir.mkdir()
+        if config is not None:
+            path = Path(tmp) / "run.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        code = cli.main(argv + ["--outdir", str(outdir)])
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in sorted(Path(tmp).iterdir())}
+                   for path in sorted(outdir.iterdir())}
     return code, digests
 
 
@@ -117,9 +130,11 @@ def main(argv=None):
     results = {}
     for name, case in CASES.items():
         start = time.perf_counter()
-        code, digests = run_case(cli, case)
+        code, digests = run_case(cli, case, CONFIGS.get(name))
         elapsed = time.perf_counter() - start
         results[name] = {"argv": case, "exit": code, "sha256": digests}
+        if name in CONFIGS:
+            results[name]["config"] = CONFIGS[name]
         verdict = "recorded" if args.write else \
             "identical" if stored.get(name) == results[name] else "DIFF"
         print(f"{name}: exit {code}, {verdict}, {elapsed:.2f} s wall")

@@ -63,7 +63,7 @@ def _statements(path):
 def main():
     sys.path.insert(0, str(HERE))
     sys.path.insert(0, str(PACKAGE.parent))
-    from cli_golden import CASES, run_case
+    from cli_golden import CASES, CONFIGS, run_case
 
     prefix = str(PACKAGE) + "/"
     hits = {}
@@ -88,8 +88,8 @@ def main():
         # the commands' own status and error lines are not part of the report
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            for argv in CASES.values():
-                run_case(cli, argv + ["--jobs", "1"])
+            for name, argv in CASES.items():
+                run_case(cli, argv + ["--jobs", "1"], CONFIGS.get(name))
     finally:
         sys.settrace(None)
     elapsed = time.perf_counter() - start
