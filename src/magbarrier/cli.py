@@ -47,7 +47,7 @@ STABILITY_REFINE = 1.25
 
 @dataclass(frozen=True)
 class Option:
-    kind: str          # float | int | str | bool | floats
+    kind: str          # float | int | str | bool | floats | format
     default: object
     help: str
 
@@ -125,8 +125,19 @@ COMMANDS = {
     },
 }
 
+# how every subcommand runs and writes, never what it computes; argv only,
+# as a config file takes only its subcommand's schema keys
+RUN_OPTIONS = {
+    "jobs": Option("int", 1, "worker processes: count2d for the (rung, parity) "
+                   "sectors; bands, mourre, budget and localize for the "
+                   "k-sweep; ho for the band minimum beside the precise pair "
+                   "solves; minima for the minima (output never depends on it)"),
+    "format": Option("format", "csv", "output format, csv or json"),
+}
+
+FORMATS = ("csv", "json")
 _EXPECTED = {"float": "a number", "int": "an integer", "bool": "a boolean",
-             "floats": "comma-separated numbers"}
+             "floats": "comma-separated numbers", "format": " or ".join(FORMATS)}
 
 
 def _parse_bool(text):
@@ -141,8 +152,11 @@ def _parse_bool(text):
 def _convert(name, option, text):
     """Option `name`'s value from its text, from argv or a config file alike:
     read by option.kind, then held to its domain (numbers finite, integers
-    at least 1). A bool flag arrives from argv as True or False, whose text
-    reads back as the same bool."""
+    at least 1, a format one of FORMATS); no text (None) reads as the
+    option's default. A bool flag arrives from argv as True or False, whose
+    text reads back as the same bool."""
+    if text is None:
+        return option.default
     kind, text = option.kind, str(text).strip()
     refuse = f"--{name.replace('_', '-')}: "
     try:
@@ -152,6 +166,8 @@ def _convert(name, option, text):
             return _parse_bool(text)
         if kind == "int":
             value = int(text)
+        elif kind == "format":
+            value = text if text in FORMATS else None
         else:
             parts = text.split(",") if kind == "floats" else [text]
             value = tuple(float(part) for part in parts if part.strip())
@@ -159,6 +175,8 @@ def _convert(name, option, text):
         value = None
     if value in (None, ()):
         raise ConfigurationError(f"{refuse}expected {_EXPECTED[kind]}, got {text!r}")
+    if kind == "format":
+        return value
     if kind == "int":
         if value < 1:
             raise ConfigurationError(f"{refuse}must be at least 1, got {value}")
@@ -199,7 +217,7 @@ def effective_config(command, args):
         text = getattr(args, name)
         if text is None:
             text = file_entries.get(name)
-        cfg[name] = option.default if text is None else _convert(name, option, text)
+        cfg[name] = _convert(name, option, text)
     return cfg
 
 
@@ -367,6 +385,10 @@ def cmd_airy(cfg, jobs):
 
 
 def cmd_ho(cfg, jobs):
+    if cfg["samples"] > fiber.MAX_ROWS:
+        raise NumericalError(
+            f"k-grid of {cfg['samples']} samples exceeds the budget of "
+            f"{fiber.MAX_ROWS} entries; lower the samples")
     ks = np.linspace(cfg["kmin"], cfg["kmax"], cfg["samples"])
     fit = asymptotics.splitting_fit(cfg["b"], cfg["j"], ks, jobs=jobs)
     columns = ["k", "gap_plus", "gap_minus", "splitting", "retained"]
@@ -473,7 +495,7 @@ def cmd_count1d(cfg, jobs):
 def cmd_count2d(cfg, jobs):
     b, alpha = cfg["b"], cfg["alpha"]
     lambdas = counting.checked_ladder(cfg["lambdas"])  # before any solve
-    V = counting.standard_potential(alpha, amplitude=cfg["amplitude"])
+    V = counting.DecayPotential(alpha, cfg["amplitude"])
     rec = bands.find_minimum(1, b)
     (ground,) = fiber.band(b, rec.kappa, 1)
     reduced = counting.reduced_potential(V, ground, np.linspace(0.0, 500.0, 4001))
@@ -543,7 +565,7 @@ def build_parser():
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, schema in COMMANDS.items():
         sub = subparsers.add_parser(command)
-        for name, option in schema.items():
+        for name, option in {**schema, **RUN_OPTIONS}.items():
             flag = f"--{name.replace('_', '-')}"
             if option.kind == "bool":
                 sub.add_argument(flag, dest=name,
@@ -555,13 +577,6 @@ def build_parser():
         sub.add_argument("--config", default=None,
                          help="key=value config file; flags take precedence")
         sub.add_argument("--outdir", default=".", help="output directory")
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="worker processes: count2d for the (rung, "
-                         "parity) sectors; bands, mourre, budget and localize "
-                         "for the k-sweep; ho for the band minimum beside the "
-                         "precise pair solves; minima for the minima "
-                         "(output never depends on it)")
     return parser
 
 
@@ -582,21 +597,20 @@ def _outdir(text):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        jobs = _convert("jobs", RUN_OPTIONS["jobs"], args.jobs)
+        fmt = _convert("format", RUN_OPTIONS["format"], args.format)
         cfg = effective_config(args.command, args)
         outdir = _outdir(args.outdir)
-        payload = DISPATCH[args.command](cfg, jobs=args.jobs)
+        payload = DISPATCH[args.command](cfg, jobs=jobs)
     except (ConfigurationError, NumericalError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_for(exc)
     exc = payload.pop("_exc", None)
     extra_files = payload.pop("extra_files", {})
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{args.command}.{args.format}"
-    text = render_csv(payload) if args.format == "csv" else render_json(payload)
+    path = outdir / f"{args.command}.{fmt}"
+    text = render_csv(payload) if fmt == "csv" else render_json(payload)
     path.write_text(text)
     written = [str(path)]
     for name, content in extra_files.items():

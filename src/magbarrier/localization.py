@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fiber, mourre
-from .errors import ConfigurationError, InvariantViolation
+from .errors import ConfigurationError, InvariantViolation, NumericalError
 
 ENVELOPE_TOL = 1e-6
 # Relative level under sup|psi| below which eigenvector samples are rounding
@@ -97,9 +97,15 @@ def envelope_check(pair):
 
 
 def window_envelope_sweep(report, n_samples=9):
-    """Envelope checks across every preimage band of a validated window."""
+    """Envelope checks across every preimage band of a validated window; a
+    sweep of more than fiber.MAX_ROWS checks (samples x bands) is refused
+    before any k-grid exists."""
     if n_samples < 1:
         raise ConfigurationError("the sweep needs at least one sample per band")
+    if n_samples * len(report.preimages) > fiber.MAX_ROWS:
+        raise NumericalError(
+            f"envelope sweep of {n_samples} samples x {len(report.preimages)} "
+            f"bands exceeds the budget of {fiber.MAX_ROWS} entries; lower the samples")
     b = report.window.b
     checks = []
     for j, left, right in report.preimages:

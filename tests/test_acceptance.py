@@ -329,7 +329,7 @@ def test_c12_counting_1d():
 def test_c13_counting_2d(minima_b1):
     t0 = time.perf_counter()
     rec = minima_b1[1]
-    V = counting.standard_potential(1.0)
+    V = counting.DecayPotential(1.0)
     (ground,) = fiber.band(1.0, rec.kappa, 1)
     reduced = counting.reduced_potential(V, ground,
                                          np.linspace(0.0, 500.0, 4001))

@@ -10,10 +10,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from magbarrier import bands, cli, counting, fiber
+from magbarrier import bands, cli, counting, fiber, localization
 from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 
 KAPPA_1 = 0.768183653380
@@ -517,8 +519,44 @@ def test_root_search_that_does_not_converge_exits_three(tmp_path, monkeypatch, c
     assert lines[0].startswith("error: root search did not converge in 2 iterations")
 
 
-def test_bad_jobs_value_is_usage(tmp_path):
-    assert run(["count1d", "--jobs", "0"], tmp_path) == 2
+def test_bad_jobs_value_is_usage(tmp_path, capsys):
+    # --jobs and --format are read by the schema's converter: a bad value
+    # returns 2 with one line naming the option, and writes nothing
+    for argv, line in (
+            (["--jobs", "x"], "error: --jobs: expected an integer, got 'x'"),
+            (["--jobs", "1.5"], "error: --jobs: expected an integer, got '1.5'"),
+            (["--jobs", "0"], "error: --jobs: must be at least 1, got 0"),
+            (["--format", "xml"], "error: --format: expected csv or json, got 'xml'")):
+        assert _refusal(["count1d", *argv], tmp_path / "out", capsys) == (2, [line])
+    # a config file still takes only the subcommand's schema keys
+    cfg = tmp_path / "run.cfg"
+    for key in ("jobs = 2", "format = json"):
+        cfg.write_text(key + "\n")
+        assert _refusal(["count1d", "--config", str(cfg)], tmp_path / "out",
+                        capsys) == (2, [f"error: unknown config keys for count1d: "
+                                        f"{key.split()[0]}"])
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a k-grid was allocated")
+
+
+@pytest.mark.parametrize("command, message", [
+    ("bands", "band table of 1000000000 k-samples x 8 bands exceeds"),
+    ("ho", "k-grid of 1000000000 samples exceeds"),
+    ("localize", "envelope sweep of 1000000000 samples x 2 bands exceeds"),
+])
+def test_sample_counts_past_the_row_budget_exit_three_before_any_grid(
+        tmp_path, capsys, monkeypatch, command, message):
+    if command == "localize":   # the window's trace samples its own k-grid
+        monkeypatch.setattr(localization, "np", SimpleNamespace(linspace=_no_grid))
+    else:
+        monkeypatch.setattr(np, "linspace", _no_grid)
+    code, lines = _refusal([command, "--samples", "1000000000"], tmp_path / "out",
+                           capsys)
+    assert code == 3 and len(lines) == 1
+    assert lines[0] == (f"error: {message} the budget of {fiber.MAX_ROWS} "
+                        "entries; lower the samples")
 
 
 @pytest.mark.parametrize("error, code", [

@@ -34,7 +34,7 @@ def ground_b1():
 
 @pytest.fixture(scope="module")
 def reduced_b1(ground_b1):
-    V = counting.standard_potential(1.0)
+    V = counting.DecayPotential(1.0)
     return counting.reduced_potential(V, ground_b1, np.linspace(0.0, 500.0, 4001))
 
 
@@ -43,38 +43,32 @@ def reduced_b1(ground_b1):
 
 
 def test_decay_potential_guards():
-    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    for alpha in (0.0, 2.0, 2.5, -1.0):
-        with pytest.raises(ConfigurationError):
-            counting.DecayPotential(alpha=alpha, C=1.0, v1=one, v2=one)
-    with pytest.raises(ConfigurationError):
-        counting.DecayPotential(alpha=1.0, C=0.0, v1=one, v2=one)
-    with pytest.raises(ConfigurationError):
-        counting.standard_potential(1.0, amplitude=-2.0)
+    for alpha in (0.0, 2.0, 2.5, -1.0, math.nan):
+        with pytest.raises(ConfigurationError,
+                           match="decay exponent alpha must lie in"):
+            counting.DecayPotential(alpha=alpha)
+    for amplitude in (0.0, -2.0, math.nan):
+        with pytest.raises(ConfigurationError, match="amplitude must be positive"):
+            counting.DecayPotential(1.0, amplitude=amplitude)
+    # the amplitude is refused first
+    with pytest.raises(ConfigurationError, match="amplitude"):
+        counting.DecayPotential(2.5, amplitude=-2.0)
 
 
-def test_standard_potential_respects_decay_bound():
-    xs = np.linspace(-30.0, 30.0, 301)
-    ys = np.linspace(-50.0, 50.0, 401)
-    for alpha in (0.5, 1.0, 1.5):
-        counting.standard_potential(alpha).validate_condition(xs, ys)
-
-
-def test_condition_check_catches_violations():
-    # C = 1 is too small for the y-factor: (1+y^2)^{-1/2} vs (1+|y|)^{-1}
-    # differ by a factor sqrt(2) at |y| = 1.
-    bad = counting.DecayPotential(
-        alpha=1.0, C=1.0,
-        v1=lambda x: (1.0 + np.abs(x)) ** -1.0,
-        v2=lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5)
-    with pytest.raises(InvariantViolation):
-        bad.validate_condition(np.linspace(-2, 2, 21), np.linspace(-2, 2, 21))
-    negative = counting.DecayPotential(
-        alpha=1.0, C=1.0,
-        v1=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
-        v2=lambda y: np.ones_like(np.asarray(y, dtype=float)))
-    with pytest.raises(InvariantViolation):
-        negative.validate_condition(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+       st.floats(1e-300, 1e300), st.floats(-1e8, 1e8), st.floats(-1e8, 1e8))
+def test_standard_potential_respects_decay_bound(alpha, amplitude, x, y):
+    V = counting.DecayPotential(alpha, amplitude=amplitude)
+    v1, v2 = float(V.v1(x)), float(V.v2(y))
+    assert float(V.v1(-x)) == v1 and float(V.v2(-y)) == v2
+    assert v1 >= 0.0 and v2 >= 0.0
+    # (1+|y|)^2 <= 2 (1+y^2): the sharp constant A 2^{alpha/2}, attained at
+    # x = 0, |y| = 1, up to the rounding of both sides
+    bound = amplitude * 2.0 ** (alpha / 2.0) \
+        * (1.0 + abs(x)) ** -alpha * (1.0 + abs(y)) ** -alpha
+    assert v1 * v2 <= bound * (1.0 + 1e-12) + 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +76,7 @@ def test_condition_check_catches_violations():
 
 
 def test_reduced_potential_matches_quadrature(ground_b1, reduced_b1):
-    V = counting.standard_potential(1.0)
+    V = counting.DecayPotential(1.0)
     transverse = fiber.expectation(
         ground_b1, np.asarray(V.v1(ground_b1.grid.x), dtype=float))
     # separability factors the x-integral out of every sample exactly
@@ -105,21 +99,20 @@ def test_reduced_potential_tail_evaluation(reduced_b1):
 
 def test_reduced_potential_needs_first_band(ground_b1):
     (odd,) = fiber.band(1.0, KAPPA_1, 2)
-    V = counting.standard_potential(1.0)
+    V = counting.DecayPotential(1.0)
     with pytest.raises(ConfigurationError):
         counting.reduced_potential(V, odd, np.linspace(0.0, 100.0, 801))
     with pytest.raises(ConfigurationError):
         counting.reduced_potential(V, ground_b1, np.linspace(0.0, 10.0, 5))
 
 
-def test_oscillatory_tail_is_a_fit_error(ground_b1):
-    V = counting.DecayPotential(
-        alpha=1.0, C=2.0,
-        v1=lambda x: (1.0 + np.abs(x)) ** -1.0,
-        v2=lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
-        * (0.75 + 0.25 * np.cos(np.asarray(y, dtype=float))))
-    with pytest.raises(NumericalError, match="spread"):
-        counting.reduced_potential(V, ground_b1, np.linspace(0.0, 500.0, 4001))
+def test_oscillatory_tail_is_a_fit_error(ground_b1, monkeypatch):
+    # |y| (1+y^2)^{-1/2} spreads by 1.98e-4 over y in [50, 500]: past a
+    # tolerance below that, the standard tail has not settled either
+    monkeypatch.setattr(counting, "FIT_SPREAD_TOL", 1e-4)
+    with pytest.raises(NumericalError, match="relative spread 0.000198 over"):
+        counting.reduced_potential(counting.DecayPotential(1.0), ground_b1,
+                                   np.linspace(0.0, 500.0, 4001))
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +641,7 @@ def test_count_2d_refuses_counts_that_decrease_with_lambda(monkeypatch):
     monkeypatch.setattr(counting, "_count_sector",
                         lambda unit: (round(10.0 * (threshold - unit[2])), 0,
                                       unit[2]))
-    V = counting.standard_potential(1.0)
+    V = counting.DecayPotential(1.0)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=6.0)
     monkeypatch.setattr(counting, "discrete_threshold", lambda *grid: threshold)
     with pytest.raises(InvariantViolation, match="decrease"):
@@ -789,7 +782,7 @@ def test_count_2d_matches_dense_eigensolve():
     b, hx, hy = 1.0, 0.1, 0.4
     nx, ny = 18, 30
     lx, y_width = nx * hx, 0.5 * ny * hy
-    V = counting.standard_potential(1.0, amplitude=3.0)
+    V = counting.DecayPotential(1.0, amplitude=3.0)
     threshold = counting.discrete_threshold(b, lx, nx, hy)
     lam = 0.15
     spec = Grid2DSpec(hx=hx, hy=hy, lx=lx, y_width=y_width)
@@ -1030,7 +1023,7 @@ def test_palindrome_off_by_one_ulp_takes_the_full_sweep():
     b, hy, ny = 1.0, 0.4, 9
     d_x, e_x, _ = fiber.stencil(b, 0.0, Parity.EVEN, 1.8, 18)
     xs = np.arange(18, dtype=float) * 0.1
-    V = counting.standard_potential(1.0, amplitude=3.0)
+    V = counting.DecayPotential(1.0, amplitude=3.0)
     v2 = V.v2((np.arange(ny) - 0.5 * (ny - 1)) * hy)
     skewed = v2.copy()
     skewed[-1] = np.nextafter(skewed[-1], 1.0)
@@ -1165,7 +1158,7 @@ def test_bunch_kaufman_runs_once_per_dense_block(tmp_path):
 def test_tau_on_a_sector_eigenvalue_is_refused_by_the_join_block(monkeypatch,
                                                                  y_width):
     b, hx, hy, lx, nx = 1.0, 0.1, 0.4, 1.8, 18
-    V = counting.standard_potential(1.0, amplitude=3.0)
+    V = counting.DecayPotential(1.0, amplitude=3.0)
     ny = math.ceil(2.0 * y_width / hy)
     ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
     by_parity = {}
@@ -1209,7 +1202,7 @@ def test_tau_on_a_sector_eigenvalue_is_refused_by_the_join_block(monkeypatch,
 
 def test_near_singular_block_raises_and_count_2d_retries(monkeypatch):
     b, hx, hy, lx, y_width = 1.0, 0.1, 0.4, 1.8, 6.0
-    V = counting.standard_potential(1.0, amplitude=3.0)
+    V = counting.DecayPotential(1.0, amplitude=3.0)
     nx, ny = 18, 30
     ys = (np.arange(ny) - 0.5 * (ny - 1)) * hy
     v2 = V.v2(ys)
@@ -1276,38 +1269,34 @@ def test_exactly_singular_block_raises():
 
 
 def test_count_2d_zero_potential_and_monotone_coupling():
-    zero = counting.DecayPotential(
-        alpha=1.0, C=1.0,
-        v1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        v2=lambda y: np.ones_like(np.asarray(y, dtype=float)))
-    spec = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=20.0)
+    # with v1 zero the sectors hold the bare lattice operator, nothing of
+    # which lies below its threshold: ny = 100 slices of hy = 0.4 on
+    # |y| <= 20, both parities
     threshold = counting.discrete_threshold(1.0, 2.4, 24, 0.4)
+    sectors = [fiber.stencil(1.0, 0.0, parity, 2.4, 24)
+               for parity in (Parity.EVEN, Parity.ODD)]
     for lam in (0.05, 0.2, 0.45):
-        assert _count(1.0, zero, lam, spec=spec, threshold=threshold) == 0
+        assert sum(counting._sector_inertia(d_x, e_x, xs, 1.0, np.zeros(len(xs)),
+                                            np.ones(100), 0.4, threshold - lam)
+                   for d_x, e_x, xs in sectors) == 0
     single = _count(
-        1.0, counting.standard_potential(1.0, amplitude=3.0), 0.15,
+        1.0, counting.DecayPotential(1.0, amplitude=3.0), 0.15,
         spec=Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0),
         threshold=threshold)
     doubled = _count(
-        1.0, counting.standard_potential(1.0, amplitude=6.0), 0.15,
+        1.0, counting.DecayPotential(1.0, amplitude=6.0), 0.15,
         spec=Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0),
         threshold=threshold)
     assert 0 < single <= doubled
 
 
 def test_count_2d_guards():
-    V = counting.standard_potential(1.0)
+    V = counting.DecayPotential(1.0)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0)
     with pytest.raises(ConfigurationError):
         _count(1.0, V, 0.0, spec=spec)
     with pytest.raises(ConfigurationError):
         _count(1.0, V, 0.7, spec=spec)  # above the band floor
-    lopsided = counting.DecayPotential(
-        alpha=1.0, C=2.0,
-        v1=lambda x: (1.0 + np.abs(np.asarray(x, dtype=float) - 0.3)) ** -1.0,
-        v2=lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5)
-    with pytest.raises(ConfigurationError, match="even"):
-        _count(1.0, lopsided, 0.15, spec=spec)
     tiny = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0, max_unknowns=100)
     with pytest.raises(NumericalError, match="budget"):
         _count(1.0, V, 0.15, spec=tiny)
@@ -1323,14 +1312,14 @@ def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch,
     spec = Grid2DSpec(hy=0.8)
     # a y half-width of ~1e10, then one past the float range
     for alpha, match in ((0.2, "budget"), (0.001, "cannot be represented")):
-        V = counting.standard_potential(alpha)
+        V = counting.DecayPotential(alpha)
         with pytest.raises(NumericalError, match=match):
             _count(1.0, V, 6e-3, spec=spec, ell=reduced_b1.ell)
         with pytest.raises(NumericalError, match=match):
             counting.count_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3], spec=spec,
                               ell=reduced_b1.ell)
     # with neither a y half-width nor the tail coefficient nothing sizes y
-    V = counting.standard_potential(1.0)
+    V = counting.DecayPotential(1.0)
     with pytest.raises(ConfigurationError, match="y_width"):
         _count(1.0, V, 6e-3, spec=spec)
     with pytest.raises(ConfigurationError, match="y_width"):
@@ -1338,7 +1327,7 @@ def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch,
 
 
 def test_count_2d_refinement_stability(reduced_b1):
-    V = counting.standard_potential(1.0)
+    V = counting.DecayPotential(1.0)
     base = _count(1.0, V, 3e-2 * E_1, ell=reduced_b1.ell)
     finer = Grid2DSpec(hx=counting.DEFAULT_HX_2D / 1.25,
                        hy=counting.DEFAULT_HY_2D / 1.25)
@@ -1347,7 +1336,7 @@ def test_count_2d_refinement_stability(reduced_b1):
 
 
 def test_counting_curve_2d_small_ladder(reduced_b1):
-    V = counting.standard_potential(1.0)
+    V = counting.DecayPotential(1.0)
     lams = [0.1 * E_1, 0.05 * E_1, 0.02 * E_1, 0.01 * E_1]
     counts, meta = counting.count_2d(1.0, V, lams, ell=reduced_b1.ell)
     assert len(counts) == 4
@@ -1370,7 +1359,7 @@ def _small_threshold():
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(1.0, 8.0))
 def test_count_2d_monotone_in_lambda_on_one_grid(y_width, u, v, amplitude):
     threshold = _small_threshold()
-    V = counting.standard_potential(1.0, amplitude=amplitude)
+    V = counting.DecayPotential(1.0, amplitude=amplitude)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=y_width)
     lo, hi = sorted((u, v))
     n_lo, n_hi = (_count(1.0, V, f * threshold, spec=spec,
@@ -1381,7 +1370,7 @@ def test_count_2d_monotone_in_lambda_on_one_grid(y_width, u, v, amplitude):
 @pytest.mark.parametrize("y_width", [6.0, 5.7])  # ny = 30 and 29
 def test_counting_curve_2d_pool_matches_serial_and_count_2d(monkeypatch,
                                                             tmp_path, y_width):
-    V = counting.standard_potential(1.0, amplitude=3.0)
+    V = counting.DecayPotential(1.0, amplitude=3.0)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=1.8, y_width=y_width)
     lams = [0.5, 0.2, 0.1, 0.04]
     serial, meta = counting.count_2d(1.0, V, lams, spec=spec)

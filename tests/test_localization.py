@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from magbarrier import bands, localization as loc, mourre
-from magbarrier.errors import ConfigurationError, InvariantViolation
+from magbarrier import bands, fiber, localization as loc, mourre
+from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 
 KAPPA_1 = 0.768183653380
 LEVEL_1 = 0.590106125320
@@ -178,3 +178,21 @@ def test_strip_mass_guards(window_b1, window_b100):
     for eps in (0.0, 0.5, -0.1):
         with pytest.raises(ConfigurationError):
             loc.strip_mass(good, table1, eps, 1.0)
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a k-grid was allocated")
+
+
+def test_envelope_sweep_past_the_row_budget_is_refused_before_its_k_grid(
+        window_b1, monkeypatch):
+    _, report = window_b1
+    assert len(report.preimages) == 2       # bands 1..2n at n = 1
+    monkeypatch.setattr(np, "linspace", _no_grid)
+    with pytest.raises(NumericalError, match=(
+            "envelope sweep of 1000000000 samples x 2 bands exceeds the budget "
+            f"of {fiber.MAX_ROWS} entries")):
+        loc.window_envelope_sweep(report, n_samples=10 ** 9)
+    # a sweep of exactly MAX_ROWS checks passes the budget
+    with pytest.raises(AssertionError, match="k-grid"):
+        loc.window_envelope_sweep(report, n_samples=fiber.MAX_ROWS // 2)

@@ -95,6 +95,9 @@ CASES["count1d_alpha15"] = ["count1d", "--alpha", "1.5", "--m", "2",
 # past the turning point, where 3 turning points stop short, and certifies
 # counts 1, 1, which fit nothing: exit 1
 CASES["count1d_heavy"] = ["count1d", "--m", "3", "--lambdas", "0.3,0.1"]
+# 17 significant digits: shows the last bits of the potential through ell,
+# threshold, beta1 and kappa1
+CASES["count2d_json"] = CASES["count2d"] + ["--format", "json"]
 # config-file cases: the text is passed by --config from a file beside the
 # output directory; count1d_config must hash as count1d does
 CONFIGS = {"count1d_config": "lambdas = 1e-3,3e-4,1e-4\nverify = yes\n"}
