@@ -85,6 +85,9 @@ CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
 # the benchmark's count1d shape
 CASES["ho_b2_j2"] = ["ho", "--b", "2", "--j", "2", "--kmin", "6", "--kmax", "8",
                      "--samples", "3", "--jobs", "2"]
+# a numeric --E, echoed as the number (E=1.5) and as given (E_spec=1.50)
+CASES["mourre_E"] = ["mourre", "--b", "1", "--n", "1", "--samples", "41",
+                     "--E", "1.50"]
 CASES["count1d_ell"] = ["count1d", "--ell", "0.9", "--lambdas", "9e-4,2.7e-4"]
 # the unverified count on the default ladder, and a slower tail at a heavier
 # mass, whose bracketed counts 3, 3 fit nothing: exit 1
