@@ -83,12 +83,9 @@ def airy_prediction(b, k, j):
 
     The bound is D * b^{4/3} (2|k|)^{-2/3} with D^2 the fourth moment of the
     squared Airy eigenfunction over its normalization — independent of (k,b).
-    A k^2 or b^{4/3} outside the float range leaves no bound to test against.
+    k < 0 and b > 0. A k^2 or b^{4/3} outside the float range leaves no bound
+    to test against.
     """
-    if not k < 0.0:
-        raise ConfigurationError("the wedge regime needs k < 0")
-    if not b > 0.0:
-        raise ConfigurationError("field strength must be positive")
     if not math.isfinite(k * k):
         raise NumericalError(f"k^2 overflows at k={k:g}")
     kind = _airy_kind_for_band(j)
@@ -145,7 +142,8 @@ def _precise_box(b, k, pair_j):
 
     The pair's states sit in a well centered at k/b; the wall goes far enough
     past the turning point that the Agmon weight kills the truncation error
-    below extended-precision resolution. k > 0, as _range_refusal checks.
+    below extended-precision resolution. A level is read only at a k past
+    kappa_j + b^(1/2) > 0, which omega_pair_precise checks first.
     """
     center = k / b
     width = (math.sqrt(2.0 * AGMON_BUDGET) + math.sqrt(2.0 * pair_j + 1.0))
@@ -189,14 +187,12 @@ def _precise_level(b, j, unit):
 
 
 def _range_refusal(b, j, ks):
-    """The error that refuses ks before any stencil is formed, or None.
-
-    The open side needs k > 0; a k whose square, or whose box's squared
-    coarsest step, leaves the float range has no precise solve.
+    """The error that refuses ks before any stencil is formed, or None: a k
+    whose square, or whose box's squared coarsest step, leaves the float
+    range has no precise solve. omega_pair_precise raises it only after its
+    entry check, which refuses every k below kappa_j + b^(1/2) > 0.
     """
     for k in ks:
-        if not k > 0.0:
-            return ConfigurationError("the open-side path needs k > 0")
         h = _precise_box(b, k, j) / PRECISE_LEVELS[0]
         if not (math.isfinite(k * k) and math.isfinite(h * h)):
             return NumericalError(
@@ -225,13 +221,11 @@ def omega_pair_precise(b, j, ks, jobs):
     long solve alone, and the pairs are the same, bit for bit, at every jobs.
 
     kappa_j is the pool's first unit, solved beside the precise solves rather
-    than before them; a b or j that find_minimum refuses is refused before
-    the pool opens. Samples that do not start past kappa_j + b^(1/2) are
+    than before them. Samples that do not start past kappa_j + b^(1/2) are
     refused as soon as kappa_j returns, then a k that _range_refusal
     refuses, which forms no stencil; no level is read before both checks,
     and at jobs = 1 no precise solve runs before them.
     """
-    bands.check_minimum_args(j, b)
     refusal = _range_refusal(b, j, ks)
     parities = (Parity.EVEN, Parity.ODD)
     units = [] if refusal is not None else sorted(
@@ -262,9 +256,8 @@ def splitting_fit(b, j, k_samples, jobs=1):
     Samples whose splitting sits below the floating floor carry no sign or
     magnitude information and are excluded, with the retained window kept
     in the result. A line through fewer than 3 distinct k checks nothing
-    and is refused before any solve, and so are a b or j that find_minimum
-    refuses. jobs > 1 runs the band minimum and the precise solves of every
-    sample on one pool of forked workers.
+    and is refused before any solve. jobs > 1 runs the band minimum and the
+    precise solves of every sample on one pool of forked workers.
     """
     ks = sorted(float(k) for k in k_samples)
     if len(set(ks)) < 3:

@@ -39,9 +39,6 @@ class BandTable:
     dpsi0: np.ndarray = field(repr=False)
     parities: list = None                # per band: Parity
 
-    def n_bands(self):
-        return len(self.omega)
-
 
 @dataclass(frozen=True)
 class MinimumRecord:
@@ -189,15 +186,6 @@ def _brentq(f, a, b, fa, fb, xtol, rtol):
     )
 
 
-def check_minimum_args(j, b):
-    """Refuse a field b or an even-band ordinal j that find_minimum cannot
-    take, before anything is solved or sized from them."""
-    if not (b > 0.0 and math.isfinite(b)):
-        raise ConfigurationError(f"field strength must be positive and finite, got {b}")
-    if j < 1:
-        raise ConfigurationError(f"even-band ordinal starts at 1, got {j}")
-
-
 def find_minimum(j, b):
     """Locate the minimum of even band j as the root of omega(k) - k^2.
 
@@ -205,7 +193,6 @@ def find_minimum(j, b):
     energy is the square of the root, cross-checked against the direct
     eigenvalue there.
     """
-    check_minimum_args(j, b)
     limit = (2.0 * (2 * j - 1) - 1.0) * b      # oscillator level the band tends to
     lo, hi = 1e-6 * math.sqrt(b), math.sqrt(limit)
 
@@ -284,8 +271,6 @@ def monotonicity_report(table):
 
 def table_minimum(table, band=1):
     """(k*, omega*) of one band from the table, parabola-refined at the argmin."""
-    if not 1 <= band <= table.n_bands():
-        raise ConfigurationError(f"band {band} is not among the {table.n_bands()} traced")
     ks, ws = table.ks, table.omega[band - 1]
     i = int(np.argmin(ws))
     if i == 0 or i == len(ws) - 1:

@@ -45,18 +45,26 @@ STABILITY_REFINE = 1.25
 # option schema (single source of truth for flags and config files)
 
 
+# open intervals a float value must lie in
+ANY = (-math.inf, math.inf)
+POSITIVE = (0.0, math.inf)
+NEGATIVE = (-math.inf, 0.0)
+DECAY = (0.0, 2.0)      # the decay exponents alpha of the counting laws
+
+
 @dataclass(frozen=True)
 class Option:
-    kind: str          # float | int | str | bool | floats | format
+    kind: str          # float | int | bool | floats | format | energy
     default: object
     help: str
+    domain: tuple = ANY     # of each float value
 
 
 # the spectral window of mourre, budget and localize
 _WINDOW = {
-    "b": Option("float", 1.0, "field strength"),
+    "b": Option("float", 1.0, "field strength", POSITIVE),
     "n": Option("int", 1, "spectral window ordinal"),
-    "E": Option("str", "mid", "window energy, or 'mid'"),
+    "E": Option("energy", "mid", "window energy, or 'mid'"),
     "kmin": Option("float", None, "trace left end (default -4 sqrt(b))"),
     "kmax": Option("float", None, "trace right end (default 6 sqrt(b))"),
     "nbands": Option("int", None, "bands traced (default max(2n+1, 5))"),
@@ -64,7 +72,7 @@ _WINDOW = {
 
 COMMANDS = {
     "bands": {
-        "b": Option("float", 1.0, "field strength"),
+        "b": Option("float", 1.0, "field strength", POSITIVE),
         "kmin": Option("float", -4.0, "left end of the wave-number range"),
         "kmax": Option("float", 6.0, "right end of the wave-number range"),
         "nbands": Option("int", 8, "number of bands"),
@@ -72,16 +80,17 @@ COMMANDS = {
         "refine": Option("bool", True, "Richardson-refine eigenvalues"),
     },
     "minima": {
-        "b": Option("float", 1.0, "field strength"),
+        "b": Option("float", 1.0, "field strength", POSITIVE),
         "jmax": Option("int", 3, "even-band ordinals 1..jmax"),
     },
     "airy": {
-        "b": Option("float", 1.0, "field strength"),
-        "ks": Option("floats", (-15.0, -20.0, -40.0), "wave numbers"),
+        "b": Option("float", 1.0, "field strength", POSITIVE),
+        "ks": Option("floats", (-15.0, -20.0, -40.0), "wave numbers",
+                     NEGATIVE),
         "jmax": Option("int", 4, "bands 1..jmax"),
     },
     "ho": {
-        "b": Option("float", 1.0, "field strength"),
+        "b": Option("float", 1.0, "field strength", POSITIVE),
         "j": Option("int", 1, "band-pair ordinal"),
         "kmin": Option("float", 3.0, "left end of the splitting window"),
         "kmax": Option("float", 6.0, "right end of the splitting window"),
@@ -101,23 +110,25 @@ COMMANDS = {
         "trace_samples": Option("int", 81, "k-samples for the trace"),
     },
     "count1d": {
-        "alpha": Option("float", 1.0, "decay exponent"),
-        "ell": Option("float", 1.0, "tail coefficient of Q"),
-        "m": Option("float", 1.0, "effective mass"),
-        "lambdas": Option("floats", (1e-3, 3e-4, 1e-4), "gap ladder"),
-        "h": Option("float", counting.DEFAULT_H_1D, "grid step"),
+        "alpha": Option("float", 1.0, "decay exponent", DECAY),
+        "ell": Option("float", 1.0, "tail coefficient of Q", POSITIVE),
+        "m": Option("float", 1.0, "effective mass", POSITIVE),
+        "lambdas": Option("floats", (1e-3, 3e-4, 1e-4), "gap ladder", POSITIVE),
+        "h": Option("float", counting.DEFAULT_H_1D, "grid step", POSITIVE),
         "verify": Option("bool", True,
                          "certify each count by a Dirichlet-Neumann bracket"),
     },
     "count2d": {
-        "b": Option("float", 1.0, "field strength"),
-        "alpha": Option("float", 1.0, "decay exponent"),
-        "amplitude": Option("float", 1.0, "potential amplitude"),
+        "b": Option("float", 1.0, "field strength", POSITIVE),
+        "alpha": Option("float", 1.0, "decay exponent", DECAY),
+        "amplitude": Option("float", 1.0, "potential amplitude", POSITIVE),
         "lambdas": Option("floats",
                           (0.0590106, 0.0295053, 0.0118021, 0.00590106),
-                          "gap ladder below the band minimum"),
-        "hx": Option("float", counting.DEFAULT_HX_2D, "transverse grid step"),
-        "hy": Option("float", counting.DEFAULT_HY_2D, "longitudinal grid step"),
+                          "gap ladder below the band minimum", POSITIVE),
+        "hx": Option("float", counting.DEFAULT_HX_2D, "transverse grid step",
+                     POSITIVE),
+        "hy": Option("float", counting.DEFAULT_HY_2D, "longitudinal grid step",
+                     POSITIVE),
         "max_unknowns": Option("int", counting.MAX_UNKNOWNS_2D,
                                "memory budget in grid unknowns"),
         "check_stability": Option("bool", False,
@@ -137,7 +148,8 @@ RUN_OPTIONS = {
 
 FORMATS = ("csv", "json")
 _EXPECTED = {"float": "a number", "int": "an integer", "bool": "a boolean",
-             "floats": "comma-separated numbers", "format": " or ".join(FORMATS)}
+             "floats": "comma-separated numbers", "format": " or ".join(FORMATS),
+             "energy": "a number or 'mid'"}
 
 
 def _parse_bool(text):
@@ -149,19 +161,24 @@ def _parse_bool(text):
     raise ValueError(text)
 
 
+def _interval(domain):
+    return "({:g}, {:g})".format(*domain)
+
+
 def _convert(name, option, text):
     """Option `name`'s value from its text, from argv or a config file alike:
-    read by option.kind, then held to its domain (numbers finite, integers
-    at least 1, a format one of FORMATS); no text (None) reads as the
+    read by option.kind, then held to its domain (numbers finite and inside
+    option.domain, integers at least 1, a format one of FORMATS, an energy
+    'mid' or a number, kept as its text); no text (None) reads as the
     option's default. A bool flag arrives from argv as True or False, whose
     text reads back as the same bool."""
     if text is None:
         return option.default
     kind, text = option.kind, str(text).strip()
     refuse = f"--{name.replace('_', '-')}: "
+    if kind == "energy" and text == "mid":
+        return text
     try:
-        if kind == "str":
-            return text
         if kind == "bool":
             return _parse_bool(text)
         if kind == "int":
@@ -183,6 +200,13 @@ def _convert(name, option, text):
         return value
     if not all(map(math.isfinite, value)):
         raise ConfigurationError(f"{refuse}must be finite, got {text}")
+    lo, hi = option.domain
+    for number in value:
+        if not lo < number < hi:
+            raise ConfigurationError(
+                f"{refuse}must lie in {_interval(option.domain)}, got {number!r}")
+    if kind == "energy":
+        return text
     return value if kind == "floats" else value[0]
 
 
@@ -400,28 +424,23 @@ def cmd_ho(cfg, jobs):
 
 
 def _window_report(cfg, trace_samples, jobs):
-    b, n = cfg["b"], cfg["n"]
-    if not b > 0.0:
-        raise ConfigurationError(f"field strength must be positive, got {b}")
+    b, n, spec = cfg["b"], cfg["n"], cfg["E"]
     root_b = math.sqrt(b)
     kmin = cfg["kmin"] if cfg["kmin"] is not None else -4.0 * root_b
     kmax = cfg["kmax"] if cfg["kmax"] is not None else 6.0 * root_b
     nbands = cfg["nbands"] if cfg["nbands"] is not None else max(2 * n + 1, 5)
-    # a number is refused before the trace; only 'mid' reads the table
-    spec = str(cfg["E"]).strip()
-    if spec != "mid":
-        try:
-            energy = float(spec)
-        except ValueError:
-            raise ConfigurationError(f"--E: must be a number or 'mid', got {spec!r}")
-        if not math.isfinite(energy):
-            raise ConfigurationError(f"--E: must be finite, got {energy}")
+    # the window's ceiling is band 2n+1's minimum: refused before the trace
+    if nbands < 2 * n + 1:
+        raise ConfigurationError(
+            f"--nbands: must be at least 2n+1 = {2 * n + 1}, got {nbands}")
     table = bands.trace(b, kmin, kmax, n_bands=nbands,
                         base_samples=trace_samples, refine=True, jobs=jobs)
     if spec == "mid":
         level = (2 * n - 1) * b
         ceiling = mourre.window_ceiling(n, b, table)
         energy = 0.5 * (level + ceiling)
+    else:
+        energy = float(spec)
     cfg.update(kmin=kmin, kmax=kmax, nbands=nbands, E=energy, E_spec=spec)
     return mourre.window_report(n, energy, b, table)
 
@@ -448,9 +467,14 @@ def cmd_budget(cfg, jobs):
 
 
 def cmd_localize(cfg, jobs):
+    # the sweep's size is known before the trace: samples x 2n preimage bands
+    n_samples, n_bands = cfg["samples"], 2 * cfg["n"]
+    if n_samples * n_bands > fiber.MAX_ROWS:
+        raise NumericalError(
+            f"envelope sweep of {n_samples} samples x {n_bands} bands exceeds "
+            f"the budget of {fiber.MAX_ROWS} entries; lower the samples")
     report = _window_report(cfg, cfg["trace_samples"], jobs)
-    checks = localization.window_envelope_sweep(report,
-                                                n_samples=cfg["samples"])
+    checks = localization.window_envelope_sweep(report, n_samples=n_samples)
     columns = ["j", "k", "x_n", "max_ratio", "tolerance", "pass"]
     rows = [[check.j, check.k, check.x_n, check.max_ratio,
              localization.ENVELOPE_TOL, check.envelope_ok] for check in checks]
@@ -572,8 +596,11 @@ def build_parser():
                                  action=argparse.BooleanOptionalAction,
                                  help=option.help)
             else:       # text, read by _convert as config entries are
-                sub.add_argument(flag, dest=name, help=option.help + (
-                    " (comma-separated)" if option.kind == "floats" else ""))
+                text = option.help + (
+                    " (comma-separated)" if option.kind == "floats" else "")
+                if option.domain != ANY:
+                    text += f", in {_interval(option.domain)}"
+                sub.add_argument(flag, dest=name, help=text)
         sub.add_argument("--config", default=None,
                          help="key=value config file; flags take precedence")
         sub.add_argument("--outdir", default=".", help="output directory")

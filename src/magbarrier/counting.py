@@ -72,12 +72,6 @@ class DecayPotential:
     alpha: float
     amplitude: float = 1.0
 
-    def __post_init__(self):
-        if not self.amplitude > 0.0:
-            raise ConfigurationError("amplitude must be positive")
-        if not 0.0 < self.alpha < 2.0:
-            raise ConfigurationError("decay exponent alpha must lie in (0, 2)")
-
     def v1(self, x):
         return self.amplitude * (1.0 + np.abs(x)) ** -self.alpha
 
@@ -146,11 +140,8 @@ def reduced_potential(V, ground, y_grid):
 
 
 def counting_constant_1d(alpha, ell, m):
-    """(2 ell^{1/alpha} / (pi alpha m)) B(3/2, 1/alpha - 1/2) via log-beta."""
-    if not 0.0 < alpha < 2.0:
-        raise ConfigurationError("alpha must lie in (0, 2) for the Beta factor")
-    if not (ell > 0.0 and m > 0.0):
-        raise ConfigurationError("ell and m must be positive")
+    """(2 ell^{1/alpha} / (pi alpha m)) B(3/2, 1/alpha - 1/2) via log-beta,
+    for alpha in (0, 2) and ell, m > 0."""
     log_b = betaln(1.5, 1.0 / alpha - 0.5)
     try:
         scale = ell ** (1.0 / alpha)
@@ -168,8 +159,6 @@ def tail_turning_point(ell, lam, alpha):
 
     inf when the power leaves the float range; the grid budgets refuse it.
     """
-    if not lam > 0.0:
-        raise ConfigurationError(f"gap lambda must be positive, got {lam}")
     try:
         return (ell / lam) ** (1.0 / alpha)
     except OverflowError:
@@ -260,7 +249,7 @@ def _line_nodes(n, h, start):
 
 def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     """Eigenvalues of -m^2 d^2/dy^2 - Q below -lam on the line lattice of
-    step h, counted on the box |y| <= half_width.
+    step h, counted on the box |y| <= half_width; m, lam and h are positive.
 
     count1d sizes the box by line_half_width. The box count (Dirichlet)
     bounds the count of the whole line from below. verify_width certifies it
@@ -286,10 +275,6 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     once one of them is due, and every refusal comes before any count, in
     the order of this docstring.
     """
-    if not (m > 0.0 and lam > 0.0):
-        raise ConfigurationError("need m > 0 and lam > 0")
-    if not h > 0.0:
-        raise ConfigurationError(f"grid step h must be positive, got {h}")
     rows = 2.0 * half_width / h
     if not rows <= MAX_ROWS_1D:
         raise NumericalError(
@@ -395,14 +380,12 @@ def distinct_ladder(lambdas):
 
 
 def checked_ladder(lambdas):
-    """The ladder in decreasing order, refused unless positive, free of
-    repeated rungs and fit-worthy.
+    """The ladder in decreasing order, refused unless free of repeated rungs
+    and fit-worthy.
 
     A 2D ladder is checked before anything is solved for it, so a ladder the
     fit would refuse costs no sweep.
     """
-    if not all(lam > 0.0 for lam in lambdas):
-        raise ConfigurationError("lam must be positive")
     lambdas = distinct_ladder(lambdas)
     fault = _ladder_fault(lambdas)
     if fault:
@@ -423,10 +406,6 @@ class Grid2DSpec:
     lx: float = None
     y_width: float = None
     max_unknowns: int = MAX_UNKNOWNS_2D
-
-    def __post_init__(self):
-        if not (self.hx > 0.0 and self.hy > 0.0):
-            raise ConfigurationError("grid steps must be positive")
 
 
 def discrete_threshold(b, lx, nx, hy):
@@ -788,8 +767,6 @@ def count_2d(b, V, lambdas, spec=Grid2DSpec(), ell=None, jobs=1):
     never decrease; a ladder that breaks this raises InvariantViolation.
     meta records the threshold and grid.
     """
-    if not all(lam > 0.0 for lam in lambdas):
-        raise ConfigurationError("lam must be positive")
     hy = spec.hy
     lx, nx, y_width, ny = _grid_2d(b, V, min(lambdas), spec, ell)
     threshold = discrete_threshold(b, lx, nx, hy)

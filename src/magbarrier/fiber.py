@@ -109,8 +109,6 @@ def _scaled_wall(b, k, levels):
     the top requested eigenvalue by MARGIN; truncation error there is
     exponentially small against every tolerance used downstream.
     """
-    if b <= 0.0:
-        raise ConfigurationError("field strength must be positive")
     q = k / math.sqrt(b)
     root_v = math.sqrt(MARGIN * _top_estimate_scaled(q, levels))
     return q + root_v, root_v

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fiber, mourre
-from .errors import ConfigurationError, InvariantViolation, NumericalError
+from .errors import ConfigurationError, InvariantViolation
 
 ENVELOPE_TOL = 1e-6
 # Relative level under sup|psi| below which eigenvector samples are rounding
@@ -33,8 +33,6 @@ def turning_point(k, b, omega):
     k < 0 the center is clipped to the barrier. The bound depends on the
     band only through omega.
     """
-    if b <= 0.0:
-        raise ConfigurationError("field strength must be positive")
     if omega < 0.0:
         raise ConfigurationError("band energy must be nonnegative")
     return (max(k, 0.0) + math.sqrt(omega)) / b
@@ -97,15 +95,8 @@ def envelope_check(pair):
 
 
 def window_envelope_sweep(report, n_samples=9):
-    """Envelope checks across every preimage band of a validated window; a
-    sweep of more than fiber.MAX_ROWS checks (samples x bands) is refused
-    before any k-grid exists."""
-    if n_samples < 1:
-        raise ConfigurationError("the sweep needs at least one sample per band")
-    if n_samples * len(report.preimages) > fiber.MAX_ROWS:
-        raise NumericalError(
-            f"envelope sweep of {n_samples} samples x {len(report.preimages)} "
-            f"bands exceeds the budget of {fiber.MAX_ROWS} entries; lower the samples")
+    """Envelope checks at n_samples k-points across every preimage band of a
+    validated window."""
     b = report.window.b
     checks = []
     for j, left, right in report.preimages:

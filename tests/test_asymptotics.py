@@ -104,13 +104,6 @@ def test_airy_prediction_zero_selection_and_formula():
     assert all(a < b for a, b in zip(preds, preds[1:]))
 
 
-def test_airy_prediction_domain_errors():
-    with pytest.raises(ConfigurationError):
-        asym.airy_prediction(1.0, 3.0, 1)
-    with pytest.raises(ConfigurationError):
-        asym.airy_prediction(-1.0, -20.0, 1)
-
-
 def test_airy_bound_constant_matches_simpson_oracle():
     for j, kind, m in ((1, AiryKind.ZERO_OF_AI_PRIME, 1), (2, AiryKind.ZERO_OF_AI, 1)):
         d_oracle = math.sqrt(simpson_moment(kind, m, 4) / simpson_moment(kind, m, 0))
@@ -250,17 +243,13 @@ def test_splitting_fit_preconditions(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a solve ran")
 
-    # every refusal comes before the band minimum is located or any pair is
+    # the refusal comes before the band minimum is located or any pair is
     # solved; seven copies of one k would fit a line through one point
     monkeypatch.setattr(bands, "find_minimum", boom)
     monkeypatch.setattr(asym, "_precise_level", boom)
     for ks in ([3.0, 3.5], [3.0] * 7, [3.0, 3.5, 3.0, 3.5]):
         with pytest.raises(ConfigurationError, match="3 distinct k"):
             asym.splitting_fit(1.0, 1, ks)
-    # the pair solve refuses a field that would size its boxes, itself
-    for b in (0.0, -1.0):
-        with pytest.raises(ConfigurationError, match="field strength"):
-            asym.omega_pair_precise(b, 1, [3.0, 3.5, 4.0], jobs=1)
 
 
 def _bits(fit):

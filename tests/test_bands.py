@@ -36,7 +36,7 @@ def figure_table():
 
 def test_trace_shape_matches_dispersion_picture(figure_table):
     t = figure_table
-    assert t.n_bands() == 8
+    assert len(t.omega) == 8
     # ordering at every k, read at the numerical floor: past the minima the
     # parity gaps die like exp(-k^2/b), far below eigensolver roundoff
     floor = 1e-9
@@ -237,7 +237,7 @@ def _table_bits(table):
 def test_trace_rerun_is_bitwise_identical(figure_table):
     # the rerun solves its k-points on two forked workers
     again = bands.trace(1.0, -4.0, 6.0, n_bands=8, base_samples=81, jobs=2)
-    assert again.n_bands() == 8 and len(again.ks) >= 81
+    assert len(again.omega) == 8 and len(again.ks) >= 81
     assert _table_bits(again) == _table_bits(figure_table)
 
 
@@ -294,14 +294,6 @@ def test_trace_needs_three_samples():
     # three samples on a range of one float step would repeat a k-node
     with pytest.raises(ConfigurationError, match="3 distinct float k-samples"):
         bands.trace(1.0, 1.0, 1.0000000000000002, n_bands=1, base_samples=3)
-
-
-def test_find_minimum_rejects_bad_field_or_ordinal():
-    for b in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ConfigurationError):
-            bands.find_minimum(1, b)
-    with pytest.raises(ConfigurationError):
-        bands.find_minimum(0, 1.0)
 
 
 # f(x) = s (c1 t + c2 t^3 + c3 tanh t + c4 (e^t - 1)) + c5 sin(w x), t = x - r:

@@ -10,12 +10,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from magbarrier import bands, cli, counting, fiber, localization
+from magbarrier import bands, cli, counting, fiber
 from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 
 KAPPA_1 = 0.768183653380
@@ -152,6 +151,68 @@ def test_config_bool_maybe_is_refused(tmp_path, capsys, command, name):
                                     "got 'maybe'"])
 
 
+# every value of a float or floats option that lies outside its domain
+DOMAIN_PROBES = ("nan", "inf", "-inf", "0", "-1", "1", "2")
+OUTSIDE = [(command, name, probe) for command, schema in cli.COMMANDS.items()
+           for name, option in schema.items() if option.kind in ("float", "floats")
+           for probe in DOMAIN_PROBES
+           if not option.domain[0] < float(probe) < option.domain[1]]
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command, name, probe", OUTSIDE)
+def test_value_outside_its_domain_is_one_error_line_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, name, probe, jobs):
+    for module, solver in ((fiber, "eigenpairs"), (counting, "_sector_inertia"),
+                           (counting, "count_1d")):
+        monkeypatch.setattr(module, solver, _no_solve)
+    flag = f"--{name.replace('_', '-')}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {probe}\n")
+    from_argv = _refusal([command, f"{flag}={probe}", "--jobs", jobs],
+                         tmp_path / "argv", capsys)
+    from_file = _refusal([command, "--config", str(cfg), "--jobs", jobs],
+                         tmp_path / "file", capsys)
+    assert from_argv == from_file
+    code, lines = from_argv
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_help_line_shows_the_domain(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for option in cli.COMMANDS[command].values():
+        if option.domain != cli.ANY:
+            listed = " (comma-separated)" if option.kind == "floats" else ""
+            assert (f"{option.help}{listed}, in {cli._interval(option.domain)}"
+                    in text)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["count2d", "--hy", "0"], "error: --hy: must lie in (0, inf), got 0.0"),
+    # the first k is in the wedge; the second is refused before it is solved
+    (["airy", "--ks=-15,5"], "error: --ks: must lie in (-inf, 0), got 5.0"),
+    # the window's ceiling is band 2n+1's minimum
+    (["mourre", "--nbands", "2"], "error: --nbands: must be at least 2n+1 = 3, got 2"),
+    (["budget", "--n", "2", "--nbands", "4"],
+     "error: --nbands: must be at least 2n+1 = 5, got 4"),
+    (["localize", "--nbands", "1"], "error: --nbands: must be at least 2n+1 = 3, got 1"),
+])
+def test_refusals_come_before_any_solve_or_trace(tmp_path, capsys, monkeypatch,
+                                                 argv, line):
+    for module, solver in ((fiber, "eigenpairs"), (bands, "find_minimum"),
+                           (bands, "trace")):
+        monkeypatch.setattr(module, solver, _no_solve)
+    assert _refusal(argv, tmp_path / "out", capsys) == (2, [line])
+
+
 def test_config_run_writes_the_argv_run_bytes(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lambdas = 1e-2,3e-3\nverify = yes\n")
@@ -218,7 +279,8 @@ def test_count1d_renders_fit_beside_closed_form(tmp_path):
 
 
 def test_count1d_flushes_partial_rows_on_failure(tmp_path):
-    assert run(["count1d", "--lambdas=1e-2,-1"], tmp_path) == 2
+    # the second rung's line grid is past the row budget
+    assert run(["count1d", "--lambdas", "1e-2,1e-9"], tmp_path) == 3
     _, columns, rows, _, failed, passed = read_csv(tmp_path / "count1d.csv")
     assert failed is not None and not passed
     assert len(rows) == 1 and int(rows[0][columns.index("count")]) == 9
@@ -460,12 +522,10 @@ def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("argv, code, message", [
-    # find_minimum's own checks, in the parent before the pool opens and
-    # before any precise box is sized from b
-    (["ho", "--b", "0"], 2,
-     "error: field strength must be positive and finite, got 0.0"),
-    (["ho", "--b", "-1"], 2,
-     "error: field strength must be positive and finite, got -1.0"),
+    # the schema's domain, before the pool opens and before any precise box
+    # is sized from b
+    (["ho", "--b", "0"], 2, "error: --b: must lie in (0, inf), got 0.0"),
+    (["ho", "--b", "-1"], 2, "error: --b: must lie in (0, inf), got -1.0"),
     # the entry check on the pool's first unit comes before the float-range
     # refusal of the samples
     (["ho", "--kmin", "0.5", "--kmax", "1e200"], 2,
@@ -541,22 +601,31 @@ def _no_grid(*args, **kwargs):
     raise AssertionError("a k-grid was allocated")
 
 
-@pytest.mark.parametrize("command, message", [
-    ("bands", "band table of 1000000000 k-samples x 8 bands exceeds"),
-    ("ho", "k-grid of 1000000000 samples exceeds"),
-    ("localize", "envelope sweep of 1000000000 samples x 2 bands exceeds"),
+@pytest.mark.parametrize("command, samples, message", [
+    ("bands", 10 ** 9, "band table of 1000000000 k-samples x 8 bands exceeds"),
+    ("ho", 10 ** 9, "k-grid of 1000000000 samples exceeds"),
+    ("localize", 10 ** 9, "envelope sweep of 1000000000 samples x 2 bands exceeds"),
+    ("localize", fiber.MAX_ROWS // 2 + 1,
+     "envelope sweep of 10000001 samples x 2 bands exceeds"),
 ])
 def test_sample_counts_past_the_row_budget_exit_three_before_any_grid(
-        tmp_path, capsys, monkeypatch, command, message):
-    if command == "localize":   # the window's trace samples its own k-grid
-        monkeypatch.setattr(localization, "np", SimpleNamespace(linspace=_no_grid))
-    else:
-        monkeypatch.setattr(np, "linspace", _no_grid)
-    code, lines = _refusal([command, "--samples", "1000000000"], tmp_path / "out",
+        tmp_path, capsys, monkeypatch, command, samples, message):
+    monkeypatch.setattr(np, "linspace", _no_grid)
+    if command == "localize":   # its sweep is sized before the window's trace
+        monkeypatch.setattr(bands, "trace", _no_grid)
+    code, lines = _refusal([command, "--samples", str(samples)], tmp_path / "out",
                            capsys)
     assert code == 3 and len(lines) == 1
     assert lines[0] == (f"error: {message} the budget of {fiber.MAX_ROWS} "
                         "entries; lower the samples")
+
+
+def test_localize_sweep_of_exactly_the_row_budget_reaches_the_trace(
+        tmp_path, monkeypatch):
+    # samples x 2n = MAX_ROWS entries pass the budget
+    monkeypatch.setattr(bands, "trace", _no_grid)
+    with pytest.raises(AssertionError, match="k-grid"):
+        run(["localize", "--samples", str(fiber.MAX_ROWS // 2)], tmp_path)
 
 
 @pytest.mark.parametrize("error, code", [
@@ -571,11 +640,9 @@ def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, cod
     assert err.splitlines() == ["error: planted"]
 
 
+# beside the OUTSIDE table: bad rungs among good ones, and inputs that a
+# command refuses itself
 @pytest.mark.parametrize("argv", [
-    ["minima", "--b", "nan"],
-    ["minima", "--b", "inf"],
-    ["minima", "--b", "-1"],
-    ["count1d", "--h", "0"],
     ["count1d", "--lambdas", "1e-3,nan"],
     ["ho", "--j", "0"],
     # seven copies of one k: a decay fit through a single point
@@ -590,10 +657,6 @@ def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, cod
     # one x-step on the half-width at b = 1; the fiber stencil needs two
     ["count2d", "--hx", "5"],
     ["count2d", "--hx", "10"],
-    ["mourre", "--b=-1"],
-    ["budget", "--b=-1"],
-    ["localize", "--b=-1"],
-    ["count1d", "--lambdas", "0"],
     ["count2d", "--alpha", "1e300"],
     ["count2d", "--lambdas", "0.3,0.3,0.066,0.03"],
     ["count1d", "--lambdas", "1e-3,1e-3,1e-4"],
@@ -640,11 +703,15 @@ def _worker_refusal(tmp_path, capfd, argv):
     return code, lines[0]
 
 
-def test_worker_error_is_a_usage_error_without_traceback(tmp_path, capfd):
-    # the k-sweep runs on two workers, and a worker refuses the field
-    code, line = _worker_refusal(tmp_path, capfd,
-                                 ["--b", "-1", "--kmin=-1", "--kmax", "1"])
-    assert code == 2 and line == "error: field strength must be positive"
+def test_worker_error_is_a_usage_error_without_traceback(tmp_path, capfd,
+                                                        monkeypatch):
+    # the k-sweep runs on two workers, which inherit a planted refusal
+    def refuse(*args, **kwargs):
+        raise ConfigurationError("planted")
+
+    monkeypatch.setattr(fiber, "first_levels", refuse)
+    code, line = _worker_refusal(tmp_path, capfd, ["--kmin=-1", "--kmax", "1"])
+    assert code == 2 and line == "error: planted"
 
 
 def test_worker_budget_refusal_is_a_resolution_error(tmp_path, capfd):
@@ -673,7 +740,7 @@ def test_bands_past_the_eigenvector_budget_exit_three_before_a_stencil(
 @pytest.mark.parametrize("energy, message", [
     ("nan", "error: --E: must be finite, got nan"),
     ("inf", "error: --E: must be finite, got inf"),
-    ("foo", "error: --E: must be a number or 'mid', got 'foo'"),
+    ("foo", "error: --E: expected a number or 'mid', got 'foo'"),
 ])
 def test_window_energy_is_refused_before_the_trace(tmp_path, monkeypatch,
                                                    capsys, command, energy,

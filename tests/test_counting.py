@@ -42,19 +42,6 @@ def reduced_b1(ground_b1):
 # potentials
 
 
-def test_decay_potential_guards():
-    for alpha in (0.0, 2.0, 2.5, -1.0, math.nan):
-        with pytest.raises(ConfigurationError,
-                           match="decay exponent alpha must lie in"):
-            counting.DecayPotential(alpha=alpha)
-    for amplitude in (0.0, -2.0, math.nan):
-        with pytest.raises(ConfigurationError, match="amplitude must be positive"):
-            counting.DecayPotential(1.0, amplitude=amplitude)
-    # the amplitude is refused first
-    with pytest.raises(ConfigurationError, match="amplitude"):
-        counting.DecayPotential(2.5, amplitude=-2.0)
-
-
 @seed(20261020)
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
@@ -129,13 +116,6 @@ def test_counting_constant_1d_examples():
     assert counting.counting_constant_1d(1.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
     assert counting.counting_constant_1d(1.0, 4.0, 1.0) == pytest.approx(4.0, rel=1e-12)
     assert counting.counting_constant_1d(1.0, 1.0, 2.0) == pytest.approx(0.5, rel=1e-12)
-    for alpha in (2.0, 2.3, 0.0):
-        with pytest.raises(ConfigurationError):
-            counting.counting_constant_1d(alpha, 1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        counting.counting_constant_1d(1.0, -1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        counting.counting_constant_1d(1.0, 1.0, 0.0)
 
 
 def test_counting_constant_2d_identity_and_scaling():
@@ -151,8 +131,6 @@ def test_counting_constant_2d_identity_and_scaling():
     halved = constant_2d(1.0, 1.0, 0.5 * BETA_1)
     full = constant_2d(1.0, 1.0, BETA_1)
     assert halved == pytest.approx(full * math.sqrt(2.0), rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        constant_2d(1.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +300,6 @@ def test_count_1d_free_operator_and_guards():
     zero = lambda y: np.zeros_like(np.asarray(y, dtype=float))
     for lam in (1e-3, 0.1, 2.0):
         assert counting.count_1d(1.0, zero, lam, half_width=50.0) == 0
-    with pytest.raises(ConfigurationError):
-        counting.count_1d(0.0, zero, 0.1, half_width=10.0)
-    with pytest.raises(ConfigurationError):
-        counting.count_1d(1.0, zero, 0.0, half_width=10.0)
     with pytest.raises(TypeError, match="half_width"):
         counting.count_1d(1.0, zero, 0.1)  # the caller sizes the line
     negative = lambda y: -np.ones_like(np.asarray(y, dtype=float))
@@ -336,9 +310,6 @@ def test_count_1d_free_operator_and_guards():
     for Q in (lambda y: np.full(np.shape(y), np.nan), far_nan):
         with pytest.raises(ConfigurationError, match="nonnegative"):
             counting.count_1d(1.0, Q, 0.1, half_width=3000.0)
-    for h in (0.0, -0.05):
-        with pytest.raises(ConfigurationError):
-            counting.count_1d(1.0, zero, 0.1, half_width=10.0, h=h)
 
 
 def test_count_1d_narrow_grid_is_a_resolution_error():
@@ -621,14 +592,12 @@ def test_count_1d_monotone_in_lambda_at_fixed_width(lam_a, lam_b, m):
 
 
 def test_curve_invariants():
-    # a ladder is refused before any sweep unless positive and free of
-    # repeated rungs; its order does not matter
+    # a ladder is refused before any sweep unless free of repeated rungs;
+    # its order does not matter
     assert counting.checked_ladder([1e-3, 1e-2, 1e-4, 1e-1]) \
         == [1e-1, 1e-2, 1e-3, 1e-4]
     with pytest.raises(ConfigurationError, match="repeated"):
         counting.checked_ladder([0.3, 0.3, 0.066, 0.03])
-    with pytest.raises(ConfigurationError, match="positive"):
-        counting.checked_ladder([0.3, 0.1, 0.03, 0.0])
     # count1d's ladder need not be fit-worthy, only free of repeated rungs
     assert counting.distinct_ladder([1e-4, 1e-3]) == [1e-3, 1e-4]
     with pytest.raises(ConfigurationError, match="repeated"):
@@ -682,11 +651,6 @@ def test_asymptotics_check_degenerate_and_guards():
     exponent, prefactor = counting.power_law_fit([1e-2, 3e-3, 1e-3, 1e-4],
                                                  [2, 4, 7, 22])
     assert exponent > 0.0 and prefactor > 0.0
-    # the closed-form side of the comparison refuses what it cannot compute
-    with pytest.raises(ConfigurationError):
-        counting.counting_constant_1d(2.5, 1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        counting.counting_constant_1d(1.0, 0.0, 1.0)
 
 
 # rungs 10^{-i/4} for increasing i, a quarter decade apart; runs of adjacent
@@ -1294,14 +1258,10 @@ def test_count_2d_guards():
     V = counting.DecayPotential(1.0)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0)
     with pytest.raises(ConfigurationError):
-        _count(1.0, V, 0.0, spec=spec)
-    with pytest.raises(ConfigurationError):
         _count(1.0, V, 0.7, spec=spec)  # above the band floor
     tiny = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0, max_unknowns=100)
     with pytest.raises(NumericalError, match="budget"):
         _count(1.0, V, 0.15, spec=tiny)
-    with pytest.raises(ConfigurationError):
-        Grid2DSpec(hx=-0.1)
 
 
 def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch,

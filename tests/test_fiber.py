@@ -249,8 +249,6 @@ def test_wall_rejects_impossible_requests():
     _, N = fiber._wall(1.0, 0.0, 300)
     assert N > fiber.DEFAULT_RESOLUTION
     with pytest.raises(ConfigurationError):
-        fiber.sector(0.0, 0.0, Parity.EVEN, 2)
-    with pytest.raises(ConfigurationError):
         fiber.sector(1.0, 0.0, Parity.EVEN, 0)
 
 

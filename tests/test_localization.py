@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from magbarrier import bands, fiber, localization as loc, mourre
-from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
+from magbarrier import bands, localization as loc, mourre
+from magbarrier.errors import ConfigurationError, InvariantViolation
 
 KAPPA_1 = 0.768183653380
 LEVEL_1 = 0.590106125320
@@ -43,8 +43,6 @@ def test_turning_point_values():
         got = loc.turning_point(0.7 * math.sqrt(b), b, b * 2.3)
         assert got == pytest.approx(loc.turning_point(0.7, 1.0, 2.3)
                                     / math.sqrt(b), rel=1e-14)
-    with pytest.raises(ConfigurationError):
-        loc.turning_point(0.0, 0.0, 1.0)
     with pytest.raises(ConfigurationError):
         loc.turning_point(0.0, 1.0, -0.5)
 
@@ -104,8 +102,6 @@ def test_window_envelope_sweep(window_b1):
     assert all(c.envelope_ok for c in checks)
     assert {c.j for c in checks} == {1, 2}
     assert max(c.max_ratio for c in checks) < 1.0
-    with pytest.raises(ConfigurationError):
-        loc.window_envelope_sweep(report, n_samples=0)
 
 
 def test_envelope_scaling_b4(window_b1):
@@ -179,20 +175,3 @@ def test_strip_mass_guards(window_b1, window_b100):
         with pytest.raises(ConfigurationError):
             loc.strip_mass(good, table1, eps, 1.0)
 
-
-def _no_grid(*args, **kwargs):
-    raise AssertionError("a k-grid was allocated")
-
-
-def test_envelope_sweep_past_the_row_budget_is_refused_before_its_k_grid(
-        window_b1, monkeypatch):
-    _, report = window_b1
-    assert len(report.preimages) == 2       # bands 1..2n at n = 1
-    monkeypatch.setattr(np, "linspace", _no_grid)
-    with pytest.raises(NumericalError, match=(
-            "envelope sweep of 1000000000 samples x 2 bands exceeds the budget "
-            f"of {fiber.MAX_ROWS} entries")):
-        loc.window_envelope_sweep(report, n_samples=10 ** 9)
-    # a sweep of exactly MAX_ROWS checks passes the budget
-    with pytest.raises(AssertionError, match="k-grid"):
-        loc.window_envelope_sweep(report, n_samples=fiber.MAX_ROWS // 2)

@@ -100,9 +100,6 @@ def test_find_delta0_errors(table_b1):
         mourre.find_delta0(1, 0.9, 1.0, table_b1)      # below the window
     with pytest.raises(ConfigurationError):
         mourre.find_delta0(1, 2.7, 1.0, table_b1)      # above the window
-    small = bands.trace(1.0, -2.0, 2.0, n_bands=2, base_samples=21, refine=False)
-    with pytest.raises(ConfigurationError):
-        mourre.find_delta0(1, 1.8, 1.0, small)         # too few bands
     # E barely inside: no certifiable positive delta0 at this resolution
     with pytest.raises(NumericalError):
         mourre.find_delta0(1, 1.0 + 1e-12, 1.0, table_b1)
