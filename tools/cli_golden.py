@@ -85,6 +85,12 @@ CASES.update({f"{name}_jobs2": CASES[name] + ["--jobs", "2"]
 # the benchmark's count1d shape
 CASES["ho_b2_j2"] = ["ho", "--b", "2", "--j", "2", "--kmin", "6", "--kmax", "8",
                      "--samples", "3", "--jobs", "2"]
+# samples from k = 1.9, past kappa_1 + 1 = 1.768 but short of the closed-form
+# bound sqrt(b) + sqrt(b) = 2, so the entry check solves kappa_1; the ho case
+# above starts past the bound and solves none
+CASES["ho_near_minimum"] = ["ho", "--b", "1", "--j", "1", "--kmin", "1.9",
+                            "--kmax", "4", "--samples", "3"]
+CASES["ho_near_minimum_jobs2"] = CASES["ho_near_minimum"] + ["--jobs", "2"]
 # a numeric --E, echoed as the number (E=1.5) and as given (E_spec=1.50)
 CASES["mourre_E"] = ["mourre", "--b", "1", "--n", "1", "--samples", "41",
                      "--E", "1.50"]
