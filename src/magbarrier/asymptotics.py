@@ -186,29 +186,6 @@ def _precise_level(b, j, unit):
     return _precise_eigenvalue(b, k, parity, j - 1, L, N, w[0], v[:, 0])
 
 
-def _range_refusal(b, j, ks):
-    """The error that refuses ks before any stencil is formed, or None: a k
-    whose square, or whose box's squared coarsest step, leaves the float
-    range has no precise solve. omega_pair_precise raises it only after its
-    entry check, which refuses every k below kappa_j + b^(1/2) > 0.
-    """
-    for k in ks:
-        h = _precise_box(b, k, j) / PRECISE_LEVELS[0]
-        if not (math.isfinite(k * k) and math.isfinite(h * h)):
-            return NumericalError(
-                f"k={k:g} leaves the float range of the precise solve at "
-                f"b={b:g}; use smaller k")
-    return None
-
-
-def _pool_unit(b, j, unit):
-    """One unit of the precise pool: kappa_j, the minimum of even band j,
-    for None, else the _precise_level of a (k, parity, N) unit."""
-    if unit is None:
-        return bands.find_minimum(j, b).kappa
-    return _precise_level(b, j, unit)
-
-
 def omega_pair_precise(b, j, ks, jobs):
     """[(omega_plus, omega_minus)] of pair j at each k of ks, in extended
     precision.
@@ -220,28 +197,32 @@ def omega_pair_precise(b, j, ks, jobs):
     worker processes, largest grids first so that no worker finishes on a
     long solve alone, and the pairs are the same, bit for bit, at every jobs.
 
-    kappa_j is the pool's first unit, solved beside the precise solves rather
-    than before them. Samples that do not start past kappa_j + b^(1/2) are
-    refused as soon as kappa_j returns, then a k that _range_refusal
-    refuses, which forms no stencil; no level is read before both checks,
-    and at jobs = 1 no precise solve runs before them.
+    Samples must start past kappa_j + b^(1/2). As find_minimum asserts
+    kappa_j^2 < (2j-1)b, a start at or past sqrt((2j-1)b) + b^(1/2) passes
+    without kappa_j; below it kappa_j is solved first. A k whose square, or
+    whose box's squared coarsest step, leaves the float range has no precise
+    solve and is refused next. Both refusals come before the pool opens.
     """
-    refusal = _range_refusal(b, j, ks)
-    parities = (Parity.EVEN, Parity.ODD)
-    units = [] if refusal is not None else sorted(
-        dict.fromkeys((k, parity, N) for k in ks for parity in parities
-                      for N in PRECISE_LEVELS),
-        key=lambda unit: -unit[2])
-    with bands._k_map(jobs) as k_map:
-        results = k_map(functools.partial(_pool_unit, b, j), [None] + units)
-        entry = next(results) + math.sqrt(b)
-        if min(ks) < entry:
+    start, root_b = min(ks), math.sqrt(b)
+    if start < math.sqrt((2 * j - 1) * b) + root_b:
+        entry = bands.find_minimum(j, b).kappa + root_b
+        if start < entry:
             raise ConfigurationError(
                 f"samples must start past kappa_{j} + b^(1/2) = {entry:.6g}"
             )
-        if refusal is not None:
-            raise refusal
-        levels = dict(zip(units, results))
+    for k in ks:
+        h = _precise_box(b, k, j) / PRECISE_LEVELS[0]
+        if not (math.isfinite(k * k) and math.isfinite(h * h)):
+            raise NumericalError(
+                f"k={k:g} leaves the float range of the precise solve at "
+                f"b={b:g}; use smaller k")
+    parities = (Parity.EVEN, Parity.ODD)
+    units = sorted(dict.fromkeys((k, parity, N) for k in ks for parity in parities
+                                 for N in PRECISE_LEVELS),
+                   key=lambda unit: -unit[2])
+    with bands._k_map(jobs) as k_map:
+        levels = dict(zip(units, k_map(functools.partial(_precise_level, b, j),
+                                       units)))
     return [tuple(float(richardson3(*(levels[k, parity, N] for N in PRECISE_LEVELS)))
                   for parity in parities)
             for k in ks]
@@ -256,8 +237,8 @@ def splitting_fit(b, j, k_samples, jobs=1):
     Samples whose splitting sits below the floating floor carry no sign or
     magnitude information and are excluded, with the retained window kept
     in the result. A line through fewer than 3 distinct k checks nothing
-    and is refused before any solve. jobs > 1 runs the band minimum and the
-    precise solves of every sample on one pool of forked workers.
+    and is refused before any solve. jobs > 1 runs the precise solves of
+    every sample on one pool of forked workers.
     """
     ks = sorted(float(k) for k in k_samples)
     if len(set(ks)) < 3:

@@ -522,18 +522,17 @@ def cmd_count2d(cfg, jobs):
     V = counting.DecayPotential(alpha, cfg["amplitude"])
     rec = bands.find_minimum(1, b)
     (ground,) = fiber.band(b, rec.kappa, 1)
-    reduced = counting.reduced_potential(V, ground, np.linspace(0.0, 500.0, 4001))
-    constant = counting.counting_constant_1d(alpha, reduced.ell,
-                                             math.sqrt(rec.beta))
+    ell = counting.tail_coefficient(V, ground)
+    constant = counting.counting_constant_1d(alpha, ell, math.sqrt(rec.beta))
     expected = 1.0 / alpha - 0.5
     spec = Grid2DSpec(hx=cfg["hx"], hy=cfg["hy"],
                       max_unknowns=cfg["max_unknowns"])
     columns = ["lambda", "count", "scaled_count"]
     summary = {"expected_exponent": expected, "closed_form_constant": constant,
-               "ell": reduced.ell, "beta1": rec.beta, "kappa1": rec.kappa}
+               "ell": ell, "beta1": rec.beta, "kappa1": rec.kappa}
     try:
         counts, meta = counting.count_2d(b, V, lambdas, spec=spec,
-                                         ell=reduced.ell, jobs=jobs)
+                                         ell=ell, jobs=jobs)
     except (ConfigurationError, NumericalError, InvariantViolation) as err:
         payload = _payload("count2d", cfg, columns, [], summary, False,
                            f"{type(err).__name__}: {err}")

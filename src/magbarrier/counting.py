@@ -4,8 +4,9 @@ A decaying potential V >= 0 pulls infinitely many eigenvalues below the
 continuum threshold; their number N grows like a power of the distance to
 the threshold, with exponent 1/alpha - 1/2 and an explicit prefactor built
 from the effective mass and the reduced 1D potential. This module computes
-the reduced potential, counts 1D and 2D eigenvalues exactly by matrix
-inertia, and compares the measured growth against the closed-form constant.
+the reduced potential's tail coefficient, counts 1D and 2D eigenvalues
+exactly by matrix inertia, and compares the measured growth against the
+closed-form constant.
 
 The 2D count measures the gap from the discrete operator's own threshold
 (the lattice band minimum, found by a fiber scan with the lattice
@@ -15,7 +16,7 @@ of being swamped by the O(h^2) shift of the continuum threshold.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -41,12 +42,8 @@ MAX_UNKNOWNS_2D = 10_000_000
 # x-points of one Schur block, which the sweep holds as dense nx x nx complex
 # buffers: 64 MiB each at the cap, over 10x the nx of b = 1 at the default hx
 MAX_NX_2D = 2048
-# rows of one 1D line grid: over 16x the 1.2 M of the default count1d
-# ladder's deepest rung
-MAX_ROWS_1D = 20_000_000
 THRESHOLD_K_SAMPLES = 161
 SINGULAR_RETRIES = 3
-FIT_SPREAD_TOL = 0.05
 INERTIA_CHUNK = 1 << 15
 # complex band entries of one chunk of a 2D sector sweep, never less than one
 # y-slice: 1.5 MiB, 4 slices at nx = 148, so a serial count2d peaks within
@@ -79,60 +76,22 @@ class DecayPotential:
         return (1.0 + np.asarray(y, dtype=float) ** 2) ** (-self.alpha / 2.0)
 
 
-@dataclass(frozen=True)
-class ReducedPotential:
-    """Q(y) = int V(x, y) psi_1(x, kappa_1)^2 dx, sampled, with its tail law.
-
-    Outside the sampled range the tail model ell |y|^{-alpha} extends the
-    samples; ell is the fitted limit of |y|^alpha Q(y).
+def tail_coefficient(V, ground):
+    """ell, the limit of |y|^alpha Q(y) for the reduced potential
+    Q(y) = int V(x, y) psi_1(x, kappa_1)^2 dx = <psi_1, v1 psi_1> v2(y) of V
+    against the first band's solved ground state: the mean of |y|^alpha Q
+    over the samples of the decade 50 <= y <= 500 of a 4001-point grid,
+    where |y|^alpha v2 = (1 + y^-2)^(-alpha/2) spreads by at most 2e-4 alpha.
+    An ell that underflows to 0 is refused.
     """
-
-    alpha: float
-    ys: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    ell: float
-
-    def __post_init__(self):
-        if (self.values < 0.0).any():
-            raise InvariantViolation("reduced potential must be nonnegative")
-        if not self.ell > 0.0:
-            raise InvariantViolation("tail coefficient ell must be positive")
-
-    def __call__(self, y):
-        y = np.abs(np.asarray(y, dtype=float))
-        inside = np.interp(y, self.ys, self.values)
-        tail = np.where(y > 0.0, self.ell * np.maximum(y, 1e-300) ** -self.alpha,
-                        np.inf)
-        return np.where(y <= self.ys[-1], inside, tail)
-
-
-def reduced_potential(V, ground, y_grid):
-    """ReducedPotential of V against a solved transverse ground state.
-
-    The fit takes the largest sampled |y| decade; a spread of |y|^alpha Q
-    beyond FIT_SPREAD_TOL there means the tail has not settled (or
-    oscillates) and is reported as a fit error with the measured spread.
-    """
-    if ground.j != 1:
-        raise ConfigurationError("the reduction needs the first band's state")
-    ys = np.unique(np.abs(np.asarray(y_grid, dtype=float)))
-    if len(ys) < 8:
-        raise ConfigurationError("y_grid needs at least 8 distinct moduli")
-    transverse = fiber.expectation(ground, np.asarray(V.v1(ground.grid.x),
-                                                      dtype=float))
-    values = np.asarray(V.v2(ys), dtype=float) * transverse
-    decade = ys >= ys[-1] / 10.0
-    scaled = ys[decade] ** V.alpha * values[decade]
-    ell = float(np.mean(scaled))
-    if ell <= 0.0:
+    transverse = fiber.expectation(ground, V.v1(ground.grid.x))
+    ys = np.linspace(0.0, 500.0, 4001)
+    values = V.v2(ys) * transverse
+    decade = ys >= 50.0
+    ell = float(np.mean(ys[decade] ** V.alpha * values[decade]))
+    if not ell > 0.0:
         raise NumericalError("tail coefficient came out nonpositive")
-    spread = float((scaled.max() - scaled.min()) / ell)
-    if spread > FIT_SPREAD_TOL:
-        raise NumericalError(
-            f"tail fit has not settled: relative spread {spread:.3g} over the "
-            f"last decade (residuals {scaled.min():.6g}..{scaled.max():.6g})"
-        )
-    return ReducedPotential(alpha=V.alpha, ys=ys, values=values, ell=ell)
+    return ell
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +219,7 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     Neumann box count (both end diagonals lose m^2/h^2) bounds it from
     above. Equal counts are the infinite lattice's and are returned; an
     outside Q of lam or more, or counts that differ, raise.
-    A grid past MAX_ROWS_1D rows, with no row, or past the float range
+    A grid past fiber.MAX_ROWS rows, with no row, or past the float range
     (2m^2/h^2 overflows, or the coupling m^2/h^2 of a grid of more than one
     row falls below the smallest normal float) is refused before any of it
     is built. A grid of more than one row whose step resolves the bottom of
@@ -276,10 +235,10 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     the order of this docstring.
     """
     rows = 2.0 * half_width / h
-    if not rows <= MAX_ROWS_1D:
+    if not rows <= fiber.MAX_ROWS:
         raise NumericalError(
             f"line grid of {rows:.3g} rows at half-width {half_width:g} exceeds "
-            f"the budget of {MAX_ROWS_1D} rows; raise lam")
+            f"the budget of {fiber.MAX_ROWS} rows; raise lam")
     n = math.ceil(rows)
     if n < 1:
         raise NumericalError(

@@ -36,7 +36,9 @@ MARGIN = 4.0
 WALL_PHASE = 0.45
 # rows x levels of one solve's work: the eigenvector block where vectors are
 # built, dstebz's bisection where they are not; the default airy check
-# (k = -40) builds 17,000 rows for 2 levels
+# (k = -40) builds 17,000 rows for 2 levels. It also caps the rows of
+# count_1d's line grid, over 16x the 1.2 M of the default count1d ladder's
+# deepest rung
 MAX_ROWS = 20_000_000
 
 

@@ -53,10 +53,10 @@ def whole_array_count_1d(m, Q, lam, half_width, h=counting.DEFAULT_H_1D,
     if not h > 0.0:
         raise ConfigurationError(f"grid step h must be positive, got {h}")
     rows = 2.0 * half_width / h
-    if not rows <= counting.MAX_ROWS_1D:
+    if not rows <= fiber.MAX_ROWS:
         raise NumericalError(
             f"line grid of {rows:.3g} rows at half-width {half_width:g} exceeds "
-            f"the budget of {counting.MAX_ROWS_1D} rows; raise lam")
+            f"the budget of {fiber.MAX_ROWS} rows; raise lam")
     stiffness = m * m / (h * h)
     if not math.isfinite(2.0 * stiffness):
         raise NumericalError(f"stencil diagonal 2m^2/h^2 overflows at m={m:g}, h={h:g}")

@@ -331,13 +331,11 @@ def test_c13_counting_2d(minima_b1):
     rec = minima_b1[1]
     V = counting.DecayPotential(1.0)
     (ground,) = fiber.band(1.0, rec.kappa, 1)
-    reduced = counting.reduced_potential(V, ground,
-                                         np.linspace(0.0, 500.0, 4001))
-    constant = counting.counting_constant_1d(1.0, reduced.ell,
-                                             math.sqrt(rec.beta))
+    ell = counting.tail_coefficient(V, ground)
+    constant = counting.counting_constant_1d(1.0, ell, math.sqrt(rec.beta))
     ladder = tuple(3e-2 * rec.energy * 0.1 ** (i / 4.0) for i in range(5))
     counts, meta = counting.count_2d(1.0, V, ladder, spec=Grid2DSpec(),
-                                     ell=reduced.ell, jobs=2)
+                                     ell=ell, jobs=2)
     exponent, prefactor = counting.ladder_fit(ladder, counts)
     gap = abs(exponent - 0.5)  # 1/alpha - 1/2 at alpha = 1
     ratio = prefactor / constant

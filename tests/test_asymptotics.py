@@ -8,6 +8,7 @@ extended-precision path (regression guards; the k=5 value is ~1.6e-10, far
 below double-solver discretization error, so only the dedicated path sees it).
 """
 
+import itertools
 import math
 import multiprocessing
 
@@ -259,14 +260,30 @@ def _bits(fit):
     return [float(value).hex() for value in (*fields, fit.rate, fit.r2)]
 
 
-def test_splitting_fit_on_workers_is_bit_identical_to_serial():
-    # the band minimum is the pool's first unit, solved in a worker at jobs=2
+def test_splitting_fit_on_workers_is_bit_identical_to_serial(monkeypatch):
+    # samples from k = 3, past sqrt(b) + sqrt(b) = 2, pass the entry check
+    # without the band minimum at every jobs
+    real, found = bands.find_minimum, []
+
+    def spy(j, b):
+        found.append((j, b))
+        return real(j, b)
+
+    monkeypatch.setattr(bands, "find_minimum", spy)
     ks = [3.0, 3.5, 4.0]
     serial = asym.splitting_fit(1.0, 1, ks, jobs=1)
     parallel = asym.splitting_fit(1.0, 1, ks, jobs=2)
+    assert found == []
     assert _bits(parallel) == _bits(serial)
     assert parallel.passed == serial.passed
     assert multiprocessing.active_children() == []
+
+
+def test_kappa_sits_below_the_landau_level_bound():
+    # find_minimum asserts kappa_j^2 < (2j-1)b, so samples at or past
+    # sqrt((2j-1)b) + sqrt(b) start past kappa_j + sqrt(b) without kappa_j
+    for j, b in itertools.product((1, 2, 3), (0.25, 1.0, 4.0)):
+        assert bands.find_minimum(j, b).kappa < math.sqrt((2 * j - 1) * b)
 
 
 def test_precise_worker_error_surfaces_unchanged(monkeypatch):
@@ -289,8 +306,8 @@ def test_precise_worker_error_surfaces_unchanged(monkeypatch):
 
 
 def test_find_minimum_kappa_used_when_not_supplied(monkeypatch):
-    # the fit locates the band minimum once and starts its samples past
-    # that kappa
+    # samples from k = 1.9, short of the bound sqrt(b) + sqrt(b) = 2: the fit
+    # locates the band minimum once and starts its samples past that kappa
     real, found = bands.find_minimum, []
 
     def spy(j, b, *args, **kwargs):
@@ -298,7 +315,7 @@ def test_find_minimum_kappa_used_when_not_supplied(monkeypatch):
         return found[-1]
 
     monkeypatch.setattr(bands, "find_minimum", spy)
-    fit = asym.splitting_fit(1.0, 1, [3.0, 3.5, 4.0])
+    fit = asym.splitting_fit(1.0, 1, [1.9, 3.0, 3.5])
     assert fit.passed
     assert len(found) == 1 and abs(found[0].kappa - KAPPA_1) <= 1e-6
     with pytest.raises(ConfigurationError, match="past kappa_1"):
@@ -309,12 +326,12 @@ def test_minimum_error_surfaces_unchanged_at_every_jobs(monkeypatch):
     def planted(j, b, *args, **kwargs):
         raise NumericalError(f"planted minimum of band {2 * j - 1}")
 
-    # set before the pool forks, so the workers inherit it
+    # samples short of the bound 2 need kappa_1, solved before the pool
     monkeypatch.setattr(bands, "find_minimum", planted)
     messages = []
     for jobs in (1, 2):
         with pytest.raises(NumericalError) as info:
-            asym.splitting_fit(1.0, 1, [3.0, 3.5, 4.0], jobs=jobs)
+            asym.splitting_fit(1.0, 1, [1.9, 3.0, 3.5], jobs=jobs)
         messages.append(str(info.value))
         assert multiprocessing.active_children() == []
     assert messages == ["planted minimum of band 1"] * 2
@@ -324,12 +341,12 @@ def test_refused_entry_runs_no_precise_solve_serially(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a precise level was solved")
 
-    # at jobs=1 the lazy map solves kappa first, and the entry check refuses
-    # the samples before the next unit is asked for
+    # the entry check solves kappa_1 for samples short of the bound 2 and
+    # refuses them before the pool
     monkeypatch.setattr(asym, "_precise_level", boom)
     for ks in ([1.0, 1.2, 1.4], [1.0, 3.0, 3.5]):
         with pytest.raises(ConfigurationError, match="past kappa_1"):
             asym.splitting_fit(1.0, 1, ks, jobs=1)
-    # a range refusal waits for the entry check, and forms no stencil either
+    # a range refusal comes after the entry check, and forms no stencil either
     with pytest.raises(NumericalError, match="leaves the float range"):
         asym.splitting_fit(1.0, 1, [3.0, 3.5, 1e200], jobs=1)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magbarrier import bands, cli, counting, fiber
+from magbarrier import asymptotics, bands, cli, counting, fiber
 from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 
 KAPPA_1 = 0.768183653380
@@ -526,13 +526,14 @@ def test_field_past_the_solver_range_exits_three_without_traceback(tmp_path,
     # is sized from b
     (["ho", "--b", "0"], 2, "error: --b: must lie in (0, inf), got 0.0"),
     (["ho", "--b", "-1"], 2, "error: --b: must lie in (0, inf), got -1.0"),
-    # the entry check on the pool's first unit comes before the float-range
-    # refusal of the samples
+    # the entry check, which solves kappa_1 for samples short of the bound
+    # sqrt(b) + sqrt(b) = 2, comes before the float-range refusal of the
+    # samples
     (["ho", "--kmin", "0.5", "--kmax", "1e200"], 2,
      "error: samples must start past kappa_1 + b^(1/2) = 1.76818"),
     (["ho", "--kmin", "1e200", "--kmax", "1e201"], 3,
      "error: k=1e+200 leaves the float range of the precise solve at b=1"),
-    # the band minimum itself fails, in a worker at --jobs 2
+    # the band minimum itself fails, in the parent at every --jobs
     (["ho", "--b", "1e300"], 3, "error: fiber eigensolve failed at b=1e+300"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -543,6 +544,24 @@ def test_ho_refusals_keep_their_order_at_every_jobs(tmp_path, capfd, argv, code,
     assert len(lines) == 1 and lines[0].startswith(message)
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "ho.csv").exists()
+
+
+def test_refused_ho_entry_opens_no_pool(tmp_path, capfd, monkeypatch):
+    solved = tmp_path / "solved"
+
+    def boom(*args, **kwargs):
+        solved.touch()      # seen from a worker process too
+        raise AssertionError("a precise level was solved")
+
+    # set before any fork, so a worker would inherit it; the entry check
+    # refuses k = -1 before a precise unit is queued
+    monkeypatch.setattr(asymptotics, "_precise_level", boom)
+    outdir = tmp_path / "out"
+    assert run(["ho", "--kmin=-1", "--kmax", "6", "--jobs", "2"], outdir) == 2
+    lines = capfd.readouterr().err.splitlines()   # workers' stderr included
+    assert lines == ["error: samples must start past kappa_1 + b^(1/2) = 1.76818"]
+    assert not solved.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_minima_on_workers_is_byte_identical_to_serial(tmp_path):

@@ -16,7 +16,7 @@ from oracles import birman_schwinger_count, whole_array_count_1d
 from scipy.linalg import lapack
 from scipy.optimize import minimize_scalar
 
-from magbarrier import cli, counting, fiber
+from magbarrier import bands, cli, counting, fiber
 from magbarrier.counting import Grid2DSpec
 from magbarrier.errors import ConfigurationError, InvariantViolation, NumericalError
 from magbarrier.fiber import Parity
@@ -34,8 +34,13 @@ def ground_b1():
 
 @pytest.fixture(scope="module")
 def reduced_b1(ground_b1):
+    """The exact reduced potential Q(y) = <psi_1, v1 psi_1> v2(y) of count2d's
+    potential at alpha = 1, b = 1, as Q, with its tail coefficient ell."""
     V = counting.DecayPotential(1.0)
-    return counting.reduced_potential(V, ground_b1, np.linspace(0.0, 500.0, 4001))
+    transverse = fiber.expectation(
+        ground_b1, np.asarray(V.v1(ground_b1.grid.x), dtype=float))
+    return SimpleNamespace(Q=lambda y: V.v2(y) * transverse,
+                           ell=counting.tail_coefficient(V, ground_b1), alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -62,44 +67,18 @@ def test_standard_potential_respects_decay_bound(alpha, amplitude, x, y):
 # reduced potential
 
 
-def test_reduced_potential_matches_quadrature(ground_b1, reduced_b1):
+def test_reduced_potential_matches_quadrature():
+    # the ell count2d prints at b = 1, alpha = 1 (its JSON's 17 digits), read
+    # from the sampled tail |y|^alpha Q over 50 <= y <= 500, which sits
+    # within 2e-4 of its limit, the x-quadrature <psi_1, v1 psi_1>
+    (ground,) = fiber.band(1.0, bands.find_minimum(1, 1.0).kappa, 1)
     V = counting.DecayPotential(1.0)
-    transverse = fiber.expectation(
-        ground_b1, np.asarray(V.v1(ground_b1.grid.x), dtype=float))
-    # separability factors the x-integral out of every sample exactly
-    expected = V.v2(reduced_b1.ys) * transverse
-    assert np.allclose(reduced_b1.values, expected, rtol=1e-12, atol=0.0)
-    assert (reduced_b1.values >= 0.0).all()
-    # the fitted tail coefficient converges to the x-quadrature value
-    assert reduced_b1.ell == pytest.approx(transverse, rel=1e-3)
-    assert reduced_b1.ell == pytest.approx(0.617623248, rel=1e-4)
-
-
-def test_reduced_potential_tail_evaluation(reduced_b1):
-    inside = reduced_b1(3.7)
-    assert inside == pytest.approx(
-        np.interp(3.7, reduced_b1.ys, reduced_b1.values), rel=1e-14)
-    far = 4000.0
-    assert reduced_b1(far) == pytest.approx(reduced_b1.ell / far, rel=1e-14)
-    assert reduced_b1(-far) == reduced_b1(far)
-
-
-def test_reduced_potential_needs_first_band(ground_b1):
-    (odd,) = fiber.band(1.0, KAPPA_1, 2)
-    V = counting.DecayPotential(1.0)
-    with pytest.raises(ConfigurationError):
-        counting.reduced_potential(V, odd, np.linspace(0.0, 100.0, 801))
-    with pytest.raises(ConfigurationError):
-        counting.reduced_potential(V, ground_b1, np.linspace(0.0, 10.0, 5))
-
-
-def test_oscillatory_tail_is_a_fit_error(ground_b1, monkeypatch):
-    # |y| (1+y^2)^{-1/2} spreads by 1.98e-4 over y in [50, 500]: past a
-    # tolerance below that, the standard tail has not settled either
-    monkeypatch.setattr(counting, "FIT_SPREAD_TOL", 1e-4)
-    with pytest.raises(NumericalError, match="relative spread 0.000198 over"):
-        counting.reduced_potential(counting.DecayPotential(1.0), ground_b1,
-                                   np.linspace(0.0, 500.0, 4001))
+    ell = counting.tail_coefficient(V, ground)
+    assert ell.hex() == (0.6176108829052861).hex()
+    transverse = fiber.expectation(ground, np.asarray(V.v1(ground.grid.x),
+                                                      dtype=float))
+    assert ell == pytest.approx(transverse, rel=2e-4)
+    assert ell < transverse
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +363,18 @@ def test_count_1d_refuses_an_oversized_grid_before_allocating(monkeypatch):
     Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
     # the budget counts the rows of the box that is built, with or without
     # the bracket, and names that box
-    width = 0.6 * counting.MAX_ROWS_1D * counting.DEFAULT_H_1D
+    width = 0.6 * fiber.MAX_ROWS * counting.DEFAULT_H_1D
     message = f"2.4e\\+07 rows at half-width {width:g} exceeds"
     for verify in (True, False):
         with pytest.raises(NumericalError, match=message):
             counting.count_1d(1.0, Q, 1e-3, half_width=width, verify_width=verify)
     # turning points of 1e30 and past the float range
     for alpha in (0.1, 0.001):
-        reduced = counting.ReducedPotential(alpha=alpha, ys=np.zeros(1),
-                                            values=np.zeros(1), ell=1.0)
         width = counting.TURNING_FACTOR * counting.tail_turning_point(
-            reduced.ell, 1e-3, alpha)
+            1.0, 1e-3, alpha)
         with pytest.raises(NumericalError, match="budget"):
-            counting.count_1d(1.0, reduced, 1e-3, half_width=width)
+            counting.count_1d(1.0, lambda y: np.zeros_like(y), 1e-3,
+                              half_width=width)
     # a box too narrow for one node, as a turning point that underflows to 0
     # gives, has no grid to count on
     for width in (0.0, -1.0):
@@ -539,7 +517,7 @@ def test_turning_point_and_constant_past_the_float_range():
 
 def test_count_1d_reduced_potential_path(reduced_b1):
     m = math.sqrt(BETA_1)
-    n = counting.count_1d(m, reduced_b1, 1e-3, half_width=counting.TURNING_FACTOR
+    n = counting.count_1d(m, reduced_b1.Q, 1e-3, half_width=counting.TURNING_FACTOR
                           * counting.tail_turning_point(reduced_b1.ell, 1e-3, 1.0))
     assert n == 25
     # every rung on the grid sized for the smallest lambda, so the counts'
@@ -547,7 +525,7 @@ def test_count_1d_reduced_potential_path(reduced_b1):
     lams = [3e-3, 1e-3, 3e-4, 1e-4]
     width = counting.TURNING_FACTOR * (reduced_b1.ell / lams[-1]) \
         ** (1.0 / reduced_b1.alpha)
-    counts = [counting.count_1d(m, reduced_b1, lam, half_width=width,
+    counts = [counting.count_1d(m, reduced_b1.Q, lam, half_width=width,
                                 verify_width=False) for lam in lams]
     assert counts == [14, 25, 46, 80]
     exponent, _ = counting.power_law_fit(lams, counts)

@@ -56,11 +56,6 @@ ALLOWED = {
 ALLOWED_MEMBERS = {
     # test_bands.py checks where each even band has its unique minimum
     ("bands", "MonotonicityReport", "flip_ks"),
-    # test_counting.py::test_reduced_potential_tail_evaluation evaluates Q
-    # on and past its samples, and ..._matches_quadrature reads the samples'
-    # ys; the reduced 1D count of ROADMAP item 11 would evaluate Q
-    ("counting", "ReducedPotential", "__call__"),
-    ("counting", "ReducedPotential", "ys"),
 }
 
 
