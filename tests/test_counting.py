@@ -81,6 +81,19 @@ def test_reduced_potential_matches_quadrature():
     assert ell < transverse
 
 
+def test_tail_coefficient_refuses_an_underflowing_amplitude(ground_b1):
+    # ell scales with the amplitude down to the smallest normal floats; at
+    # the smallest subnormal amplitude every sample underflows to 0, and a
+    # zero ell would give a zero counting constant
+    unit = counting.tail_coefficient(counting.DecayPotential(1.0), ground_b1)
+    tiny = counting.tail_coefficient(
+        counting.DecayPotential(1.0, amplitude=1e-300), ground_b1)
+    assert tiny == pytest.approx(1e-300 * unit, rel=1e-12)
+    with pytest.raises(NumericalError, match="tail coefficient came out nonpositive"):
+        counting.tail_coefficient(
+            counting.DecayPotential(1.0, amplitude=5e-324), ground_b1)
+
+
 # ---------------------------------------------------------------------------
 # closed-form constants
 
