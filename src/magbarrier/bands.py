@@ -110,19 +110,10 @@ def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True, jobs=1):
     """Sample the lowest n_bands band functions on the uniform k-grid
     linspace(k_min, k_max, base_samples).
 
-    At least three samples, on distinct floats: the table's readers (the
-    window ceiling, the parabola of table_minimum) read three around a
-    minimum. A table of more than fiber.MAX_ROWS entries (samples x bands)
-    is refused before its k-grid exists.
-    jobs > 1 solves the k-points on up to that many forked worker processes;
-    the table is the same, bit for bit, at every jobs.
+    The samples must be distinct floats. jobs > 1 solves the k-points on up
+    to that many forked worker processes; the table is the same, bit for
+    bit, at every jobs.
     """
-    if base_samples < 3:
-        raise ConfigurationError("a band trace needs at least 3 k-samples")
-    if base_samples * n_bands > fiber.MAX_ROWS:
-        raise NumericalError(
-            f"band table of {base_samples} k-samples x {n_bands} bands exceeds "
-            f"the budget of {fiber.MAX_ROWS} entries; lower the samples")
     ks = np.linspace(k_min, k_max, base_samples)
     if not (np.diff(ks) > 0.0).all():
         raise ConfigurationError(

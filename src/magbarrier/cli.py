@@ -51,23 +51,33 @@ POSITIVE = (0.0, math.inf)
 NEGATIVE = (-math.inf, 0.0)
 DECAY = (0.0, 2.0)      # the decay exponents alpha of the counting laws
 
+# closed ranges an int value must lie in. Each maximum, and each floats
+# option's most values, is where the command, every other option at its
+# default, runs for about 10 minutes at --jobs 1 on a 2-core host; their
+# products keep every band table and envelope sweep within the fiber row
+# budget
+TRACE_SAMPLES = (3, 12_500)     # a window ceiling reads three around a minimum
+NBANDS = (1, 300)
+
 
 @dataclass(frozen=True)
 class Option:
     kind: str          # float | int | bool | floats | format | energy
     default: object
     help: str
-    domain: tuple = ANY     # of each float value
+    domain: tuple = ANY     # open for each float value, closed for an int
+    most: int = 1           # values of a floats option
 
 
 # the spectral window of mourre, budget and localize
 _WINDOW = {
     "b": Option("float", 1.0, "field strength", POSITIVE),
-    "n": Option("int", 1, "spectral window ordinal"),
+    "n": Option("int", 1, "spectral window ordinal", (1, 128)),
     "E": Option("energy", "mid", "window energy, or 'mid'"),
     "kmin": Option("float", None, "trace left end (default -4 sqrt(b))"),
     "kmax": Option("float", None, "trace right end (default 6 sqrt(b))"),
-    "nbands": Option("int", None, "bands traced (default max(2n+1, 5))"),
+    "nbands": Option("int", None, "bands traced (default max(2n+1, 5))",
+                     NBANDS),
 }
 
 COMMANDS = {
@@ -75,45 +85,47 @@ COMMANDS = {
         "b": Option("float", 1.0, "field strength", POSITIVE),
         "kmin": Option("float", -4.0, "left end of the wave-number range"),
         "kmax": Option("float", 6.0, "right end of the wave-number range"),
-        "nbands": Option("int", 8, "number of bands"),
-        "samples": Option("int", 81, "k-samples for the trace"),
+        "nbands": Option("int", 8, "number of bands", NBANDS),
+        "samples": Option("int", 81, "k-samples for the trace", TRACE_SAMPLES),
         "refine": Option("bool", True, "Richardson-refine eigenvalues"),
     },
     "minima": {
         "b": Option("float", 1.0, "field strength", POSITIVE),
-        "jmax": Option("int", 3, "even-band ordinals 1..jmax"),
+        "jmax": Option("int", 3, "even-band ordinals 1..jmax", (1, 80)),
     },
     "airy": {
         "b": Option("float", 1.0, "field strength", POSITIVE),
         "ks": Option("floats", (-15.0, -20.0, -40.0), "wave numbers",
-                     NEGATIVE),
-        "jmax": Option("int", 4, "bands 1..jmax"),
+                     NEGATIVE, 10_000),
+        "jmax": Option("int", 4, "bands 1..jmax", (1, 128)),
     },
     "ho": {
         "b": Option("float", 1.0, "field strength", POSITIVE),
-        "j": Option("int", 1, "band-pair ordinal"),
+        "j": Option("int", 1, "band-pair ordinal", (1, 250)),
         "kmin": Option("float", 3.0, "left end of the splitting window"),
         "kmax": Option("float", 6.0, "right end of the splitting window"),
-        "samples": Option("int", 7, "k-samples across the window"),
+        "samples": Option("int", 7, "k-samples across the window", (1, 5000)),
     },
     "mourre": {
         **_WINDOW,
-        "samples": Option("int", 81, "k-samples for the trace"),
+        "samples": Option("int", 81, "k-samples for the trace", TRACE_SAMPLES),
     },
     "budget": {
         **_WINDOW,
-        "samples": Option("int", 81, "k-samples for the trace"),
+        "samples": Option("int", 81, "k-samples for the trace", TRACE_SAMPLES),
     },
     "localize": {
         **_WINDOW,
-        "samples": Option("int", 9, "envelope samples per band"),
-        "trace_samples": Option("int", 81, "k-samples for the trace"),
+        "samples": Option("int", 9, "envelope samples per band", (1, 75_000)),
+        "trace_samples": Option("int", 81, "k-samples for the trace",
+                                TRACE_SAMPLES),
     },
     "count1d": {
         "alpha": Option("float", 1.0, "decay exponent", DECAY),
         "ell": Option("float", 1.0, "tail coefficient of Q", POSITIVE),
         "m": Option("float", 1.0, "effective mass", POSITIVE),
-        "lambdas": Option("floats", (1e-3, 3e-4, 1e-4), "gap ladder", POSITIVE),
+        "lambdas": Option("floats", (1e-3, 3e-4, 1e-4), "gap ladder", POSITIVE,
+                          40_000),
         "h": Option("float", counting.DEFAULT_H_1D, "grid step", POSITIVE),
         "verify": Option("bool", True,
                          "certify each count by a Dirichlet-Neumann bracket"),
@@ -124,13 +136,14 @@ COMMANDS = {
         "amplitude": Option("float", 1.0, "potential amplitude", POSITIVE),
         "lambdas": Option("floats",
                           (0.0590106, 0.0295053, 0.0118021, 0.00590106),
-                          "gap ladder below the band minimum", POSITIVE),
+                          "gap ladder below the band minimum", POSITIVE, 500),
         "hx": Option("float", counting.DEFAULT_HX_2D, "transverse grid step",
                      POSITIVE),
         "hy": Option("float", counting.DEFAULT_HY_2D, "longitudinal grid step",
                      POSITIVE),
         "max_unknowns": Option("int", counting.MAX_UNKNOWNS_2D,
-                               "memory budget in grid unknowns"),
+                               "memory budget in grid unknowns",
+                               (1, 50_000_000)),
         "check_stability": Option("bool", False,
                                   "recount the largest rung on a finer grid"),
     },
@@ -142,7 +155,8 @@ RUN_OPTIONS = {
     "jobs": Option("int", 1, "worker processes: count2d for the (rung, parity) "
                    "sectors; bands, mourre, budget and localize for the "
                    "k-sweep; ho for the band minimum beside the precise pair "
-                   "solves; minima for the minima (output never depends on it)"),
+                   "solves; minima for the minima (output never depends on it)",
+                   (1, math.inf)),
     "format": Option("format", "csv", "output format, csv or json"),
 }
 
@@ -161,17 +175,20 @@ def _parse_bool(text):
     raise ValueError(text)
 
 
-def _interval(domain):
-    return "({:g}, {:g})".format(*domain)
+def _interval(option):
+    lo, hi = option.domain
+    if option.kind == "int":
+        return f"[{lo}, {hi}]" if hi < math.inf else f"[{lo}, inf)"
+    return f"({lo:g}, {hi:g})"
 
 
 def _convert(name, option, text):
     """Option `name`'s value from its text, from argv or a config file alike:
-    read by option.kind, then held to its domain (numbers finite and inside
-    option.domain, integers at least 1, a format one of FORMATS, an energy
-    'mid' or a number, kept as its text); no text (None) reads as the
-    option's default. A bool flag arrives from argv as True or False, whose
-    text reads back as the same bool."""
+    read by option.kind, then held to its domain (at most option.most
+    numbers, each finite and inside option.domain, a format one of FORMATS,
+    an energy 'mid' or a number, kept as its text); no text (None) reads as
+    the option's default. A bool flag arrives from argv as True or False,
+    whose text reads back as the same bool."""
     if text is None:
         return option.default
     kind, text = option.kind, str(text).strip()
@@ -182,7 +199,7 @@ def _convert(name, option, text):
         if kind == "bool":
             return _parse_bool(text)
         if kind == "int":
-            value = int(text)
+            value = (int(text),)
         elif kind == "format":
             value = text if text in FORMATS else None
         else:
@@ -194,17 +211,16 @@ def _convert(name, option, text):
         raise ConfigurationError(f"{refuse}expected {_EXPECTED[kind]}, got {text!r}")
     if kind == "format":
         return value
-    if kind == "int":
-        if value < 1:
-            raise ConfigurationError(f"{refuse}must be at least 1, got {value}")
-        return value
-    if not all(map(math.isfinite, value)):
+    if len(value) > option.most:
+        raise ConfigurationError(
+            f"{refuse}takes at most {option.most} values, got {len(value)}")
+    if kind != "int" and not all(map(math.isfinite, value)):
         raise ConfigurationError(f"{refuse}must be finite, got {text}")
     lo, hi = option.domain
     for number in value:
-        if not lo < number < hi:
+        if not (lo <= number <= hi if kind == "int" else lo < number < hi):
             raise ConfigurationError(
-                f"{refuse}must lie in {_interval(option.domain)}, got {number!r}")
+                f"{refuse}must lie in {_interval(option)}, got {number!r}")
     if kind == "energy":
         return text
     return value if kind == "floats" else value[0]
@@ -409,10 +425,6 @@ def cmd_airy(cfg, jobs):
 
 
 def cmd_ho(cfg, jobs):
-    if cfg["samples"] > fiber.MAX_ROWS:
-        raise NumericalError(
-            f"k-grid of {cfg['samples']} samples exceeds the budget of "
-            f"{fiber.MAX_ROWS} entries; lower the samples")
     ks = np.linspace(cfg["kmin"], cfg["kmax"], cfg["samples"])
     fit = asymptotics.splitting_fit(cfg["b"], cfg["j"], ks, jobs=jobs)
     columns = ["k", "gap_plus", "gap_minus", "splitting", "retained"]
@@ -467,14 +479,9 @@ def cmd_budget(cfg, jobs):
 
 
 def cmd_localize(cfg, jobs):
-    # the sweep's size is known before the trace: samples x 2n preimage bands
-    n_samples, n_bands = cfg["samples"], 2 * cfg["n"]
-    if n_samples * n_bands > fiber.MAX_ROWS:
-        raise NumericalError(
-            f"envelope sweep of {n_samples} samples x {n_bands} bands exceeds "
-            f"the budget of {fiber.MAX_ROWS} entries; lower the samples")
     report = _window_report(cfg, cfg["trace_samples"], jobs)
-    checks = localization.window_envelope_sweep(report, n_samples=n_samples)
+    checks = localization.window_envelope_sweep(report,
+                                                n_samples=cfg["samples"])
     columns = ["j", "k", "x_n", "max_ratio", "tolerance", "pass"]
     rows = [[check.j, check.k, check.x_n, check.max_ratio,
              localization.ENVELOPE_TOL, check.envelope_ok] for check in checks]
@@ -596,9 +603,10 @@ def build_parser():
                                  help=option.help)
             else:       # text, read by _convert as config entries are
                 text = option.help + (
-                    " (comma-separated)" if option.kind == "floats" else "")
+                    f" (comma-separated, at most {option.most})"
+                    if option.kind == "floats" else "")
                 if option.domain != ANY:
-                    text += f", in {_interval(option.domain)}"
+                    text += f", in {_interval(option)}"
                 sub.add_argument(flag, dest=name, help=text)
         sub.add_argument("--config", default=None,
                          help="key=value config file; flags take precedence")

@@ -34,11 +34,11 @@ MARGIN = 4.0
 # the largest h * sqrt(V(L)) a grid may have at the wall; a solve whose
 # wall needs a finer step gets more than DEFAULT_RESOLUTION points
 WALL_PHASE = 0.45
-# rows x levels of one solve's work: the eigenvector block where vectors are
-# built, dstebz's bisection where they are not; the default airy check
-# (k = -40) builds 17,000 rows for 2 levels. It also caps the rows of
-# count_1d's line grid, over 16x the 1.2 M of the default count1d ladder's
-# deepest rung
+# rows x levels of one tridiagonal solve, checked where its grid is sized:
+# in _wall, the eigenvector block where vectors are built and dstebz's
+# bisection where they are not (the default airy check, k = -40, builds
+# 17,000 rows for 2 levels); in counting.count_1d, the one-level line grid
+# (over 16x the 1.2 M rows of the default count1d ladder's deepest rung)
 MAX_ROWS = 20_000_000
 
 

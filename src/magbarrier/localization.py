@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fiber, mourre
-from .errors import ConfigurationError, InvariantViolation
+from .errors import ConfigurationError
 
 ENVELOPE_TOL = 1e-6
 # Relative level under sup|psi| below which eigenvector samples are rounding
@@ -51,14 +51,11 @@ class LocalizationCheck:
     j: int
     k: float
     x_n: float
-    envelope_ok: bool
     max_ratio: float
 
-    def __post_init__(self):
-        if self.envelope_ok != (self.max_ratio <= 1.0 + ENVELOPE_TOL):
-            raise InvariantViolation(
-                "envelope_ok must mirror max_ratio against the tolerance"
-            )
+    @property
+    def envelope_ok(self):
+        return self.max_ratio <= 1.0 + ENVELOPE_TOL
 
 
 def ratio_profile(pair, x_n=None):
@@ -89,9 +86,7 @@ def envelope_check(pair):
     x_n = turning_point(pair.k, pair.b, pair.omega)
     _, ratios = ratio_profile(pair, x_n=x_n)
     max_ratio = float(ratios.max())
-    return LocalizationCheck(j=pair.j, k=pair.k, x_n=x_n,
-                             envelope_ok=max_ratio <= 1.0 + ENVELOPE_TOL,
-                             max_ratio=max_ratio)
+    return LocalizationCheck(j=pair.j, k=pair.k, x_n=x_n, max_ratio=max_ratio)
 
 
 def window_envelope_sweep(report, n_samples=9):

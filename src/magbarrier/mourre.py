@@ -44,12 +44,6 @@ class EnergyWindow:
     delta: float
     b: float
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError("window index n must be at least 1")
-        if not (self.delta > 0.0 and self.b > 0.0):
-            raise ConfigurationError("window needs delta > 0 and b > 0")
-
     def interval(self):
         half = 0.5 * self.delta * self.b
         return (self.E - half, self.E + half)
@@ -378,10 +372,6 @@ def evolve_free(state, t, table):
 
 def f_n(delta, a_frak, q_frak, n):
     """Window-leakage scale of the perturbed spectral projection."""
-    if min(delta, a_frak, q_frak) < 0.0:
-        raise ConfigurationError("budget arguments must be nonnegative")
-    if n < 1:
-        raise ConfigurationError("window index n must be at least 1")
     root_a = math.sqrt(a_frak)
     return delta + q_frak + 2.0 * root_a * (
         3.0 * root_a + math.sqrt(2.0 * n + 1.0 + delta + q_frak))
@@ -389,10 +379,6 @@ def f_n(delta, a_frak, q_frak, n):
 
 def F_nE(delta, a_frak, q_frak, n, delta0, c_n):
     """Relative loss of the commutator bound under perturbations."""
-    if not delta0 > 0.0:
-        raise ConfigurationError("delta0 must be positive")
-    if not c_n > 0.0:
-        raise ConfigurationError("c_n must be positive")
     f = f_n(delta, a_frak, q_frak, n)
     ratio = f / delta0
     return ratio * ratio + (2.0 / c_n) * (

@@ -260,21 +260,6 @@ def test_trace_samples_the_float_linspace():
         assert table.omega.shape == (2, 41)
 
 
-def _no_grid(*args, **kwargs):
-    raise AssertionError("a k-grid was allocated")
-
-
-def test_trace_past_the_row_budget_is_refused_before_its_k_grid(monkeypatch):
-    monkeypatch.setattr(np, "linspace", _no_grid)
-    with pytest.raises(NumericalError, match=(
-            "band table of 1000000000 k-samples x 8 bands exceeds the budget "
-            f"of {fiber.MAX_ROWS} entries")):
-        bands.trace(1.0, -4.0, 6.0, base_samples=10 ** 9)
-    # a table of exactly MAX_ROWS entries passes the budget
-    with pytest.raises(AssertionError, match="k-grid"):
-        bands.trace(1.0, -4.0, 6.0, n_bands=2, base_samples=fiber.MAX_ROWS // 2)
-
-
 def test_trace_worker_error_surfaces_unchanged():
     # k = -1e5 sizes a fiber grid past the row budget
     args = (1.0, -1e5, 0.0)
@@ -287,10 +272,7 @@ def test_trace_worker_error_surfaces_unchanged():
     assert multiprocessing.active_children() == []
 
 
-def test_trace_needs_three_samples():
-    for samples in (0, 1, 2):
-        with pytest.raises(ConfigurationError, match="at least 3 k-samples"):
-            bands.trace(1.0, -1.0, 1.0, n_bands=1, base_samples=samples)
+def test_trace_needs_distinct_float_samples():
     # three samples on a range of one float step would repeat a k-node
     with pytest.raises(ConfigurationError, match="3 distinct float k-samples"):
         bands.trace(1.0, 1.0, 1.0000000000000002, n_bands=1, base_samples=3)

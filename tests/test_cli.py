@@ -4,7 +4,9 @@ Each test drives ``magbarrier.cli.main`` with an argv list, then inspects
 the exit code and the rendered CSV/JSON document.
 """
 
+import importlib.util
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -153,10 +155,27 @@ def test_config_bool_maybe_is_refused(tmp_path, capsys, command, name):
 
 # every value of a float or floats option that lies outside its domain
 DOMAIN_PROBES = ("nan", "inf", "-inf", "0", "-1", "1", "2")
-OUTSIDE = [(command, name, probe) for command, schema in cli.COMMANDS.items()
-           for name, option in schema.items() if option.kind in ("float", "floats")
-           for probe in DOMAIN_PROBES
-           if not option.domain[0] < float(probe) < option.domain[1]]
+
+
+def _outside(option):
+    """(id, text) of values outside an int, float or floats option's domain:
+    an int at 0 and one past its maximum, a float at each DOMAIN_PROBES value
+    outside its interval, and a floats list one value longer than its most."""
+    if option.kind == "int":
+        return [(probe, probe) for probe in ("0", str(option.domain[1] + 1))]
+    probes = [(probe, probe) for probe in DOMAIN_PROBES
+              if not option.domain[0] < float(probe) < option.domain[1]]
+    if option.kind == "floats":
+        inside = ",".join([repr(option.default[0])] * (option.most + 1))
+        probes.append((f"{option.most + 1}-values", inside))
+    return probes
+
+
+OUTSIDE = [pytest.param(command, name, text, id=f"{command}-{name}-{probe}")
+           for command, schema in cli.COMMANDS.items()
+           for name, option in schema.items()
+           if option.kind in ("int", "float", "floats")
+           for probe, text in _outside(option)]
 
 
 def _no_solve(*args, **kwargs):
@@ -190,9 +209,11 @@ def test_help_line_shows_the_domain(capsys, command):
     text = " ".join(capsys.readouterr().out.split())
     for option in cli.COMMANDS[command].values():
         if option.domain != cli.ANY:
-            listed = " (comma-separated)" if option.kind == "floats" else ""
-            assert (f"{option.help}{listed}, in {cli._interval(option.domain)}"
-                    in text)
+            listed = f" (comma-separated, at most {option.most})" \
+                if option.kind == "floats" else ""
+            assert f"{option.help}{listed}, in {cli._interval(option)}" in text
+    jobs = cli.RUN_OPTIONS["jobs"]
+    assert f"{jobs.help}, in {cli._interval(jobs)}" in text
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -501,10 +522,8 @@ def test_count1d_constant_past_the_float_range_exits_three(tmp_path, capsys):
     ["count2d", "--hx", "1e-300"],
     # (1/hy^2)^2 underflows, and with it the slices' y-coupling
     ["count2d", "--hy", "1e300"],
-    # hy^2 underflows to 0: ~6e302 y-steps against the unknowns budget, or,
-    # under a budget that large, against the underflow check itself
+    # hy^2 underflows to 0: ~6e302 y-steps against the unknowns budget
     ["count2d", "--hy", "1e-300"],
-    ["count2d", "--hy", "1e-300", "--max-unknowns", "1" + "0" * 310],
     # a y-extent of ~1e303 or ~1e301 steps against the unknowns budget
     ["count2d", "--amplitude", "1e300"],
     ["count2d", "--lambdas", "1e-300,1e-200,1e-100,1e-50"],
@@ -604,7 +623,7 @@ def test_bad_jobs_value_is_usage(tmp_path, capsys):
     for argv, line in (
             (["--jobs", "x"], "error: --jobs: expected an integer, got 'x'"),
             (["--jobs", "1.5"], "error: --jobs: expected an integer, got '1.5'"),
-            (["--jobs", "0"], "error: --jobs: must be at least 1, got 0"),
+            (["--jobs", "0"], "error: --jobs: must lie in [1, inf), got 0"),
             (["--format", "xml"], "error: --format: expected csv or json, got 'xml'")):
         assert _refusal(["count1d", *argv], tmp_path / "out", capsys) == (2, [line])
     # a config file still takes only the subcommand's schema keys
@@ -620,31 +639,35 @@ def _no_grid(*args, **kwargs):
     raise AssertionError("a k-grid was allocated")
 
 
-@pytest.mark.parametrize("command, samples, message", [
-    ("bands", 10 ** 9, "band table of 1000000000 k-samples x 8 bands exceeds"),
-    ("ho", 10 ** 9, "k-grid of 1000000000 samples exceeds"),
-    ("localize", 10 ** 9, "envelope sweep of 1000000000 samples x 2 bands exceeds"),
-    ("localize", fiber.MAX_ROWS // 2 + 1,
-     "envelope sweep of 10000001 samples x 2 bands exceeds"),
+@pytest.mark.parametrize("argv, line", [
+    # counts that passed the old row budget and ran for minutes
+    (["ho", "--samples", "20000000"],
+     "error: --samples: must lie in [1, 5000], got 20000000"),
+    (["localize", "--samples", "10000000"],
+     "error: --samples: must lie in [1, 75000], got 10000000"),
+    (["bands", "--samples", "2000000"],
+     "error: --samples: must lie in [3, 12500], got 2000000"),
+    (["minima", "--jmax", "1000"], "error: --jmax: must lie in [1, 80], got 1000"),
+    (["mourre", "--n", "1000"], "error: --n: must lie in [1, 128], got 1000"),
+    (["ho", "--j", "1000"], "error: --j: must lie in [1, 250], got 1000"),
+    (["count2d", "--lambdas", ",".join(["0.03"] * 1000)],
+     "error: --lambdas: takes at most 500 values, got 1000"),
 ])
-def test_sample_counts_past_the_row_budget_exit_three_before_any_grid(
-        tmp_path, capsys, monkeypatch, command, samples, message):
-    monkeypatch.setattr(np, "linspace", _no_grid)
-    if command == "localize":   # its sweep is sized before the window's trace
-        monkeypatch.setattr(bands, "trace", _no_grid)
-    code, lines = _refusal([command, "--samples", str(samples)], tmp_path / "out",
-                           capsys)
-    assert code == 3 and len(lines) == 1
-    assert lines[0] == (f"error: {message} the budget of {fiber.MAX_ROWS} "
-                        "entries; lower the samples")
+def test_counts_past_their_maximum_exit_two_before_any_grid(
+        tmp_path, capsys, monkeypatch, argv, line):
+    for module, solver in ((np, "linspace"), (bands, "trace"),
+                           (bands, "find_minimum"), (fiber, "eigenpairs")):
+        monkeypatch.setattr(module, solver, _no_grid)
+    assert _refusal(argv, tmp_path / "out", capsys) == (2, [line])
 
 
-def test_localize_sweep_of_exactly_the_row_budget_reaches_the_trace(
-        tmp_path, monkeypatch):
-    # samples x 2n = MAX_ROWS entries pass the budget
+def test_localize_sweep_at_its_maximum_reaches_the_trace(tmp_path, monkeypatch):
+    # the largest sweep the schema takes, samples x 2n at its maxima
     monkeypatch.setattr(bands, "trace", _no_grid)
+    top = cli.COMMANDS["localize"]
     with pytest.raises(AssertionError, match="k-grid"):
-        run(["localize", "--samples", str(fiber.MAX_ROWS // 2)], tmp_path)
+        run(["localize", "--samples", str(top["samples"].domain[1]),
+             "--n", str(top["n"].domain[1])], tmp_path)
 
 
 @pytest.mark.parametrize("error, code", [
@@ -742,16 +765,17 @@ def test_worker_budget_refusal_is_a_resolution_error(tmp_path, capfd):
 
 def test_bands_past_the_eigenvector_budget_exit_three_before_a_stencil(
         tmp_path, monkeypatch, capsys):
-    # 1000 levels per parity on a 60500-point grid: 1.21e8 rows x levels of
-    # dstebz bisection, as this energies-only path builds no vector block
+    # the schema's 300 bands, 150 levels per parity, at k = -40, where the
+    # wall needs a 75000-point grid: 2.25e7 rows x levels of dstebz
+    # bisection, as this energies-only path builds no vector block
     def boom(*args, **kwargs):
         raise AssertionError("a stencil was built")
 
     monkeypatch.setattr(fiber, "stencil", boom)
-    assert run(["bands", "--b", "1", "--kmin", "0", "--kmax", "0",
-                "--nbands", "2000"], tmp_path) == 3
+    assert run(["bands", "--b", "1", "--kmin=-40", "--kmax=-40",
+                "--nbands", "300"], tmp_path) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "error: fiber grid at b=1, k=0 needs 1.21e+05 rows x 1000 level(s), "
+        "error: fiber grid at b=1, k=-40 needs 1.5e+05 rows x 150 level(s), "
         "past the budget of 20000000"]
 
 
@@ -897,18 +921,6 @@ def test_short_ladder_is_refused_before_any_sweep(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "count2d.csv").exists()
 
 
-def test_int_options_below_one_are_refused_before_any_solve(tmp_path,
-                                                           monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("bands were traced")
-
-    monkeypatch.setattr(bands, "trace", boom)
-    assert run(["localize", "--samples", "0"], tmp_path) == 2
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("trace_samples=0\n")
-    assert run(["localize", "--config", str(cfg)], tmp_path) == 2
-
-
 ROOT = Path(__file__).resolve().parents[1]
 
 # Run in a fresh interpreter: the test process has already imported SciPy's
@@ -940,3 +952,56 @@ def test_cli_imports_no_scipy_optimize_sparse_or_integrate():
     at_import, after_runs = (line for line in out.splitlines()
                              if line.startswith("loaded:"))
     assert at_import == after_runs == "loaded: "
+
+
+def _served_argvs(tmp_path):
+    """Every argv tools/cli_golden.py runs, its --config cases passing their
+    text from a file, and every reference operation of perfbench/golden.json."""
+    spec = importlib.util.spec_from_file_location("cli_golden",
+                                                  ROOT / "tools" / "cli_golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    argvs = []
+    for name, argv in golden.CASES.items():
+        if name in golden.CONFIGS:
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(golden.CONFIGS[name])
+            argv = argv + ["--config", str(path)]
+        argvs.append(argv)
+    reference = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    return argvs + [argv for workload in reference.values()
+                    for op in workload["ops"] for argv in op["argv"]]
+
+
+def test_no_bound_refuses_a_served_workload(tmp_path):
+    parser = cli.build_parser()
+    for argv in _served_argvs(tmp_path):
+        args = parser.parse_args(argv)
+        cli._convert("jobs", cli.RUN_OPTIONS["jobs"], args.jobs)
+        cli.effective_config(args.command, args)
+
+
+def test_every_count_has_a_maximum_that_keeps_the_row_budget():
+    for schema in cli.COMMANDS.values():
+        for option in schema.values():
+            if option.kind == "int":
+                assert 1 <= option.domain[0] <= option.domain[1] < math.inf
+            elif option.kind == "floats":
+                assert 1 < option.most < math.inf
+            else:
+                assert option.most == 1
+    # --jobs alone is unbounded: _k_map clamps it to the usable CPUs
+    assert cli.RUN_OPTIONS["jobs"].domain == (1, math.inf)
+
+    def top(command, name):
+        return cli.COMMANDS[command][name].domain[1]
+
+    # a band table holds samples x bands entries, at least three samples
+    for command, samples in (("bands", "samples"), ("mourre", "samples"),
+                             ("budget", "samples"), ("localize", "trace_samples")):
+        assert cli.COMMANDS[command][samples].domain == cli.TRACE_SAMPLES
+        assert top(command, samples) * top(command, "nbands") <= fiber.MAX_ROWS
+    assert cli.TRACE_SAMPLES[0] == 3
+    # the envelope sweep checks samples x 2n states, ho a k-grid of samples
+    assert top("localize", "samples") * 2 * top("localize", "n") <= fiber.MAX_ROWS
+    assert top("ho", "samples") <= fiber.MAX_ROWS

@@ -1275,6 +1275,12 @@ def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch,
         _count(1.0, V, 6e-3, spec=spec)
     with pytest.raises(ConfigurationError, match="y_width"):
         counting.count_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3], spec=spec)
+    # a budget of ~1e310 unknowns, far past count2d's --max-unknowns, lets
+    # ~1e301 y-steps through to the underflow of hy^2
+    huge = Grid2DSpec(hy=1e-300, max_unknowns=10 ** 310)
+    with pytest.raises(NumericalError, match=r"hy=1e-300 is too fine: hy\^2 underflows"):
+        counting.count_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3], spec=huge,
+                          ell=reduced_b1.ell)
 
 
 def test_count_2d_refinement_stability(reduced_b1):

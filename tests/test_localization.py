@@ -8,7 +8,7 @@ import pytest
 from scipy.special import erf
 
 from magbarrier import bands, localization as loc, mourre
-from magbarrier.errors import ConfigurationError, InvariantViolation
+from magbarrier.errors import ConfigurationError
 
 KAPPA_1 = 0.768183653380
 LEVEL_1 = 0.590106125320
@@ -90,9 +90,6 @@ def test_envelope_check_guards():
     pair = loc._solved_level(1.0, 0.5, 1)
     with pytest.raises(ConfigurationError):
         loc.envelope_check(replace(pair, psi=2.0 * pair.psi))
-    with pytest.raises(InvariantViolation):
-        loc.LocalizationCheck(j=1, k=0.0, x_n=1.0, envelope_ok=True,
-                              max_ratio=2.0)
 
 
 def test_window_envelope_sweep(window_b1):

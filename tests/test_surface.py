@@ -134,6 +134,12 @@ def _is_dataclass(cls):
                for deco in cls.decorator_list)
 
 
+def _is_property(method):
+    """Whether the method is decorated `@property`, so reading it runs it."""
+    return any(getattr(deco, "id", None) == "property"
+               for deco in method.decorator_list)
+
+
 def _methods(cls):
     """{name: node} of the class's own methods other than __post_init__."""
     return {node.name: node for node in cls.body
@@ -170,7 +176,8 @@ def _walk(package):
 
     A key is (module, name) for a module-level definition and
     (module, class, method) for a method. Once the definitions run out, the
-    methods of reached classes whose names reached code calls join the walk.
+    methods of reached classes whose names reached code calls, and the
+    properties whose names it reads, join the walk.
     """
     seen, called, read = set(), set(), set()
     todo = [("cli", "main")]
@@ -190,8 +197,9 @@ def _walk(package):
                         called.add(sub.func.attr)
         if not todo:
             todo = [(module, name, method) for module, name in _classes(seen, package)
-                    for method in _methods(package[module][0][name])
-                    if method in called and (module, name, method) not in seen]
+                    for method, node in _methods(package[module][0][name]).items()
+                    if method in (read if _is_property(node) else called)
+                    and (module, name, method) not in seen]
     return seen, read
 
 
