@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, bands, counting, fiber, localization, mourre
+from . import asymptotics, bands, counting, fiber, localization, mourre, specfun
 from .counting import Grid2DSpec
 from .errors import ConfigurationError, InvariantViolation, NumericalError
 
@@ -57,7 +57,6 @@ DECAY = (0.0, 2.0)      # the decay exponents alpha of the counting laws
 # products keep every band table and envelope sweep within the fiber row
 # budget
 TRACE_SAMPLES = (3, 12_500)     # a window ceiling reads three around a minimum
-NBANDS = (1, 300)
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,8 @@ class Option:
 # the spectral window of mourre, budget and localize
 _WINDOW = {
     "b": Option("float", 1.0, "field strength", POSITIVE),
-    "n": Option("int", 1, "spectral window ordinal", (1, 128)),
+    "n": Option("int", 1, "spectral window ordinal", (1, 64)),
     "E": Option("energy", "mid", "window energy, or 'mid'"),
-    "kmin": Option("float", None, "trace left end (default -4 sqrt(b))"),
-    "kmax": Option("float", None, "trace right end (default 6 sqrt(b))"),
-    "nbands": Option("int", None, "bands traced (default max(2n+1, 5))",
-                     NBANDS),
 }
 
 COMMANDS = {
@@ -85,7 +80,7 @@ COMMANDS = {
         "b": Option("float", 1.0, "field strength", POSITIVE),
         "kmin": Option("float", -4.0, "left end of the wave-number range"),
         "kmax": Option("float", 6.0, "right end of the wave-number range"),
-        "nbands": Option("int", 8, "number of bands", NBANDS),
+        "nbands": Option("int", 8, "number of bands", (1, 300)),
         "samples": Option("int", 81, "k-samples for the trace", TRACE_SAMPLES),
         "refine": Option("bool", True, "Richardson-refine eigenvalues"),
     },
@@ -97,7 +92,9 @@ COMMANDS = {
         "b": Option("float", 1.0, "field strength", POSITIVE),
         "ks": Option("floats", (-15.0, -20.0, -40.0), "wave numbers",
                      NEGATIVE, 10_000),
-        "jmax": Option("int", 4, "bands 1..jmax", (1, 128)),
+        # band jmax's neighbour, band jmax + 1, takes the last tabulated zero
+        "jmax": Option("int", 4, "bands 1..jmax",
+                       (1, 2 * specfun.AIRY_ZERO_MAX_J - 1)),
     },
     "ho": {
         "b": Option("float", 1.0, "field strength", POSITIVE),
@@ -116,6 +113,8 @@ COMMANDS = {
     },
     "localize": {
         **_WINDOW,
+        # at n = 15 the envelope sweep finds no resolved sample past the onset
+        "n": Option("int", 1, "spectral window ordinal", (1, 14)),
         "samples": Option("int", 9, "envelope samples per band", (1, 75_000)),
         "trace_samples": Option("int", 81, "k-samples for the trace",
                                 TRACE_SAMPLES),
@@ -435,16 +434,21 @@ def cmd_ho(cfg, jobs):
     return _payload("ho", cfg, columns, rows, summary, fit.passed)
 
 
+def _window_trace(n, b):
+    """(kmin, kmax, nbands) of the trace that holds window n at field b.
+
+    For k <= 0, (k - b|x|)^2 >= k^2, so at kmin every band lies above
+    (2n+1) b, past the window's ceiling; band 2n+1's minimum sits at
+    kappa_{n+1} < sqrt((2n+1) b), find_minimum's bound, at least sqrt(b)/2
+    inside kmax. For n <= 7 the trace is [-4 sqrt(b), 6 sqrt(b)].
+    """
+    r, root_b = math.sqrt(2 * n + 1), math.sqrt(b)
+    return -max(4.0, r) * root_b, max(6.0, r + 0.5) * root_b, max(2 * n + 1, 5)
+
+
 def _window_report(cfg, trace_samples, jobs):
     b, n, spec = cfg["b"], cfg["n"], cfg["E"]
-    root_b = math.sqrt(b)
-    kmin = cfg["kmin"] if cfg["kmin"] is not None else -4.0 * root_b
-    kmax = cfg["kmax"] if cfg["kmax"] is not None else 6.0 * root_b
-    nbands = cfg["nbands"] if cfg["nbands"] is not None else max(2 * n + 1, 5)
-    # the window's ceiling is band 2n+1's minimum: refused before the trace
-    if nbands < 2 * n + 1:
-        raise ConfigurationError(
-            f"--nbands: must be at least 2n+1 = {2 * n + 1}, got {nbands}")
+    kmin, kmax, nbands = _window_trace(n, b)
     table = bands.trace(b, kmin, kmax, n_bands=nbands,
                         base_samples=trace_samples, refine=True, jobs=jobs)
     if spec == "mid":

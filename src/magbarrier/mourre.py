@@ -94,41 +94,24 @@ def _invert_decreasing(ks, ws, target):
 
 
 def _preimage(table, j, lo_e, hi_e):
-    """The k-interval of band j over [lo_e, hi_e], or None when it misses.
-
-    Raises when the traced k-range cannot decide the question.
-    """
-    ks, ws, dws = _decreasing_branch(table, j)
-    if len(ws) < 2:
-        raise ConfigurationError(
-            f"band {j} has no certifiable decreasing branch on this table"
-        )
-    if hi_e < ws[-1]:
+    """The k-interval of band j over [lo_e, hi_e], or None unless
+    [lo_e, hi_e] lies inside the range of band j's certified branch."""
+    ks, ws, _ = _decreasing_branch(table, j)
+    if lo_e < ws[-1] or hi_e > ws[0]:
         return None
-    if lo_e > ws[0]:
-        return None
-    if hi_e > ws[0]:
-        raise ConfigurationError(
-            f"table does not reach energy {hi_e:g} on band {j}; trace further left"
-        )
-    if lo_e < ws[-1]:
-        raise ConfigurationError(
-            f"band {j} has not dropped below {lo_e:g} on the traced range; "
-            "trace further right"
-        )
     return (_invert_decreasing(ks, ws, hi_e), _invert_decreasing(ks, ws, lo_e))
 
 
 def window_ceiling(n, b, table):
     """The top of window n: band 2n+1's table minimum, refused unless it is
-    interior to the trace (an end sample says nothing of the minimum past
-    it) and inside ((2n-1) b, (2n+1) b), where find_minimum asserts it."""
+    interior to the trace (an end sample says nothing of a minimum between
+    samples) and inside ((2n-1) b, (2n+1) b), where find_minimum asserts it."""
     j = 2 * n + 1
     k_star, ceiling = bands.table_minimum(table, j)
     if k_star in (table.ks[0], table.ks[-1]):
         raise ConfigurationError(
             f"band {j} has its lowest sample at k={k_star:g}, an end of the "
-            "traced range; trace a wider range")
+            "traced range; trace more samples")
     lo, top = (2.0 * n - 1.0) * b, (2.0 * n + 1.0) * b
     if not lo < ceiling < top:
         raise ConfigurationError(
@@ -144,9 +127,6 @@ def find_delta0(n, E, b, table):
     past 2n and keep the preimages of bands 1..2n pairwise disjoint. Both
     conditions tighten monotonically in delta0, so bisection applies.
     Returned in scaled units (the physical half-width is delta0 * b).
-    Bands 1..2n cross E left of their minima, so a band whose first sample
-    is not above E is refused before the bisection: the trace starts right
-    of the window.
     """
     lo = (2.0 * n - 1.0) * b
     hi = window_ceiling(n, b, table)
@@ -154,11 +134,6 @@ def find_delta0(n, E, b, table):
         raise ConfigurationError(
             f"E={E:g} is not strictly inside the window ({lo:g}, {hi:g})"
         )
-    for j in range(1, 2 * n + 1):
-        if not table.omega[j - 1][0] > E:
-            raise ConfigurationError(
-                f"band {j} is already {table.omega[j - 1][0]:g} at k="
-                f"{table.ks[0]:g}, not above E={E:g}; trace further left")
     cap = distance_cap(n, E, b, hi)
     higher_floor = table.omega[2 * n:].min()   # lowest sample past band 2n
 
@@ -170,10 +145,7 @@ def find_delta0(n, E, b, table):
             return False
         intervals = []
         for j in range(1, 2 * n + 1):
-            try:
-                iv = _preimage(table, j, lo_e, hi_e)
-            except ConfigurationError:
-                return False
+            iv = _preimage(table, j, lo_e, hi_e)
             if iv is None:
                 return False
             intervals.append(iv)

@@ -66,7 +66,7 @@ def test_window_ceiling_is_the_resolved_table_minimum(table_b1):
         == bands.table_minimum(table_b1, 5)[1]
     # band 3's minimum at k = 1.62 is past this trace: an end sample
     short = bands.trace(1.0, -4.0, 0.5, n_bands=3, base_samples=11, refine=True)
-    with pytest.raises(ConfigurationError, match="trace a wider range"):
+    with pytest.raises(ConfigurationError, match="trace more samples"):
         mourre.window_ceiling(1, 1.0, short)
 
 

@@ -16,7 +16,7 @@ fork workers at `--jobs 2`; their digests were recorded where `--jobs` was
 ignored, so they show that the output does not depend on `--jobs`. A case
 named in `CONFIGS` also passes its text by `--config`, from a file beside
 the output directory, so it shows that a config file and argv give the same
-bytes. The whole run takes about 15 s on two cores.
+bytes. The whole run takes about 20 s on two cores.
 """
 
 import argparse
@@ -94,6 +94,8 @@ CASES["ho_near_minimum_jobs2"] = CASES["ho_near_minimum"] + ["--jobs", "2"]
 # a numeric --E, echoed as the number (E=1.5) and as given (E_spec=1.50)
 CASES["mourre_E"] = ["mourre", "--b", "1", "--n", "1", "--samples", "41",
                      "--E", "1.50"]
+# the first case whose trace starts at -sqrt((2n+1) b), left of -4 sqrt(b)
+CASES["mourre_n11"] = ["mourre", "--n", "11", "--samples", "41"]
 CASES["count1d_ell"] = ["count1d", "--ell", "0.9", "--lambdas", "9e-4,2.7e-4"]
 # the unverified count on the default ladder, and a slower tail at a heavier
 # mass, whose bracketed counts 3, 3 fit nothing: exit 1
