@@ -813,22 +813,53 @@ def test_window_the_trace_cannot_certify_is_a_usage_error(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_window_trace_follows_from_n_and_b(tmp_path, capsys):
-    # so argv and a config file take no trace option
-    cfg = tmp_path / "run.cfg"
-    for command in ("mourre", "budget", "localize"):
-        for name in ("kmin", "kmax", "nbands"):
-            with pytest.raises(SystemExit) as info:
-                run([command, f"--{name}=-4"], tmp_path / "out")
-            assert info.value.code == 2
-            capsys.readouterr()
-            cfg.write_text(f"{name} = -4\n")
-            assert _refusal([command, "--config", str(cfg)], tmp_path / "out",
-                            capsys) == (2, [f"error: unknown config keys for "
-                                            f"{command}: {name}"])
+# the options a window run took before its trace followed from n and b,
+# each at its old default
+RETIRED_TRACE = {"kmin": "-4", "kmax": "6", "nbands": "5"}
+
+
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize("command", ["mourre", "budget", "localize"])
+@pytest.mark.parametrize("name", sorted(RETIRED_TRACE))
+def test_retired_trace_option_is_refused_before_the_trace(
+        tmp_path, capsys, monkeypatch, source, command, name):
+    def boom(*args, **kwargs):
+        raise AssertionError("the bands were traced")
+
+    monkeypatch.setattr(bands, "trace", boom)
+    value = RETIRED_TRACE[name]
+    if source == "argv":
+        with pytest.raises(SystemExit) as info:
+            run([command, f"--{name}={value}"], tmp_path / "out")
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"magbarrier: error: unrecognized arguments: --{name}={value}")
+        assert not (tmp_path / "out").exists()
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        assert _refusal([command, "--config", str(cfg)], tmp_path / "out",
+                        capsys) == (2, [f"error: unknown config keys for "
+                                        f"{command}: {name}"])
+
+
+@pytest.mark.parametrize("n", range(1, cli.COMMANDS["mourre"]["n"].domain[1] + 1))
+def test_window_trace_follows_from_n_and_b(n):
+    # every n the window commands accept, at b = 1; the trace scales as
+    # sqrt(b), and the property test below draws b
+    kmin, kmax, nbands = cli._window_trace(n, 1.0)
+    r = math.sqrt(2 * n + 1)
+    assert kmin <= -r and kmax >= r + 0.5 and nbands >= max(2 * n + 1, 5)
+    assert cli._window_trace(n, 2.25) == (1.5 * kmin, 1.5 * kmax, nbands)
+    # band 1, and so every band, lies above (2n+1) b at the left end
+    omega_1 = fiber.refined([pair.omega
+                             for pair in fiber.band(1.0, kmin, 1, refine=True)])
+    assert omega_1 > 2 * n + 1
     # n <= 7 keeps the trace [-4 sqrt(b), 6 sqrt(b)] of five bands or more
-    for n in range(1, 8):
-        assert cli._window_trace(n, 2.25) == (-6.0, 9.0, max(2 * n + 1, 5))
+    if n <= 7:
+        assert (kmin, kmax) == (-4.0, 6.0)
+    else:
+        assert kmin < -4.0
 
 
 @seed(20261021)
