@@ -72,14 +72,14 @@ def _columns(pair):
             pair.psi0, pair.dpsi0)
 
 
-def _trace_row(b, k, n_bands, refine):
+def _trace_row(b, k, n_bands):
     """One _columns row per band of the n_bands lowest bands at one k.
 
     Only the column values leave; the eigenvectors behind them are dropped
     here, so a traced grid costs a few floats per point, not a vector per
-    band. A refined row extrapolates every column in h^2, not just the energy.
+    band. The row extrapolates every column in h^2, not just the energy.
     """
-    grids = fiber.first_levels(b, k, n_bands, refine=refine)
+    grids = fiber.first_levels(b, k, n_bands)
     return [list(map(fiber.refined, zip(*map(_columns, pairs))))
             for pairs in zip(*grids)]
 
@@ -106,9 +106,9 @@ def _k_map(jobs):
         yield pool.imap
 
 
-def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True, jobs=1):
+def trace(b, k_min, k_max, n_bands=8, base_samples=81, jobs=1):
     """Sample the lowest n_bands band functions on the uniform k-grid
-    linspace(k_min, k_max, base_samples).
+    linspace(k_min, k_max, base_samples), every column Richardson-refined.
 
     The samples must be distinct floats. jobs > 1 solves the k-points on up
     to that many forked worker processes; the table is the same, bit for
@@ -118,7 +118,7 @@ def trace(b, k_min, k_max, n_bands=8, base_samples=81, refine=True, jobs=1):
     if not (np.diff(ks) > 0.0).all():
         raise ConfigurationError(
             f"need k_min < k_max with {base_samples} distinct float k-samples between")
-    row_at = functools.partial(_trace_row, b, n_bands=n_bands, refine=refine)
+    row_at = functools.partial(_trace_row, b, n_bands=n_bands)
     with _k_map(jobs) as k_map:
         columns = np.array(list(k_map(row_at, ks.tolist()))).T
     return BandTable(b, ks, *columns,
@@ -177,15 +177,23 @@ def _brentq(f, a, b, fa, fb, xtol, rtol):
     )
 
 
+def minimum_bounds(j, b):
+    """(kappa_max, energy_lo, energy_hi) of even band j's minimum at field b:
+    kappa below the root of the level (4j - 3) b the band tends to, energy
+    between the Landau levels (2j - 3) b (0 at j = 1) and (2j - 1) b."""
+    energy_lo = (2.0 * (j - 1) - 1.0) * b if j > 1 else 0.0
+    return math.sqrt((2.0 * (2 * j - 1) - 1.0) * b), energy_lo, (2.0 * j - 1.0) * b
+
+
 def find_minimum(j, b):
     """Locate the minimum of even band j as the root of omega(k) - k^2.
 
-    The bracket is (0, sqrt of the band's oscillator limit); the minimum
-    energy is the square of the root, cross-checked against the direct
-    eigenvalue there.
+    The bracket is (0, kappa_max) of minimum_bounds; the minimum energy is
+    the square of the root, cross-checked against the direct eigenvalue
+    there, and both are asserted inside minimum_bounds.
     """
-    limit = (2.0 * (2 * j - 1) - 1.0) * b      # oscillator level the band tends to
-    lo, hi = 1e-6 * math.sqrt(b), math.sqrt(limit)
+    kappa_max, energy_lo, energy_hi = minimum_bounds(j, b)
+    lo, hi = 1e-6 * math.sqrt(b), kappa_max
 
     def omega(pairs):
         return fiber.refined([pair.omega for pair in pairs])
@@ -206,14 +214,12 @@ def find_minimum(j, b):
         raise NumericalError(
             f"minimum cross-check failed: omega({kappa})={direct} vs kappa^2={energy}"
         )
-    window_lo = (2.0 * (j - 1) - 1.0) * b if j > 1 else 0.0
-    window_hi = (2.0 * j - 1.0) * b
-    if not (window_lo < energy < window_hi):
+    if not (energy_lo < energy < energy_hi):
         raise InvariantViolation(
-            f"band {2 * j - 1} minimum {energy} outside ({window_lo}, {window_hi})"
+            f"band {2 * j - 1} minimum {energy} outside ({energy_lo}, {energy_hi})"
         )
-    if not 0.0 < kappa < math.sqrt(limit):
-        raise InvariantViolation(f"kappa {kappa} outside (0, sqrt({limit}))")
+    if not 0.0 < kappa < kappa_max:
+        raise InvariantViolation(f"kappa {kappa} outside (0, {kappa_max})")
     psi0 = pairs[-1].psi0      # the fine grid's, not extrapolated
     beta = (2.0 * kappa / b) * psi0 ** 2
     return MinimumRecord(j=j, kappa=kappa, energy=energy, beta=beta,

@@ -82,7 +82,6 @@ COMMANDS = {
         "kmax": Option("float", 6.0, "right end of the wave-number range"),
         "nbands": Option("int", 8, "number of bands", (1, 300)),
         "samples": Option("int", 81, "k-samples for the trace", TRACE_SAMPLES),
-        "refine": Option("bool", True, "Richardson-refine eigenvalues"),
     },
     "minima": {
         "b": Option("float", 1.0, "field strength", POSITIVE),
@@ -126,8 +125,6 @@ COMMANDS = {
         "lambdas": Option("floats", (1e-3, 3e-4, 1e-4), "gap ladder", POSITIVE,
                           40_000),
         "h": Option("float", counting.DEFAULT_H_1D, "grid step", POSITIVE),
-        "verify": Option("bool", True,
-                         "certify each count by a Dirichlet-Neumann bracket"),
     },
     "count2d": {
         "b": Option("float", 1.0, "field strength", POSITIVE),
@@ -140,9 +137,6 @@ COMMANDS = {
                      POSITIVE),
         "hy": Option("float", counting.DEFAULT_HY_2D, "longitudinal grid step",
                      POSITIVE),
-        "max_unknowns": Option("int", counting.MAX_UNKNOWNS_2D,
-                               "memory budget in grid unknowns",
-                               (1, 50_000_000)),
         "check_stability": Option("bool", False,
                                   "recount the largest rung on a finer grid"),
     },
@@ -357,17 +351,18 @@ def _plot_blocks(table):
 def cmd_bands(cfg, jobs):
     if cfg["kmin"] > cfg["kmax"]:
         raise ConfigurationError("kmin must not exceed kmax")
+    cfg.update(refine=True)     # every table is Richardson-refined
     if cfg["kmin"] == cfg["kmax"]:
         # energies only: the table prints no vector-derived column
         grids = fiber.first_levels(cfg["b"], cfg["kmin"], cfg["nbands"],
-                                   refine=cfg["refine"], vectors=False)
+                                   vectors=False)
         rows = [[fiber.refined([pair.omega for pair in pairs])]
                 for pairs in zip(*grids)]
         return _payload("bands", cfg, ["omega"], rows,
                         {"k": cfg["kmin"], "n_levels": len(rows)}, True)
     table = bands.trace(cfg["b"], cfg["kmin"], cfg["kmax"],
                         n_bands=cfg["nbands"], base_samples=cfg["samples"],
-                        refine=cfg["refine"], jobs=jobs)
+                        jobs=jobs)
     mono = bands.monotonicity_report(table)
     columns = ["k", "j", "parity", "omega", "domega_fh", "domega_bd",
                "psi0", "dpsi0", "k_squared"]
@@ -396,16 +391,11 @@ def cmd_minima(cfg, jobs):
     with bands._k_map(jobs) as k_map:
         records = list(k_map(functools.partial(bands.find_minimum, b=b),
                              range(1, cfg["jmax"] + 1)))
+    # find_minimum refuses a minimum outside its bounds, so each row passes
     for j, rec in enumerate(records, 1):
-        kappa_max = math.sqrt((4 * j - 3) * b)
-        energy_lo = max(2 * j - 3, 0) * b
-        energy_hi = (2 * j - 1) * b
-        ok = (0.0 < rec.kappa < kappa_max) and (energy_lo < rec.energy < energy_hi)
         rows.append([j, rec.kappa, rec.energy, rec.beta, rec.psi0_at_kappa,
-                     kappa_max, energy_lo, energy_hi, ok])
-    passed = all(row[-1] for row in rows)
-    return _payload("minima", cfg, columns, rows,
-                    {"n_minima": len(rows)}, passed)
+                     *bands.minimum_bounds(j, b), True])
+    return _payload("minima", cfg, columns, rows, {"n_minima": len(rows)}, True)
 
 
 def cmd_airy(cfg, jobs):
@@ -450,7 +440,7 @@ def _window_report(cfg, trace_samples, jobs):
     b, n, spec = cfg["b"], cfg["n"], cfg["E"]
     kmin, kmax, nbands = _window_trace(n, b)
     table = bands.trace(b, kmin, kmax, n_bands=nbands,
-                        base_samples=trace_samples, refine=True, jobs=jobs)
+                        base_samples=trace_samples, jobs=jobs)
     if spec == "mid":
         level = (2 * n - 1) * b
         ceiling = mourre.window_ceiling(n, b, table)
@@ -500,9 +490,11 @@ def cmd_count1d(cfg, jobs):
     alpha, ell, m = cfg["alpha"], cfg["ell"], cfg["m"]
     constant = counting.counting_constant_1d(alpha, ell, m)
     expected = 1.0 / alpha - 0.5
+    v2 = counting.DecayPotential(alpha).v2
+    cfg.update(verify=True)     # every count is certified by its bracket
 
     def q_model(y):
-        return ell * (1.0 + np.asarray(y, dtype=float) ** 2) ** (-alpha / 2.0)
+        return ell * v2(y)
 
     columns = ["lambda", "count", "scaled_count"]
     rows, counts, failed, exc = [], [], None, None
@@ -510,7 +502,7 @@ def cmd_count1d(cfg, jobs):
         try:
             n = counting.count_1d(m, q_model, lam,
                                   counting.line_half_width(ell, lam, alpha, m),
-                                  h=cfg["h"], verify_width=cfg["verify"])
+                                  h=cfg["h"])
         except (ConfigurationError, NumericalError, InvariantViolation) as err:
             failed, exc = f"{type(err).__name__}: {err}", err
             break
@@ -529,6 +521,7 @@ def cmd_count1d(cfg, jobs):
 
 def cmd_count2d(cfg, jobs):
     b, alpha = cfg["b"], cfg["alpha"]
+    cfg.update(max_unknowns=counting.MAX_UNKNOWNS_2D)   # the grid budget
     lambdas = counting.checked_ladder(cfg["lambdas"])  # before any solve
     V = counting.DecayPotential(alpha, cfg["amplitude"])
     rec = bands.find_minimum(1, b)
@@ -536,8 +529,7 @@ def cmd_count2d(cfg, jobs):
     ell = counting.tail_coefficient(V, ground)
     constant = counting.counting_constant_1d(alpha, ell, math.sqrt(rec.beta))
     expected = 1.0 / alpha - 0.5
-    spec = Grid2DSpec(hx=cfg["hx"], hy=cfg["hy"],
-                      max_unknowns=cfg["max_unknowns"])
+    spec = Grid2DSpec(hx=cfg["hx"], hy=cfg["hy"])
     columns = ["lambda", "count", "scaled_count"]
     summary = {"expected_exponent": expected, "closed_form_constant": constant,
                "ell": ell, "beta1": rec.beta, "kappa1": rec.kappa}
@@ -564,8 +556,7 @@ def cmd_count2d(cfg, jobs):
         # beyond one count flags the result as grid-limited
         finer = Grid2DSpec(hx=cfg["hx"] / STABILITY_REFINE,
                            hy=cfg["hy"] / STABILITY_REFINE, lx=meta["lx"],
-                           y_width=meta["y_width"],
-                           max_unknowns=cfg["max_unknowns"])
+                           y_width=meta["y_width"])
         (refined,), _ = counting.count_2d(b, V, lambdas[:1], spec=finer,
                                           jobs=jobs)
         stable = abs(refined - counts[0]) <= 1

@@ -38,6 +38,8 @@ TURNING_FACTOR = 3.0
 # of the default ladder and of every benchmark one, which only a factor
 # above 55 would widen
 DECAY_LENGTHS = 6.0
+# unknowns of one 2D grid; the sweep holds SECTOR_CHUNK-sized chunks of it,
+# so this bounds a count's time, not its memory
 MAX_UNKNOWNS_2D = 10_000_000
 # x-points of one Schur block, which the sweep holds as dense nx x nx complex
 # buffers: 64 MiB each at the cap, over 10x the nx of b = 1 at the default hx
@@ -206,13 +208,13 @@ def _line_nodes(n, h, start):
     return (np.arange(start, min(start + INERTIA_CHUNK, n)) - 0.5 * (n - 1)) * h
 
 
-def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
+def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D):
     """Eigenvalues of -m^2 d^2/dy^2 - Q below -lam on the line lattice of
     step h, counted on the box |y| <= half_width; m, lam and h are positive.
 
     count1d sizes the box by line_half_width. The box count (Dirichlet)
-    bounds the count of the whole line from below. verify_width certifies it
-    by Dirichlet-Neumann bracketing on the same grid (Reed & Simon IV,
+    bounds the count of the whole line from below, and is certified by
+    Dirichlet-Neumann bracketing on the same grid (Reed & Simon IV,
     XIII.15), assuming Q decreases in |y| past the box, as the count1d model
     and the reduced tail ell |y|^{-alpha} do: when Q at the first node
     outside is below lam, the outside holds nothing below -lam, and the
@@ -250,11 +252,10 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
     if rows > 1.0 and not stiffness >= np.finfo(float).tiny:
         raise NumericalError(f"stencil coupling m^2/h^2 underflows at m={m:g}, h={h:g}")
 
-    if verify_width:
-        ends = (np.array([0, n - 1]) - 0.5 * (n - 1)) * h + np.array([-h, h])
-        with np.errstate(over="ignore"):  # a far node's y^2 may overflow to inf
-            outside = float(np.max(Q(ends)))
-    refusing = verify_width and not outside < lam
+    ends = (np.array([0, n - 1]) - 0.5 * (n - 1)) * h + np.array([-h, h])
+    with np.errstate(over="ignore"):  # a far node's y^2 may overflow to inf
+        outside = float(np.max(Q(ends)))
+    refusing = not outside < lam
     q_max = 0.0
     lower = upper = 0               # the Dirichlet and the Neumann count
     dirichlet, neumann = [-stiffness, None], [-stiffness, None]
@@ -269,24 +270,23 @@ def count_1d(m, Q, lam, half_width, h=DEFAULT_H_1D, verify_width=True):
         d = 2.0 * stiffness - q
         e = np.full(len(d) - 1, -stiffness)
         lower += tridiagonal_inertia(d, e, -lam, dirichlet)
-        if verify_width:
-            if start == 0:
-                d[0] -= stiffness
-            if start + len(d) == n:
-                d[-1] -= stiffness
-            upper += tridiagonal_inertia(d, e, -lam, neumann)
+        if start == 0:
+            d[0] -= stiffness
+        if start + len(d) == n:
+            d[-1] -= stiffness
+        upper += tridiagonal_inertia(d, e, -lam, neumann)
     phase = h * math.sqrt(q_max)
     if n > 1 and phase > m:
         raise NumericalError(
             f"line grid step h={h:g} under-resolves the well: "
             f"h sqrt(max Q) = {phase:.3g} exceeds m={m:g}, "
             "fewer than 2 pi steps per local wavelength; refine h")
-    if verify_width and not outside < lam:
+    if not outside < lam:
         raise NumericalError(
             f"line box |y| <= {half_width:g} stops short of the turning point: "
             f"Q = {outside:.3g} at the first node outside is not below "
             f"lam = {lam:g}; widen")
-    if verify_width and upper != lower:
+    if upper != lower:
         raise NumericalError(
             f"line box |y| <= {half_width:g} does not certify its count: "
             f"Dirichlet {lower} and Neumann {upper} differ; widen")
@@ -364,7 +364,6 @@ class Grid2DSpec:
     hy: float = DEFAULT_HY_2D
     lx: float = None
     y_width: float = None
-    max_unknowns: int = MAX_UNKNOWNS_2D
 
 
 def discrete_threshold(b, lx, nx, hy):
@@ -646,7 +645,7 @@ def _grid_2d(b, V, lam, spec, ell):
     ell |y|^{-alpha}, and a call that gives neither is refused. A grid that
     cannot be represented, that has fewer than two x-steps, more than
     MAX_NX_2D x-steps (the side of every dense Schur block), a y-step whose
-    hy^2 or (1/hy^2)^2 underflows, or more than spec.max_unknowns unknowns,
+    hy^2 or (1/hy^2)^2 underflows, or more than MAX_UNKNOWNS_2D unknowns,
     is refused here, before any grid array exists.
     """
     lx = spec.lx
@@ -674,11 +673,11 @@ def _grid_2d(b, V, lam, spec, ell):
             f"hx={spec.hx:g} leaves {nx} x-step(s) on the half-width "
             f"{lx:g}; the fiber stencil needs at least 2")
     # the budget first: a y-step fine enough for hy^2 to underflow asks
-    # for ~1e300 y-steps, which only a budget as large lets through
-    if (2 * nx - 1) * ny > spec.max_unknowns:
+    # for ~1e300 y-steps, past the budget
+    if (2 * nx - 1) * ny > MAX_UNKNOWNS_2D:
         raise NumericalError(
             f"grid {2 * nx - 1} x {ny:.3g} exceeds the budget of "
-            f"{spec.max_unknowns} unknowns; raise lam or coarsen"
+            f"{MAX_UNKNOWNS_2D} unknowns; raise lam or coarsen"
         )
     if not spec.hy * spec.hy >= np.finfo(float).tiny:
         raise NumericalError(f"y-step hy={spec.hy:g} is too fine: hy^2 underflows")

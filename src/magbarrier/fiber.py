@@ -8,9 +8,9 @@ inverse iteration supplies the vectors.
 
 One solve path: `_wall` sizes the box and its grid; `sector` solves a
 parity sector on one grid, or on two (steps h and h/2, same box), one pair
-list per grid; `band` and `first_levels` pick and merge grid by grid;
-`refined` reads a functional's per-grid values as one, extrapolated in h^2
-over two grids.
+list per grid; `band` and `first_levels` pick and merge grid by grid, and
+`first_levels` always on two; `refined` reads a functional's (coarse, fine)
+values as one, extrapolated in h^2.
 
 Grids are constructed in scaled units (the problem at field strength b and
 wave number k is the b = 1 problem at k / sqrt(b), stretched by b^{-1/2}),
@@ -256,10 +256,7 @@ def band(b, k, j, refine=False):
 
 
 def refined(values):
-    """One value per grid, read as one: a one-grid value as is, a
-    (coarse, fine) pair extrapolated in h^2."""
-    if len(values) == 1:
-        return values[0]
+    """A functional's (coarse, fine) values read as one, extrapolated in h^2."""
     return float(richardson2(*values))
 
 
@@ -287,8 +284,9 @@ def expectation(pair, f_values):
 
 
 def merge_parities(even, odd):
-    """Interleave solved parity classes, one pair (or Level) list per grid
-    as `sector` returns them, into globally indexed bands, grid by grid.
+    """Interleave solved parity classes, the (coarse, fine) pair (or Level)
+    lists of two-grid `sector` solves, into globally indexed bands, grid by
+    grid.
 
     Even-below-odd pairwise order and the global interleaving are exact
     statements, but the parity splitting collapses below the eigensolver
@@ -316,14 +314,16 @@ def merge_parities(even, odd):
     return grids
 
 
-def first_levels(b, k, n_bands, refine=False, vectors=True):
-    """The n_bands lowest global bands at one k, both parities merged, one
-    list per grid as `sector` returns them (Levels without `vectors`).
+def first_levels(b, k, n_bands, vectors=True):
+    """The n_bands lowest global bands at one k, both parities merged, as
+    (coarse, fine) lists solved at steps h and h/2 as `sector` returns them
+    (Levels without `vectors`).
 
-    Every grid's lists are merged by the same deterministic interleave, so
+    Both grids' lists are merged by the same deterministic interleave, so
     the m-th entries of each describe the same band.
     """
     n_odd = n_bands // 2
-    even = sector(b, k, Parity.EVEN, n_bands - n_odd, refine, vectors)
-    odd = sector(b, k, Parity.ODD, n_odd, refine, vectors) if n_odd else ([],) * len(even)
+    even = sector(b, k, Parity.EVEN, n_bands - n_odd, refine=True, vectors=vectors)
+    odd = sector(b, k, Parity.ODD, n_odd, refine=True, vectors=vectors) \
+        if n_odd else ([], [])
     return merge_parities(even, odd)

@@ -76,7 +76,10 @@ def _decreasing_branch(table, j):
     """
     ks, ws, dws = table.ks, table.omega[j - 1], table.domega_fh[j - 1]
     if table.parities[j - 1] is Parity.EVEN:
+        # to the lowest sample, or the last before it that still falls
         cut = int(np.argmin(ws)) + 1
+        while cut > 1 and not dws[cut - 1] < 0.0:
+            cut -= 1
         ks, ws, dws = ks[:cut], ws[:cut], dws[:cut]
     floor = TRUST_DECREMENT * table.b
     keep = len(ws)
@@ -112,7 +115,7 @@ def window_ceiling(n, b, table):
         raise ConfigurationError(
             f"band {j} has its lowest sample at k={k_star:g}, an end of the "
             "traced range; trace more samples")
-    lo, top = (2.0 * n - 1.0) * b, (2.0 * n + 1.0) * b
+    _, lo, top = bands.minimum_bounds(n + 1, b)
     if not lo < ceiling < top:
         raise ConfigurationError(
             f"band {j}'s table minimum {ceiling:g} is outside ({lo:g}, {top:g}); "

@@ -42,8 +42,7 @@ def wide_bracket_eigenvalue(b, k, parity, index, L, N, seed):
     return tridiag.bisect_eigenvalue(d, e * e, index, lo, hi)
 
 
-def whole_array_count_1d(m, Q, lam, half_width, h=counting.DEFAULT_H_1D,
-                         verify_width=True):
+def whole_array_count_1d(m, Q, lam, half_width, h=counting.DEFAULT_H_1D):
     """count_1d as it was before it streamed its grid: y, Q, d and e built
     over the whole box, the refusals checked on whole arrays before either
     sweep, and two whole-array inertia sweeps; the streamed count must
@@ -76,7 +75,7 @@ def whole_array_count_1d(m, Q, lam, half_width, h=counting.DEFAULT_H_1D,
             f"line grid step h={h:g} under-resolves the well: "
             f"h sqrt(max Q) = {phase:.3g} exceeds m={m:g}, "
             "fewer than 2 pi steps per local wavelength; refine h")
-    if verify_width and not outside < lam:
+    if not outside < lam:
         raise NumericalError(
             f"line box |y| <= {half_width:g} stops short of the turning point: "
             f"Q = {outside:.3g} at the first node outside is not below "
@@ -84,12 +83,11 @@ def whole_array_count_1d(m, Q, lam, half_width, h=counting.DEFAULT_H_1D,
     d = 2.0 * stiffness - q
     e = np.full(len(d) - 1, -stiffness)
     n = counting.tridiagonal_inertia(d, e, -lam)
-    if verify_width:
-        d[0] -= stiffness
-        d[-1] -= stiffness
-        upper = counting.tridiagonal_inertia(d, e, -lam)
-        if upper != n:
-            raise NumericalError(
-                f"line box |y| <= {half_width:g} does not certify its count: "
-                f"Dirichlet {n} and Neumann {upper} differ; widen")
+    d[0] -= stiffness
+    d[-1] -= stiffness
+    upper = counting.tridiagonal_inertia(d, e, -lam)
+    if upper != n:
+        raise NumericalError(
+            f"line box |y| <= {half_width:g} does not certify its count: "
+            f"Dirichlet {n} and Neumann {upper} differ; widen")
     return n

@@ -61,7 +61,7 @@ def _build_window(n, b, n_bands=None):
     if n_bands is None:
         n_bands = max(2 * n + 1, 5)
     table = bands.trace(b, -4.0 * root_b, 6.0 * root_b, n_bands=n_bands,
-                        base_samples=81, refine=True, jobs=2)
+                        base_samples=81, jobs=2)
     hi = bands.table_minimum(table, 2 * n + 1)[1]
     e_mid = 0.5 * ((2.0 * n - 1.0) * b + hi)
     return table, mourre.window_report(n, e_mid, b, table)
@@ -98,7 +98,7 @@ def minima_b1():
 
 def test_c01_oscillator_anchor():
     t0 = time.perf_counter()
-    grids = fiber.first_levels(1.0, 0.0, 6, refine=True)
+    grids = fiber.first_levels(1.0, 0.0, 6)
     omegas = [fiber.refined([p.omega for p in pairs]) for pairs in zip(*grids)]
     elapsed = time.perf_counter() - t0
     worst = max(abs(omega - (2 * j - 1)) / (2 * j - 1)

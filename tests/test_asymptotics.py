@@ -188,7 +188,7 @@ def test_ho_check_monotone_approach():
 def test_precise_path_agrees_with_standard_solver():
     # at k=3 the double-precision solver still resolves the pair cleanly
     [(omega_plus, omega_minus)] = asym.omega_pair_precise(1.0, 1, [3.0], jobs=1)
-    grids = fiber.first_levels(1.0, 3.0, 2, refine=True)
+    grids = fiber.first_levels(1.0, 3.0, 2)
     omega_even, omega_odd = (fiber.refined([p.omega for p in pairs])
                              for pairs in zip(*grids))
     assert abs(omega_even - omega_plus) <= 1e-8

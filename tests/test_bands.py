@@ -100,7 +100,7 @@ def test_trace_derivatives_match_finite_differences(figure_table):
     dk = 1e-2
     for k0 in (-3.0, -0.7, 0.3, 1.2, 2.0):
         t2 = bands.trace(1.0, k0 - 2 * dk, k0 + 2 * dk, n_bands=4,
-                         base_samples=5, refine=True)
+                         base_samples=5)
         for j in range(4):
             ws = t2.omega[j]
             fd = (ws[0] - 8.0 * ws[1] + 8.0 * ws[3] - ws[4]) / (12.0 * dk)
@@ -109,7 +109,7 @@ def test_trace_derivatives_match_finite_differences(figure_table):
 
 
 def test_trace_single_point_consistent_with_fiber():
-    t = bands.trace(1.0, -5e-4, 5e-4, n_bands=6, base_samples=3, refine=True)
+    t = bands.trace(1.0, -5e-4, 5e-4, n_bands=6, base_samples=3)
     mid = np.argmin(np.abs(t.ks))
     for j, want in enumerate((1.0, 3.0, 5.0, 7.0, 9.0, 11.0)):
         assert t.omega[j, mid] == pytest.approx(want, abs=1e-6)
@@ -120,7 +120,7 @@ def test_derivative_routes_on_random_states():
     checked = 0
     for _ in range(13):
         k = float(rng.uniform(-5.0, 5.0))
-        for pairs in zip(*fiber.first_levels(1.0, k, 4, refine=True)):
+        for pairs in zip(*fiber.first_levels(1.0, k, 4)):
             fh = fiber.refined([bands.derivative_fh(p) for p in pairs])
             bd = fiber.refined([bands.derivative_boundary(p) for p in pairs])
             assert abs(fh - bd) <= 1e-5 * max(1.0, abs(fh))
@@ -151,7 +151,7 @@ def test_derivative_at_k0_negative_and_consistent():
     delta = 1e-2
     w = {}
     for m in (-2, -1, 0, 1, 2):
-        bands_at_k = list(zip(*fiber.first_levels(1.0, m * delta, 3, refine=True)))
+        bands_at_k = list(zip(*fiber.first_levels(1.0, m * delta, 3)))
         w[m] = [fiber.refined([p.omega for p in pairs]) for pairs in bands_at_k]
         if m == 0:
             fhs = [fiber.refined([bands.derivative_fh(p) for p in pairs])
@@ -222,7 +222,7 @@ def test_monotonicity_detector_catches_corruption(figure_table):
 
 def test_bottom_of_spectrum_from_table():
     t = bands.trace(1.0, KAPPA_1 - 0.25, KAPPA_1 + 0.25, n_bands=1,
-                    base_samples=51, refine=True)
+                    base_samples=51)
     _, w_star = bands.table_minimum(t, band=1)
     assert w_star == pytest.approx(ENERGY_1, abs=1e-8)
 
@@ -241,10 +241,9 @@ def test_trace_rerun_is_bitwise_identical(figure_table):
     assert _table_bits(again) == _table_bits(figure_table)
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_trace_on_workers_equals_serial_bitwise(refine):
+def test_trace_on_workers_equals_serial_bitwise():
     args = (1.0, -2.0, 3.0)
-    kwargs = dict(n_bands=3, base_samples=23, refine=refine)
+    kwargs = dict(n_bands=3, base_samples=23)
     serial = bands.trace(*args, **kwargs)
     assert _table_bits(bands.trace(*args, jobs=2, **kwargs)) == _table_bits(serial)
     assert multiprocessing.active_children() == []
@@ -255,7 +254,7 @@ def test_trace_samples_the_float_linspace():
     want = np.linspace(2.0, 20.0, 41).tobytes()
     for jobs in (1, 2):
         table = bands.trace(1.0, 2.0, 20.0, n_bands=2, base_samples=41,
-                            refine=False, jobs=jobs)
+                            jobs=jobs)
         assert table.ks.tobytes() == want
         assert table.omega.shape == (2, 41)
 

@@ -57,12 +57,12 @@ def test_bands_single_k_gives_oscillator_levels(tmp_path, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(fiber, "eigh_tridiagonal", spy)
-    for refine in ("--no-refine", "--refine"):     # the refined table is read
-        assert run(["bands", "--b", "1", "--kmin", "0", "--kmax", "0",
-                    "--nbands", "6", refine], tmp_path) == 0
-    assert asked == [True] * 6      # two parities, on one grid and on two
-    _, columns, rows, _, failed, passed = read_csv(tmp_path / "bands.csv")
+    assert run(["bands", "--b", "1", "--kmin", "0", "--kmax", "0",
+                "--nbands", "6"], tmp_path) == 0
+    assert asked == [True] * 4      # two parities on two grids
+    config, columns, rows, _, failed, passed = read_csv(tmp_path / "bands.csv")
     assert columns == ["omega"] and failed is None and passed
+    assert config["refine"] == "true"   # the echo of the refined table
     for row, want in zip(rows, (1.0, 3.0, 5.0, 7.0, 9.0, 11.0)):
         assert float(row[0]) == pytest.approx(want, rel=1e-6)
 
@@ -233,9 +233,9 @@ def test_refusals_come_before_any_solve_or_trace(tmp_path, capsys, monkeypatch,
 
 def test_config_run_writes_the_argv_run_bytes(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("lambdas = 1e-2,3e-3\nverify = yes\n")
+    cfg.write_text("lambdas = 1e-2,3e-3\nh = 0.04\n")
     assert run(["count1d", "--config", str(cfg)], tmp_path / "file") == 0
-    assert run(["count1d", "--lambdas", "1e-2,3e-3", "--verify"],
+    assert run(["count1d", "--lambdas", "1e-2,3e-3", "--h", "0.04"],
                tmp_path / "argv") == 0
     assert (tmp_path / "file" / "count1d.csv").read_bytes() \
         == (tmp_path / "argv" / "count1d.csv").read_bytes()
@@ -386,10 +386,13 @@ def test_count2d_parallel_matches_ladder(tmp_path):
     assert abs(float(summary["fitted_exponent"]) - 0.5) < 0.25
 
 
-def test_count2d_resource_cap_exits_three(tmp_path):
-    assert run(["count2d", "--max-unknowns", "100"], tmp_path) == 3
-    _, _, rows, _, failed, passed = read_csv(tmp_path / "count2d.csv")
+def test_count2d_resource_cap_exits_three(tmp_path, monkeypatch):
+    monkeypatch.setattr(counting, "MAX_UNKNOWNS_2D", 100)
+    assert run(["count2d"], tmp_path) == 3
+    config, _, rows, _, failed, passed = read_csv(tmp_path / "count2d.csv")
     assert failed is not None and not passed and rows == []
+    assert "budget of 100 unknowns" in failed
+    assert config["max_unknowns"] == "100"     # the budget the run used
 
 
 def test_count2d_stability_flags_a_drift_beyond_one(tmp_path, monkeypatch):
@@ -693,7 +696,6 @@ def test_error_types_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, cod
     ["ho", "--kmin", "3", "--kmax", "3"],
     ["mourre", "--n", "0"],
     ["bands", "--nbands", "-1"],
-    ["count2d", "--max-unknowns", "0"],
     ["count2d", "--lambdas", "0.3,0.1,0.03,0"],
     ["count2d", "--lambdas=0.3,0.1,0.03,-0.01"],
     # one x-step on the half-width at b = 1; the fiber stencil needs two
@@ -813,34 +815,62 @@ def test_window_the_trace_cannot_certify_is_a_usage_error(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-# the options a window run took before its trace followed from n and b,
-# each at its old default
-RETIRED_TRACE = {"kmin": "-4", "kmax": "6", "nbands": "5"}
+def test_window_at_four_samples_is_a_resolution_refusal(tmp_path, capsys):
+    # band 1's lowest of four samples, k = 2.67, lies right of kappa_1: its
+    # branch ends at the last sample that still falls, and the table is too
+    # coarse for a window, not a band with a rising velocity
+    assert run(["mourre", "--samples", "4"], tmp_path) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "nonpositive band velocity" not in lines[0]
+    assert lines[0].startswith("error: no positive delta0 at this table resolution")
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("source", ["argv", "config"])
-@pytest.mark.parametrize("command", ["mourre", "budget", "localize"])
-@pytest.mark.parametrize("name", sorted(RETIRED_TRACE))
-def test_retired_trace_option_is_refused_before_the_trace(
-        tmp_path, capsys, monkeypatch, source, command, name):
-    def boom(*args, **kwargs):
-        raise AssertionError("the bands were traced")
+# options a command no longer takes, as (command, name, config value, argv
+# spellings): the window trace follows from n and b, a band table is always
+# refined, a count1d count always certified by its bracket, and the 2D grid
+# budget is counting.MAX_UNKNOWNS_2D
+RETIRED = [
+    *((command, name, value, ([f"--{name}={value}"],))
+      for command in ("mourre", "budget", "localize")
+      for name, value in (("kmin", "-4"), ("kmax", "6"), ("nbands", "5"))),
+    ("bands", "refine", "yes", (["--refine"], ["--no-refine"])),
+    ("count1d", "verify", "yes", (["--verify"], ["--no-verify"])),
+    ("count2d", "max_unknowns", "5", (["--max-unknowns", "5"],)),
+]
 
-    monkeypatch.setattr(bands, "trace", boom)
-    value = RETIRED_TRACE[name]
-    if source == "argv":
-        with pytest.raises(SystemExit) as info:
-            run([command, f"--{name}={value}"], tmp_path / "out")
-        assert info.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"magbarrier: error: unrecognized arguments: --{name}={value}")
-        assert not (tmp_path / "out").exists()
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{name} = {value}\n")
-        assert _refusal([command, "--config", str(cfg)], tmp_path / "out",
-                        capsys) == (2, [f"error: unknown config keys for "
-                                        f"{command}: {name}"])
+
+def _spy_no_solve(monkeypatch):
+    for module, solver in ((bands, "trace"), (fiber, "eigenpairs"),
+                           (counting, "count_1d"), (counting, "_sector_inertia")):
+        monkeypatch.setattr(module, solver, _no_solve)
+
+
+@pytest.mark.parametrize("command, argv", [
+    pytest.param(command, argv, id=f"{command}-{argv[0][2:].split('=')[0]}")
+    for command, _, _, spellings in RETIRED for argv in spellings])
+def test_retired_option_on_argv_is_refused_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, argv):
+    _spy_no_solve(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        run([command, *argv], tmp_path / "out")
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"magbarrier: error: unrecognized arguments: {' '.join(argv)}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, name, value", [
+    pytest.param(command, name, value, id=f"{command}-{name}")
+    for command, name, value, _ in RETIRED])
+def test_retired_option_in_a_config_is_refused_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, name, value):
+    _spy_no_solve(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    assert _refusal([command, "--config", str(cfg)], tmp_path / "out",
+                    capsys) == (2, [f"error: unknown config keys for "
+                                    f"{command}: {name}"])
 
 
 @pytest.mark.parametrize("n", range(1, cli.COMMANDS["mourre"]["n"].domain[1] + 1))

@@ -277,8 +277,7 @@ def test_count_1d_trend_anchors():
     anchors = {3e-3: 17, 1e-3: 31, 3e-4: 57, 1e-4: 99}
     scaled = []
     for lam, expected in anchors.items():
-        n = counting.count_1d(1.0, Q, lam, half_width=3.0 / lam,
-                              verify_width=False)
+        n = counting.count_1d(1.0, Q, lam, half_width=3.0 / lam)
         assert n == expected
         scaled.append(math.sqrt(lam) * n)
     # the scaled counts approach the closed-form limit 1 from below
@@ -341,8 +340,6 @@ def test_count_1d_bracket_encloses_a_wider_box(m, amplitude, alpha, half_width,
     lam = float(Q(0.5 * (n + 1) * h)) * (1.0 + above)
     lower, whole, upper = _bracket(m, Q, lam, half_width, h, pad=3 * n // 2)
     assert lower <= whole <= upper
-    assert counting.count_1d(m, Q, lam, half_width=half_width, h=h,
-                             verify_width=False) == lower
     if lower == upper:
         assert counting.count_1d(m, Q, lam, half_width=half_width, h=h) == lower
     else:
@@ -374,13 +371,11 @@ def _no_grid(*args, **kwargs):
 def test_count_1d_refuses_an_oversized_grid_before_allocating(monkeypatch):
     monkeypatch.setattr(counting, "_line_nodes", _no_grid)
     Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
-    # the budget counts the rows of the box that is built, with or without
-    # the bracket, and names that box
+    # the budget counts the rows of the box that is built, and names that box
     width = 0.6 * fiber.MAX_ROWS * counting.DEFAULT_H_1D
     message = f"2.4e\\+07 rows at half-width {width:g} exceeds"
-    for verify in (True, False):
-        with pytest.raises(NumericalError, match=message):
-            counting.count_1d(1.0, Q, 1e-3, half_width=width, verify_width=verify)
+    with pytest.raises(NumericalError, match=message):
+        counting.count_1d(1.0, Q, 1e-3, half_width=width)
     # turning points of 1e30 and past the float range
     for alpha in (0.1, 0.001):
         width = counting.TURNING_FACTOR * counting.tail_turning_point(
@@ -429,13 +424,12 @@ def line_counts(draw, chunk=CHUNK):
     `chunk`-row chunks: decreasing wells, some negative, under-resolved or
     stopping short of the turning point, and planted exact zero pivots on
     seam rows."""
-    verify = draw(st.booleans())
     n = draw(st.sampled_from([1, 2, 7, 3 * chunk + 1])) if draw(st.booleans()) \
         else draw(st.integers(3 * chunk + 2, 4 * chunk))
     if n > 3 * chunk and draw(st.booleans()):
         row = draw(st.sampled_from([chunk - 1, chunk, 2 * chunk, 3 * chunk - 1,
                                     3 * chunk]))
-        return 1.0, _seam_zero_table(n, row), 2.0, 0.25 * n, 0.5, verify
+        return 1.0, _seam_zero_table(n, row), 2.0, 0.25 * n, 0.5
     m = draw(st.floats(0.5, 2.0))
     amplitude = draw(st.floats(0.2, 3.0))
     alpha = draw(st.floats(0.3, 1.9))
@@ -446,7 +440,7 @@ def line_counts(draw, chunk=CHUNK):
     lam = edge * draw(st.floats(0.5, 3.0))
     Q = lambda y: amplitude * (1.0 + np.asarray(y, dtype=float) ** 2) \
         ** (-alpha / 2.0) - offset
-    return m, Q, lam, half_width, h, verify
+    return m, Q, lam, half_width, h
 
 
 def _outcome(count, args):
@@ -482,10 +476,11 @@ def test_planted_seam_pivot_is_an_exact_zero(row):
     for i in range(row - 2, row + 1):
         pivot = (8.0 - q[i] + 2.0) - 16.0 / pivot
     assert pivot == 0.0 and q[row - 3] == 0.0
+    # the Dirichlet count is in the outcome, as the count or in the text of
+    # a bracket that does not certify it
     args = (1.0, Q, 2.0, 0.25 * len(q), 0.5)
-    for verify in (True, False):
-        assert _outcome(counting.count_1d, args + (verify,)) \
-            == _outcome(whole_array_count_1d, args + (verify,))
+    assert _outcome(counting.count_1d, args) \
+        == _outcome(whole_array_count_1d, args)
 
 
 def _traced_peak(count, *args):
@@ -538,8 +533,8 @@ def test_count_1d_reduced_potential_path(reduced_b1):
     lams = [3e-3, 1e-3, 3e-4, 1e-4]
     width = counting.TURNING_FACTOR * (reduced_b1.ell / lams[-1]) \
         ** (1.0 / reduced_b1.alpha)
-    counts = [counting.count_1d(m, reduced_b1.Q, lam, half_width=width,
-                                verify_width=False) for lam in lams]
+    counts = [counting.count_1d(m, reduced_b1.Q, lam, half_width=width)
+              for lam in lams]
     assert counts == [14, 25, 46, 80]
     exponent, _ = counting.power_law_fit(lams, counts)
     assert exponent == pytest.approx(0.5, abs=0.05)
@@ -570,11 +565,12 @@ def test_birman_schwinger_integer_equality():
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.floats(1e-3, 0.5), st.floats(1e-3, 0.5), st.floats(0.5, 2.0))
 def test_count_1d_monotone_in_lambda_at_fixed_width(lam_a, lam_b, m):
-    # one grid for both gaps, so a deeper threshold can only count more
+    # one grid for both gaps, so a deeper threshold can only count more; the
+    # box reaches three turning points past the deepest, where both certify
     Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
     lo, hi = sorted((lam_a, lam_b))
-    n_lo, n_hi = (counting.count_1d(m, Q, lam, half_width=200.0, h=0.1,
-                                    verify_width=False) for lam in (lo, hi))
+    n_lo, n_hi = (counting.count_1d(m, Q, lam, half_width=3000.0, h=0.1)
+                  for lam in (lo, hi))
     assert n_lo >= n_hi
 
 
@@ -613,8 +609,8 @@ def test_count_2d_refuses_counts_that_decrease_with_lambda(monkeypatch):
 def test_asymptotics_check_one_dimensional_example():
     Q = lambda y: (1.0 + np.asarray(y, dtype=float) ** 2) ** -0.5
     lams = [3e-3, 1e-3, 3e-4, 1e-4]
-    counts = [counting.count_1d(1.0, Q, lam, half_width=3.0 / lam,
-                                verify_width=False) for lam in lams]
+    counts = [counting.count_1d(1.0, Q, lam, half_width=3.0 / lam)
+              for lam in lams]
     exponent, prefactor = counting.power_law_fit(lams, counts)
     gap, ratio = abs(exponent - 0.5), prefactor / 1.0
     assert gap < 0.05
@@ -1245,14 +1241,14 @@ def test_count_2d_zero_potential_and_monotone_coupling():
     assert 0 < single <= doubled
 
 
-def test_count_2d_guards():
+def test_count_2d_guards(monkeypatch):
     V = counting.DecayPotential(1.0)
     spec = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0)
     with pytest.raises(ConfigurationError):
         _count(1.0, V, 0.7, spec=spec)  # above the band floor
-    tiny = Grid2DSpec(hx=0.1, hy=0.4, lx=2.4, y_width=8.0, max_unknowns=100)
-    with pytest.raises(NumericalError, match="budget"):
-        _count(1.0, V, 0.15, spec=tiny)
+    monkeypatch.setattr(counting, "MAX_UNKNOWNS_2D", 100)
+    with pytest.raises(NumericalError, match="budget of 100 unknowns"):
+        _count(1.0, V, 0.15, spec=spec)
 
 
 def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch,
@@ -1275,9 +1271,10 @@ def test_2d_grid_past_its_budget_is_refused_before_allocating(monkeypatch,
         _count(1.0, V, 6e-3, spec=spec)
     with pytest.raises(ConfigurationError, match="y_width"):
         counting.count_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3], spec=spec)
-    # a budget of ~1e310 unknowns, far past count2d's --max-unknowns, lets
-    # ~1e301 y-steps through to the underflow of hy^2
-    huge = Grid2DSpec(hy=1e-300, max_unknowns=10 ** 310)
+    # a budget of ~1e310 unknowns, far past MAX_UNKNOWNS_2D, lets ~1e301
+    # y-steps through to the underflow of hy^2
+    monkeypatch.setattr(counting, "MAX_UNKNOWNS_2D", 10 ** 310)
+    huge = Grid2DSpec(hy=1e-300)
     with pytest.raises(NumericalError, match=r"hy=1e-300 is too fine: hy\^2 underflows"):
         counting.count_2d(1.0, V, [0.06, 0.03, 0.012, 6e-3], spec=huge,
                           ell=reduced_b1.ell)
@@ -1299,7 +1296,7 @@ def test_counting_curve_2d_small_ladder(reduced_b1):
     assert len(counts) == 4
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert meta["threshold"] == pytest.approx(E_1, abs=0.05)
-    assert meta["unknowns"] <= Grid2DSpec().max_unknowns
+    assert meta["unknowns"] <= counting.MAX_UNKNOWNS_2D
     exponent, _ = counting.ladder_fit(lams, counts)
     assert exponent == pytest.approx(0.5, abs=0.25)
 

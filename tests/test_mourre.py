@@ -20,17 +20,17 @@ LEVEL2_MIN = 2.634859402292   # second even-band minimum (precise solver)
 
 @pytest.fixture(scope="module")
 def table_b1():
-    return bands.trace(1.0, -4.0, 6.0, n_bands=5, base_samples=81, refine=True)
+    return bands.trace(1.0, -4.0, 6.0, n_bands=5, base_samples=81)
 
 
 @pytest.fixture(scope="module")
 def table_b4():
-    return bands.trace(4.0, -8.0, 12.0, n_bands=5, base_samples=81, refine=True)
+    return bands.trace(4.0, -8.0, 12.0, n_bands=5, base_samples=81)
 
 
 @pytest.fixture(scope="module")
 def table_b25():
-    return bands.trace(25.0, -20.0, 30.0, n_bands=5, base_samples=81, refine=True)
+    return bands.trace(25.0, -20.0, 30.0, n_bands=5, base_samples=81)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_window_ceiling_is_the_resolved_table_minimum(table_b1):
     assert mourre.window_ceiling(2, 1.0, table_b1) \
         == bands.table_minimum(table_b1, 5)[1]
     # band 3's minimum at k = 1.62 is past this trace: an end sample
-    short = bands.trace(1.0, -4.0, 0.5, n_bands=3, base_samples=11, refine=True)
+    short = bands.trace(1.0, -4.0, 0.5, n_bands=3, base_samples=11)
     with pytest.raises(ConfigurationError, match="trace more samples"):
         mourre.window_ceiling(1, 1.0, short)
 

@@ -62,13 +62,10 @@ CASES["count2d_above_band"] = ["count2d", "--b", "1", "--hy", "0.8",
 # a y-extent past the unknowns budget: exit 3 with a FAILED row whose one
 # short line gives ny to 3 digits
 CASES["count2d_budget"] = ["count2d", "--amplitude", "1e300"]
-# the unrefined row sampler and the JSON table over a k-range
-CASES["bands_norefine"] = CASES["bands"] + ["--no-refine"]
+# the JSON table over a k-range
 CASES["bands_json"] = CASES["bands"] + ["--format", "json"]
-# the single-k branch on one grid and on two, and a deep wedge past the
-# default resolution
-CASES["bands_k03_norefine"] = ["bands", "--b", "1", "--kmin", "0.3", "--kmax", "0.3",
-                               "--nbands", "7", "--no-refine"]
+# the single-k branch at one band, and a deep wedge past the default
+# resolution
 CASES["bands_k03_one_band"] = ["bands", "--b", "1", "--kmin", "0.3", "--kmax", "0.3",
                                "--nbands", "1"]
 CASES["airy_deep"] = ["airy", "--b", "1", "--ks=-60", "--jmax", "3"]
@@ -97,9 +94,8 @@ CASES["mourre_E"] = ["mourre", "--b", "1", "--n", "1", "--samples", "41",
 # the first case whose trace starts at -sqrt((2n+1) b), left of -4 sqrt(b)
 CASES["mourre_n11"] = ["mourre", "--n", "11", "--samples", "41"]
 CASES["count1d_ell"] = ["count1d", "--ell", "0.9", "--lambdas", "9e-4,2.7e-4"]
-# the unverified count on the default ladder, and a slower tail at a heavier
-# mass, whose bracketed counts 3, 3 fit nothing: exit 1
-CASES["count1d_noverify"] = ["count1d", "--no-verify", "--lambdas", "1e-3,3e-4,1e-4"]
+# a slower tail at a heavier mass, whose bracketed counts 3, 3 fit nothing:
+# exit 1
 CASES["count1d_alpha15"] = ["count1d", "--alpha", "1.5", "--m", "2",
                             "--lambdas", "1e-3,3e-4"]
 # a heavy mass at shallow gaps: the box reaches 6 decay lengths m/sqrt(lam)
@@ -111,7 +107,7 @@ CASES["count1d_heavy"] = ["count1d", "--m", "3", "--lambdas", "0.3,0.1"]
 CASES["count2d_json"] = CASES["count2d"] + ["--format", "json"]
 # config-file cases: the text is passed by --config from a file beside the
 # output directory; count1d_config must hash as count1d does
-CONFIGS = {"count1d_config": "lambdas = 1e-3,3e-4,1e-4\nverify = yes\n"}
+CONFIGS = {"count1d_config": "lambdas = 1e-3,3e-4,1e-4\n"}
 CASES["count1d_config"] = ["count1d"]
 
 
