@@ -25,9 +25,9 @@ mathematical guarantee failing outright.
 import os
 
 # One OpenBLAS thread per process unless the user chose a thread count: the
-# parallelism is --jobs (forked workers for the sectors of count2d, the
-# k-sweep of bands, mourre, budget and localize, and the precise pair solves
-# of ho), and BLAS threads under those workers contend for the same cores.
+# parallelism is --jobs (forked workers for count2d's sectors, the k-sweep
+# of bands, mourre, budget and localize, minima's ordinals and ho's precise
+# pair solves), and BLAS threads under those workers contend for the cores.
 # Set before numpy loads OpenBLAS.
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"

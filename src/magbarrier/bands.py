@@ -86,9 +86,9 @@ def _trace_row(b, k, n_bands):
 
 @contextlib.contextmanager
 def _k_map(jobs):
-    """A map over independent solves (k-points, the precise units of
-    asymptotics, or the 2D count sectors of counting): in order, serially or
-    on forked worker processes.
+    """A map over independent solves (k-points, minima's ordinals, the
+    precise units of asymptotics, or the 2D count sectors of counting): in
+    order, serially or on forked worker processes.
 
     At most `jobs` workers, and no more than the CPUs this process may use.
     The pool is left (and its workers reaped) when the block exits, on an

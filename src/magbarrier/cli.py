@@ -9,11 +9,11 @@ the output header so a file reproduces itself.
 
 Exit codes: 0 all pass flags true; 1 a computed check failed, written as
 pass=false under the full table; 2 usage or configuration error; 3
-resolution or resource limit. Multi-rung commands stopped by an error (exit
-2 or 3) flush partial tables with a FAILED marker before reporting it. In
-count1d and count2d, a ladder whose nonzero counts take fewer than two
-values fits nothing and fails with exit 1; count2d also fails when fewer
-than four nonzero rungs remain or they span less than a decade.
+resolution or resource limit. A count1d or count2d ladder stopped by an
+error (exit 2 or 3) in a rung, the 2D sweep or the stability recount
+flushes its counted rows under a FAILED marker. A ladder whose nonzero
+counts take fewer than two values fits nothing and fails with exit 1, as
+does a count2d ladder with under four nonzero rungs or a decade of span.
 """
 
 import argparse
@@ -28,11 +28,11 @@ import numpy as np
 
 from . import asymptotics, bands, counting, fiber, localization, mourre, specfun
 from .counting import Grid2DSpec
-from .errors import ConfigurationError, InvariantViolation, NumericalError
+from .errors import ConfigurationError, MagbarrierError
 
 SCHEMA_VERSION = "1"
 EXIT_OK = 0
-EXIT_NUMERICAL = 1
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOLUTION = 3
 
@@ -147,8 +147,8 @@ COMMANDS = {
 RUN_OPTIONS = {
     "jobs": Option("int", 1, "worker processes: count2d for the (rung, parity) "
                    "sectors; bands, mourre, budget and localize for the "
-                   "k-sweep; ho for the band minimum beside the precise pair "
-                   "solves; minima for the minima (output never depends on it)",
+                   "k-sweep; ho for the precise pair solves; minima for the "
+                   "minima (output never depends on it)",
                    (1, math.inf)),
     "format": Option("format", "csv", "output format, csv or json"),
 }
@@ -328,10 +328,9 @@ def render_json(payload):
 # subcommands
 
 
-def _payload(command, cfg, columns, rows, summary, passed, failed=None):
+def _payload(command, cfg, columns, rows, summary, passed):
     return {"command": command, "config": dict(cfg), "columns": columns,
-            "rows": rows, "summary": summary, "pass": bool(passed),
-            "failed": failed}
+            "rows": rows, "summary": summary, "pass": bool(passed)}
 
 
 def _plot_blocks(table):
@@ -366,13 +365,11 @@ def cmd_bands(cfg, jobs):
     mono = bands.monotonicity_report(table)
     columns = ["k", "j", "parity", "omega", "domega_fh", "domega_bd",
                "psi0", "dpsi0", "k_squared"]
-    rows = []
-    for i, k in enumerate(table.ks):
-        for j_idx, parity in enumerate(table.parities):
-            rows.append([float(k), j_idx + 1, parity.value,
-                         table.omega[j_idx, i], table.domega_fh[j_idx, i],
-                         table.domega_bd[j_idx, i], table.psi0[j_idx, i],
-                         table.dpsi0[j_idx, i], float(k) ** 2])
+    rows = [[float(k), j_idx + 1, parity.value, table.omega[j_idx, i],
+             table.domega_fh[j_idx, i], table.domega_bd[j_idx, i],
+             table.psi0[j_idx, i], table.dpsi0[j_idx, i], float(k) ** 2]
+            for i, k in enumerate(table.ks)
+            for j_idx, parity in enumerate(table.parities)]
     summary = {"monotonicity_checked": mono.checked,
                "monotonicity_violations": len(mono.violations)}
     payload = _payload("bands", cfg, columns, rows, summary,
@@ -385,30 +382,26 @@ def cmd_minima(cfg, jobs):
     b = cfg["b"]
     columns = ["j", "kappa", "energy", "beta", "psi0_at_kappa",
                "kappa_max", "energy_lo", "energy_hi", "pass"]
-    rows = []
     # the minima are independent root searches, one pool unit each, read in
     # ordinal order
     with bands._k_map(jobs) as k_map:
         records = list(k_map(functools.partial(bands.find_minimum, b=b),
                              range(1, cfg["jmax"] + 1)))
     # find_minimum refuses a minimum outside its bounds, so each row passes
-    for j, rec in enumerate(records, 1):
-        rows.append([j, rec.kappa, rec.energy, rec.beta, rec.psi0_at_kappa,
-                     *bands.minimum_bounds(j, b), True])
+    rows = [[j, rec.kappa, rec.energy, rec.beta, rec.psi0_at_kappa,
+             *bands.minimum_bounds(j, b), True]
+            for j, rec in enumerate(records, 1)]
     return _payload("minima", cfg, columns, rows, {"n_minima": len(rows)}, True)
 
 
 def cmd_airy(cfg, jobs):
     columns = ["k", "j", "kind", "predicted", "measured", "measured_error",
                "bound", "pass"]
-    rows = []
-    for k in cfg["ks"]:
-        for j in range(1, cfg["jmax"] + 1):
-            check = asymptotics.airy_check(cfg["b"], k, j)
-            pred = check.prediction
-            rows.append([pred.k, pred.j, pred.kind.value, pred.predicted,
-                         check.omega, check.measured_error, pred.bound,
-                         check.passed])
+    checks = [asymptotics.airy_check(cfg["b"], k, j)
+              for k in cfg["ks"] for j in range(1, cfg["jmax"] + 1)]
+    rows = [[c.prediction.k, c.prediction.j, c.prediction.kind.value,
+             c.prediction.predicted, c.omega, c.measured_error,
+             c.prediction.bound, c.passed] for c in checks]
     passed = all(row[-1] for row in rows)
     return _payload("airy", cfg, columns, rows, {"n_checks": len(rows)}, passed)
 
@@ -456,8 +449,8 @@ def cmd_mourre(cfg, jobs):
     columns = ["band", "k_left", "k_right", "c_band"]
     rows = [[j, left, right, c]
             for (j, left, right), c in zip(report.preimages, report.c_per_band)]
-    summary = {"delta0": report.window.delta, "delta": report.window.delta,
-               "c_n": report.c_n, "window_E": report.window.E}
+    summary = {"delta0": report.window.delta, "c_n": report.c_n,
+               "window_E": report.window.E}
     passed = report.window.delta > 0.0 and report.c_n > 0.0
     return _payload("mourre", cfg, columns, rows, summary, passed)
 
@@ -485,38 +478,46 @@ def cmd_localize(cfg, jobs):
                     all(r[-1] for r in rows))
 
 
+def _ladder(command, cfg, expected, constant, summary, lambdas=(), counts=(),
+            fit=None):
+    """A counting ladder's payload, the one place its table is laid out: a
+    row per counted rung, the expected exponent and closed-form constant
+    beside summary's keys and, unless fit is None, the fitted exponent and
+    prefactor. It passes when the fit finds an exponent."""
+    rows = [[lam, n, lam ** expected * n] for lam, n in zip(lambdas, counts)]
+    summary = {**summary, "expected_exponent": expected,
+               "closed_form_constant": constant}
+    exponent = None
+    if fit is not None:
+        exponent, prefactor = fit([row[0] for row in rows], counts)
+        summary.update(fitted_exponent=exponent, fitted_prefactor=prefactor)
+    return _payload(command, cfg, ["lambda", "count", "scaled_count"], rows,
+                    summary, exponent is not None)
+
+
 def cmd_count1d(cfg, jobs):
     lambdas = counting.distinct_ladder(cfg["lambdas"])  # before any count
     alpha, ell, m = cfg["alpha"], cfg["ell"], cfg["m"]
     constant = counting.counting_constant_1d(alpha, ell, m)
-    expected = 1.0 / alpha - 0.5
     v2 = counting.DecayPotential(alpha).v2
     cfg.update(verify=True)     # every count is certified by its bracket
 
     def q_model(y):
         return ell * v2(y)
 
-    columns = ["lambda", "count", "scaled_count"]
-    rows, counts, failed, exc = [], [], None, None
-    for lam in lambdas:
-        try:
-            n = counting.count_1d(m, q_model, lam,
-                                  counting.line_half_width(ell, lam, alpha, m),
-                                  h=cfg["h"])
-        except (ConfigurationError, NumericalError, InvariantViolation) as err:
-            failed, exc = f"{type(err).__name__}: {err}", err
-            break
-        counts.append(n)
-        rows.append([lam, n, lam ** expected * n])
-    exponent, prefactor = counting.power_law_fit([r[0] for r in rows], counts)
-    summary = {"expected_exponent": expected, "closed_form_constant": constant,
-               "fitted_exponent": exponent, "fitted_prefactor": prefactor}
-    # a ladder whose nonzero counts take fewer than two values fits nothing,
-    # and fails
-    payload = _payload("count1d", cfg, columns, rows, summary,
-                       failed is None and exponent is not None, failed)
-    payload["_exc"] = exc
-    return payload
+    counts = []
+    ladder = functools.partial(_ladder, "count1d", cfg, 1.0 / alpha - 0.5,
+                               constant, {}, lambdas, counts,
+                               counting.power_law_fit)
+    try:
+        for lam in lambdas:
+            counts.append(counting.count_1d(
+                m, q_model, lam, counting.line_half_width(ell, lam, alpha, m),
+                h=cfg["h"]))
+    except MagbarrierError as err:
+        err.payload = ladder()      # main writes the rows counted so far
+        raise
+    return ladder()
 
 
 def cmd_count2d(cfg, jobs):
@@ -530,40 +531,35 @@ def cmd_count2d(cfg, jobs):
     constant = counting.counting_constant_1d(alpha, ell, math.sqrt(rec.beta))
     expected = 1.0 / alpha - 0.5
     spec = Grid2DSpec(hx=cfg["hx"], hy=cfg["hy"])
-    columns = ["lambda", "count", "scaled_count"]
-    summary = {"expected_exponent": expected, "closed_form_constant": constant,
-               "ell": ell, "beta1": rec.beta, "kappa1": rec.kappa}
+    summary = {"ell": ell, "beta1": rec.beta, "kappa1": rec.kappa}
+    payload = _ladder("count2d", cfg, expected, constant, summary)  # none counted
     try:
         counts, meta = counting.count_2d(b, V, lambdas, spec=spec,
                                          ell=ell, jobs=jobs)
-    except (ConfigurationError, NumericalError, InvariantViolation) as err:
-        payload = _payload("count2d", cfg, columns, [], summary, False,
-                           f"{type(err).__name__}: {err}")
-        payload["_exc"] = err
-        return payload
-    rows = [[lam, n, lam ** expected * n] for lam, n in zip(lambdas, counts)]
-    # counts with nothing to fit fail the check, as count1d's do
-    exponent, prefactor = counting.ladder_fit(lambdas, counts)
-    passed = exponent is not None
-    gap, ratio = (abs(exponent - expected),
-                  prefactor / constant) if passed else (None, None)
-    summary.update(fitted_exponent=exponent, fitted_prefactor=prefactor,
-                   exponent_gap=gap, prefactor_ratio=ratio,
-                   threshold=meta["threshold"], unknowns=meta["unknowns"])
-    if passed and cfg["check_stability"]:
-        # the ladder's first rung, its largest lambda, recounted on the same
-        # box with both steps refined and its own discrete threshold; a drift
-        # beyond one count flags the result as grid-limited
-        finer = Grid2DSpec(hx=cfg["hx"] / STABILITY_REFINE,
-                           hy=cfg["hy"] / STABILITY_REFINE, lx=meta["lx"],
-                           y_width=meta["y_width"])
-        (refined,), _ = counting.count_2d(b, V, lambdas[:1], spec=finer,
-                                          jobs=jobs)
-        stable = abs(refined - counts[0]) <= 1
-        summary.update(stability_base=counts[0],
-                       stability_refined=refined, stable=stable)
-        passed = stable
-    return _payload("count2d", cfg, columns, rows, summary, passed)
+        payload = _ladder("count2d", cfg, expected, constant, summary, lambdas,
+                          counts, counting.ladder_fit)
+        summary = payload["summary"]
+        gap, ratio = (abs(summary["fitted_exponent"] - expected),
+                      summary["fitted_prefactor"] / constant) \
+            if payload["pass"] else (None, None)
+        summary.update(exponent_gap=gap, prefactor_ratio=ratio,
+                       threshold=meta["threshold"], unknowns=meta["unknowns"])
+        if payload["pass"] and cfg["check_stability"]:
+            # the largest rung on the same box with both steps refined, at
+            # its own threshold: a drift beyond one count is grid-limited
+            finer = Grid2DSpec(hx=cfg["hx"] / STABILITY_REFINE,
+                               hy=cfg["hy"] / STABILITY_REFINE, lx=meta["lx"],
+                               y_width=meta["y_width"])
+            (refined,), _ = counting.count_2d(b, V, lambdas[:1], spec=finer,
+                                              jobs=jobs)
+            stable = abs(refined - counts[0]) <= 1
+            summary.update(stability_base=counts[0],
+                           stability_refined=refined, stable=stable)
+            payload["pass"] = stable
+    except MagbarrierError as err:
+        err.payload = payload   # main writes the ladder counted so far
+        raise
+    return payload
 
 
 DISPATCH = {
@@ -626,32 +622,35 @@ def _outdir(text):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    stop = None
     try:
         jobs = _convert("jobs", RUN_OPTIONS["jobs"], args.jobs)
         fmt = _convert("format", RUN_OPTIONS["format"], args.format)
         cfg = effective_config(args.command, args)
         outdir = _outdir(args.outdir)
         payload = DISPATCH[args.command](cfg, jobs=jobs)
-    except (ConfigurationError, NumericalError, InvariantViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_for(exc)
-    exc = payload.pop("_exc", None)
-    extra_files = payload.pop("extra_files", {})
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{args.command}.{fmt}"
-    text = render_csv(payload) if fmt == "csv" else render_json(payload)
-    path.write_text(text)
-    written = [str(path)]
-    for name, content in extra_files.items():
-        extra_path = outdir / name
-        extra_path.write_text(content)
-        written.append(str(extra_path))
-    status = "PASS" if payload["pass"] and exc is None else "FAIL"
-    print(f"{args.command}: {status}; wrote {', '.join(written)}")
-    if exc is not None:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_for(exc)
-    return EXIT_OK if payload["pass"] else EXIT_NUMERICAL
+    except MagbarrierError as exc:
+        # a ladder stopped once its counting began carries what it counted
+        stop, payload = exc, getattr(exc, "payload", None)
+        if payload is not None:
+            payload.update({"pass": False,
+                            "failed": f"{type(exc).__name__}: {exc}"})
+    if payload is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
+        path = outdir / f"{args.command}.{fmt}"
+        text = render_csv(payload) if fmt == "csv" else render_json(payload)
+        path.write_text(text)
+        written = [str(path)]
+        for name, content in payload.get("extra_files", {}).items():
+            extra_path = outdir / name
+            extra_path.write_text(content)
+            written.append(str(extra_path))
+        status = "PASS" if payload["pass"] else "FAIL"
+        print(f"{args.command}: {status}; wrote {', '.join(written)}")
+    if stop is not None:
+        print(f"error: {stop}", file=sys.stderr)
+        return _exit_for(stop)
+    return EXIT_OK if payload["pass"] else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these to exit codes: ConfigurationError -> 2, NumericalError
-(including InvariantViolation) -> 3; a command that loops over a ladder
-first writes the rows it completed and a FAILED line naming the error. A
-verification check that runs fine but fails its inequality is not an
-exception: the command writes its whole table with pass=false and exits 1.
+(including InvariantViolation) -> 3. A count stopped once it has rows, in
+a rung, the 2D sweep or the stability recount, first writes them and a
+FAILED line naming the error. A check that runs but fails its inequality
+is not an exception: its whole table is written with pass=false, exit 1.
 """
 
 

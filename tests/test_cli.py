@@ -420,6 +420,35 @@ def test_count2d_stability_flags_a_drift_beyond_one(tmp_path, monkeypatch):
     assert int(rows[0][1]) == base
 
 
+# the top rung, 0.625, sits below the ladder grid's threshold, 0.6308, but
+# above the finer recount grid's, 0.6187
+STABILITY_REFUSED = ["count2d", "--b", "1", "--hy", "0.8", "--lambdas",
+                     "0.625,0.3,0.1,0.03,0.01", "--check-stability"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_count2d_refused_recount_flushes_the_counted_ladder(tmp_path, capsys,
+                                                            jobs):
+    # the refused recount used to exit 2 and write no file
+    assert run(STABILITY_REFUSED + ["--jobs", jobs], tmp_path / "run") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: lam must sit inside (0, 0.618675), the gap below the band"]
+    _, _, rows, summary, failed, passed = read_csv(
+        tmp_path / "run" / "count2d.csv")
+    assert [row[1] for row in rows] == ["0", "1", "1", "3", "6"]
+    assert failed.startswith("ConfigurationError: lam must sit inside (0, ")
+    assert not passed
+    # the ladder's own rows and summary, with no stability keys
+    assert run(STABILITY_REFUSED[:-1] + ["--jobs", jobs], tmp_path / "plain") == 0
+    _, _, plain_rows, plain_summary, _, _ = read_csv(
+        tmp_path / "plain" / "count2d.csv")
+    assert rows == plain_rows and summary == plain_summary
+    other = {"1": "2", "2": "1"}[jobs]
+    assert run(STABILITY_REFUSED + ["--jobs", other], tmp_path / "other") == 2
+    assert (tmp_path / "run" / "count2d.csv").read_bytes() == \
+        (tmp_path / "other" / "count2d.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["count2d", "--alpha", "0.2", "--hy", "0.8"],
     ["count2d", "--alpha", "0.001"],

@@ -59,6 +59,12 @@ CASES["count2d_amp3"] = ["count2d", "--b", "1", "--amplitude", "3", "--hy", "0.8
 CASES["count2d_stability_jobs1"] = CASES["count2d_stability"] + ["--jobs", "1"]
 CASES["count2d_above_band"] = ["count2d", "--b", "1", "--hy", "0.8",
                                "--lambdas", "0.9,0.3,0.1,0.05"]
+# a top rung between the finer grid's threshold, 0.6187, and the ladder
+# grid's, 0.6308: the stability recount is refused, exit 2, under the five
+# counted rows and the ladder's summary
+CASES["count2d_stability_refused"] = [
+    "count2d", "--b", "1", "--hy", "0.8", "--lambdas", "0.625,0.3,0.1,0.03,0.01",
+    "--jobs", "2", "--check-stability"]
 # a y-extent past the unknowns budget: exit 3 with a FAILED row whose one
 # short line gives ny to 3 digits
 CASES["count2d_budget"] = ["count2d", "--amplitude", "1e300"]
